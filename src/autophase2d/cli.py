@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -27,8 +26,6 @@ from .solver import (
     enumerate_candidates,
     solve_2d,
 )
-
-THREADS_ENV = "AUTOPHASE2D_THREADS"
 
 _COMMANDS = ("autocorr", "reduce", "solve", "enumerate", "census", "probe", "oracle", "roundtrip")
 _NEEDS_INPUT = {"autocorr", "reduce", "solve", "enumerate", "oracle"}
@@ -54,7 +51,6 @@ class RunConfig:
     tol_pair: float
     tol_resid: float
     tol_match: float
-    threads: int
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(
@@ -62,7 +58,6 @@ class RunConfig:
             tol_pair=self.tol_pair,
             tol_resid=self.tol_resid,
             tol_match=self.tol_match,
-            threads=self.threads,
         )
 
 
@@ -139,14 +134,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{key} must be positive, got {value}")
         tols[key] = value
 
-    threads_raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        threads = int(threads_raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {threads_raw!r}") from None
-    if threads < 0:
-        raise ConfigError(f"{THREADS_ENV} must be nonnegative, got {threads}")
-
     def pick_int(key):
         value = pick(key)
         if value is None:
@@ -171,7 +158,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         alpha=alpha,
         bound=pick_int("bound"),
         trials=pick_int("trials"),
-        threads=threads,
         **tols,
     )
     _validate(cfg)
@@ -195,6 +181,8 @@ def _validate(cfg: RunConfig) -> None:
         missing = [k for k in ("n", "seed", "trials") if getattr(cfg, k) is None]
         if missing:
             raise ConfigError(f"roundtrip requires --{', --'.join(missing)}")
+        if cfg.trials < 0:
+            raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if not cfg.output:
         raise ConfigError("output path must be nonempty")
 

@@ -47,10 +47,6 @@ class UnpairedComplexZero(AutophaseError):
     """A complex zero has no conjugate partner, so real candidates cannot be built."""
 
 
-class NonRealCoefficients(AutophaseError):
-    """A flip pattern broke conjugate closure and produced complex coefficients."""
-
-
 class NonRealResult(AutophaseError):
     """Constraint product came out complex beyond roundoff."""
 

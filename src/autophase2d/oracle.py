@@ -98,6 +98,8 @@ def planted_roundtrip(
     planted signal. Every failure is flagged with a diagnostic; a unique but
     wrong answer is counted separately as silent_wrong and should never occur.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(seed)
     successes = 0
     silent_wrong = 0

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import Autocorr1D, Signal1D
 from .errors import (
-    NonRealCoefficients,
     NonRealResult,
     RootFindingFailed,
     UnitCircleZero,
@@ -171,6 +170,10 @@ class RealZero:
     def members(self, flipped: bool) -> tuple[complex, ...]:
         return (complex(1.0 / self.value if flipped else self.value),)
 
+    def factor(self, flipped: bool) -> tuple[float, ...]:
+        """Lower coefficients, ascending, of the monic factor z - beta."""
+        return (-(1.0 / self.value if flipped else self.value),)
+
 
 @dataclass(frozen=True)
 class ConjugatePair:
@@ -181,6 +184,11 @@ class ConjugatePair:
     def members(self, flipped: bool) -> tuple[complex, ...]:
         z = 1.0 / self.value.conjugate() if flipped else self.value
         return (z, z.conjugate())
+
+    def factor(self, flipped: bool) -> tuple[float, ...]:
+        """Lower coefficients, ascending, of z^2 - 2 Re(b) z + |b|^2 for both members b."""
+        z = self.members(flipped)[0]
+        return (z.real * z.real + z.imag * z.imag, -2.0 * z.real)
 
 
 @dataclass(frozen=True)
@@ -267,30 +275,28 @@ class Candidate:
 # expressions, so reconstructing one mask reproduces the batch row bit for bit.
 
 
-def _linear_factor_rows(coeffs: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Multiply each row polynomial (ascending coeffs) by (z - beta_row)."""
+def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Multiply each row polynomial (ascending coeffs) by a monic real factor.
+
+    Row i's factor is z^d + lower[i, d-1] z^(d-1) + ... + lower[i, 0].
+    """
     rows, width = coeffs.shape
-    out = np.empty((rows, width + 1), dtype=complex)
-    out[:, 0] = -betas * coeffs[:, 0]
-    if width > 1:
-        out[:, 1:width] = coeffs[:, : width - 1] - betas[:, None] * coeffs[:, 1:]
-    out[:, width] = coeffs[:, width - 1]
+    d = lower.shape[1]
+    out = np.zeros((rows, width + d))
+    out[:, d:] = coeffs
+    for j in range(d):
+        out[:, j:j + width] += lower[:, j, None] * coeffs
     return out
 
 
-def _expand_zero_products(units, masks: np.ndarray):
-    """Ascending coefficients of prod (z - beta) per mask, plus prod 1/|beta|."""
-    coeffs = np.ones((masks.size, 1), dtype=complex)
-    inv_modulus = np.ones(masks.size)
+def _expand_zero_products(units, masks: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of prod (z - beta) per mask, in real arithmetic."""
+    coeffs = np.ones((masks.size, 1))
     for k, unit in enumerate(units):
         flipped = ((masks >> k) & 1) == 1
-        plain = unit.members(False)
-        flip = unit.members(True)
-        for b_plain, b_flip in zip(plain, flip):
-            betas = np.where(flipped, b_flip, b_plain)
-            coeffs = _linear_factor_rows(coeffs, betas)
-            inv_modulus = inv_modulus / np.abs(betas)
-    return coeffs, inv_modulus
+        lower = np.where(flipped[:, None], unit.factor(True), unit.factor(False))
+        coeffs = _multiply_factor_rows(coeffs, lower)
+    return coeffs
 
 
 def _canonical_sign_rows(vals: np.ndarray) -> np.ndarray:
@@ -300,17 +306,15 @@ def _canonical_sign_rows(vals: np.ndarray) -> np.ndarray:
     return vals * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
-def _finalize_rows(coeffs: np.ndarray, inv_modulus: np.ndarray, r_peak: float,
-                   masks: np.ndarray) -> np.ndarray:
-    ref = np.max(np.abs(coeffs), axis=1)
-    broken = np.max(np.abs(coeffs.imag), axis=1) > REAL_RTOL * ref
-    if np.any(broken):
-        raise NonRealCoefficients(
-            f"flip patterns {masks[broken].tolist()} produced complex coefficients; "
-            "conjugate closure was violated"
-        )
-    amplitude = np.sqrt(abs(r_peak) * inv_modulus)
-    return _canonical_sign_rows(coeffs.real * amplitude[:, None])
+def _candidate_rows(units, masks: np.ndarray, r_peak: float) -> np.ndarray:
+    """Sign-canonical candidate signals, one row per flip mask.
+
+    The monic product is scaled by sqrt(|r_peak| / prod |beta|); the product
+    of the moduli is the modulus of its constant coefficient.
+    """
+    coeffs = _expand_zero_products(units, masks)
+    amplitude = np.sqrt(abs(r_peak) / np.abs(coeffs[:, 0]))
+    return _canonical_sign_rows(coeffs * amplitude[:, None])
 
 
 def _autocorr_rows(vals: np.ndarray) -> np.ndarray:
@@ -329,20 +333,34 @@ def _residual_rows(vals: np.ndarray, r: Autocorr1D) -> np.ndarray:
 
 def _pairing_autocorr(fu: FlipUnits, r_peak: float) -> Autocorr1D:
     """Autocorrelation implied by the full zero multiset and the extreme lag."""
-    coeffs = np.ones((1, 1), dtype=complex)
+    coeffs = np.ones((1, 1))
     for unit in fu.units:
-        for b in unit.members(False) + unit.members(True):
-            coeffs = _linear_factor_rows(coeffs, np.array([b]))
-    full = (r_peak * coeffs[0]).real
+        for flipped in (False, True):
+            coeffs = _multiply_factor_rows(coeffs, np.array([unit.factor(flipped)]))
+    full = r_peak * coeffs[0]
     m = (full.size + 1) // 2
     return Autocorr1D.from_nonneg(full[m - 1:])
 
 
-def _maybe_f_value(row: np.ndarray) -> float | None:
-    n = math.isqrt(row.size)
-    if n * n != row.size or n < 2:
-        return None
-    return float(row[n - 1] * row[n * n - n])
+def _constraint_products(values: np.ndarray, n: int) -> np.ndarray:
+    """Entry n-1 times entry n*n-n of each flattened n-by-n row (last axis)."""
+    if values.shape[-1] != n * n:
+        raise ValueError(f"candidate length {values.shape[-1]} is not {n}x{n}")
+    if n < 2:
+        raise ValueError("constraint product needs n >= 2")
+    return values[..., n - 1] * values[..., n * n - n]
+
+
+def _wrap_candidates(masks: np.ndarray, vals: np.ndarray,
+                     residuals: np.ndarray) -> list[Candidate]:
+    """Candidate objects for array rows; f_value is set for square lengths n*n, n >= 2."""
+    n = math.isqrt(vals.shape[1])
+    f = _constraint_products(vals, n) if n * n == vals.shape[1] and n >= 2 else None
+    return [
+        Candidate(Signal1D(vals[i]), int(masks[i]), float(residuals[i]),
+                  None if f is None else float(f[i]))
+        for i in range(masks.size)
+    ]
 
 
 def reconstruct_candidate(
@@ -353,8 +371,8 @@ def reconstruct_candidate(
 ) -> Candidate:
     """Build the signal selected by a flip mask.
 
-    The polynomial prod (z - beta) is expanded by sequential convolution and
-    scaled by sqrt(|r_peak| * prod 1/|beta|); the sign is canonicalized so the
+    The polynomial prod (z - beta) is expanded one real factor per flip unit
+    and scaled by sqrt(|r_peak| * prod 1/|beta|); the sign is canonicalized so the
     first nonzero entry is positive. The autocorrelation residual is measured
     against ``target`` when given, otherwise against the autocorrelation
     implied by the units themselves.
@@ -364,16 +382,14 @@ def reconstruct_candidate(
     if not 0 <= flips < (1 << fu.unit_count):
         raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
     masks = np.array([flips], dtype=np.int64)
-    coeffs, inv_modulus = _expand_zero_products(fu.units, masks)
-    vals = _finalize_rows(coeffs, inv_modulus, r_peak, masks)
+    vals = _candidate_rows(fu.units, masks, r_peak)
     if target is None:
         target = _pairing_autocorr(fu, r_peak)
     if target.m != vals.shape[1]:
         raise ValueError(
             f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"
         )
-    residual = float(_residual_rows(vals, target)[0])
-    return Candidate(Signal1D(vals[0]), int(flips), residual, _maybe_f_value(vals[0]))
+    return _wrap_candidates(masks, vals, _residual_rows(vals, target))[0]
 
 
 def elementary_symmetric(values, k: int) -> complex:
@@ -395,11 +411,7 @@ def f_direct(y, n: int) -> float:
     grid entry used by key_constraint for any true preimage.
     """
     values = y.values.values if isinstance(y, Candidate) else y.values
-    if values.size != n * n:
-        raise ValueError(f"candidate length {values.size} is not {n}x{n}")
-    if n < 2:
-        raise ValueError("constraint product needs n >= 2")
-    return float(values[n - 1] * values[n * n - n])
+    return float(_constraint_products(values, n))
 
 
 def f_vieta(fu: FlipUnits, flips: int, r_peak: float, n: int) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Autocorr1D, Autocorr2D, Matrix2D, Signal1D, reshape_rowwise
+from .core import Autocorr1D, Autocorr2D, Matrix2D, reshape_rowwise
 from .errors import NoMatch, ResidualExceeded
 from .polyfactor import (
     DEFAULT_TOL_CONJ,
@@ -23,9 +23,10 @@ from .polyfactor import (
     f_direct,
     find_zero_pairs,
     group_flip_units,
-    _expand_zero_products,
-    _finalize_rows,
+    _candidate_rows,
+    _constraint_products,
     _residual_rows,
+    _wrap_candidates,
 )
 from .reduction import key_constraint, reduce_2d_to_1d
 
@@ -41,9 +42,6 @@ class SolverOptions:
     tol_conj: float = DEFAULT_TOL_CONJ
     tol_resid: float = DEFAULT_TOL_RESID
     tol_match: float = DEFAULT_TOL_MATCH
-    # Upper bound on worker threads (0 = automatic). Enumeration currently runs
-    # as a single vectorized pass, which satisfies any cap.
-    threads: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -63,21 +61,11 @@ def _support_length(r: Autocorr1D) -> int:
     return int(live[-1]) + 1 if live.size else 0
 
 
-def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> list[Candidate]:
-    """All candidate signals with autocorrelation r, one per equivalence class.
-
-    Candidates are ordered by ascending flip mask, sign-canonicalized, and
-    validated against r; a violation raises ResidualExceeded listing the
-    offending masks. Vanishing extreme lags mean the underlying signal has
-    shorter support: those lags are trimmed, the short problem is solved, and
-    candidates are padded back with trailing zeros.
-    """
-    opts = opts or SolverOptions()
+def _candidate_arrays(r: Autocorr1D, opts: SolverOptions):
+    """Flip masks, candidate rows and residuals behind enumerate_candidates."""
     m = r.m
-    peak_scale = float(np.max(np.abs(r.values)))
-    if peak_scale == 0.0:
-        zero = np.zeros(m)
-        return [Candidate(Signal1D(zero), 0, 0.0, _f_or_none(zero))]
+    if np.max(np.abs(r.values)) == 0.0:
+        return np.zeros(1, np.int64), np.zeros((1, m)), np.zeros(1)
 
     support = _support_length(r)
     core_r = r if support == m else Autocorr1D.from_nonneg(r.nonneg[:support])
@@ -87,8 +75,7 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> li
     u = fu.unit_count
     masks = (np.arange(1 << (u - 1), dtype=np.int64) << 1) if u else np.zeros(1, np.int64)
 
-    coeffs, inv_modulus = _expand_zero_products(fu.units, masks)
-    vals = _finalize_rows(coeffs, inv_modulus, pairing.scale, masks)
+    vals = _candidate_rows(fu.units, masks, pairing.scale)
     residuals = _residual_rows(vals, core_r)
     if support < m:
         vals = np.hstack([vals, np.zeros((vals.shape[0], m - support))])
@@ -100,17 +87,27 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> li
             f"(worst residual {float(np.max(residuals)):.3e})",
             bitmasks=masks[over].tolist(),
         )
-    return [
-        Candidate(Signal1D(vals[i]), int(masks[i]), float(residuals[i]), _f_or_none(vals[i]))
-        for i in range(masks.size)
-    ]
+    return masks, vals, residuals
 
 
-def _f_or_none(row: np.ndarray) -> float | None:
-    n = math.isqrt(row.size)
-    if n * n != row.size or n < 2:
-        return None
-    return float(row[n - 1] * row[n * n - n])
+def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> list[Candidate]:
+    """All candidate signals with autocorrelation r, one per equivalence class.
+
+    Candidates are ordered by ascending flip mask, sign-canonicalized, and
+    validated against r; a violation raises ResidualExceeded listing the
+    offending masks. Vanishing extreme lags mean the underlying signal has
+    shorter support: those lags are trimmed, the short problem is solved, and
+    candidates are padded back with trailing zeros.
+    """
+    return _wrap_candidates(*_candidate_arrays(r, opts or SolverOptions()))
+
+
+def _matches_constraint(products: np.ndarray, c: float, tol_match: float,
+                        scale_floor: float) -> np.ndarray:
+    """Mask of products within tol_match * max(|c|, scale_floor) of c; all when infinite."""
+    if math.isinf(tol_match):
+        return np.ones(products.shape, dtype=bool)
+    return np.abs(products - c) <= tol_match * max(abs(c), scale_floor)
 
 
 def filter_by_constraint(
@@ -121,10 +118,9 @@ def filter_by_constraint(
     scale_floor: float = 0.0,
 ) -> list[Candidate]:
     """Candidates whose constraint product matches c, in the original order."""
-    if math.isinf(tol_match):
-        return list(candidates)
-    threshold = tol_match * max(abs(c), scale_floor)
-    return [y for y in candidates if abs(f_direct(y, n) - c) <= threshold]
+    products = np.array([f_direct(y, n) for y in candidates], dtype=float)
+    keep = _matches_constraint(products, c, tol_match, scale_floor)
+    return [y for y, k in zip(candidates, keep) if k]
 
 
 @dataclass(frozen=True)
@@ -163,24 +159,25 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     n = R.n
     c = key_constraint(R)
     r = reduce_2d_to_1d(R)
-    candidates = enumerate_candidates(r, opts)
+    masks, vals, residuals = _candidate_arrays(r, opts)
     floor = 1e-9 * float(np.max(np.abs(r.values)))
-    matches = filter_by_constraint(candidates, c, n, opts.tol_match, floor)
+    keep = _matches_constraint(_constraint_products(vals, n), c, opts.tol_match, floor)
+    matches = _wrap_candidates(masks[keep], vals[keep], residuals[keep])
     tolerances = opts.to_dict()
     tolerances["scale_floor"] = floor
     report = SolveReport(
         n=n,
-        candidates_total=len(candidates),
+        candidates_total=masks.size,
         matches=matches,
         solution=reshape_rowwise(matches[0].values, n) if matches else None,
         unique=len(matches) == 1,
-        residuals=[y.autocorr_residual for y in candidates],
+        residuals=residuals.tolist(),
         key_constraint_value=c,
         tolerances=tolerances,
     )
     if not matches:
         raise NoMatch(
-            f"none of {len(candidates)} candidates matches the corner constraint {c:.6g}",
+            f"none of {masks.size} candidates matches the corner constraint {c:.6g}",
             report=report,
         )
     return report
@@ -219,9 +216,8 @@ def ambiguity_census(
     """
     if r.m != n * n:
         raise ValueError(f"autocorrelation of length {r.m} does not match n={n}")
-    candidates = enumerate_candidates(r, opts)
-    products = np.array([f_direct(y, n) for y in candidates])
-    return _census_from_products(products, n, seed)
+    _, vals, _ = _candidate_arrays(r, opts or SolverOptions())
+    return _census_from_products(_constraint_products(vals, n), n, seed)
 
 
 @dataclass(frozen=True)

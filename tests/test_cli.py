@@ -200,18 +200,11 @@ def test_nonpositive_tolerance_rejected(capsys):
     assert error_payload(err)["error"] == "ConfigError"
 
 
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("AUTOPHASE2D_THREADS", "many")
-    code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")
+def test_roundtrip_negative_trials_rejected(capsys):
+    code, out, err = run_cli(capsys, "roundtrip", "--n", "2", "--seed", "0", "--trials", "-1")
     assert code == 2
+    assert out == ""
     assert error_payload(err)["error"] == "ConfigError"
-
-
-def test_threads_env_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("AUTOPHASE2D_THREADS", "2")
-    code, out, _ = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")
-    assert code == 0
-    assert json.loads(out)["predicted"] == 21
 
 
 def test_unknown_command_exits_2(capsys):

@@ -75,3 +75,9 @@ def test_roundtrip_deterministic():
     a = planted_roundtrip(3, 4, seed=123)
     b = planted_roundtrip(3, 4, seed=123)
     assert a == b
+
+
+def test_roundtrip_rejects_negative_trials():
+    with pytest.raises(ValueError):
+        planted_roundtrip(2, -1, seed=0)
+    assert planted_roundtrip(2, 0, seed=0)["failures"] == 0

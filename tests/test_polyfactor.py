@@ -19,6 +19,7 @@ from autophase2d import (
     associated_polynomial,
     autocorr_1d,
     elementary_symmetric,
+    enumerate_candidates,
     f_direct,
     f_vieta,
     find_zero_pairs,
@@ -26,7 +27,17 @@ from autophase2d import (
     reconstruct_candidate,
     trivially_equivalent_1d,
 )
+from autophase2d.polyfactor import _expand_zero_products
 from conftest import GOLDEN_ZEROS, elementary_symmetric_oracle
+
+# Seeded signals whose zeros give both real and conjugate-pair flip units.
+MIXED_UNIT_CASES = [(4, 0), (9, 0), (9, 2), (16, 0), (16, 7)]
+
+
+def seeded_units(m, seed):
+    r = autocorr_1d(Signal1D(np.random.default_rng(seed).standard_normal(m)))
+    zp = find_zero_pairs(associated_polynomial(r))
+    return r, zp, group_flip_units(zp)
 
 
 def golden_pairing(golden_r):
@@ -184,6 +195,32 @@ def test_flipped_masks_share_autocorrelation(golden_r):
         y = reconstruct_candidate(fu, flips, zp.scale)
         got = autocorr_1d(y.values)
         assert np.max(np.abs(got.values - base.values)) <= 1e-9 * np.max(np.abs(base.values))
+
+
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
+def test_real_expansion_matches_np_poly(m, seed):
+    _, _, fu = seeded_units(m, seed)
+    kinds = {type(u) for u in fu.units}
+    assert kinds == {RealZero, ConjugatePair}
+    masks = np.arange(1 << fu.unit_count, dtype=np.int64)
+    got = _expand_zero_products(fu.units, masks)
+    assert got.dtype == np.float64
+    for mask, row in zip(masks, got):
+        want = np.poly(np.array(fu.betas(int(mask))))[::-1]
+        assert np.isrealobj(want)  # np.poly returns real for conjugate-closed zeros
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
+def test_reconstruct_reproduces_enumeration_rows(m, seed):
+    r, zp, fu = seeded_units(m, seed)
+    candidates = enumerate_candidates(r)
+    assert len(candidates) == 1 << (fu.unit_count - 1)
+    for y in candidates:
+        single = reconstruct_candidate(fu, y.flips, zp.scale, target=r)
+        assert np.array_equal(single.values.values, y.values.values)
+        assert single.autocorr_residual == y.autocorr_residual
+        assert single.f_value == y.f_value
 
 
 # --- symmetric functions and the constraint product ------------------------------

@@ -16,6 +16,8 @@ from autophase2d import (
     autocorr_2d,
     enumerate_candidates,
     filter_by_constraint,
+    key_constraint,
+    reduce_2d_to_1d,
     solve_2d,
     trivially_equivalent_1d,
     trivially_equivalent_2d,
@@ -162,7 +164,7 @@ def test_solve_respects_options(golden_grid):
     assert len(wide.matches) == 4
 
 
-def test_solve_no_match_carries_report(golden_grid):
+def test_solve_no_match_carries_report(golden_grid, golden_r):
     with pytest.raises(NoMatch) as err:
         solve_2d(nomatch_grid(golden_grid))
     report = err.value.report
@@ -171,6 +173,7 @@ def test_solve_no_match_carries_report(golden_grid):
     assert report.solution is None
     assert not report.unique
     assert report.candidates_total == 4
+    assert report.residuals == [y.autocorr_residual for y in enumerate_candidates(golden_r)]
 
 
 def test_solve_delta_matrix():
@@ -187,6 +190,20 @@ def test_solve_recovers_planted_3x3(seed):
     assert report.unique
     scale = float(np.max(np.abs(X.values)))
     assert trivially_equivalent_2d(report.solution, X, 1e-6 * scale)
+
+
+@pytest.mark.parametrize("n,seed", [(2, s) for s in range(6)] + [(3, s) for s in range(4)]
+                         + [(4, s) for s in range(3)])
+def test_solve_agrees_with_enumerate_then_filter(n, seed):
+    R = autocorr_2d(Matrix2D(n, np.random.default_rng(100 + seed).standard_normal((n, n))))
+    report = solve_2d(R)
+    candidates = enumerate_candidates(reduce_2d_to_1d(R))
+    tol = report.tolerances
+    kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
+                                tol["scale_floor"])
+    assert report.candidates_total == len(candidates)
+    assert report.residuals == [y.autocorr_residual for y in candidates]
+    assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in kept]
 
 
 # --- census ---------------------------------------------------------------------
@@ -216,6 +233,11 @@ def test_census_seeded_instance():
 def test_census_rejects_length_mismatch(golden_r):
     with pytest.raises(ValueError):
         ambiguity_census(golden_r, 3)
+
+
+def test_census_rejects_n_below_2():
+    with pytest.raises(ValueError):
+        ambiguity_census(Autocorr1D.from_nonneg([2.0]), 1)
 
 
 # --- asymptotic probe -----------------------------------------------------------
