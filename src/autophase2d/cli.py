@@ -170,6 +170,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "census":
         if cfg.n is None:
             raise ConfigError("census requires --n")
+        if cfg.n < 2:
+            raise ConfigError(f"census needs n >= 2, got {cfg.n}")
         if cfg.input is None and cfg.seed is None:
             raise ConfigError("census requires --seed when no --input is given")
     if cfg.command == "probe":
@@ -183,6 +185,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"roundtrip requires --{', --'.join(missing)}")
         if cfg.trials < 0:
             raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
+        if cfg.n < 2:
+            raise ConfigError(f"roundtrip needs n >= 2, got {cfg.n}")
     if not cfg.output:
         raise ConfigError("output path must be nonempty")
 

@@ -36,7 +36,7 @@ class ZeroEndpoint(AutophaseError):
 
 
 class RootFindingFailed(AutophaseError):
-    """Polynomial zeros could not be located or do not form reflected pairs."""
+    """Polynomial zeros could not be located to within the root-residual tolerance."""
 
 
 class UnitCircleZero(AutophaseError):

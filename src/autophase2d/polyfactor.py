@@ -28,7 +28,6 @@ REAL_RTOL = 1e-8  # imaginary residue allowed on quantities that must be real
 
 DEFAULT_TOL_ROOT = 1e-8
 DEFAULT_TOL_PAIR = 1e-6
-DEFAULT_TOL_CONJ = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class ZeroPairing:
     """Zeros grouped into reflected pairs, keeping the representative outside the circle."""
 
     zeros: np.ndarray  # complex representatives, modulus >= 1
-    pairing_residuals: np.ndarray  # distance of the matched partner from the exact reflection
+    root_residuals: np.ndarray  # per representative, the worse scaled residual of z and 1/z
     scale: float  # leading coefficient, i.e. the extreme lag value
 
 
@@ -87,27 +86,49 @@ def _root_residuals(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return vals / np.maximum(1.0, np.abs(roots)) ** deg
 
 
+def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
+    """Zeros of the Chebyshev series sum_k a[k] T_k(x), as a complex array.
+
+    The colleague matrix is built, and rotated, exactly as numpy's
+    chebcompanion and chebroots do; numpy.polynomial itself is not imported
+    because loading it costs import time and memory on every run. Real zeros
+    come back with imaginary part exactly 0, complex ones as exact conjugates.
+    """
+    d = a.size - 1
+    if d == 1:
+        return np.array([-a[0] / a[1]], dtype=complex)
+    mat = np.zeros((d, d))
+    scl = np.array([1.0] + [np.sqrt(0.5)] * (d - 1))
+    top = mat.reshape(-1)[1::d + 1]
+    bot = mat.reshape(-1)[d::d + 1]
+    top[0] = np.sqrt(0.5)
+    top[1:] = 0.5
+    bot[...] = top
+    mat[:, -1] -= (a[:-1] / a[-1]) * (scl / scl[-1]) * 0.5
+    return np.linalg.eigvals(mat[::-1, ::-1]).astype(complex)
+
+
 def find_zero_pairs(
     P: Polynomial,
     tol_pair: float = DEFAULT_TOL_PAIR,
     tol_root: float = DEFAULT_TOL_ROOT,
 ) -> ZeroPairing:
-    """Locate the zeros of a palindromic polynomial and match reflected pairs.
+    """Locate the zeros of a palindromic polynomial as reflected pairs.
 
     Parameters
     ----------
     P : Polynomial
-        Real palindromic polynomial of even degree.
+        Real palindromic polynomial of even degree 2d.
     tol_pair : float
-        Relative tolerance both for the unit-circle exclusion zone and for the
-        accepted mismatch between a zero and the reflection of its partner.
+        Width of the unit-circle exclusion band: a zero z with
+        ||z| - 1| <= tol_pair raises UnitCircleZero (the pair degenerates there).
     tol_root : float
-        Bound on the scaled per-root residual of the located zeros.
+        Bound on the scaled per-root residual of all 2d zeros; a larger
+        residual raises RootFindingFailed.
 
-    Each zero of modulus > 1 is matched greedily to the located zero nearest
-    its reflection 1/conj(z). Raises UnitCircleZero when any zero sits within
-    tol_pair of the circle (the pair degenerates there) and RootFindingFailed
-    when residuals or the pairing itself exceed tolerance.
+    With x = (z + 1/z)/2, P(z)/z^d = c_d + sum_{k>=1} 2 c_{d+k} T_k(x), so the
+    d zeros x of that Chebyshev series give the pairs {z, 1/z} directly:
+    z = x + sqrt(x^2 - 1) on the branch with |z| >= 1.
     """
     c = P.coeffs
     if not np.array_equal(c, c[::-1]):
@@ -118,47 +139,27 @@ def find_zero_pairs(
     if deg % 2:
         raise ValueError(f"palindromic factorization needs even degree, got {deg}")
 
-    scaled = c[::-1] / np.max(np.abs(c))
-    roots = np.roots(scaled)
-    bad = _root_residuals(scaled, roots) > tol_root
-    if np.any(bad):
-        worst = float(np.max(_root_residuals(scaled, roots)))
-        raise RootFindingFailed(f"scaled root residual {worst:.3e} exceeds {tol_root:.1e}")
+    d = deg // 2
+    x = _chebyshev_roots(np.concatenate([c[d:d + 1], 2.0 * c[d + 1:]]))
+    s = np.sqrt((x - 1.0) * (x + 1.0))
+    # |x + s| * |x - s| = 1; the sign with Re(x conj(s)) >= 0 picks |z| >= 1.
+    z = x + np.where(x.real * s.real + x.imag * s.imag < 0, -s, s)
+    both = np.concatenate([z, 1.0 / z])
 
-    on_circle = np.abs(np.abs(roots) - 1.0) <= tol_pair
+    scaled = c[::-1] / np.max(np.abs(c))
+    residuals = _root_residuals(scaled, both)
+    if np.any(residuals > tol_root):
+        raise RootFindingFailed(
+            f"scaled root residual {float(np.max(residuals)):.3e} exceeds {tol_root:.1e}"
+        )
+
+    on_circle = np.abs(np.abs(both) - 1.0) <= tol_pair
     if np.any(on_circle):
-        z = roots[on_circle][0]
         raise UnitCircleZero(
-            f"zero {z:.6g} lies within {tol_pair:.1e} of the unit circle; "
+            f"zero {both[on_circle][0]:.6g} lies within {tol_pair:.1e} of the unit circle; "
             "flipping is ill-defined there"
         )
-
-    # Largest modulus first; ties broken by real then imaginary part.
-    order = np.lexsort((roots.imag, roots.real, -np.abs(roots)))
-    used = np.zeros(roots.size, dtype=bool)
-    reps = []
-    residuals = []
-    for idx in order:
-        if used[idx]:
-            continue
-        used[idx] = True
-        z = roots[idx]
-        target = 1.0 / np.conj(z)
-        free = np.nonzero(~used)[0]
-        partner = free[np.argmin(np.abs(roots[free] - target))]
-        used[partner] = True
-        reps.append(z)
-        residuals.append(abs(roots[partner] - target))
-
-    reps = np.asarray(reps, dtype=complex)
-    residuals = np.asarray(residuals, dtype=float)
-    limit = tol_pair * (1.0 + np.abs(reps))
-    if np.any(residuals > limit) or np.any(np.abs(reps) < 1.0 - tol_pair):
-        raise RootFindingFailed(
-            f"zeros do not form reflected pairs within tolerance "
-            f"(worst mismatch {float(np.max(residuals)):.3e})"
-        )
-    return ZeroPairing(reps, residuals, float(c[-1]))
+    return ZeroPairing(z, np.maximum(residuals[:d], residuals[d:]), float(c[-1]))
 
 
 @dataclass(frozen=True)
@@ -211,45 +212,27 @@ class FlipUnits:
         return tuple(out)
 
 
-def group_flip_units(zp: ZeroPairing, tol_conj: float = DEFAULT_TOL_CONJ) -> FlipUnits:
+def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     """Partition pair representatives into real zeros and conjugate pairs.
 
-    Zeros with relative imaginary part below tol_conj count as real. The rest
-    must occur in conjugate pairs; otherwise no real candidate exists and
-    UnpairedComplexZero is raised. Units are ordered by descending modulus,
-    then real part, then imaginary part of the representative.
+    Zeros with imaginary part exactly 0 are real. The rest must be closed
+    under exact conjugation, as find_zero_pairs returns them; otherwise no
+    real candidate exists and UnpairedComplexZero is raised. Each pair is
+    represented by its member with positive imaginary part. Units are
+    ordered by descending modulus, then real part, then imaginary part.
     """
     zs = zp.zeros
-    units: list = []
-    real_mask = np.abs(zs.imag) <= tol_conj * np.abs(zs)
-    for z in zs[real_mask]:
-        units.append(RealZero(float(z.real)))
-
-    rest = list(zs[~real_mask])
-    rest.sort(key=lambda z: (-abs(z), z.real, z.imag))
-    while rest:
-        z = rest.pop(0)
-        if not rest:
-            raise UnpairedComplexZero(f"zero {z:.6g} has no conjugate partner")
-        target = np.conj(z)
-        dists = [abs(w - target) for w in rest]
-        best = int(np.argmin(dists))
-        if dists[best] > tol_conj * (1.0 + abs(z)):
-            raise UnpairedComplexZero(
-                f"zero {z:.6g} has no conjugate partner within tolerance "
-                f"(nearest at distance {dists[best]:.3e})"
-            )
-        partner = rest.pop(best)
-        rep = z if z.imag > 0 else partner
-        units.append(ConjugatePair(complex(rep)))
-
-    def sort_key(unit):
-        if isinstance(unit, RealZero):
-            return (-abs(unit.value), unit.value, 0.0)
-        return (-abs(unit.value), unit.value.real, unit.value.imag)
-
-    units.sort(key=sort_key)
-    return FlipUnits(tuple(units))
+    upper, lower = zs[zs.imag > 0], zs[zs.imag < 0]
+    if not np.array_equal(np.sort(upper), np.sort(np.conj(lower))):
+        raise UnpairedComplexZero(
+            f"complex zeros {zs[zs.imag != 0]} are not closed under conjugation"
+        )
+    zs = zs[zs.imag >= 0]
+    zs = zs[np.lexsort((zs.imag, zs.real, -np.abs(zs)))]
+    # A list, not a generator: in a solve loop the generator form kept peak RSS higher.
+    return FlipUnits(tuple([
+        RealZero(float(z.real)) if z.imag == 0 else ConjugatePair(complex(z)) for z in zs
+    ]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import numpy as np
 from .core import Autocorr1D, Autocorr2D, Matrix2D, reshape_rowwise
 from .errors import NoMatch, ResidualExceeded
 from .polyfactor import (
-    DEFAULT_TOL_CONJ,
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
     Candidate,
@@ -39,7 +38,6 @@ SUPPORT_RTOL = 1e-12
 class SolverOptions:
     tol_root: float = DEFAULT_TOL_ROOT
     tol_pair: float = DEFAULT_TOL_PAIR
-    tol_conj: float = DEFAULT_TOL_CONJ
     tol_resid: float = DEFAULT_TOL_RESID
     tol_match: float = DEFAULT_TOL_MATCH
 
@@ -47,7 +45,6 @@ class SolverOptions:
         return {
             "tol_root": self.tol_root,
             "tol_pair": self.tol_pair,
-            "tol_conj": self.tol_conj,
             "tol_resid": self.tol_resid,
             "tol_match": self.tol_match,
         }
@@ -71,7 +68,7 @@ def _candidate_arrays(r: Autocorr1D, opts: SolverOptions):
     core_r = r if support == m else Autocorr1D.from_nonneg(r.nonneg[:support])
 
     pairing = find_zero_pairs(associated_polynomial(core_r), opts.tol_pair, opts.tol_root)
-    fu = group_flip_units(pairing, opts.tol_conj)
+    fu = group_flip_units(pairing)
     u = fu.unit_count
     masks = (np.arange(1 << (u - 1), dtype=np.int64) << 1) if u else np.zeros(1, np.int64)
 
@@ -247,8 +244,8 @@ def asymptotic_probe(n: int, alpha: float) -> ProbeResult:
     """
     if n < 2:
         raise ValueError("probe needs n >= 2")
-    if not alpha > 10:
-        raise ValueError("probe is an asymptotic statement; alpha must exceed 10")
+    if not (math.isfinite(alpha) and alpha > 10):
+        raise ValueError("probe is an asymptotic statement; alpha must be finite and exceed 10")
     ones = [1.0] * (n * n - 3)
     base = [alpha, 1.0 / alpha] + ones
     moved = [alpha, alpha] + ones

@@ -194,6 +194,14 @@ def test_probe_alpha_validation_exits_2(capsys):
     assert error_payload(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_probe_nonfinite_alpha_exits_2(capsys, alpha):
+    code, out, err = run_cli(capsys, "probe", "--n", "2", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert error_payload(err)["error"] == "InputError"
+
+
 def test_nonpositive_tolerance_rejected(capsys):
     code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000", "--tol-match", "0")
     assert code == 2
@@ -202,6 +210,17 @@ def test_nonpositive_tolerance_rejected(capsys):
 
 def test_roundtrip_negative_trials_rejected(capsys):
     code, out, err = run_cli(capsys, "roundtrip", "--n", "2", "--seed", "0", "--trials", "-1")
+    assert code == 2
+    assert out == ""
+    assert error_payload(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("roundtrip", "--n", "1", "--seed", "0", "--trials", "2"),
+    ("census", "--n", "1", "--seed", "0"),
+])
+def test_n_below_2_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert error_payload(err)["error"] == "ConfigError"

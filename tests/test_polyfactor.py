@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,7 +81,7 @@ def test_find_zero_pairs_golden(golden_r):
     found = sorted(zp.zeros.real.tolist())
     assert np.max(np.abs(zp.zeros.imag)) <= 1e-8
     assert found == pytest.approx(GOLDEN_ZEROS, abs=1e-8)
-    assert np.all(zp.pairing_residuals <= 1e-6 * (1 + np.abs(zp.zeros)))
+    assert np.all(zp.zeros.imag == 0)  # real zeros come back exactly real
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -105,9 +108,66 @@ def test_unit_circle_zero_detected():
         find_zero_pairs(Polynomial([1.0, 2.0, 1.0]))
 
 
-def test_pairing_tolerance_is_enforced(golden_r):
+@pytest.mark.parametrize("coeffs", [[1, 2, 1], [1, -2, 1], [1, 0, -2, 0, 1], [1, -4, 6, -4, 1]])
+def test_unit_circle_at_x_plus_minus_one_is_quiet(coeffs):
+    # x = (z + 1/z)/2 = +-1 exactly; sqrt, branch choice and residual must not trap
+    with np.errstate(all="raise"), pytest.raises(UnitCircleZero):
+        find_zero_pairs(Polynomial(coeffs))
+
+
+def test_degree_two_root_is_direct():
+    # 2 + 5z + 2z^2 = (2z + 1)(z + 2): x = -5/4 maps to z = -2 exactly
+    with np.errstate(all="raise"):
+        zp = find_zero_pairs(Polynomial([2.0, 5.0, 2.0]))
+    assert zp.zeros.tolist() == [-2.0]
+
+
+def test_numpy_polynomial_not_imported():
+    code = "import sys, autophase2d.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_unit_circle_band_is_tol_pair(golden_r):
+    # golden zeros 2, 3, 4 and their reflections lie 1/2 or more from the circle
+    P = associated_polynomial(golden_r)
+    assert find_zero_pairs(P, tol_pair=0.4).zeros.size == 3
+    with pytest.raises(UnitCircleZero):
+        find_zero_pairs(P, tol_pair=0.6)
+
+
+def test_root_tolerance_is_enforced(golden_r):
     with pytest.raises(RootFindingFailed):
-        find_zero_pairs(associated_polynomial(golden_r), tol_pair=1e-18)
+        find_zero_pairs(associated_polynomial(golden_r), tol_root=1e-300)
+
+
+def nearest_match_error(ours, reference):
+    """Worst relative distance when each zero takes its nearest unused reference zero."""
+    left = list(reference)
+    worst = 0.0
+    for w in ours:
+        i = int(np.argmin([abs(v - w) for v in left]))
+        worst = max(worst, abs(left.pop(i) - w) / abs(w))
+    return worst
+
+
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES + [(25, 1), (36, 1), (49, 1)])
+def test_zero_pairs_match_np_roots(m, seed):
+    r, zp, fu = seeded_units(m, seed)
+    reflected = np.concatenate([zp.zeros, 1 / np.conj(zp.zeros)])
+    reference = np.roots(associated_polynomial(r).coeffs[::-1])
+    assert reflected.size == reference.size == 2 * m - 2
+    assert nearest_match_error(reflected, reference) <= 1e-9
+    for unit in fu.units:
+        if isinstance(unit, ConjugatePair):
+            assert np.count_nonzero(zp.zeros == np.conj(unit.value)) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_root_residuals_at_n7(seed):
+    _, zp, _ = seeded_units(49, seed)
+    assert zp.zeros.size == 48
+    assert np.max(zp.root_residuals) <= 1e-10
 
 
 # --- flip units -----------------------------------------------------------------

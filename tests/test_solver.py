@@ -50,7 +50,7 @@ def test_solver_options_defaults():
     assert opts.tol_pair == 1e-6
     assert opts.tol_resid == 1e-6
     assert opts.tol_match == 1e-6
-    assert set(opts.to_dict()) == {"tol_root", "tol_pair", "tol_conj", "tol_resid", "tol_match"}
+    assert set(opts.to_dict()) == {"tol_root", "tol_pair", "tol_resid", "tol_match"}
 
 
 # --- enumeration ----------------------------------------------------------------
