@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from . import jsonio
 from .core import Signal1D, autocorr_1d, autocorr_2d
 from .errors import AutophaseError
 from .oracle import exhaustive_integer_search, planted_roundtrip
+from .reduction import reduce_2d_to_1d
 from .solver import (
     SolverOptions,
     ambiguity_census,
@@ -27,10 +28,28 @@ from .solver import (
     solve_2d,
 )
 
-_COMMANDS = ("autocorr", "reduce", "solve", "enumerate", "census", "probe", "oracle", "roundtrip")
-_NEEDS_INPUT = {"autocorr", "reduce", "solve", "enumerate", "oracle"}
+# command: (help line, settings it cannot run without)
+_COMMANDS = {
+    "autocorr": ("autocorrelation grid of a matrix", ("input",)),
+    "reduce": ("1D autocorrelation extracted from a lag grid", ("input",)),
+    "solve": ("recover a matrix from its lag grid", ("input",)),
+    "enumerate": ("all candidate signals of a 1D autocorrelation", ("input",)),
+    "census": ("sorted constraint products, of --input or a --seed draw", ("n",)),
+    "probe": ("asymptotic gap between neighboring candidates", ("n", "alpha")),
+    "oracle": ("exhaustive integer search over a lag grid", ("input", "bound")),
+    "roundtrip": ("seeded random solve trials with scoring", ("n", "seed", "trials")),
+}
 
-_TOL_FIELDS = ("tol_root", "tol_pair", "tol_resid", "tol_match")
+# setting: (type, help); the tolerance flags come from SolverOptions
+_SETTINGS = {
+    "input": (str, "input JSON path"),
+    "output": (str, "output path, - for stdout (default)"),
+    "n": (int, "matrix side"),
+    "seed": (int, "RNG seed"),
+    "alpha": (float, "probe zero magnitude"),
+    "bound": (int, "entry bound for exhaustive search"),
+    "trials": (int, "number of roundtrip trials"),
+}
 
 
 class ConfigError(Exception):
@@ -47,18 +66,7 @@ class RunConfig:
     alpha: float | None
     bound: int | None
     trials: int | None
-    tol_root: float
-    tol_pair: float
-    tol_resid: float
-    tol_match: float
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            tol_root=self.tol_root,
-            tol_pair=self.tol_pair,
-            tol_resid=self.tol_resid,
-            tol_match=self.tol_match,
-        )
+    options: SolverOptions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,32 +82,46 @@ def _emit_error(name: str, detail: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="autophase2d", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("autocorr", "autocorrelation grid of a matrix"),
-        ("reduce", "1D autocorrelation extracted from a lag grid"),
-        ("solve", "recover a matrix from its lag grid"),
-        ("enumerate", "all candidate signals of a 1D autocorrelation"),
-        ("census", "sorted constraint products of every candidate"),
-        ("probe", "asymptotic gap between neighboring candidates"),
-        ("oracle", "exhaustive integer search over a lag grid"),
-        ("roundtrip", "seeded random solve trials with scoring"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--input", help="input JSON path")
-        p.add_argument("--output", help="output path, - for stdout (default)")
-        p.add_argument("--n", type=int, help="matrix side")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--alpha", type=float, help="probe zero magnitude")
-        p.add_argument("--bound", type=int, help="entry bound for exhaustive search")
-        p.add_argument("--trials", type=int, help="number of roundtrip trials")
-        p.add_argument("--tol-root", type=float, dest="tol_root")
-        p.add_argument("--tol-pair", type=float, dest="tol_pair")
-        p.add_argument("--tol-resid", type=float, dest="tol_resid")
-        p.add_argument("--tol-match", type=float, dest="tol_match")
+    epilog = "commands:\n" + "".join(
+        f"  {name:<10} {help_text} (needs --{', --'.join(needs)})\n"
+        for name, (help_text, needs) in _COMMANDS.items()
+    )
+    parser = _Parser(
+        prog="autophase2d",
+        description=__doc__,
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", help="JSON file with defaults for any flag")
+    for key, (kind, help_text) in _SETTINGS.items():
+        parser.add_argument(f"--{key}", type=kind, help=help_text)
+    for f in fields(SolverOptions):
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"), type=float, dest=f.name,
+            help=f"positive tolerance (default {f.default:g})",
+        )
     return parser
+
+
+def _typed(key: str, value, kind):
+    """A flag or config-file value as `kind`; None stays None (unset)."""
+    if value is None or kind is str and isinstance(value, str):
+        return value
+    if kind is str:
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range, got {value!r}") from None
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -116,77 +138,35 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    def pick(key, default=None):
+    def pick(key, kind):
         flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return file_values.get(key, default)
+        return _typed(key, file_values.get(key) if flag is None else flag, kind)
 
-    defaults = SolverOptions()
-    tols = {}
-    for key in _TOL_FIELDS:
-        value = pick(key, getattr(defaults, key))
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    settings = {key: pick(key, kind) for key, (kind, _) in _SETTINGS.items()}
+    if settings["output"] is None:
+        settings["output"] = "-"
+    tolerances = {}
+    for f in fields(SolverOptions):
+        value = pick(f.name, float)
+        value = f.default if value is None else value
         if not value > 0:
-            raise ConfigError(f"{key} must be positive, got {value}")
-        tols[key] = value
-
-    def pick_int(key):
-        value = pick(key)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-
-    alpha = pick("alpha")
-    if alpha is not None:
-        try:
-            alpha = float(alpha)
-        except (TypeError, ValueError):
-            raise ConfigError(f"alpha must be a number, got {alpha!r}") from None
-
-    cfg = RunConfig(
-        command=args.command,
-        input=pick("input"),
-        output=str(pick("output", "-")),
-        n=pick_int("n"),
-        seed=pick_int("seed"),
-        alpha=alpha,
-        bound=pick_int("bound"),
-        trials=pick_int("trials"),
-        **tols,
-    )
+            raise ConfigError(f"{f.name} must be positive, got {value}")
+        tolerances[f.name] = value
+    cfg = RunConfig(command=args.command, options=SolverOptions(**tolerances), **settings)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.command in _NEEDS_INPUT and not cfg.input:
-        raise ConfigError(f"{cfg.command} requires --input")
-    if cfg.command == "census":
-        if cfg.n is None:
-            raise ConfigError("census requires --n")
-        if cfg.n < 2:
-            raise ConfigError(f"census needs n >= 2, got {cfg.n}")
-        if cfg.input is None and cfg.seed is None:
-            raise ConfigError("census requires --seed when no --input is given")
-    if cfg.command == "probe":
-        if cfg.n is None or cfg.alpha is None:
-            raise ConfigError("probe requires --n and --alpha")
-    if cfg.command == "oracle" and cfg.bound is None:
-        raise ConfigError("oracle requires --bound")
-    if cfg.command == "roundtrip":
-        missing = [k for k in ("n", "seed", "trials") if getattr(cfg, k) is None]
-        if missing:
-            raise ConfigError(f"roundtrip requires --{', --'.join(missing)}")
-        if cfg.trials < 0:
-            raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
-        if cfg.n < 2:
-            raise ConfigError(f"roundtrip needs n >= 2, got {cfg.n}")
+    missing = [key for key in _COMMANDS[cfg.command][1] if getattr(cfg, key) in (None, "")]
+    if missing:
+        raise ConfigError(f"{cfg.command} requires --{', --'.join(missing)}")
+    if cfg.command in ("census", "roundtrip") and cfg.n < 2:
+        raise ConfigError(f"{cfg.command} needs n >= 2, got {cfg.n}")
+    if cfg.command == "census" and cfg.input is None and cfg.seed is None:
+        raise ConfigError("census requires --seed when no --input is given")
+    if cfg.command == "roundtrip" and cfg.trials < 0:
+        raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if not cfg.output:
         raise ConfigError("output path must be nonempty")
 
@@ -208,13 +188,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _dispatch(cfg: RunConfig) -> str:
-    opts = cfg.solver_options()
+    opts = cfg.options
     if cfg.command == "autocorr":
         X = jsonio.load_matrix2d(_read_json(cfg.input))
         return jsonio.dumps(autocorr_2d(X).to_dict()) + "\n"
     if cfg.command == "reduce":
-        from .reduction import reduce_2d_to_1d
-
         R = jsonio.load_autocorr2d(_read_json(cfg.input))
         return jsonio.dumps(reduce_2d_to_1d(R).to_dict()) + "\n"
     if cfg.command == "solve":

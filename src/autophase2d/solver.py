@@ -7,7 +7,7 @@ u units yield 2^(u-1) candidates, one per nontrivial equivalence class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,12 +42,7 @@ class SolverOptions:
     tol_match: float = DEFAULT_TOL_MATCH
 
     def to_dict(self) -> dict:
-        return {
-            "tol_root": self.tol_root,
-            "tol_pair": self.tol_pair,
-            "tol_resid": self.tol_resid,
-            "tol_match": self.tol_match,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _support_length(r: Autocorr1D) -> int:
@@ -255,8 +250,12 @@ def asymptotic_probe(n: int, alpha: float) -> ProbeResult:
         e_high = elementary_symmetric([1.0 / z for z in zeros], n - 1)
         return (e_low * e_high).real
 
-    f1 = product(base) / alpha**2
-    f2 = product(moved) / alpha**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = alpha * alpha
+        f1 = product(base) / scale
+        f2 = product(moved) / scale
+    if not all(math.isfinite(v) for v in (scale, f1, f2, f1 - f2)):
+        raise ValueError(f"probe alpha {alpha!r} is too large: the constraint products overflow")
 
     def binom(i):
         return math.comb(n * n - i, n - i) if n - i >= 0 else 0

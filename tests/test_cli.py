@@ -5,9 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from autophase2d import Matrix2D, autocorr_2d, trivially_equivalent_2d
+from autophase2d import Matrix2D, Signal1D, autocorr_1d, autocorr_2d, trivially_equivalent_2d
 from autophase2d.cli import main
-from autophase2d.jsonio import dumps
+from autophase2d.jsonio import census_csv, dumps
+from autophase2d.oracle import exhaustive_integer_search, planted_roundtrip
+from autophase2d.reduction import reduce_2d_to_1d
+from autophase2d.solver import ambiguity_census, asymptotic_probe, enumerate_candidates, solve_2d
 from conftest import GOLDEN_R1D, GOLDEN_R_ROWS, GOLDEN_X_ROWS
 
 
@@ -142,6 +145,55 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert json.loads(out)["alpha"] == 100000  # flag wins
 
 
+def _enumerate_text(r):
+    candidates = enumerate_candidates(r)
+    payload = {"m": r.m, "candidates_total": len(candidates),
+               "candidates": [y.to_dict() for y in candidates]}
+    return dumps(payload) + "\n"
+
+
+def _census_text(n, seed):
+    r = autocorr_1d(Signal1D(np.random.default_rng(seed).standard_normal(n * n)))
+    return census_csv(ambiguity_census(r, n, seed=seed))
+
+
+ORACLE_GRID = autocorr_2d(Matrix2D.from_rows([[1.0, 0.0], [0.0, 0.0]]))
+
+# command line (the golden files are X.json, R.json, r.json and oracle.json), and
+# the library call that must give the same bytes
+LIBRARY_TWINS = [
+    (("autocorr", "--input", "X.json"),
+     lambda g: dumps(autocorr_2d(g["X"]).to_dict()) + "\n"),
+    (("reduce", "--input", "R.json"),
+     lambda g: dumps(reduce_2d_to_1d(g["R"]).to_dict()) + "\n"),
+    (("solve", "--input", "R.json"),
+     lambda g: dumps(solve_2d(g["R"]).to_dict()) + "\n"),
+    (("enumerate", "--input", "r.json"),
+     lambda g: _enumerate_text(g["r"])),
+    (("oracle", "--input", "oracle.json", "--bound", "1"),
+     lambda g: dumps(exhaustive_integer_search(ORACLE_GRID, 1).to_dict()) + "\n"),
+    (("census", "--n", "3", "--seed", "42"),
+     lambda g: _census_text(3, 42)),
+    (("probe", "--n", "3", "--alpha", "1e4"),
+     lambda g: dumps({"n": 3, "alpha": 1e4, **asymptotic_probe(3, 1e4).to_dict()}) + "\n"),
+    (("roundtrip", "--n", "3", "--trials", "20", "--seed", "2026"),
+     lambda g: dumps(planted_roundtrip(3, 20, 2026)) + "\n"),
+]
+
+
+@pytest.mark.parametrize("argv, library", LIBRARY_TWINS, ids=[a[0] for a, _ in LIBRARY_TWINS])
+def test_stdout_is_the_serialized_library_result(
+    capsys, tmp_path, golden_matrix, golden_grid, golden_r, argv, library
+):
+    for name, obj in (("X.json", golden_matrix), ("R.json", golden_grid),
+                      ("r.json", golden_r), ("oracle.json", ORACLE_GRID)):
+        (tmp_path / name).write_text(dumps(obj.to_dict()) + "\n")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == library({"X": golden_matrix, "R": golden_grid, "r": golden_r})
+
+
 # --- failure paths --------------------------------------------------------------
 
 
@@ -202,6 +254,14 @@ def test_probe_nonfinite_alpha_exits_2(capsys, alpha):
     assert error_payload(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("alpha", ["1.3e154", "1.4e154", "1e200"])
+def test_probe_overflowing_alpha_exits_2(capsys, alpha):
+    code, out, err = run_cli(capsys, "probe", "--n", "3", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert error_payload(err)["error"] == "InputError"
+
+
 def test_nonpositive_tolerance_rejected(capsys):
     code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000", "--tol-match", "0")
     assert code == 2
@@ -227,8 +287,60 @@ def test_n_below_2_rejected(capsys, argv):
 
 
 def test_unknown_command_exits_2(capsys):
-    code, _, err = run_cli(capsys, "frobnicate")
+    code, out, err = run_cli(capsys, "frobnicate")
     assert code == 2
+    assert out == ""
+    assert error_payload(err)["error"] == "ConfigError"
+
+
+COMMANDS = ("autocorr", "reduce", "solve", "enumerate", "census", "probe", "oracle", "roundtrip")
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    for name in COMMANDS:
+        assert f"\n  {name} " in out
+
+
+def test_flags_may_precede_the_command(capsys):
+    _, after, _ = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")
+    code, before, _ = run_cli(capsys, "--n", "3", "--alpha", "1000", "probe")
+    assert code == 0
+    assert before == after
+
+
+def test_every_tolerance_flag_reaches_the_solver(golden_files, capsys):
+    _, r_path = golden_files
+    tols = {"tol_root": 1e-7, "tol_pair": 1e-5, "tol_resid": 1e-4, "tol_match": 1e-3}
+    flags = [a for k, v in tols.items() for a in ("--" + k.replace("_", "-"), repr(v))]
+    code, out, _ = run_cli(capsys, "solve", "--input", str(r_path), *flags)
+    assert code == 0
+    reported = json.loads(out)["tolerances"]
+    assert {k: reported[k] for k in tols} == tols
+
+
+@pytest.mark.parametrize("values, argv", [
+    ({"input": True}, ("solve",)),
+    ({"input": 1}, ("solve",)),
+    ({"input": 0}, ("solve",)),
+    ({"output": 5}, ("probe", "--n", "3", "--alpha", "1000")),
+    ({"tol_match": True}, ("probe", "--n", "3", "--alpha", "1000")),
+    ({"tol_root": "1e-6"}, ("probe", "--n", "3", "--alpha", "1000")),
+    ({"alpha": True}, ("probe", "--n", "3")),
+    ({"alpha": "1000"}, ("probe", "--n", "3")),
+    ({"n": 2.5}, ("probe", "--alpha", "1000")),
+    ({"n": float("inf")}, ("probe", "--alpha", "1000")),
+    ({"alpha": 10**400}, ("probe", "--n", "3")),
+    ({"seed": False}, ("census", "--n", "3")),
+], ids=lambda p: json.dumps(p)[:24] if isinstance(p, dict) else p[0])
+def test_config_values_are_type_checked(capsys, tmp_path, values, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert error_payload(err)["error"] == "ConfigError"
 
 
 def test_module_entry_point(tmp_path):
