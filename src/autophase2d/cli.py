@@ -16,15 +16,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import jsonio
-from .core import Signal1D, autocorr_1d, autocorr_2d
+from .core import Autocorr1D, Signal1D, autocorr_1d, autocorr_2d
 from .errors import AutophaseError
 from .oracle import exhaustive_integer_search, planted_roundtrip
+from .polyfactor import _f_values
 from .reduction import reduce_2d_to_1d
 from .solver import (
     SolverOptions,
+    _candidate_arrays,
     ambiguity_census,
     asymptotic_probe,
-    enumerate_candidates,
     solve_2d,
 )
 
@@ -187,6 +188,25 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _enumerate_text(r: Autocorr1D, opts: SolverOptions) -> str:
+    """The JSON of enumerate_candidates(r, opts), written straight from the candidate arrays.
+
+    Each candidate is one "%" template over its row of values, its flip mask,
+    its residual and its constraint product (null unless m is a square n*n).
+    """
+    masks, vals, residuals = _candidate_arrays(r, opts)
+    f = _f_values(vals)
+    tail = [residuals] if f is None else [residuals, f]
+    for a in [vals, *tail]:
+        jsonio.require_finite(a)
+    row = ('{"values": ' + jsonio.row_template(r.m) + ', "flips": %d, '
+           '"autocorr_residual": ' + jsonio.FLOAT + ', "f_value": '
+           + ("null" if f is None else jsonio.FLOAT) + "}")
+    rows = zip(vals.tolist(), masks.tolist(), *(a.tolist() for a in tail))
+    body = ", ".join(row % (*v, *rest) for v, *rest in rows)
+    return f'{{"m": {r.m}, "candidates_total": {masks.size}, "candidates": [{body}]}}\n'
+
+
 def _dispatch(cfg: RunConfig) -> str:
     opts = cfg.options
     if cfg.command == "autocorr":
@@ -199,14 +219,7 @@ def _dispatch(cfg: RunConfig) -> str:
         R = jsonio.load_autocorr2d(_read_json(cfg.input))
         return jsonio.dumps(solve_2d(R, opts).to_dict()) + "\n"
     if cfg.command == "enumerate":
-        r = jsonio.load_autocorr1d(_read_json(cfg.input))
-        candidates = enumerate_candidates(r, opts)
-        payload = {
-            "m": r.m,
-            "candidates_total": len(candidates),
-            "candidates": [y.to_dict() for y in candidates],
-        }
-        return jsonio.dumps(payload) + "\n"
+        return _enumerate_text(jsonio.load_autocorr1d(_read_json(cfg.input)), opts)
     if cfg.command == "census":
         if cfg.input is not None:
             r = jsonio.load_autocorr1d(_read_json(cfg.input))

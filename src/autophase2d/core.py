@@ -190,7 +190,8 @@ def autocorr_1d(x: Signal1D) -> Autocorr1D:
     """Aperiodic autocorrelation r[ell] = sum_i x[i] x[i+ell], all lags."""
     v = x.values
     m = v.size
-    half = np.array([v[: m - ell] @ v[ell:] for ell in range(m)])
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check refuses overflow
+        half = np.array([v[: m - ell] @ v[ell:] for ell in range(m)])
     return Autocorr1D.from_nonneg(half)
 
 
@@ -200,15 +201,16 @@ def autocorr_2d(X: Matrix2D) -> Autocorr2D:
     n = X.n
     side = 2 * n - 1
     out = np.zeros((side, side))
-    for i in range(n):
-        jlo = 0 if i == 0 else -(n - 1)  # row i=0 gets only j>=0, the rest by mirror
-        for j in range(jlo, n):
-            if j >= 0:
-                s = np.sum(a[: n - i, : n - j] * a[i:, j:])
-            else:
-                s = np.sum(a[: n - i, -j:] * a[i:, : n + j])
-            out[n - 1 + i, n - 1 + j] = s
-            out[n - 1 - i, n - 1 - j] = s
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check refuses overflow
+        for i in range(n):
+            jlo = 0 if i == 0 else -(n - 1)  # row i=0 gets only j>=0, the rest by mirror
+            for j in range(jlo, n):
+                if j >= 0:
+                    s = np.sum(a[: n - i, : n - j] * a[i:, j:])
+                else:
+                    s = np.sum(a[: n - i, -j:] * a[i:, : n + j])
+                out[n - 1 + i, n - 1 + j] = s
+                out[n - 1 - i, n - 1 - j] = s
     return Autocorr2D(n, out)
 
 

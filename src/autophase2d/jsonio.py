@@ -1,7 +1,9 @@
 """Deterministic JSON and CSV encoding plus input loaders.
 
 Floats are always written with 17 significant digits so identical runs
-produce identical bytes and values round-trip exactly.
+produce identical bytes and values round-trip exactly. Arrays of floats are
+written row by row: one "%.17g" template per innermost row, after a single
+finiteness check of the whole array.
 """
 
 from __future__ import annotations
@@ -14,10 +16,39 @@ import numpy as np
 from .core import Autocorr1D, Autocorr2D, Matrix2D
 
 
+FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
+
+
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return format(x, ".17g")
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Raise format_float's ValueError for the first inf or nan of `a` (C order)."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        format_float(float(a[~finite][0]))
+
+
+def row_template(k: int) -> str:
+    """Template of a JSON array of k floats."""
+    return "[" + ", ".join([FLOAT] * k) + "]"
+
+
+def _float_array(values) -> str:
+    """JSON nested array of a float ndarray or a list of floats, one template per row."""
+    a = np.asarray(values, dtype=float)
+    require_finite(a)
+    row = row_template(a.shape[-1])
+
+    def nest(rows, depth):
+        if depth == 1:
+            return row % tuple(rows)
+        return "[" + ", ".join(nest(r, depth - 1) for r in rows) + "]"
+
+    return nest(a.tolist(), a.ndim)
 
 
 def dumps(obj) -> str:
@@ -38,6 +69,10 @@ def dumps(obj) -> str:
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("JSON object keys must be strings")
         return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim > 0:
+        return _float_array(obj)
+    if isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
+        return _float_array(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
@@ -45,13 +80,12 @@ def dumps(obj) -> str:
 
 def census_csv(census) -> str:
     """CSV with columns index, d, log_gap; an undefined log gap is left empty."""
+    d = np.asarray(census.d, dtype=float)
+    require_finite(d)
+    gaps = list(census.v[: d.size]) + [None] * (d.size - len(census.v))
     lines = ["index,d,log_gap"]
-    for i, value in enumerate(census.d):
-        if i < len(census.v) and census.v[i] is not None:
-            gap = format_float(census.v[i])
-        else:
-            gap = ""
-        lines.append(f"{i},{format_float(float(value))},{gap}")
+    for i, (x, gap) in enumerate(zip(d.tolist(), gaps)):
+        lines.append("%d,%.17g,%s" % (i, x, "" if gap is None else format_float(gap)))
     return "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,7 @@ from .errors import (
 from .solver import SolverOptions, solve_2d
 
 SEARCH_BUDGET = 10**8
+EXACT_LIMIT = 2**53
 _CHUNK = 1 << 18
 
 
@@ -47,7 +48,8 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
 
     Enumeration is pruned by the total-energy lag R(0, 0) and the corner
     product R(n-1, n-1); survivors are checked with exact integer arithmetic.
-    Raises SearchSpaceTooLarge when the grid has more than 10^8 points.
+    Raises SearchSpaceTooLarge when the grid has more than 10^8 points, and
+    ValueError when a lag value is not an integer of magnitude at most 2**53.
     """
     n = R.n
     if bound < 0:
@@ -55,6 +57,8 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
     Rv = R.values
     if not np.array_equal(Rv, np.rint(Rv)):
         raise ValueError("exact search needs an integer-valued lag grid")
+    if np.max(np.abs(Rv)) > EXACT_LIMIT:
+        raise ValueError("exact search needs lag values of magnitude at most 2**53")
     k = n * n
     base = 2 * bound + 1
     size = base**k

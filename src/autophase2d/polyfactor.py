@@ -334,11 +334,16 @@ def _constraint_products(values: np.ndarray, n: int) -> np.ndarray:
     return values[..., n - 1] * values[..., n * n - n]
 
 
+def _f_values(vals: np.ndarray) -> np.ndarray | None:
+    """Constraint products of rows of square length n*n, n >= 2; None for other lengths."""
+    n = math.isqrt(vals.shape[1])
+    return _constraint_products(vals, n) if n * n == vals.shape[1] and n >= 2 else None
+
+
 def _wrap_candidates(masks: np.ndarray, vals: np.ndarray,
                      residuals: np.ndarray) -> list[Candidate]:
-    """Candidate objects for array rows; f_value is set for square lengths n*n, n >= 2."""
-    n = math.isqrt(vals.shape[1])
-    f = _constraint_products(vals, n) if n * n == vals.shape[1] and n >= 2 else None
+    """Candidate objects for array rows, with the f_value of _f_values."""
+    f = _f_values(vals)
     return [
         Candidate(Signal1D(vals[i]), int(masks[i]), float(residuals[i]),
                   None if f is None else float(f[i]))

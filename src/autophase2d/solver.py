@@ -72,7 +72,7 @@ def _candidate_arrays(r: Autocorr1D, opts: SolverOptions):
     if support < m:
         vals = np.hstack([vals, np.zeros((vals.shape[0], m - support))])
 
-    over = residuals > opts.tol_resid
+    over = ~(residuals <= opts.tol_resid)  # a nan residual fails too
     if np.any(over):
         raise ResidualExceeded(
             f"{int(np.sum(over))} candidate(s) fail to reproduce the autocorrelation "

@@ -1,11 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from autophase2d import Matrix2D, Signal1D, autocorr_1d, autocorr_2d, trivially_equivalent_2d
+import autophase2d
+from autophase2d import (
+    Candidate,
+    Matrix2D,
+    Signal1D,
+    autocorr_1d,
+    autocorr_2d,
+    trivially_equivalent_2d,
+)
 from autophase2d.cli import main
 from autophase2d.jsonio import census_csv, dumps
 from autophase2d.oracle import exhaustive_integer_search, planted_roundtrip
@@ -157,10 +167,23 @@ def _census_text(n, seed):
     return census_csv(ambiguity_census(r, n, seed=seed))
 
 
-ORACLE_GRID = autocorr_2d(Matrix2D.from_rows([[1.0, 0.0], [0.0, 0.0]]))
+def _lag_sequence(m, seed, first=None):
+    x = np.random.default_rng(seed).standard_normal(m)
+    if first is not None:
+        x[0] = first
+    return autocorr_1d(Signal1D(x))
 
-# command line (the golden files are X.json, R.json, r.json and oracle.json), and
-# the library call that must give the same bytes
+
+ORACLE_GRID = autocorr_2d(Matrix2D.from_rows([[1.0, 0.0], [0.0, 0.0]]))
+GRID4 = autocorr_2d(Matrix2D(4, np.random.default_rng(0).standard_normal((4, 4))))
+SEQ4 = reduce_2d_to_1d(GRID4)  # 9 flip units: 256 candidates
+TRIMMED = _lag_sequence(9, 3, first=0.0)  # vanishing extreme lag: rows are zero-padded
+NONSQUARE = _lag_sequence(6, 3)  # m = 6 is not n*n, so every f_value is null
+TWIN_FILES = {"oracle.json": ORACLE_GRID, "R4.json": GRID4, "r4.json": SEQ4,
+              "trimmed.json": TRIMMED, "nonsquare.json": NONSQUARE}
+
+# command line (the golden files are X.json, R.json and r.json, the others are in
+# TWIN_FILES), and the library call that must give the same bytes
 LIBRARY_TWINS = [
     (("autocorr", "--input", "X.json"),
      lambda g: dumps(autocorr_2d(g["X"]).to_dict()) + "\n"),
@@ -178,20 +201,50 @@ LIBRARY_TWINS = [
      lambda g: dumps({"n": 3, "alpha": 1e4, **asymptotic_probe(3, 1e4).to_dict()}) + "\n"),
     (("roundtrip", "--n", "3", "--trials", "20", "--seed", "2026"),
      lambda g: dumps(planted_roundtrip(3, 20, 2026)) + "\n"),
+    (("enumerate", "--input", "r4.json"),
+     lambda g: _enumerate_text(SEQ4)),
+    (("solve", "--input", "R4.json"),
+     lambda g: dumps(solve_2d(GRID4).to_dict()) + "\n"),
+    (("census", "--n", "4", "--input", "r4.json"),
+     lambda g: census_csv(ambiguity_census(SEQ4, 4))),
+    (("enumerate", "--input", "trimmed.json"),
+     lambda g: _enumerate_text(TRIMMED)),
+    (("enumerate", "--input", "nonsquare.json"),
+     lambda g: _enumerate_text(NONSQUARE)),
 ]
 
 
-@pytest.mark.parametrize("argv, library", LIBRARY_TWINS, ids=[a[0] for a, _ in LIBRARY_TWINS])
+def _twin_id(argv):
+    files = [a[:-5] for a in argv if a.endswith(".json")]
+    return "-".join([argv[0]] + [f for f in files if f not in ("X", "R", "r", "oracle")])
+
+
+@pytest.mark.parametrize("argv, library", LIBRARY_TWINS, ids=[_twin_id(a) for a, _ in LIBRARY_TWINS])
 def test_stdout_is_the_serialized_library_result(
     capsys, tmp_path, golden_matrix, golden_grid, golden_r, argv, library
 ):
-    for name, obj in (("X.json", golden_matrix), ("R.json", golden_grid),
-                      ("r.json", golden_r), ("oracle.json", ORACLE_GRID)):
+    golden = {"X.json": golden_matrix, "R.json": golden_grid, "r.json": golden_r}
+    for name, obj in {**golden, **TWIN_FILES}.items():
         (tmp_path / name).write_text(dumps(obj.to_dict()) + "\n")
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == library({"X": golden_matrix, "R": golden_grid, "r": golden_r})
+
+
+def test_enumerate_builds_no_object_per_candidate(capsys, tmp_path, monkeypatch):
+    seq = tmp_path / "r4.json"
+    seq.write_text(dumps(SEQ4.to_dict()) + "\n")
+    expected = _enumerate_text(SEQ4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a per-candidate object")
+
+    monkeypatch.setattr(Candidate, "__init__", refuse)
+    monkeypatch.setattr(Signal1D, "__init__", refuse)
+    code, out, _ = run_cli(capsys, "enumerate", "--input", str(seq))
+    assert code == 0
+    assert out == expected
 
 
 # --- failure paths --------------------------------------------------------------
@@ -341,6 +394,34 @@ def test_config_values_are_type_checked(capsys, tmp_path, values, argv):
     assert code == 2
     assert out == ""
     assert error_payload(err)["error"] == "ConfigError"
+
+
+def run_module(*argv):
+    """`python -m autophase2d argv`, importing this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(autophase2d.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "autophase2d", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_single_error_line(proc, kind):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr  # no numpy warning before the payload
+    assert json.loads(lines[0])["error"] == kind
+
+
+def test_autocorr_overflow_is_one_error_line(tmp_path):
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps({"n": 2, "rows": [[1e200, 1e200], [1e200, 1e200]]}))
+    assert_single_error_line(run_module("autocorr", "--input", str(path)), "InputError")
+
+
+def test_oracle_refuses_inexact_lag_values(tmp_path):
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps({"n": 2, "values": [[1e308] * 3] * 3}))
+    assert_single_error_line(run_module("oracle", "--input", str(path), "--bound", "1"),
+                             "InputError")
 
 
 def test_module_entry_point(tmp_path):

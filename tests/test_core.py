@@ -135,6 +135,16 @@ def test_autocorr_2d_golden(golden_matrix, golden_grid):
 # --- vectorization ------------------------------------------------------------
 
 
+def test_autocorr_overflow_is_refused_without_warnings():
+    # pytest turns numpy warnings into errors, so only the ValueError may surface
+    with pytest.raises(ValueError, match="finite"):
+        autocorr_2d(Matrix2D(2, np.full((2, 2), 1e200)))
+    with pytest.raises(ValueError, match="finite"):
+        autocorr_2d(Matrix2D(2, np.array([[1e200, -1e200], [1e200, 1e200]])))
+    with pytest.raises(ValueError, match="finite"):
+        autocorr_1d(Signal1D([1e200, 1e200, -1e200]))
+
+
 def test_vectorize_layout(golden_matrix):
     x = vectorize_rowwise(golden_matrix)
     assert np.array_equal(x.values, [-24.0, 26.0, -9.0, 1.0])

@@ -1,0 +1,124 @@
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from autophase2d.jsonio import census_csv, dumps, format_float
+from autophase2d.solver import CensusData
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 0.1, 1 / 3]
+
+
+def per_element(values) -> str:
+    """The serializer's bytes spelled out: format_float on each element, nested."""
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(per_element(v) for v in values) + "]"
+    return format_float(float(values))
+
+
+def random_finite(size, seed=0):
+    """Finite float64 values from uniform random bit patterns: every exponent, subnormals too."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=size, dtype=np.uint64)
+    x = bits.view(np.float64)
+    return np.concatenate([x[np.isfinite(x)], EXTREMES])
+
+
+def test_float64_array_bytes_match_per_element():
+    x = random_finite(200_000)
+    assert dumps(x) == per_element(x)
+    square = x[: 400 * 400].reshape(400, 400)
+    assert dumps(square) == per_element(square)
+    cube = x[:60].reshape(3, 4, 5)
+    assert dumps(cube) == per_element(cube)
+
+
+def test_float32_array_bytes_match_per_element():
+    bits = np.random.default_rng(1).integers(0, 2**32, size=20_000, dtype=np.uint32)
+    x = bits.view(np.float32)
+    x = np.concatenate([x[np.isfinite(x)], np.array([-0.0, 1e-45, 3.4028235e38], np.float32)])
+    assert dumps(x) == per_element(x)
+    grid = x[: 100 * 50].reshape(100, 50)
+    assert dumps(grid) == per_element(grid)
+
+
+def test_extremes_and_views():
+    x = np.array(EXTREMES)
+    assert dumps(x) == per_element(x)
+    assert dumps(x[::-3]) == per_element(x[::-3])  # non-contiguous view
+    assert dumps(x.reshape(3, 4).T) == per_element(x.reshape(3, 4).T)
+    assert dumps(np.array([-0.0])) == "[-0]"
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_empty_arrays(shape, dtype):
+    a = np.zeros(shape, dtype=dtype)
+    assert dumps(a) == per_element(a)
+
+
+def test_float_lists_and_tuples():
+    values = random_finite(5_000, seed=2).tolist()
+    assert dumps(values) == per_element(values)
+    assert dumps(tuple(values)) == per_element(values)
+    assert dumps([values[:7], values[7:20]]) == per_element([values[:7], values[7:20]])
+    assert dumps([]) == "[]"
+    assert dumps(()) == "[]"
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_float_list_property(values):
+    assert dumps(values) == per_element(values)
+    assert dumps(np.array(values)) == per_element(values)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [0, 5, -1])
+def test_nonfinite_values_are_refused_alike(bad, where):
+    message = re.escape(f"cannot serialize non-finite value {float(bad)!r}")
+    with pytest.raises(ValueError, match=message):
+        format_float(bad)
+    values = np.linspace(-1.0, 1.0, 12)
+    values[where] = bad
+    for obj in (values, values.reshape(3, 4), values.astype(np.float32), values.tolist()):
+        with pytest.raises(ValueError, match=message):
+            dumps(obj)
+    with pytest.raises(ValueError, match=message):
+        dumps({"rows": [[0.5, 1.5], values.tolist()]})
+
+
+def test_first_nonfinite_value_is_named():
+    with pytest.raises(ValueError, match="value nan$"):
+        dumps(np.array([[1.0, 2.0], [np.nan, np.inf]]))
+    with pytest.raises(ValueError, match="value -inf$"):
+        dumps([0.0, -np.inf, np.nan])
+
+
+def test_other_sequences_serialize_as_before():
+    assert dumps(np.array([[1, -2], [3, 4]])) == "[[1, -2], [3, 4]]"
+    assert dumps(np.arange(3, dtype=np.int32)) == "[0, 1, 2]"
+    assert dumps([1.0, 2, 0.5]) == "[1, 2, 0.5]"
+    assert dumps([np.float64(0.1), 1.0]) == "[0.10000000000000001, 1]"
+    assert dumps([np.float32(0.1)]) == "[0.10000000149011612]"
+    assert dumps([True, 1.0, None]) == "[true, 1, null]"
+    assert dumps((1.5, "a")) == '[1.5, "a"]'
+    with pytest.raises(ValueError, match="value inf$"):
+        dumps([1, np.float64(np.inf)])
+    with pytest.raises(TypeError):
+        dumps(np.array(1.0))  # a 0-d array is not a sequence
+    with pytest.raises(TypeError):
+        dumps(np.array([1 + 2j]))
+
+
+def test_census_csv_bytes():
+    d = np.array([-2.5, -0.0, 1e-310, 0.3, 1.0])
+    census = CensusData(d=d, v=[None, -7.25, None, -0.5], n=2)
+    expected = "index,d,log_gap\n" + "".join(
+        f"{i},{format_float(x)},{'' if g is None else format_float(g)}\n"
+        for i, (x, g) in enumerate(zip(d.tolist(), census.v + [None]))
+    )
+    assert census_csv(census) == expected
+    with pytest.raises(ValueError, match="value nan$"):
+        census_csv(CensusData(d=np.array([np.nan, 1.0]), v=[None], n=2))

@@ -53,6 +53,17 @@ def test_search_validates_input(golden_grid):
         exhaustive_integer_search(Autocorr2D(2, frac), 1)
 
 
+@pytest.mark.parametrize("value", [1e308, 2.0**53 + 2])
+def test_search_refuses_lags_beyond_exact_integers(value):
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        exhaustive_integer_search(Autocorr2D(2, np.full((3, 3), value)), 1)
+
+
+def test_search_accepts_lags_up_to_2_pow_53():
+    result = exhaustive_integer_search(Autocorr2D(2, np.full((3, 3), 2.0**53)), 1)
+    assert result.solutions == []
+
+
 def test_search_empty_when_bound_too_small(golden_grid):
     result = exhaustive_integer_search(golden_grid, 2)
     assert result.solutions == []

@@ -22,6 +22,7 @@ from autophase2d import (
     trivially_equivalent_1d,
     trivially_equivalent_2d,
 )
+from autophase2d import ResidualExceeded, solver
 from autophase2d.polyfactor import (
     associated_polynomial,
     find_zero_pairs,
@@ -115,6 +116,25 @@ def test_enumerate_f_value_only_for_square_lengths():
     assert all(y.f_value is None for y in enumerate_candidates(r))
     r = autocorr_1d(Signal1D(np.random.default_rng(4).standard_normal(4)))
     assert all(y.f_value is not None for y in enumerate_candidates(r))
+
+
+@pytest.mark.parametrize("call", [
+    lambda R, r: solve_2d(R),
+    lambda R, r: enumerate_candidates(r),
+    lambda R, r: ambiguity_census(r, 2),
+], ids=["solve_2d", "enumerate_candidates", "ambiguity_census"])
+def test_nan_candidate_fails_the_residual_gate(monkeypatch, golden_grid, golden_r, call):
+    rows = solver._candidate_rows
+
+    def one_nan_row(units, masks, r_peak):
+        vals = rows(units, masks, r_peak).copy()
+        vals[1] = np.nan
+        return vals
+
+    monkeypatch.setattr(solver, "_candidate_rows", one_nan_row)
+    with pytest.raises(ResidualExceeded) as info:
+        call(golden_grid, golden_r)
+    assert info.value.bitmasks == [2]
 
 
 # --- filtering ------------------------------------------------------------------
