@@ -116,8 +116,9 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     if values.shape != (2 * m - 1,):
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")
     ref = float(np.max(np.abs(values))) if values.size else 0.0
-    asym = float(np.max(np.abs(values - values[::-1])))
-    if asym > 1e-8 * ref:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        asym = float(np.max(np.abs(values - values[::-1])))
+        half = (values[m - 1:] + values[m - 1::-1]) / 2  # exact symmetry for the invariant
+    if not asym <= 1e-8 * ref:  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")
-    half = (values[m - 1:] + values[m - 1::-1]) / 2  # exact symmetry for the invariant
     return Autocorr1D.from_nonneg(half)

@@ -74,16 +74,8 @@ class ZeroPairing:
     """Zeros grouped into reflected pairs, keeping the representative outside the circle."""
 
     zeros: np.ndarray  # complex representatives, modulus >= 1
-    root_residuals: np.ndarray  # per representative, the worse scaled residual of z and 1/z
+    root_residuals: np.ndarray  # per representative, the scaled residual of z and 1/z
     scale: float  # leading coefficient, i.e. the extreme lag value
-
-
-def _root_residuals(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    # Residual of the max-normalized polynomial, deflated by max(1,|z|)^deg so
-    # roots far outside the unit circle are judged at a meaningful scale.
-    deg = coeffs_desc.size - 1
-    vals = np.abs(np.polyval(coeffs_desc, roots))
-    return vals / np.maximum(1.0, np.abs(roots)) ** deg
 
 
 def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
@@ -146,20 +138,22 @@ def find_zero_pairs(
     z = x + np.where(x.real * s.real + x.imag * s.imag < 0, -s, s)
     both = np.concatenate([z, 1.0 / z])
 
-    scaled = c[::-1] / np.max(np.abs(c))
-    residuals = _root_residuals(scaled, both)
-    if np.any(residuals > tol_root):
+    # Residual of the max-normalized polynomial, deflated by max(1,|z|)^deg. For a
+    # palindromic P, |P(z)| / |z|^deg = |P(1/z)|, so one evaluation inside the
+    # circle serves both members of a pair and cannot overflow.
+    residuals = np.abs(np.polyval(c / np.max(np.abs(c)), both[d:]))
+    if not np.all(residuals <= tol_root):  # a nan residual fails too
         raise RootFindingFailed(
             f"scaled root residual {float(np.max(residuals)):.3e} exceeds {tol_root:.1e}"
         )
 
-    on_circle = np.abs(np.abs(both) - 1.0) <= tol_pair
+    on_circle = ~(np.abs(np.abs(both) - 1.0) > tol_pair)
     if np.any(on_circle):
         raise UnitCircleZero(
             f"zero {both[on_circle][0]:.6g} lies within {tol_pair:.1e} of the unit circle; "
             "flipping is ill-defined there"
         )
-    return ZeroPairing(z, np.maximum(residuals[:d], residuals[d:]), float(c[-1]))
+    return ZeroPairing(z, residuals, float(c[-1]))
 
 
 @dataclass(frozen=True)
@@ -254,50 +248,70 @@ class Candidate:
 
 
 # --- shared expansion kernel -------------------------------------------------
-# The single-candidate and all-candidates paths run the same elementwise
-# expressions, so reconstructing one mask reproduces the batch row bit for bit.
+# Every path applies the units' factors in unit order with the same elementwise
+# expressions, so a row built alone, from a half table, or in the doubling
+# table is the same row bit for bit.
 
 
 def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Multiply each row polynomial (ascending coeffs) by a monic real factor.
 
-    Row i's factor is z^d + lower[i, d-1] z^(d-1) + ... + lower[i, 0].
+    Row i's factor is z^d + lower[..., i, d-1] z^(d-1) + ... + lower[..., i, 0].
+    Leading axes of `lower` give one product table per factor, and a single
+    row of it serves every row.
     """
     rows, width = coeffs.shape
-    d = lower.shape[1]
-    out = np.zeros((rows, width + d))
-    out[:, d:] = coeffs
+    d = lower.shape[-1]
+    out = np.zeros(lower.shape[:-2] + (rows, width + d))
+    out[..., d:] = coeffs
     for j in range(d):
-        out[:, j:j + width] += lower[:, j, None] * coeffs
+        out[..., j:j + width] += lower[..., j, None] * coeffs
     return out
 
 
-def _expand_zero_products(units, masks: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of prod (z - beta) per mask, in real arithmetic."""
-    coeffs = np.ones((masks.size, 1))
-    for k, unit in enumerate(units):
+def _expand_zero_products(units, masks: np.ndarray, first: int = 0,
+                          coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Ascending coefficients of prod (z - beta) per mask, in real arithmetic.
+
+    `coeffs`, one row per mask, holds the product over units[:first] (the
+    empty product when omitted); bit k of a mask flips unit k.
+    """
+    if coeffs is None:
+        coeffs = np.ones((masks.size, 1))
+    for k in range(first, len(units)):
         flipped = ((masks >> k) & 1) == 1
-        lower = np.where(flipped[:, None], unit.factor(True), unit.factor(False))
+        lower = np.where(flipped[:, None], units[k].factor(True), units[k].factor(False))
         coeffs = _multiply_factor_rows(coeffs, lower)
     return coeffs
 
 
-def _canonical_sign_rows(vals: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(vals), axis=1)
-    lead_idx = np.argmax(np.abs(vals) > (1e-12 * scale)[:, None], axis=1)
-    lead = vals[np.arange(vals.shape[0]), lead_idx]
-    return vals * np.where(lead < 0, -1.0, 1.0)[:, None]
+def _zero_product_table(units, pinned: bool) -> np.ndarray:
+    """_expand_zero_products of every mask over `units`, in ascending mask order.
 
-
-def _candidate_rows(units, masks: np.ndarray, r_peak: float) -> np.ndarray:
-    """Sign-canonical candidate signals, one row per flip mask.
-
-    The monic product is scaled by sqrt(|r_peak| / prod |beta|); the product
-    of the moduli is the modulus of its constant coefficient.
+    Built by doubling: unit k's two factors are applied to the table of units
+    0..k-1, the unflipped product on top. With `pinned` the first unit stays
+    unflipped, which halves the table.
     """
-    coeffs = _expand_zero_products(units, masks)
-    amplitude = np.sqrt(abs(r_peak) / np.abs(coeffs[:, 0]))
-    return _canonical_sign_rows(coeffs * amplitude[:, None])
+    table = np.ones((1, 1))
+    for k, unit in enumerate(units):
+        choices = (False,) if pinned and k == 0 else (False, True)
+        lower = np.array([[unit.factor(flipped)] for flipped in choices])
+        table = _multiply_factor_rows(table, lower).reshape(-1, table.shape[1] + lower.shape[-1])
+    return table
+
+
+def _scale_rows(coeffs: np.ndarray, r_peak: float) -> np.ndarray:
+    """Sign-canonical candidate signals from monic products, in place.
+
+    Each product is scaled by sqrt(|r_peak| / prod |beta|); the product of the
+    moduli is the modulus of its constant coefficient.
+    """
+    coeffs *= np.sqrt(abs(r_peak) / np.abs(coeffs[:, 0]))[:, None]
+    scale = np.max(np.abs(coeffs), axis=1)
+    lead_idx = np.argmax(np.abs(coeffs) > (1e-12 * scale)[:, None], axis=1)
+    lead = coeffs[np.arange(coeffs.shape[0]), lead_idx]
+    coeffs *= np.where(lead < 0, -1.0, 1.0)[:, None]
+    return coeffs
 
 
 def _autocorr_rows(vals: np.ndarray) -> np.ndarray:
@@ -370,7 +384,7 @@ def reconstruct_candidate(
     if not 0 <= flips < (1 << fu.unit_count):
         raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
     masks = np.array([flips], dtype=np.int64)
-    vals = _candidate_rows(fu.units, masks, r_peak)
+    vals = _scale_rows(_expand_zero_products(fu.units, masks), r_peak)
     if target is None:
         target = _pairing_autocorr(fu, r_peak)
     if target.m != vals.shape[1]:
@@ -415,6 +429,6 @@ def f_vieta(fu: FlipUnits, flips: int, r_peak: float, n: int) -> float:
     e_low = elementary_symmetric(betas, n - 1)
     e_high = elementary_symmetric([1.0 / np.conj(b) for b in betas], n - 1)
     out = abs(r_peak) * e_low * e_high
-    if abs(out.imag) > REAL_RTOL * max(abs(out), abs(r_peak)):
+    if not abs(out.imag) <= REAL_RTOL * max(abs(out), abs(r_peak)):  # nan fails too
         raise NonRealResult(f"constraint product {out:.6g} has a non-real residue")
     return float(out.real)

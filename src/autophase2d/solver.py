@@ -6,13 +6,15 @@ u units yield 2^(u-1) candidates, one per nontrivial equivalence class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import Autocorr1D, Autocorr2D, Matrix2D, reshape_rowwise
-from .errors import NoMatch, ResidualExceeded
+from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
 from .polyfactor import (
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
@@ -22,16 +24,33 @@ from .polyfactor import (
     f_direct,
     find_zero_pairs,
     group_flip_units,
-    _candidate_rows,
     _constraint_products,
+    _expand_zero_products,
     _residual_rows,
+    _scale_rows,
     _wrap_candidates,
+    _zero_product_table,
 )
 from .reduction import key_constraint, reduce_2d_to_1d
 
 DEFAULT_TOL_RESID = 1e-6
 DEFAULT_TOL_MATCH = 1e-6
 SUPPORT_RTOL = 1e-12
+# Past this many flip units solve and census use the half tables; at or below
+# it one full table costs less than two half tables plus re-expansion.
+CROSSOVER_UNITS = 8
+# Constraint products computed per chunk of B rows in the half-table path.
+CHUNK_PRODUCTS = 1 << 20
+# Largest candidate count (2^(u-1)) the half-table path takes on.
+CANDIDATE_BUDGET = 1 << 27
+# Largest candidate count times candidate length that enumerate, census or the
+# survivors of a solve may reach: each entry costs about 90 bytes on the way to
+# the CLI's text, so this caps a run at about 1.5 GB.
+MATERIALIZE_BUDGET = 1 << 24
+# solve_2d expands the candidates within this many times tol_match of c.
+PREFILTER_SLACK = 1000.0
+# A ResidualExceeded lists at most this many flip masks.
+MAX_LISTED_MASKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,33 +72,149 @@ def _support_length(r: Autocorr1D) -> int:
     return int(live[-1]) + 1 if live.size else 0
 
 
+def _factor(r: Autocorr1D, opts: SolverOptions):
+    """(autocorrelation trimmed to its support, flip units, extreme lag); None if r == 0."""
+    if np.max(np.abs(r.values)) == 0.0:
+        return None
+    support = _support_length(r)
+    core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
+    pairing = find_zero_pairs(associated_polynomial(core), opts.tol_pair, opts.tol_root)
+    return core, group_flip_units(pairing).units, pairing.scale
+
+
+def _refuse_beyond(count: int, budget: int, what: str) -> None:
+    if count > budget:
+        raise SearchSpaceTooLarge(f"{count} {what} exceed the budget of {budget}")
+
+
+def _pad(vals: np.ndarray, m: int) -> np.ndarray:
+    """Rows of a trimmed support, padded with trailing zeros to length m."""
+    if vals.shape[1] == m:
+        return vals
+    return np.hstack([vals, np.zeros((vals.shape[0], m - vals.shape[1]))])
+
+
+def _residual_error(count: int, worst: float, masks) -> ResidualExceeded:
+    """ResidualExceeded for `count` candidates, listing the first masks of `masks`."""
+    return ResidualExceeded(
+        f"{count} candidate(s) fail to reproduce the autocorrelation "
+        f"(worst residual {worst:.3e})",
+        bitmasks=list(itertools.islice(masks, MAX_LISTED_MASKS)),
+    )
+
+
+def _gate_rows(masks: np.ndarray, residuals: np.ndarray, tol_resid: float) -> None:
+    over = ~(residuals <= tol_resid)  # a nan residual fails too
+    if np.any(over):
+        raise _residual_error(int(np.sum(over)), float(np.max(residuals)),
+                              masks[over].tolist())
+
+
+def _table_arrays(r: Autocorr1D, factors, tol_resid: float):
+    """Flip masks, rows and residuals of every candidate, from one full table."""
+    if factors is None:
+        return np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1)
+    core, units, scale = factors
+    count = 1 << max(len(units) - 1, 0)
+    _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
+    masks = np.arange(count, dtype=np.int64) << 1
+    vals = _scale_rows(_zero_product_table(units, pinned=True), scale)
+    residuals = _residual_rows(vals, core)
+    _gate_rows(masks, residuals, tol_resid)
+    return masks, _pad(vals, r.m), residuals
+
+
 def _candidate_arrays(r: Autocorr1D, opts: SolverOptions):
     """Flip masks, candidate rows and residuals behind enumerate_candidates."""
-    m = r.m
-    if np.max(np.abs(r.values)) == 0.0:
-        return np.zeros(1, np.int64), np.zeros((1, m)), np.zeros(1)
+    return _table_arrays(r, _factor(r, opts), opts.tol_resid)
 
-    support = _support_length(r)
-    core_r = r if support == m else Autocorr1D.from_nonneg(r.nonneg[:support])
 
-    pairing = find_zero_pairs(associated_polynomial(core_r), opts.tol_pair, opts.tol_root)
-    fu = group_flip_units(pairing)
-    u = fu.unit_count
-    masks = (np.arange(1 << (u - 1), dtype=np.int64) << 1) if u else np.zeros(1, np.int64)
+def _split(factors) -> bool:
+    """Whether solve and census take the half tables; up to the crossover one
+    full table costs less."""
+    return factors is not None and len(factors[1]) > CROSSOVER_UNITS
 
-    vals = _candidate_rows(fu.units, masks, pairing.scale)
-    residuals = _residual_rows(vals, core_r)
-    if support < m:
-        vals = np.hstack([vals, np.zeros((vals.shape[0], m - support))])
 
-    over = ~(residuals <= opts.tol_resid)  # a nan residual fails too
-    if np.any(over):
-        raise ResidualExceeded(
-            f"{int(np.sum(over))} candidate(s) fail to reproduce the autocorrelation "
-            f"(worst residual {float(np.max(residuals)):.3e})",
-            bitmasks=masks[over].tolist(),
-        )
-    return masks, vals, residuals
+def _lag_products(T: np.ndarray) -> np.ndarray:
+    """Nonnegative-lag autocorrelation of each row, in one einsum over shifted views.
+
+    Several times faster than _autocorr_rows on half tables, but it sums in
+    another order, so the residuals that enumerate prints keep _autocorr_rows.
+    """
+    rows, w = T.shape
+    padded = np.zeros((rows, 2 * w - 1))
+    padded[:, :w] = T
+    step = padded.strides[1]
+    shifted = as_strided(padded, (rows, w, w), (padded.strides[0], step, step))
+    return np.einsum("rt,rlt->rl", T, shifted)  # shifted[r, l, t] = T[r, l + t] or 0
+
+
+class _Halves:
+    """Candidates as products of two half tables.
+
+    A holds units 0..a (unit 0 unflipped) and B units a+1..u-1, with
+    a = (u-1)//2; candidate (i, j) is A row i times B row j, its mask is
+    (j << (a+1)) | (i << 1), and row-major order over (j, i) is ascending mask
+    order. Construction checks every candidate's autocorrelation at the cost
+    of the halves: flipping zeros only rescales a row's autocorrelation by
+    the same factor as its constant coefficient, so each normalized half row
+    must equal row 0's, and row 0 times row 0 must reproduce r.
+    """
+
+    def __init__(self, factors, tol_resid: float):
+        core, self.units, self.scale = factors
+        u = len(self.units)
+        self.total = 1 << (u - 1)
+        _refuse_beyond(self.total, CANDIDATE_BUDGET, "candidates")
+        self.a = (u - 1) // 2
+        self.A = _zero_product_table(self.units[:self.a + 1], pinned=True)
+        self.B = _zero_product_table(self.units[self.a + 1:], pinned=False)
+        self._gate(core, tol_resid)
+
+    def masks(self, j: np.ndarray, i: np.ndarray) -> np.ndarray:
+        return (j << (self.a + 1)) | (i << 1)
+
+    def _gate(self, core: Autocorr1D, tol: float) -> None:
+        with np.errstate(all="ignore"):  # inf and nan rows fail below
+            norm = [_lag_products(T) / np.abs(T[:, :1]) for T in (self.A, self.B)]
+            gaps = [np.max(np.abs(h - h[0]), axis=1) / np.max(np.abs(h[0])) for h in norm]
+            sides = [np.concatenate([h[0, :0:-1], h[0]]) for h in norm]
+            full = abs(self.scale) * np.convolve(*sides)[core.m - 1:]
+            gap = np.max(np.abs(full - core.nonneg)) / np.max(np.abs(core.values))
+        bad_a, bad_b = (~(g <= tol) for g in gaps)
+        if not gap <= tol:
+            bad_a[:] = True
+        if not (bad_a.any() or bad_b.any()):
+            return
+        ia = np.nonzero(bad_a)[0]
+        count = int(bad_b.sum()) * bad_a.size + int((~bad_b).sum()) * ia.size
+        all_i = np.arange(bad_a.size)
+        masks = (m for j in range(bad_b.size)
+                 for m in self.masks(j, all_i if bad_b[j] else ia).tolist())
+        raise _residual_error(count, float(np.max(np.hstack([gap, *gaps]))), masks)
+
+    def products(self, n: int):
+        """(first B row, constraint products of its chunk of B rows by all A rows)."""
+        A, B = self.A, self.B
+        wa, wb = A.shape[1], B.shape[1]
+        corners = []  # coefficient k = sum over t of B[:, k - t] A[:, t]
+        for k in (n - 1, n * n - n):
+            ts = np.arange(max(0, k - wb + 1), min(k, wa - 1) + 1)
+            corners.append((k - ts, np.ascontiguousarray(A[:, ts].T)))
+        (b1, a1), (b2, a2) = corners
+        inv_a = abs(self.scale) / np.abs(A[:, 0])
+        step = max(1, CHUNK_PRODUCTS >> self.a)
+        for j0 in range(0, B.shape[0], step):
+            chunk = B[j0:j0 + step]
+            f = (chunk[:, b1] @ a1) * (chunk[:, b2] @ a2)
+            f *= inv_a
+            f /= np.abs(chunk[:, :1])
+            yield j0, f
+
+    def rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Candidate rows (i, j), expanded from their A rows as the full table would."""
+        coeffs = _expand_zero_products(self.units, self.masks(j, i), self.a + 1, self.A[i])
+        return _scale_rows(coeffs, self.scale)
 
 
 def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> list[Candidate]:
@@ -139,27 +274,61 @@ class SolveReport:
         }
 
 
+def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
+               opts: SolverOptions):
+    """Candidate count, then masks, rows and residuals of the candidates whose
+    constraint product lies within tol of c (see _matches_constraint)."""
+    factors = _factor(r, opts)
+    if not _split(factors):
+        masks, vals, residuals = _table_arrays(r, factors, opts.tol_resid)
+        keep = _matches_constraint(_constraint_products(vals, n), c, tol, floor)
+        return masks.size, masks[keep], vals[keep], residuals[keep]
+
+    halves = _Halves(factors, opts.tol_resid)
+    rows_a = halves.A.shape[0]
+    if math.isinf(tol):
+        _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "survivor entries")
+        idx = np.arange(halves.total, dtype=np.int64)
+    else:
+        hits, count = [], 0
+        for j0, f in halves.products(n):
+            hit = np.flatnonzero(_matches_constraint(f, c, tol, floor))
+            count += hit.size
+            _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
+            hits.append(hit + j0 * rows_a)
+        idx = np.concatenate(hits)
+    i, j = idx % rows_a, idx // rows_a
+    masks = halves.masks(j, i)
+    vals = halves.rows(i, j)
+    residuals = _residual_rows(vals, factors[0])
+    _gate_rows(masks, residuals, opts.tol_resid)
+    return halves.total, masks, _pad(vals, r.m), residuals
+
+
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     """Recover an n-by-n signal from its autocorrelation grid.
 
-    Reduces the grid to the 1D problem, enumerates every candidate, and keeps
-    those matching the corner constraint. Exactly one match means the signal
-    is determined up to sign and half-turn rotation. No match raises NoMatch
-    carrying the report.
+    Reduces the grid to the 1D problem and keeps the candidates matching the
+    corner constraint. A prefilter PREFILTER_SLACK times looser than the match
+    test picks the survivors; only they are expanded to rows, and the match
+    test runs on their rows. Exactly one match means the signal is determined
+    up to sign and half-turn rotation. No match raises NoMatch carrying the
+    report.
     """
     opts = opts or SolverOptions()
     n = R.n
     c = key_constraint(R)
     r = reduce_2d_to_1d(R)
-    masks, vals, residuals = _candidate_arrays(r, opts)
     floor = 1e-9 * float(np.max(np.abs(r.values)))
+    total, masks, vals, residuals = _survivors(
+        r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
     keep = _matches_constraint(_constraint_products(vals, n), c, opts.tol_match, floor)
     matches = _wrap_candidates(masks[keep], vals[keep], residuals[keep])
     tolerances = opts.to_dict()
     tolerances["scale_floor"] = floor
     report = SolveReport(
         n=n,
-        candidates_total=masks.size,
+        candidates_total=total,
         matches=matches,
         solution=reshape_rowwise(matches[0].values, n) if matches else None,
         unique=len(matches) == 1,
@@ -169,7 +338,7 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     )
     if not matches:
         raise NoMatch(
-            f"none of {masks.size} candidates matches the corner constraint {c:.6g}",
+            f"none of {total} candidates matches the corner constraint {c:.6g}",
             report=report,
         )
     return report
@@ -191,7 +360,7 @@ def _census_from_products(products: np.ndarray, n: int, seed: int | None) -> Cen
     if top != 0.0:
         d = d / top
     gaps = np.diff(d)
-    v = [math.log(g) if g > 0 else None for g in gaps]
+    v = [math.log(g) if g > 0 else None for g in gaps.tolist()]
     return CensusData(d=d, v=v, n=n, seed=seed)
 
 
@@ -208,8 +377,18 @@ def ambiguity_census(
     """
     if r.m != n * n:
         raise ValueError(f"autocorrelation of length {r.m} does not match n={n}")
-    _, vals, _ = _candidate_arrays(r, opts or SolverOptions())
-    return _census_from_products(_constraint_products(vals, n), n, seed)
+    opts = opts or SolverOptions()
+    factors = _factor(r, opts)
+    if not _split(factors):
+        _, vals, _ = _table_arrays(r, factors, opts.tol_resid)
+        return _census_from_products(_constraint_products(vals, n), n, seed)
+    halves = _Halves(factors, opts.tol_resid)
+    # one value per candidate, then a CSV line each: the budget of enumerate
+    _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")
+    products = np.empty(halves.total)
+    for j0, f in halves.products(n):
+        products[j0 * f.shape[1]:(j0 + f.shape[0]) * f.shape[1]] = f.ravel()
+    return _census_from_products(products, n, seed)
 
 
 @dataclass(frozen=True)

@@ -417,6 +417,12 @@ def test_autocorr_overflow_is_one_error_line(tmp_path):
     assert_single_error_line(run_module("autocorr", "--input", str(path)), "InputError")
 
 
+def test_enumerate_overflowing_lag_sequence_is_one_error_line(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"m": 2, "values": [1e308, 1.5e308, 1e308]}))
+    assert_single_error_line(run_module("enumerate", "--input", str(path)), "InputError")
+
+
 def test_oracle_refuses_inexact_lag_values(tmp_path):
     path = tmp_path / "R.json"
     path.write_text(json.dumps({"n": 2, "values": [[1e308] * 3] * 3}))

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from autophase2d import (
     trivially_equivalent_1d,
     trivially_equivalent_2d,
 )
-from autophase2d import ResidualExceeded, solver
+from autophase2d import AutophaseError, ResidualExceeded, SearchSpaceTooLarge, solver
 from autophase2d.polyfactor import (
+    _autocorr_rows,
     associated_polynomial,
     find_zero_pairs,
     group_flip_units,
@@ -124,14 +127,15 @@ def test_enumerate_f_value_only_for_square_lengths():
     lambda R, r: ambiguity_census(r, 2),
 ], ids=["solve_2d", "enumerate_candidates", "ambiguity_census"])
 def test_nan_candidate_fails_the_residual_gate(monkeypatch, golden_grid, golden_r, call):
-    rows = solver._candidate_rows
+    # 3 flip units: every path builds the one full table, and its row 1 is mask 2
+    table = solver._zero_product_table
 
-    def one_nan_row(units, masks, r_peak):
-        vals = rows(units, masks, r_peak).copy()
-        vals[1] = np.nan
-        return vals
+    def one_nan_row(units, pinned):
+        out = table(units, pinned)
+        out[1] = np.nan
+        return out
 
-    monkeypatch.setattr(solver, "_candidate_rows", one_nan_row)
+    monkeypatch.setattr(solver, "_zero_product_table", one_nan_row)
     with pytest.raises(ResidualExceeded) as info:
         call(golden_grid, golden_r)
     assert info.value.bitmasks == [2]
@@ -160,6 +164,13 @@ def test_filter_scale_floor():
 # --- end-to-end solve -----------------------------------------------------------
 
 
+def prefilter_survivors(candidates, report):
+    """The candidates a solve expands: within PREFILTER_SLACK * tol_match of c."""
+    tol = report.tolerances
+    return filter_by_constraint(candidates, report.key_constraint_value, report.n,
+                                solver.PREFILTER_SLACK * tol["tol_match"], tol["scale_floor"])
+
+
 def test_solve_golden(golden_grid, golden_matrix):
     report = solve_2d(golden_grid)
     assert report.n == 2
@@ -167,7 +178,10 @@ def test_solve_golden(golden_grid, golden_matrix):
     assert report.candidates_total == 4
     assert len(report.matches) == 1
     assert report.key_constraint_value == -234.0
-    assert len(report.residuals) == 4
+    survivors = prefilter_survivors(enumerate_candidates(reduce_2d_to_1d(golden_grid)),
+                                    report)
+    assert [y.flips for y in survivors] == [0]
+    assert report.residuals == [y.autocorr_residual for y in survivors]
     assert trivially_equivalent_2d(report.solution, golden_matrix, 1e-6)
     assert report.tolerances["tol_match"] == 1e-6
     assert report.tolerances["scale_floor"] == pytest.approx(1e-9 * 1334.0)
@@ -193,7 +207,8 @@ def test_solve_no_match_carries_report(golden_grid, golden_r):
     assert report.solution is None
     assert not report.unique
     assert report.candidates_total == 4
-    assert report.residuals == [y.autocorr_residual for y in enumerate_candidates(golden_r)]
+    survivors = prefilter_survivors(enumerate_candidates(golden_r), report)
+    assert report.residuals == [y.autocorr_residual for y in survivors]
 
 
 def test_solve_delta_matrix():
@@ -222,7 +237,7 @@ def test_solve_agrees_with_enumerate_then_filter(n, seed):
     kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
                                 tol["scale_floor"])
     assert report.candidates_total == len(candidates)
-    assert report.residuals == [y.autocorr_residual for y in candidates]
+    assert report.residuals == [y.autocorr_residual for y in prefilter_survivors(candidates, report)]
     assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in kept]
 
 
@@ -298,3 +313,199 @@ def test_probe_validates_arguments():
         asymptotic_probe(3, 10.0)
     with pytest.raises(ValueError):
         asymptotic_probe(3, -5.0)
+
+
+# --- half tables ------------------------------------------------------------------
+
+
+def factors_of(x):
+    return solver._factor(autocorr_1d(Signal1D(np.asarray(x, dtype=float))), SolverOptions())
+
+
+def planted(n, seed):
+    return Matrix2D(n, np.random.default_rng(seed).standard_normal((n, n)))
+
+
+def integer_planted(n, seed):
+    return Matrix2D(n, np.random.default_rng(seed).integers(-3, 4, (n, n)).astype(float))
+
+
+def unit_count(R):
+    return len(solver._factor(reduce_2d_to_1d(R), SolverOptions())[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "trimmed"])
+def test_doubling_table_matches_per_mask_expansion(n):
+    if n == "trimmed":  # the vanishing extreme lag is trimmed before factoring
+        x = np.random.default_rng(3).standard_normal(16)
+        x[-3:] = 0.0
+        core, units, _ = factors_of(x)
+        assert core.m == 13
+    else:
+        _, units, _ = factors_of(planted(n, 0).values.reshape(-1))
+    masks = np.arange(1 << (len(units) - 1), dtype=np.int64) << 1
+    assert np.array_equal(solver._zero_product_table(units, pinned=True),
+                          solver._expand_zero_products(units, masks))
+    if len(units) <= 12:
+        every = np.arange(1 << len(units), dtype=np.int64)
+        assert np.array_equal(solver._zero_product_table(units, pinned=False),
+                              solver._expand_zero_products(units, every))
+
+
+def solve_outcome(R):
+    try:
+        return solve_2d(R)
+    except NoMatch as err:
+        return err.report
+
+
+@pytest.mark.parametrize("kind", [planted, integer_planted])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_solve_matches_enumerate_then_filter_in_both_regimes(n, kind):
+    regimes = set()
+    for seed in range(24 if n < 5 else 8):
+        R = autocorr_2d(kind(n, 700 + seed))
+        r = reduce_2d_to_1d(R)
+        try:
+            candidates = enumerate_candidates(r)
+        except AutophaseError as err:
+            with pytest.raises(type(err)):
+                solve_2d(R)
+            continue
+        report = solve_outcome(R)
+        tol = report.tolerances
+        kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
+                                    tol["scale_floor"])
+        assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in kept]
+        assert report.residuals == [y.autocorr_residual
+                                    for y in prefilter_survivors(candidates, report)]
+        regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
+    if n >= 4:
+        assert True in regimes
+    if n <= 3:
+        assert regimes == {False}
+
+
+def test_integer_corpus_covers_a_zero_corner():
+    corners = [key_constraint(autocorr_2d(integer_planted(n, 700 + seed)))
+               for n in (3, 4) for seed in range(24)]
+    assert 0.0 in corners
+
+
+def test_n6_solve_expands_only_the_survivors(monkeypatch):
+    X = planted(6, 0)
+    tables, expanded = [], []
+    table, expand = solver._zero_product_table, solver._expand_zero_products
+
+    def spy_table(units, pinned):
+        out = table(units, pinned)
+        tables.append(out.shape[0])
+        return out
+
+    def spy_expand(units, masks, first=0, coeffs=None):
+        expanded.append(masks.size)
+        return expand(units, masks, first, coeffs)
+
+    monkeypatch.setattr(solver, "_zero_product_table", spy_table)
+    monkeypatch.setattr(solver, "_expand_zero_products", spy_expand)
+    report = solve_2d(autocorr_2d(X))
+    assert report.unique
+    assert trivially_equivalent_2d(report.solution, X, 1e-6 * float(np.max(np.abs(X.values))))
+    assert report.candidates_total == 1 << 18
+    assert len(tables) == 2 and tables[0] * tables[1] == report.candidates_total
+    assert expanded == [len(report.residuals)]
+    assert 1 <= len(report.residuals) < 1000
+
+
+@pytest.mark.parametrize("n,seed", [(4, 0), (4, 3), (5, 0), (5, 1)])
+def test_half_table_census_matches_full_table(monkeypatch, n, seed):
+    r = reduce_2d_to_1d(autocorr_2d(planted(n, seed)))
+    assert unit_count(autocorr_2d(planted(n, seed))) > solver.CROSSOVER_UNITS
+    half = ambiguity_census(r, n).d
+    monkeypatch.setattr(solver, "CROSSOVER_UNITS", 64)
+    full = ambiguity_census(r, n).d
+    assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("rows,width", [(1, 1), (3, 2), (16, 9), (64, 25)])
+def test_lag_products_match_the_row_loop(rows, width):
+    T = np.random.default_rng(width).standard_normal((rows, width)) * 10.0 ** np.arange(width)
+    want = _autocorr_rows(T)
+    assert np.max(np.abs(solver._lag_products(T) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def nan_half_row(monkeypatch, which, row, value):
+    table = solver._zero_product_table
+
+    def poisoned(units, pinned):
+        out = table(units, pinned)
+        if pinned == (which == "A"):
+            out[row] = value
+        return out
+
+    monkeypatch.setattr(solver, "_zero_product_table", poisoned)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("call", ["solve_2d", "ambiguity_census"])
+def test_bad_half_row_fails_the_residual_gate(monkeypatch, call, which, value):
+    R = autocorr_2d(planted(4, 0))
+    u = unit_count(R)
+    a = (u - 1) // 2
+    nan_half_row(monkeypatch, which, 1, value)
+    with pytest.raises(ResidualExceeded) as info:
+        if call == "solve_2d":
+            solve_2d(R)
+        else:
+            ambiguity_census(reduce_2d_to_1d(R), 4)
+    if which == "A":  # A row 1 is unit 1 flipped, in every B row
+        want = [(j << (a + 1)) | 2 for j in range(1 << (u - 1 - a))]
+    else:  # B row 1 is unit a+1 flipped, with every A row
+        want = [(1 << (a + 1)) | (i << 1) for i in range(1 << a)]
+    assert info.value.bitmasks == want
+
+
+def test_half_rows_that_miss_r_fail_every_candidate():
+    # each half row agrees with its row 0, but row 0 times row 0 misses r by 1e-3
+    core, units, scale = solver._factor(reduce_2d_to_1d(autocorr_2d(planted(4, 0))),
+                                        SolverOptions())
+    assert len(units) > solver.CROSSOVER_UNITS
+    wrong = Autocorr1D.from_nonneg(core.nonneg * (1 + 1e-3))
+    with pytest.raises(ResidualExceeded) as info:
+        solver._Halves((wrong, units, scale), 1e-6)
+    assert info.value.bitmasks == [mask << 1 for mask in range(1 << (len(units) - 1))]
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+def test_n9_is_refused_by_type_quickly(seed):
+    # |z| reaches 150-250 here: evaluating P there overflowed and let a nan residual through
+    R = autocorr_2d(Matrix2D(9, np.random.default_rng(seed).standard_normal((9, 9))))
+    zp = find_zero_pairs(associated_polynomial(reduce_2d_to_1d(R)))
+    assert np.max(np.abs(zp.zeros)) > 100
+    assert np.all(zp.root_residuals <= 1e-8)
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge):
+        solve_2d(R)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_n7_enumeration_is_refused_before_allocating():
+    r = reduce_2d_to_1d(autocorr_2d(planted(7, 0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge):
+            enumerate_candidates(r)
+        with pytest.raises(SearchSpaceTooLarge):
+            ambiguity_census(r, 7)
+        with pytest.raises(SearchSpaceTooLarge):
+            solve_2d(autocorr_2d(planted(7, 0)), SolverOptions(tol_match=math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_n6_enumeration_fits_the_budget():
+    _, units, _ = solver._factor(reduce_2d_to_1d(autocorr_2d(planted(6, 0))), SolverOptions())
+    assert (1 << (len(units) - 1)) * 36 <= solver.MATERIALIZE_BUDGET
