@@ -9,7 +9,9 @@ when the output path is ``-``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from dataclasses import dataclass, fields
 
@@ -87,11 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
         f"  {name:<10} {help_text} (needs --{', --'.join(needs)})\n"
         for name, (help_text, needs) in _COMMANDS.items()
     )
+    # argparse builds a formatter per add_argument, and by default each one asks
+    # for the terminal size: ask once, with argparse's rule (columns - 2).
+    width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
         prog="autophase2d",
         description=__doc__,
         epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
     )
     parser.add_argument(
         "command", choices=_COMMANDS, metavar="command", help="one of the commands below"

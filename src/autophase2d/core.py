@@ -8,7 +8,7 @@ at index m-1, and the 2D autocorrelation of an n-by-n matrix as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _finite_float_array(values, name: str) -> np.ndarray:
     a = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must contain only finite values")
     return a
 
@@ -87,6 +87,8 @@ class Autocorr1D:
 
     m: int
     values: np.ndarray  # length 2m-1, lag ell stored at index ell + m - 1
+    # max |values|, the scale every relative tolerance on r is taken against
+    max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -96,9 +98,10 @@ class Autocorr1D:
             raise ValueError(
                 f"expected {2 * self.m - 1} lag values for m={self.m}, got shape {a.shape}"
             )
-        if not np.array_equal(a, a[::-1]):
+        if not (a == a[::-1]).all():
             raise ValueError("autocorrelation values must be symmetric in lag")
         object.__setattr__(self, "values", _freeze(a))
+        object.__setattr__(self, "max_abs", float(np.abs(a).max()))
 
     @classmethod
     def from_nonneg(cls, half) -> "Autocorr1D":
@@ -169,7 +172,7 @@ class MagnitudeGrid:
         a = _finite_float_array(self.values, "magnitude values")
         if a.shape != (self.m, self.m):
             raise ValueError(f"expected a {self.m}x{self.m} grid, got shape {a.shape}")
-        if np.any(a < 0):
+        if (a < 0).any():
             raise ValueError("squared magnitudes must be nonnegative")
         object.__setattr__(self, "values", _freeze(a))
 
@@ -206,9 +209,9 @@ def autocorr_2d(X: Matrix2D) -> Autocorr2D:
             jlo = 0 if i == 0 else -(n - 1)  # row i=0 gets only j>=0, the rest by mirror
             for j in range(jlo, n):
                 if j >= 0:
-                    s = np.sum(a[: n - i, : n - j] * a[i:, j:])
+                    s = (a[: n - i, : n - j] * a[i:, j:]).sum()
                 else:
-                    s = np.sum(a[: n - i, -j:] * a[i:, : n + j])
+                    s = (a[: n - i, -j:] * a[i:, : n + j]).sum()
                 out[n - 1 + i, n - 1 + j] = s
                 out[n - 1 - i, n - 1 - j] = s
     return Autocorr2D(n, out)
@@ -218,7 +221,7 @@ def dft_matrix(m: int, cols: int | None = None) -> np.ndarray:
     """First ``cols`` columns of the m-point DFT matrix, built directly."""
     k = np.arange(m)
     p = np.arange(m if cols is None else cols)
-    return np.exp(-2j * np.pi * np.outer(k, p) / m)
+    return np.exp(-2j * np.pi * np.multiply.outer(k, p) / m)
 
 
 def fourier_magnitude_2d(X: Matrix2D, m: int) -> MagnitudeGrid:
@@ -239,12 +242,12 @@ def measurements_to_autocorr_2d(Y: MagnitudeGrid) -> Autocorr2D:
     m, n = Y.m, Y.n
     G = np.conj(dft_matrix(m))
     grid = (G @ Y.values @ G.T) / (m * m)
-    ref = np.max(np.abs(grid.real))
-    if np.max(np.abs(grid.imag)) > SYMMETRY_RTOL * ref:
+    ref = np.abs(grid.real).max()
+    if np.abs(grid.imag).max() > SYMMETRY_RTOL * ref:
         raise NotAnAutocorrelation("inverse transform has a non-real residue")
     idx = np.arange(-(n - 1), n) % m
-    R = grid.real[np.ix_(idx, idx)]
-    if np.max(np.abs(R - R[::-1, ::-1])) > SYMMETRY_RTOL * ref:
+    R = grid.real[idx[:, None], idx]
+    if np.abs(R - R[::-1, ::-1]).max() > SYMMETRY_RTOL * ref:
         raise NotAnAutocorrelation("inverse transform lacks point symmetry")
     R = (R + R[::-1, ::-1]) / 2  # exact symmetry for downstream consumers
     return Autocorr2D(n, R)
@@ -256,7 +259,7 @@ def trivially_equivalent_1d(x: Signal1D, y: Signal1D, tol: float) -> bool:
     if a.size != b.size:
         raise ValueError(f"signals differ in length: {a.size} vs {b.size}")
     for cand in (a, -a, a[::-1], -a[::-1]):
-        if np.max(np.abs(b - cand)) <= tol:
+        if np.abs(b - cand).max() <= tol:
             return True
     return False
 
@@ -268,6 +271,6 @@ def trivially_equivalent_2d(X: Matrix2D, Z: Matrix2D, tol: float) -> bool:
         raise ValueError(f"matrices differ in size: {a.shape} vs {b.shape}")
     rot = a[::-1, ::-1]
     for cand in (a, -a, rot, -rot):
-        if np.max(np.abs(b - cand)) <= tol:
+        if np.abs(b - cand).max() <= tol:
             return True
     return False

@@ -83,10 +83,10 @@ def census_csv(census) -> str:
     d = np.asarray(census.d, dtype=float)
     require_finite(d)
     gaps = list(census.v[: d.size]) + [None] * (d.size - len(census.v))
-    lines = ["index,d,log_gap"]
-    for i, (x, gap) in enumerate(zip(d.tolist(), gaps)):
-        lines.append("%d,%.17g,%s" % (i, x, "" if gap is None else format_float(gap)))
-    return "\n".join(lines) + "\n"
+    require_finite(np.array([g for g in gaps if g is not None], dtype=float))
+    rows = ["%d,%.17g," % (i, x) if gap is None else "%d,%.17g,%.17g" % (i, x, gap)
+            for i, (x, gap) in enumerate(zip(d.tolist(), gaps))]
+    return "\n".join(["index,d,log_gap", *rows]) + "\n"
 
 
 def _require(mapping: dict, key: str, kind, context: str):
@@ -115,9 +115,9 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     values = np.asarray(_require(data, "values", list, "lag sequence"), dtype=float)
     if values.shape != (2 * m - 1,):
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")
-    ref = float(np.max(np.abs(values))) if values.size else 0.0
+    ref = float(np.abs(values).max()) if values.size else 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        asym = float(np.max(np.abs(values - values[::-1])))
+        asym = float(np.abs(values - values[::-1]).max())
         half = (values[m - 1:] + values[m - 1::-1]) / 2  # exact symmetry for the invariant
     if not asym <= 1e-8 * ref:  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")

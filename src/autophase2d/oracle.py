@@ -57,7 +57,7 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
     Rv = R.values
     if not np.array_equal(Rv, np.rint(Rv)):
         raise ValueError("exact search needs an integer-valued lag grid")
-    if np.max(np.abs(Rv)) > EXACT_LIMIT:
+    if np.abs(Rv).max() > EXACT_LIMIT:
         raise ValueError("exact search needs lag values of magnitude at most 2**53")
     k = n * n
     base = 2 * bound + 1
@@ -74,7 +74,7 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
         for start in range(0, size, _CHUNK):
             idx = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
             digits = (idx[:, None] // powers[None, :]) % base - bound
-            keep = np.sum(digits * digits, axis=1) == energy
+            keep = (digits * digits).sum(axis=1) == energy
             keep &= digits[:, 0] * digits[:, -1] == corner
             for row in digits[keep]:
                 X = Matrix2D(n, row.astype(float))
@@ -129,7 +129,7 @@ def planted_roundtrip(
                 "detail": f"{len(report.matches)} candidates match the constraint",
             })
             continue
-        scale = float(np.max(np.abs(X.values)))
+        scale = float(np.abs(X.values).max())
         if trivially_equivalent_2d(X, report.solution, tol_equiv * scale):
             successes += 1
         else:

@@ -29,6 +29,8 @@ REAL_RTOL = 1e-8  # imaginary residue allowed on quantities that must be real
 DEFAULT_TOL_ROOT = 1e-8
 DEFAULT_TOL_PAIR = 1e-6
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -40,7 +42,7 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a nonempty 1D array")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         nz = np.nonzero(c)[0]
         c = c[: nz[-1] + 1] if nz.size else c[:1]
@@ -61,10 +63,9 @@ def associated_polynomial(r: Autocorr1D) -> Polynomial:
     signal's endpoints.
     """
     peak = abs(r.lag(r.m - 1))
-    ref = float(np.max(np.abs(r.values)))
-    if peak <= ENDPOINT_RTOL * ref:
+    if peak <= ENDPOINT_RTOL * r.max_abs:
         raise ZeroEndpoint(
-            f"extreme lag {r.lag(r.m - 1):.3e} vanishes relative to scale {ref:.3e}"
+            f"extreme lag {r.lag(r.m - 1):.3e} vanishes relative to scale {r.max_abs:.3e}"
         )
     return Polynomial(r.values)
 
@@ -90,10 +91,10 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.array([-a[0] / a[1]], dtype=complex)
     mat = np.zeros((d, d))
-    scl = np.array([1.0] + [np.sqrt(0.5)] * (d - 1))
+    scl = np.array([1.0] + [_SQRT_HALF] * (d - 1))
     top = mat.reshape(-1)[1::d + 1]
     bot = mat.reshape(-1)[d::d + 1]
-    top[0] = np.sqrt(0.5)
+    top[0] = _SQRT_HALF
     top[1:] = 0.5
     bot[...] = top
     mat[:, -1] -= (a[:-1] / a[-1]) * (scl / scl[-1]) * 0.5
@@ -123,7 +124,7 @@ def find_zero_pairs(
     z = x + sqrt(x^2 - 1) on the branch with |z| >= 1.
     """
     c = P.coeffs
-    if not np.array_equal(c, c[::-1]):
+    if not (c == c[::-1]).all():
         raise ValueError("coefficients must be palindromic")
     deg = P.degree
     if deg == 0:
@@ -140,15 +141,16 @@ def find_zero_pairs(
 
     # Residual of the max-normalized polynomial, deflated by max(1,|z|)^deg. For a
     # palindromic P, |P(z)| / |z|^deg = |P(1/z)|, so one evaluation inside the
-    # circle serves both members of a pair and cannot overflow.
-    residuals = np.abs(np.polyval(c / np.max(np.abs(c)), both[d:]))
-    if not np.all(residuals <= tol_root):  # a nan residual fails too
+    # circle serves both members of a pair. There |w| <= 1, so the powers in one
+    # Vandermonde product cannot overflow; c read descending is c itself.
+    residuals = np.abs(np.vander(both[d:], deg + 1) @ (c / np.abs(c).max()))
+    if not (residuals <= tol_root).all():  # a nan residual fails too
         raise RootFindingFailed(
-            f"scaled root residual {float(np.max(residuals)):.3e} exceeds {tol_root:.1e}"
+            f"scaled root residual {float(residuals.max()):.3e} exceeds {tol_root:.1e}"
         )
 
     on_circle = ~(np.abs(np.abs(both) - 1.0) > tol_pair)
-    if np.any(on_circle):
+    if on_circle.any():
         raise UnitCircleZero(
             f"zero {both[on_circle][0]:.6g} lies within {tol_pair:.1e} of the unit circle; "
             "flipping is ill-defined there"
@@ -182,7 +184,7 @@ class ConjugatePair:
 
     def factor(self, flipped: bool) -> tuple[float, ...]:
         """Lower coefficients, ascending, of z^2 - 2 Re(b) z + |b|^2 for both members b."""
-        z = self.members(flipped)[0]
+        z = 1.0 / self.value.conjugate() if flipped else self.value
         return (z.real * z.real + z.imag * z.imag, -2.0 * z.real)
 
 
@@ -216,8 +218,8 @@ def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     ordered by descending modulus, then real part, then imaginary part.
     """
     zs = zp.zeros
-    upper, lower = zs[zs.imag > 0], zs[zs.imag < 0]
-    if not np.array_equal(np.sort(upper), np.sort(np.conj(lower))):
+    upper, lower = np.sort(zs[zs.imag > 0]), np.sort(zs[zs.imag < 0].conj())
+    if upper.shape != lower.shape or not (upper == lower).all():
         raise UnpairedComplexZero(
             f"complex zeros {zs[zs.imag != 0]} are not closed under conjugation"
         )
@@ -225,7 +227,7 @@ def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     zs = zs[np.lexsort((zs.imag, zs.real, -np.abs(zs)))]
     # A list, not a generator: in a solve loop the generator form kept peak RSS higher.
     return FlipUnits(tuple([
-        RealZero(float(z.real)) if z.imag == 0 else ConjugatePair(complex(z)) for z in zs
+        RealZero(z.real) if z.imag == 0 else ConjugatePair(z) for z in zs.tolist()
     ]))
 
 
@@ -279,9 +281,8 @@ def _expand_zero_products(units, masks: np.ndarray, first: int = 0,
     if coeffs is None:
         coeffs = np.ones((masks.size, 1))
     for k in range(first, len(units)):
-        flipped = ((masks >> k) & 1) == 1
-        lower = np.where(flipped[:, None], units[k].factor(True), units[k].factor(False))
-        coeffs = _multiply_factor_rows(coeffs, lower)
+        choices = np.array([units[k].factor(False), units[k].factor(True)])
+        coeffs = _multiply_factor_rows(coeffs, choices[(masks >> k) & 1])
     return coeffs
 
 
@@ -307,8 +308,8 @@ def _scale_rows(coeffs: np.ndarray, r_peak: float) -> np.ndarray:
     moduli is the modulus of its constant coefficient.
     """
     coeffs *= np.sqrt(abs(r_peak) / np.abs(coeffs[:, 0]))[:, None]
-    scale = np.max(np.abs(coeffs), axis=1)
-    lead_idx = np.argmax(np.abs(coeffs) > (1e-12 * scale)[:, None], axis=1)
+    mags = np.abs(coeffs)
+    lead_idx = (mags > (1e-12 * mags.max(axis=1))[:, None]).argmax(axis=1)
     lead = coeffs[np.arange(coeffs.shape[0]), lead_idx]
     coeffs *= np.where(lead < 0, -1.0, 1.0)[:, None]
     return coeffs
@@ -319,13 +320,12 @@ def _autocorr_rows(vals: np.ndarray) -> np.ndarray:
     m = vals.shape[1]
     out = np.empty_like(vals)
     for ell in range(m):
-        out[:, ell] = np.sum(vals[:, : m - ell] * vals[:, ell:], axis=1)
+        out[:, ell] = np.add.reduce(vals[:, : m - ell] * vals[:, ell:], axis=1)
     return out
 
 
 def _residual_rows(vals: np.ndarray, r: Autocorr1D) -> np.ndarray:
-    gaps = np.abs(_autocorr_rows(vals) - r.nonneg)
-    return np.max(gaps, axis=1) / np.max(np.abs(r.values))
+    return np.abs(_autocorr_rows(vals) - r.nonneg).max(axis=1) / r.max_abs
 
 
 def _pairing_autocorr(fu: FlipUnits, r_peak: float) -> Autocorr1D:

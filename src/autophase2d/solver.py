@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import Autocorr1D, Autocorr2D, Matrix2D, reshape_rowwise
 from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
@@ -66,7 +65,7 @@ class SolverOptions:
 
 def _support_length(r: Autocorr1D) -> int:
     """Largest lag carrying signal, measured against the overall scale."""
-    cut = SUPPORT_RTOL * np.max(np.abs(r.values))
+    cut = SUPPORT_RTOL * r.max_abs
     half = np.abs(r.nonneg)
     live = np.nonzero(half > cut)[0]
     return int(live[-1]) + 1 if live.size else 0
@@ -74,7 +73,7 @@ def _support_length(r: Autocorr1D) -> int:
 
 def _factor(r: Autocorr1D, opts: SolverOptions):
     """(autocorrelation trimmed to its support, flip units, extreme lag); None if r == 0."""
-    if np.max(np.abs(r.values)) == 0.0:
+    if r.max_abs == 0.0:
         return None
     support = _support_length(r)
     core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
@@ -105,8 +104,8 @@ def _residual_error(count: int, worst: float, masks) -> ResidualExceeded:
 
 def _gate_rows(masks: np.ndarray, residuals: np.ndarray, tol_resid: float) -> None:
     over = ~(residuals <= tol_resid)  # a nan residual fails too
-    if np.any(over):
-        raise _residual_error(int(np.sum(over)), float(np.max(residuals)),
+    if over.any():
+        raise _residual_error(int(over.sum()), float(residuals.max()),
                               masks[over].tolist())
 
 
@@ -144,8 +143,8 @@ def _lag_products(T: np.ndarray) -> np.ndarray:
     rows, w = T.shape
     padded = np.zeros((rows, 2 * w - 1))
     padded[:, :w] = T
-    step = padded.strides[1]
-    shifted = as_strided(padded, (rows, w, w), (padded.strides[0], step, step))
+    row, step = padded.strides
+    shifted = np.ndarray((rows, w, w), buffer=padded, strides=(row, step, step))
     return np.einsum("rt,rlt->rl", T, shifted)  # shifted[r, l, t] = T[r, l + t] or 0
 
 
@@ -177,10 +176,10 @@ class _Halves:
     def _gate(self, core: Autocorr1D, tol: float) -> None:
         with np.errstate(all="ignore"):  # inf and nan rows fail below
             norm = [_lag_products(T) / np.abs(T[:, :1]) for T in (self.A, self.B)]
-            gaps = [np.max(np.abs(h - h[0]), axis=1) / np.max(np.abs(h[0])) for h in norm]
+            gaps = [np.abs(h - h[0]).max(axis=1) / np.abs(h[0]).max() for h in norm]
             sides = [np.concatenate([h[0, :0:-1], h[0]]) for h in norm]
             full = abs(self.scale) * np.convolve(*sides)[core.m - 1:]
-            gap = np.max(np.abs(full - core.nonneg)) / np.max(np.abs(core.values))
+            gap = np.abs(full - core.nonneg).max() / core.max_abs
         bad_a, bad_b = (~(g <= tol) for g in gaps)
         if not gap <= tol:
             bad_a[:] = True
@@ -191,7 +190,7 @@ class _Halves:
         all_i = np.arange(bad_a.size)
         masks = (m for j in range(bad_b.size)
                  for m in self.masks(j, all_i if bad_b[j] else ia).tolist())
-        raise _residual_error(count, float(np.max(np.hstack([gap, *gaps]))), masks)
+        raise _residual_error(count, float(np.hstack([gap, *gaps]).max()), masks)
 
     def products(self, n: int):
         """(first B row, constraint products of its chunk of B rows by all A rows)."""
@@ -319,7 +318,7 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     n = R.n
     c = key_constraint(R)
     r = reduce_2d_to_1d(R)
-    floor = 1e-9 * float(np.max(np.abs(r.values)))
+    floor = 1e-9 * r.max_abs
     total, masks, vals, residuals = _survivors(
         r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
     keep = _matches_constraint(_constraint_products(vals, n), c, opts.tol_match, floor)

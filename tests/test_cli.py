@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +355,31 @@ def test_help_lists_every_command(capsys):
     assert code == 0
     for name in COMMANDS:
         assert f"\n  {name} " in out
+
+
+def test_parser_reads_the_terminal_width_once(monkeypatch):
+    calls = []
+    real = shutil.get_terminal_size
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("shutil.get_terminal_size", spy)
+    parser = autophase2d.cli._build_parser()
+    parser.format_help()
+    assert len(calls) == 1
+
+
+def test_help_follows_the_terminal_width(capsys, monkeypatch):
+    texts = {}
+    for columns in ("60", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, texts[columns], _ = run_cli(capsys, "--help")
+        assert code == 0
+    usage = {columns: text.split("\n\n")[0] for columns, text in texts.items()}
+    assert usage["60"].count("\n") > usage["150"].count("\n")
+    assert all(len(line) <= 58 for line in usage["60"].splitlines())
 
 
 def test_flags_may_precede_the_command(capsys):

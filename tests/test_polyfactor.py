@@ -30,7 +30,7 @@ from autophase2d import (
     reconstruct_candidate,
     trivially_equivalent_1d,
 )
-from autophase2d.polyfactor import _expand_zero_products
+from autophase2d.polyfactor import _autocorr_rows, _expand_zero_products
 from conftest import GOLDEN_ZEROS, elementary_symmetric_oracle
 
 # Seeded signals whose zeros give both real and conjugate-pair flip units.
@@ -170,6 +170,16 @@ def test_root_residuals_at_n7(seed):
     assert np.max(zp.root_residuals) <= 1e-10
 
 
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES + [(25, 1), (36, 1), (49, 1)])
+def test_root_residuals_match_horner(m, seed):
+    # the gate's one Vandermonde product against Horner's method, at the members inside
+    r, zp, _ = seeded_units(m, seed)
+    c = associated_polynomial(r).coeffs
+    horner = np.abs(np.polyval(c / np.max(np.abs(c)), 1.0 / zp.zeros))
+    assert zp.root_residuals.shape == horner.shape
+    assert np.max(np.abs(zp.root_residuals - horner)) <= 1e-14
+
+
 # --- flip units -----------------------------------------------------------------
 
 
@@ -269,6 +279,23 @@ def test_real_expansion_matches_np_poly(m, seed):
         want = np.poly(np.array(fu.betas(int(mask))))[::-1]
         assert np.isrealobj(want)  # np.poly returns real for conjugate-closed zeros
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def autocorr_rows_per_lag(vals):
+    """Nonnegative-lag autocorrelation of each row, one np.sum per lag."""
+    m = vals.shape[1]
+    out = np.empty_like(vals)
+    for ell in range(m):
+        out[:, ell] = np.sum(vals[:, : m - ell] * vals[:, ell:], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 256])
+@pytest.mark.parametrize("width", range(1, 17))
+def test_autocorr_rows_are_the_per_lag_sums(rows, width):
+    rng = np.random.default_rng(width)
+    vals = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-8, 8, (rows, width))
+    assert np.array_equal(_autocorr_rows(vals), autocorr_rows_per_lag(vals))
 
 
 @pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)

@@ -40,6 +40,31 @@ def test_reduce_case_split():
     assert r.lag(-4) == r.lag(4)
 
 
+def reduce_per_lag(R):
+    """Lags 0..n*n-1 of the reduction, one grid lookup (or two) per lag."""
+    n = R.n
+    half = []
+    for ell in range(n * n):
+        i, j = divmod(ell, n)
+        if j == 0:
+            half.append(R.at(i, 0))
+        elif ell > n * (n - 1):
+            half.append(R.at(n - 1, j))
+        else:
+            half.append(R.at(i, j) + R.at(i + 1, j - n))
+    return np.array(half)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_reduce_matches_the_per_lag_definition(n):
+    for seed in range(4):
+        x = np.random.default_rng(seed).standard_normal((n, n)) * 10.0 ** (seed - 2)
+        R = autocorr_2d(Matrix2D(n, x))
+        want = reduce_per_lag(R)
+        got = reduce_2d_to_1d(R).nonneg
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_reduce_rejects_asymmetric_grid(golden_grid):
     bad = golden_grid.values.copy()
     bad[0, 0] += 1.0
