@@ -13,7 +13,7 @@ import functools
 import json
 import shutil
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import jsonio
 from .core import Autocorr1D, Signal1D, autocorr_1d, autocorr_2d
 from .errors import AutophaseError
 from .oracle import exhaustive_integer_search, planted_roundtrip
-from .polyfactor import _f_values
+from .polyfactor import _constraint_products
 from .reduction import reduce_2d_to_1d
 from .solver import (
     SolverOptions,
@@ -57,19 +57,6 @@ _SETTINGS = {
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None
-    output: str
-    n: int | None
-    seed: int | None
-    alpha: float | None
-    bound: int | None
-    trials: int | None
-    options: SolverOptions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,8 +117,9 @@ def _typed(key: str, value, kind):
         raise ConfigError(f"{key} is out of range, got {value!r}") from None
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve each setting as flag, then config file, then default."""
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command, each _SETTINGS key and `options` (a SolverOptions), each
+    resolved as flag, then config file, then default."""
     file_values: dict = {}
     if args.config is not None:
         try:
@@ -158,12 +146,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not value > 0:
             raise ConfigError(f"{f.name} must be positive, got {value}")
         tolerances[f.name] = value
-    cfg = RunConfig(command=args.command, options=SolverOptions(**tolerances), **settings)
+    cfg = argparse.Namespace(command=args.command, options=SolverOptions(**tolerances), **settings)
     _validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: argparse.Namespace) -> None:
     missing = [key for key in _COMMANDS[cfg.command][1] if getattr(cfg, key) in (None, "")]
     if missing:
         raise ConfigError(f"{cfg.command} requires --{', --'.join(missing)}")
@@ -200,7 +188,7 @@ def _enumerate_text(r: Autocorr1D, opts: SolverOptions) -> str:
     its residual and its constraint product (null unless m is a square n*n).
     """
     masks, vals, residuals = _candidate_arrays(r, opts)
-    f = _f_values(vals)
+    f = _constraint_products(vals)
     tail = [residuals] if f is None else [residuals, f]
     for a in [vals, *tail]:
         jsonio.require_finite(a)
@@ -212,7 +200,7 @@ def _enumerate_text(r: Autocorr1D, opts: SolverOptions) -> str:
     return f'{{"m": {r.m}, "candidates_total": {masks.size}, "candidates": [{body}]}}\n'
 
 
-def _dispatch(cfg: RunConfig) -> str:
+def _dispatch(cfg: argparse.Namespace) -> str:
     opts = cfg.options
     if cfg.command == "autocorr":
         X = jsonio.load_matrix2d(_read_json(cfg.input))
@@ -253,7 +241,7 @@ def _dispatch(cfg: RunConfig) -> str:
     raise ConfigError(f"unknown command {cfg.command!r}")
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one command; exceptions are folded into the exit-code contract."""
     try:
         text = _dispatch(config)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidOversampling, LengthMismatch, NotAnAutocorrelation
 
-# Relative tolerance for "this should have been exactly real/symmetric" checks.
+# Relative tolerance for every "this should have been exactly real/symmetric" check.
 SYMMETRY_RTOL = 1e-8
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import Autocorr1D, Autocorr2D, Matrix2D
+from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
 
 
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
@@ -119,6 +119,6 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         asym = float(np.abs(values - values[::-1]).max())
         half = (values[m - 1:] + values[m - 1::-1]) / 2  # exact symmetry for the invariant
-    if not asym <= 1e-8 * ref:  # a nan asymmetry fails too
+    if not asym <= SYMMETRY_RTOL * ref:  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")
     return Autocorr1D.from_nonneg(half)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Autocorr1D, Signal1D
+from .core import SYMMETRY_RTOL, Autocorr1D, Signal1D
 from .errors import (
     NonRealResult,
     RootFindingFailed,
@@ -23,8 +23,7 @@ from .errors import (
     ZeroEndpoint,
 )
 
-ENDPOINT_RTOL = 1e-12
-REAL_RTOL = 1e-8  # imaginary residue allowed on quantities that must be real
+ENDPOINT_RTOL = 1e-12  # lags at or below this times max|r| count as zero
 
 DEFAULT_TOL_ROOT = 1e-8
 DEFAULT_TOL_PAIR = 1e-6
@@ -126,12 +125,16 @@ def find_zero_pairs(
     c = P.coeffs
     if not (c == c[::-1]).all():
         raise ValueError("coefficients must be palindromic")
-    deg = P.degree
+    if P.degree % 2:
+        raise ValueError(f"palindromic factorization needs even degree, got {P.degree}")
+    return _zero_pairs(c, tol_pair, tol_root)
+
+
+def _zero_pairs(c: np.ndarray, tol_pair: float, tol_root: float) -> ZeroPairing:
+    """find_zero_pairs of palindromic coefficients of even degree, nonzero at both ends."""
+    deg = c.size - 1
     if deg == 0:
         return ZeroPairing(np.empty(0, complex), np.empty(0), float(c[-1]))
-    if deg % 2:
-        raise ValueError(f"palindromic factorization needs even degree, got {deg}")
-
     d = deg // 2
     x = _chebyshev_roots(np.concatenate([c[d:d + 1], 2.0 * c[d + 1:]]))
     s = np.sqrt((x - 1.0) * (x + 1.0))
@@ -328,36 +331,21 @@ def _residual_rows(vals: np.ndarray, r: Autocorr1D) -> np.ndarray:
     return np.abs(_autocorr_rows(vals) - r.nonneg).max(axis=1) / r.max_abs
 
 
-def _pairing_autocorr(fu: FlipUnits, r_peak: float) -> Autocorr1D:
-    """Autocorrelation implied by the full zero multiset and the extreme lag."""
-    coeffs = np.ones((1, 1))
-    for unit in fu.units:
-        for flipped in (False, True):
-            coeffs = _multiply_factor_rows(coeffs, np.array([unit.factor(flipped)]))
-    full = r_peak * coeffs[0]
-    m = (full.size + 1) // 2
-    return Autocorr1D.from_nonneg(full[m - 1:])
+def _constraint_products(vals: np.ndarray) -> np.ndarray | None:
+    """Entry n-1 times entry n*n-n of each flattened n-by-n row (last axis).
 
-
-def _constraint_products(values: np.ndarray, n: int) -> np.ndarray:
-    """Entry n-1 times entry n*n-n of each flattened n-by-n row (last axis)."""
-    if values.shape[-1] != n * n:
-        raise ValueError(f"candidate length {values.shape[-1]} is not {n}x{n}")
-    if n < 2:
-        raise ValueError("constraint product needs n >= 2")
-    return values[..., n - 1] * values[..., n * n - n]
-
-
-def _f_values(vals: np.ndarray) -> np.ndarray | None:
-    """Constraint products of rows of square length n*n, n >= 2; None for other lengths."""
-    n = math.isqrt(vals.shape[1])
-    return _constraint_products(vals, n) if n * n == vals.shape[1] and n >= 2 else None
+    n is read off the row length; None when that length is not n*n with n >= 2.
+    """
+    n = math.isqrt(vals.shape[-1])
+    if n * n != vals.shape[-1] or n < 2:
+        return None
+    return vals[..., n - 1] * vals[..., n * n - n]
 
 
 def _wrap_candidates(masks: np.ndarray, vals: np.ndarray,
                      residuals: np.ndarray) -> list[Candidate]:
-    """Candidate objects for array rows, with the f_value of _f_values."""
-    f = _f_values(vals)
+    """Candidate objects for array rows, with their constraint products as f_value."""
+    f = _constraint_products(vals)
     return [
         Candidate(Signal1D(vals[i]), int(masks[i]), float(residuals[i]),
                   None if f is None else float(f[i]))
@@ -369,15 +357,14 @@ def reconstruct_candidate(
     fu: FlipUnits,
     flips: int,
     r_peak: float,
-    target: Autocorr1D | None = None,
+    target: Autocorr1D,
 ) -> Candidate:
     """Build the signal selected by a flip mask.
 
     The polynomial prod (z - beta) is expanded one real factor per flip unit
     and scaled by sqrt(|r_peak| * prod 1/|beta|); the sign is canonicalized so the
     first nonzero entry is positive. The autocorrelation residual is measured
-    against ``target`` when given, otherwise against the autocorrelation
-    implied by the units themselves.
+    against ``target``.
     """
     if r_peak == 0:
         raise ValueError("extreme lag must be nonzero")
@@ -385,8 +372,6 @@ def reconstruct_candidate(
         raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
     masks = np.array([flips], dtype=np.int64)
     vals = _scale_rows(_expand_zero_products(fu.units, masks), r_peak)
-    if target is None:
-        target = _pairing_autocorr(fu, r_peak)
     if target.m != vals.shape[1]:
         raise ValueError(
             f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"
@@ -413,7 +398,10 @@ def f_direct(y, n: int) -> float:
     grid entry used by key_constraint for any true preimage.
     """
     values = y.values.values if isinstance(y, Candidate) else y.values
-    return float(_constraint_products(values, n))
+    f = _constraint_products(values) if values.size == n * n else None
+    if f is None:
+        raise ValueError(f"candidate length {values.size} is not {n}x{n} with n >= 2")
+    return float(f)
 
 
 def f_vieta(fu: FlipUnits, flips: int, r_peak: float, n: int) -> float:
@@ -429,6 +417,6 @@ def f_vieta(fu: FlipUnits, flips: int, r_peak: float, n: int) -> float:
     e_low = elementary_symmetric(betas, n - 1)
     e_high = elementary_symmetric([1.0 / np.conj(b) for b in betas], n - 1)
     out = abs(r_peak) * e_low * e_high
-    if not abs(out.imag) <= REAL_RTOL * max(abs(out), abs(r_peak)):  # nan fails too
+    if not abs(out.imag) <= SYMMETRY_RTOL * max(abs(out), abs(r_peak)):  # nan fails too
         raise NonRealResult(f"constraint product {out:.6g} has a non-real residue")
     return float(out.real)

@@ -11,16 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Autocorr1D, Autocorr2D, Matrix2D, autocorr_1d, autocorr_2d, vectorize_rowwise
+from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
+from .core import autocorr_1d, autocorr_2d, vectorize_rowwise
 from .errors import AsymmetricInput, DegenerateSize
-
-ASYMMETRY_RTOL = 1e-8
 
 
 def _check_symmetry(R: Autocorr2D) -> None:
     v = R.values
     asym = np.abs(v - v[::-1, ::-1]).max()
-    if asym > ASYMMETRY_RTOL * np.abs(v).max():
+    if asym > SYMMETRY_RTOL * np.abs(v).max():
         raise AsymmetricInput(f"lag grid asymmetry {asym:.3e} exceeds tolerance")
 
 
@@ -33,10 +32,15 @@ def reduce_2d_to_1d(R: Autocorr2D) -> Autocorr1D:
       ell > n*(n-1)     -> R(n-1, j)
       otherwise         -> R(i, j) + R(i+1, j-n)
 
-    Negative lags follow by symmetry. Row i, column j of `half` below is lag
-    ell = i*n + j; grid entry R(i, j) sits at v[i + n-1, j + n-1].
+    Negative lags follow by symmetry. Row i, column j of `half` in
+    _reduce_unchecked is lag ell = i*n + j; grid entry R(i, j) sits at v[i + n-1, j + n-1].
     """
     _check_symmetry(R)
+    return _reduce_unchecked(R)
+
+
+def _reduce_unchecked(R: Autocorr2D) -> Autocorr1D:
+    """reduce_2d_to_1d of a grid whose symmetry the caller has checked."""
     n = R.n
     v = R.values
     half = np.empty((n, n))

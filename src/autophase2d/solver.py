@@ -17,24 +17,22 @@ from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
 from .polyfactor import (
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
+    ENDPOINT_RTOL,
     Candidate,
-    associated_polynomial,
     elementary_symmetric,
-    f_direct,
-    find_zero_pairs,
     group_flip_units,
     _constraint_products,
     _expand_zero_products,
     _residual_rows,
     _scale_rows,
     _wrap_candidates,
+    _zero_pairs,
     _zero_product_table,
 )
-from .reduction import key_constraint, reduce_2d_to_1d
+from .reduction import _reduce_unchecked, key_constraint
 
 DEFAULT_TOL_RESID = 1e-6
 DEFAULT_TOL_MATCH = 1e-6
-SUPPORT_RTOL = 1e-12
 # Past this many flip units solve and census use the half tables; at or below
 # it one full table costs less than two half tables plus re-expansion.
 CROSSOVER_UNITS = 8
@@ -65,19 +63,22 @@ class SolverOptions:
 
 def _support_length(r: Autocorr1D) -> int:
     """Largest lag carrying signal, measured against the overall scale."""
-    cut = SUPPORT_RTOL * r.max_abs
+    cut = ENDPOINT_RTOL * r.max_abs
     half = np.abs(r.nonneg)
     live = np.nonzero(half > cut)[0]
     return int(live[-1]) + 1 if live.size else 0
 
 
 def _factor(r: Autocorr1D, opts: SolverOptions):
-    """(autocorrelation trimmed to its support, flip units, extreme lag); None if r == 0."""
+    """(autocorrelation trimmed to its support, flip units, extreme lag); None if r == 0.
+
+    The trimmed lags are palindromic and end in a nonzero lag, as _zero_pairs needs.
+    """
     if r.max_abs == 0.0:
         return None
     support = _support_length(r)
     core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
-    pairing = find_zero_pairs(associated_polynomial(core), opts.tol_pair, opts.tol_root)
+    pairing = _zero_pairs(core.values, opts.tol_pair, opts.tol_root)
     return core, group_flip_units(pairing).units, pairing.scale
 
 
@@ -244,7 +245,12 @@ def filter_by_constraint(
     scale_floor: float = 0.0,
 ) -> list[Candidate]:
     """Candidates whose constraint product matches c, in the original order."""
-    products = np.array([f_direct(y, n) for y in candidates], dtype=float)
+    if not candidates:
+        return []
+    vals = np.array([y.values.values for y in candidates])
+    products = _constraint_products(vals) if vals.shape[1] == n * n else None
+    if products is None:
+        raise ValueError(f"candidate length {vals.shape[1]} is not {n}x{n} with n >= 2")
     keep = _matches_constraint(products, c, tol_match, scale_floor)
     return [y for y, k in zip(candidates, keep) if k]
 
@@ -280,7 +286,7 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
     factors = _factor(r, opts)
     if not _split(factors):
         masks, vals, residuals = _table_arrays(r, factors, opts.tol_resid)
-        keep = _matches_constraint(_constraint_products(vals, n), c, tol, floor)
+        keep = _matches_constraint(_constraint_products(vals), c, tol, floor)
         return masks.size, masks[keep], vals[keep], residuals[keep]
 
     halves = _Halves(factors, opts.tol_resid)
@@ -316,12 +322,12 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     """
     opts = opts or SolverOptions()
     n = R.n
-    c = key_constraint(R)
-    r = reduce_2d_to_1d(R)
+    c = key_constraint(R)  # refuses n < 2 and an asymmetric grid
+    r = _reduce_unchecked(R)
     floor = 1e-9 * r.max_abs
     total, masks, vals, residuals = _survivors(
         r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
-    keep = _matches_constraint(_constraint_products(vals, n), c, opts.tol_match, floor)
+    keep = _matches_constraint(_constraint_products(vals), c, opts.tol_match, floor)
     matches = _wrap_candidates(masks[keep], vals[keep], residuals[keep])
     tolerances = opts.to_dict()
     tolerances["scale_floor"] = floor
@@ -376,11 +382,13 @@ def ambiguity_census(
     """
     if r.m != n * n:
         raise ValueError(f"autocorrelation of length {r.m} does not match n={n}")
+    if n < 2:
+        raise ValueError("constraint product needs n >= 2")
     opts = opts or SolverOptions()
     factors = _factor(r, opts)
     if not _split(factors):
         _, vals, _ = _table_arrays(r, factors, opts.tol_resid)
-        return _census_from_products(_constraint_products(vals, n), n, seed)
+        return _census_from_products(_constraint_products(vals), n, seed)
     halves = _Halves(factors, opts.tol_resid)
     # one value per candidate, then a CSV line each: the budget of enumerate
     _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")

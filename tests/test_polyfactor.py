@@ -237,22 +237,13 @@ def test_reconstruct_golden_base(golden_r):
     assert y.f_value == pytest.approx(-234.0, abs=1e-6)
 
 
-def test_reconstruct_without_target(golden_r):
-    # residual against the pairing's own autocorrelation stays at roundoff
-    zp = golden_pairing(golden_r)
-    fu = group_flip_units(zp)
-    for flips in range(8):
-        y = reconstruct_candidate(fu, flips, zp.scale)
-        assert y.autocorr_residual <= 1e-10
-
-
 def test_reconstruct_validates_arguments(golden_r):
     zp = golden_pairing(golden_r)
     fu = group_flip_units(zp)
     with pytest.raises(ValueError):
-        reconstruct_candidate(fu, 8, zp.scale)
+        reconstruct_candidate(fu, 8, zp.scale, target=golden_r)
     with pytest.raises(ValueError):
-        reconstruct_candidate(fu, 0, 0.0)
+        reconstruct_candidate(fu, 0, 0.0, target=golden_r)
     with pytest.raises(ValueError):
         reconstruct_candidate(fu, 0, zp.scale, target=Autocorr1D.from_nonneg([1.0, 0.5]))
 
@@ -260,9 +251,9 @@ def test_reconstruct_validates_arguments(golden_r):
 def test_flipped_masks_share_autocorrelation(golden_r):
     zp = golden_pairing(golden_r)
     fu = group_flip_units(zp)
-    base = autocorr_1d(reconstruct_candidate(fu, 0, zp.scale).values)
+    base = autocorr_1d(reconstruct_candidate(fu, 0, zp.scale, target=golden_r).values)
     for flips in range(1, 8):
-        y = reconstruct_candidate(fu, flips, zp.scale)
+        y = reconstruct_candidate(fu, flips, zp.scale, target=golden_r)
         got = autocorr_1d(y.values)
         assert np.max(np.abs(got.values - base.values)) <= 1e-9 * np.max(np.abs(base.values))
 

@@ -70,6 +70,8 @@ def test_reduce_rejects_asymmetric_grid(golden_grid):
     bad[0, 0] += 1.0
     with pytest.raises(AsymmetricInput):
         reduce_2d_to_1d(Autocorr2D(2, bad))
+    with pytest.raises(AsymmetricInput):
+        key_constraint(Autocorr2D(2, bad))
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())

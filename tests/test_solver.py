@@ -24,7 +24,7 @@ from autophase2d import (
     trivially_equivalent_1d,
     trivially_equivalent_2d,
 )
-from autophase2d import AutophaseError, ResidualExceeded, SearchSpaceTooLarge, solver
+from autophase2d import AutophaseError, ResidualExceeded, SearchSpaceTooLarge, reduction, solver
 from autophase2d.polyfactor import (
     _autocorr_rows,
     associated_polynomial,
@@ -152,6 +152,7 @@ def test_filter_golden(golden_r):
     assert filter_by_constraint(candidates, -570.0, 2)[0].flips == 2
     assert filter_by_constraint(candidates, 1e9, 2) == []
     assert filter_by_constraint(candidates, -234.0, 2, tol_match=math.inf) == candidates
+    assert filter_by_constraint([], -234.0, 2) == []
 
 
 def test_filter_scale_floor():
@@ -159,6 +160,15 @@ def test_filter_scale_floor():
     # c = 0 and no floor keeps exact zero products only; the floor admits roundoff
     assert filter_by_constraint(candidates, 0.0, 2, 1e-6, scale_floor=0.0) == []
     assert filter_by_constraint(candidates, 0.0, 2, 1e-6, scale_floor=1e12) == candidates
+
+
+def test_filter_rejects_candidates_of_the_wrong_length(golden_r):
+    golden = enumerate_candidates(golden_r)  # length 4
+    short = enumerate_candidates(autocorr_1d(Signal1D([1.0, 2.0, 3.0])))
+    single = enumerate_candidates(autocorr_1d(Signal1D([2.0])))
+    for candidates, n in [(golden, 3), (short, 2), (golden + short, 2), (single, 1)]:
+        with pytest.raises(ValueError):
+            filter_by_constraint(candidates, -234.0, n)
 
 
 # --- end-to-end solve -----------------------------------------------------------
@@ -169,6 +179,14 @@ def prefilter_survivors(candidates, report):
     tol = report.tolerances
     return filter_by_constraint(candidates, report.key_constraint_value, report.n,
                                 solver.PREFILTER_SLACK * tol["tol_match"], tol["scale_floor"])
+
+
+def test_solve_checks_grid_symmetry_once(golden_grid, monkeypatch):
+    calls = []
+    check = reduction._check_symmetry
+    monkeypatch.setattr(reduction, "_check_symmetry", lambda R: calls.append(R) or check(R))
+    solve_2d(golden_grid)
+    assert calls == [golden_grid]
 
 
 def test_solve_golden(golden_grid, golden_matrix):
