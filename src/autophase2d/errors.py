@@ -20,7 +20,7 @@ class InvalidOversampling(AutophaseError):
 
 
 class NotAnAutocorrelation(AutophaseError):
-    """Inverse transform of the magnitude data is not a real symmetric grid."""
+    """Inverse transform of the magnitude data is not real."""
 
 
 class AsymmetricInput(AutophaseError):

@@ -21,6 +21,8 @@ from .solver import SolverOptions, solve_2d
 SEARCH_BUDGET = 10**8
 EXACT_LIMIT = 2**53
 _CHUNK = 1 << 18
+# A unique match counts as the planted signal within this many times max|X|.
+EQUIV_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ def planted_roundtrip(
     trials: int,
     seed: int,
     opts: SolverOptions | None = None,
-    tol_equiv: float = 1e-6,
 ) -> dict:
     """Solve autocorrelations of seeded Gaussian matrices and score the outcomes.
 
@@ -130,7 +131,7 @@ def planted_roundtrip(
             })
             continue
         scale = float(np.abs(X.values).max())
-        if trivially_equivalent_2d(X, report.solution, tol_equiv * scale):
+        if trivially_equivalent_2d(X, report.solution, EQUIV_RTOL * scale):
             successes += 1
         else:
             silent_wrong += 1

@@ -291,17 +291,13 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
 
     halves = _Halves(factors, opts.tol_resid)
     rows_a = halves.A.shape[0]
-    if math.isinf(tol):
-        _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "survivor entries")
-        idx = np.arange(halves.total, dtype=np.int64)
-    else:
-        hits, count = [], 0
-        for j0, f in halves.products(n):
-            hit = np.flatnonzero(_matches_constraint(f, c, tol, floor))
-            count += hit.size
-            _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
-            hits.append(hit + j0 * rows_a)
-        idx = np.concatenate(hits)
+    hits, count = [], 0
+    for j0, f in halves.products(n):
+        hit = np.flatnonzero(_matches_constraint(f, c, tol, floor))
+        count += hit.size
+        _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
+        hits.append(hit + j0 * rows_a)
+    idx = np.concatenate(hits)
     i, j = idx % rows_a, idx // rows_a
     masks = halves.masks(j, i)
     vals = halves.rows(i, j)
@@ -356,25 +352,19 @@ class CensusData:
     d: np.ndarray
     v: list  # log of consecutive gaps; None marks a gap of zero (or below)
     n: int
-    seed: int | None = None
 
 
-def _census_from_products(products: np.ndarray, n: int, seed: int | None) -> CensusData:
+def _census_from_products(products: np.ndarray, n: int) -> CensusData:
     d = np.sort(np.asarray(products, dtype=float))
     top = d[-1]
     if top != 0.0:
         d = d / top
     gaps = np.diff(d)
     v = [math.log(g) if g > 0 else None for g in gaps.tolist()]
-    return CensusData(d=d, v=v, n=n, seed=seed)
+    return CensusData(d=d, v=v, n=n)
 
 
-def ambiguity_census(
-    r: Autocorr1D,
-    n: int,
-    opts: SolverOptions | None = None,
-    seed: int | None = None,
-) -> CensusData:
+def ambiguity_census(r: Autocorr1D, n: int, opts: SolverOptions | None = None) -> CensusData:
     """Constraint products of all candidates, sorted and scaled to end at 1.
 
     The normalization divides the signed sorted values by the largest one, so
@@ -388,14 +378,14 @@ def ambiguity_census(
     factors = _factor(r, opts)
     if not _split(factors):
         _, vals, _ = _table_arrays(r, factors, opts.tol_resid)
-        return _census_from_products(_constraint_products(vals), n, seed)
+        return _census_from_products(_constraint_products(vals), n)
     halves = _Halves(factors, opts.tol_resid)
     # one value per candidate, then a CSV line each: the budget of enumerate
     _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")
     products = np.empty(halves.total)
     for j0, f in halves.products(n):
         products[j0 * f.shape[1]:(j0 + f.shape[0]) * f.shape[1]] = f.ravel()
-    return _census_from_products(products, n, seed)
+    return _census_from_products(products, n)
 
 
 @dataclass(frozen=True)

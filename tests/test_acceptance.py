@@ -227,7 +227,7 @@ def test_6_census_properties(capsys):
     def build():
         rng = np.random.default_rng(42)
         r = autocorr_1d(Signal1D(rng.standard_normal(9)))
-        return ambiguity_census(r, 3, seed=42)
+        return ambiguity_census(r, 3)
 
     census = build()
     gaps = np.diff(census.d)

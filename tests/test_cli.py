@@ -165,7 +165,7 @@ def _enumerate_text(r):
 
 def _census_text(n, seed):
     r = autocorr_1d(Signal1D(np.random.default_rng(seed).standard_normal(n * n)))
-    return census_csv(ambiguity_census(r, n, seed=seed))
+    return census_csv(ambiguity_census(r, n))
 
 
 def _lag_sequence(m, seed, first=None):
@@ -320,6 +320,67 @@ def test_nonpositive_tolerance_rejected(capsys):
     code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000", "--tol-match", "0")
     assert code == 2
     assert error_payload(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("solve", "--input", "R.json", "--tol-match", "inf"), None),
+    (("solve", "--input", "R.json", "--tol-root", "inf"), None),
+    (("enumerate", "--input", "r.json", "--tol-resid", "inf"), None),
+    (("solve", "--input", "R.json", "--tol-pair", "nan"), None),
+    (("solve", "--input", "R.json"), '{"tol_match": 1e400}'),
+    (("enumerate", "--input", "r.json"), '{"tol_resid": Infinity}'),
+], ids=["tol-match-inf", "tol-root-inf", "tol-resid-inf", "tol-pair-nan", "config-1e400",
+         "config-Infinity"])
+def test_nonfinite_tolerance_is_refused_before_any_work(
+    golden_files, capsys, tmp_path, monkeypatch, argv, config
+):
+    (tmp_path / "r.json").write_text(dumps({"m": 4, "values": GOLDEN_R1D}) + "\n")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+
+    def refuse(cfg):
+        raise AssertionError("a command ran with a non-finite tolerance")
+
+    monkeypatch.setattr(autophase2d.cli, "_dispatch", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    payload = error_payload(err)
+    assert payload["error"] == "ConfigError"
+    assert "must be positive" in payload["detail"]
+
+
+@pytest.mark.parametrize("config, argv, detail", [
+    (None, ("probe", "--n", "3", "--alpha", "1000"), "cannot read config file"),
+    ("{not json", ("probe", "--n", "3", "--alpha", "1000"), "config file is not valid JSON"),
+    ("[1, 2]", ("probe", "--n", "3", "--alpha", "1000"), "config file must hold a JSON object"),
+    ("{}", ("census", "--n", "3"), "census requires --seed when no --input is given"),
+    ("{}", ("probe", "--n", "3", "--alpha", "1000", "--output", ""),
+     "output path must be nonempty"),
+], ids=["unreadable", "invalid-json", "not-an-object", "census-without-seed", "empty-output"])
+def test_config_refusals_exit_2(capsys, tmp_path, config, argv, detail):
+    cfg = tmp_path / "cfg.json"  # left unwritten, so unreadable, when config is None
+    if config is not None:
+        cfg.write_text(config)
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    payload = error_payload(err)
+    assert payload["error"] == "ConfigError"
+    assert detail in payload["detail"]
+
+
+def test_input_that_is_not_an_object_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2, 3]")
+    code, out, err = run_cli(capsys, "solve", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    payload = error_payload(err)
+    assert payload["error"] == "InputError"
+    assert payload["detail"].endswith("expected a JSON object")
 
 
 def test_roundtrip_negative_trials_rejected(capsys):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autophase2d.jsonio import census_csv, dumps, format_float
+from autophase2d.jsonio import (
+    census_csv,
+    dumps,
+    format_float,
+    load_autocorr1d,
+    load_autocorr2d,
+    load_matrix2d,
+)
 from autophase2d.solver import CensusData
 
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
@@ -135,3 +142,22 @@ def test_census_csv_bytes():
             census_csv(census)
     with pytest.raises(ValueError, match="value inf$"):
         census_csv(CensusData(d=np.array([0.25, 0.5, 1.0]), v=[None, math.inf], n=2))
+
+
+@pytest.mark.parametrize("load, data, message", [
+    (load_matrix2d, {"rows": [[1.0]]}, "matrix: missing field 'n'"),
+    (load_autocorr2d, {"n": 1}, "lag grid: missing field 'values'"),
+    (load_autocorr2d, {"n": 2.0, "values": [[0.0] * 3] * 3},
+     "lag grid: field 'n' must be an integer"),
+    (load_autocorr2d, {"n": True, "values": [[1.0]]}, "lag grid: field 'n' must be an integer"),
+    (load_autocorr1d, {"m": "2", "values": [1.0, 2.0, 1.0]},
+     "lag sequence: field 'm' must be an integer"),
+    (load_autocorr1d, {"m": 2, "values": [1.0, 2.0, 1.0, 0.0]},
+     "lag sequence: expected 3 values, got 4"),
+    (load_autocorr1d, {"m": 2, "values": [1.0, 2.0, 1.5]},
+     "lag sequence: asymmetry 5.000e-01 exceeds"),
+], ids=["missing-n", "missing-values", "float-n", "bool-n", "string-m", "wrong-length",
+        "asymmetric"])
+def test_loaders_refuse_malformed_input(load, data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(data)

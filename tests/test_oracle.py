@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from autophase2d import (
     Autocorr2D,
     Matrix2D,
+    NoMatch,
     SearchSpaceTooLarge,
+    UnitCircleZero,
     autocorr_2d,
     exhaustive_integer_search,
+    oracle,
     planted_roundtrip,
 )
 
@@ -92,3 +97,33 @@ def test_roundtrip_rejects_negative_trials():
     with pytest.raises(ValueError):
         planted_roundtrip(2, -1, seed=0)
     assert planted_roundtrip(2, 0, seed=0)["failures"] == 0
+
+
+def test_roundtrip_scores_every_outcome(monkeypatch, golden_grid):
+    """One solver outcome per trial: success, no match, typed error, two matches, wrong."""
+    real = oracle.solve_2d
+    failed = dataclasses.replace(real(golden_grid), residuals=[0.5, 0.25])
+
+    def no_match(R):
+        raise NoMatch("no candidate matches", report=failed)
+
+    def unit_circle(R):
+        raise UnitCircleZero("zero on the unit circle")
+
+    def two_matches(R):
+        report = real(R)
+        return dataclasses.replace(report, matches=report.matches * 2, unique=False)
+
+    def wrong(R):
+        report = real(R)
+        return dataclasses.replace(report, solution=Matrix2D(2, report.solution.values + 1.0))
+
+    outcomes = iter([real, no_match, unit_circle, two_matches, wrong])
+    monkeypatch.setattr(oracle, "solve_2d", lambda R, opts=None: next(outcomes)(R))
+    record = planted_roundtrip(2, 5, seed=7)
+    assert record["successes"] == 1
+    assert record["failures"] == 4
+    assert record["silent_wrong"] == 1
+    assert [(f["trial"], f["kind"]) for f in record["flagged"]] == [
+        (1, "no_match"), (2, "UnitCircleZero"), (3, "multiple_matches"), (4, "silent_wrong")]
+    assert record["max_residual"] == 0.5  # the NoMatch report's worst residual

@@ -275,8 +275,7 @@ def test_census_golden_all_negative_products(golden_r):
 def test_census_seeded_instance():
     rng = np.random.default_rng(42)
     r = autocorr_1d(Signal1D(rng.standard_normal(9)))
-    census = ambiguity_census(r, 3, seed=42)
-    assert census.seed == 42
+    census = ambiguity_census(r, 3)
     assert len(census.d) == 16
     assert np.all(np.diff(census.d) > 0)
     assert all(v is not None for v in census.v)
@@ -527,3 +526,15 @@ def test_n7_enumeration_is_refused_before_allocating():
 def test_n6_enumeration_fits_the_budget():
     _, units, _ = solver._factor(reduce_2d_to_1d(autocorr_2d(planted(6, 0))), SolverOptions())
     assert (1 << (len(units) - 1)) * 36 <= solver.MATERIALIZE_BUDGET
+
+
+def test_infinite_tol_match_keeps_every_candidate_past_the_crossover():
+    # the prefilter of the half tables admits every product; the budget allows n = 4
+    R = autocorr_2d(planted(4, 0))
+    assert unit_count(R) > solver.CROSSOVER_UNITS
+    report = solve_2d(R, SolverOptions(tol_match=math.inf))
+    candidates = enumerate_candidates(reduce_2d_to_1d(R))
+    assert not report.unique
+    assert report.candidates_total == len(candidates)
+    assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in candidates]
+    assert report.residuals == [y.autocorr_residual for y in candidates]
