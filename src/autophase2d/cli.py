@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for f in fields(SolverOptions):
         parser.add_argument(
             "--" + f.name.replace("_", "-"), type=float, dest=f.name,
-            help=f"positive tolerance (default {f.default:g})",
+            help=f"positive finite tolerance (default {f.default:g})",
         )
     return parser
 
@@ -187,8 +187,10 @@ def _write_text(path: str, text: str) -> None:
 def _enumerate_text(r: Autocorr1D, opts: SolverOptions) -> str:
     """The JSON of enumerate_candidates(r, opts), written straight from the candidate arrays.
 
-    Each candidate is one "%" template over its row of values, its flip mask,
-    its residual and its constraint product (null unless m is a square n*n).
+    One "%" fills a template repeated per candidate from one flat tuple: each
+    row's values, flip mask, residual and constraint product (null unless m is
+    a square n*n). Masks stay below 2^25 (MATERIALIZE_BUDGET), so they pass
+    through floats exactly.
     """
     masks, vals, residuals = _candidate_arrays(r, opts)
     f = _constraint_products(vals)
@@ -198,8 +200,8 @@ def _enumerate_text(r: Autocorr1D, opts: SolverOptions) -> str:
     row = ('{"values": ' + jsonio.row_template(r.m) + ', "flips": %d, '
            '"autocorr_residual": ' + jsonio.FLOAT + ', "f_value": '
            + ("null" if f is None else jsonio.FLOAT) + "}")
-    rows = zip(vals.tolist(), masks.tolist(), *(a.tolist() for a in tail))
-    body = ", ".join(row % (*v, *rest) for v, *rest in rows)
+    table = np.column_stack([vals, masks, *tail])
+    body = ", ".join([row] * masks.size) % tuple(table.ravel().tolist())
     return f'{{"m": {r.m}, "candidates_total": {masks.size}, "candidates": [{body}]}}\n'
 
 

@@ -8,6 +8,7 @@ at index m-1, and the 2D autocorrelation of an n-by-n matrix as a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,10 @@ from .errors import InvalidOversampling, LengthMismatch, NotAnAutocorrelation
 
 # Relative tolerance for every "this should have been exactly real/symmetric" check.
 SYMMETRY_RTOL = 1e-8
+# measurements_to_autocorr_2d keeps the inverse DFT matrices of this many grid
+# sizes, each of at most CACHED_DFT_SIDE points a side (16 bytes an entry).
+CACHED_DFT_SIZES = 4
+CACHED_DFT_SIDE = 256
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -105,11 +110,19 @@ class Autocorr1D:
 
     @classmethod
     def from_nonneg(cls, half) -> "Autocorr1D":
-        """Build from lags 0..m-1, mirroring exactly onto the negative side."""
+        """Build from lags 0..m-1, mirroring exactly onto the negative side.
+
+        The mirror is finite, of length 2m-1 and symmetric by construction, so
+        __post_init__ does not check it again; max |mirror| is max |half| exactly.
+        """
         h = _finite_float_array(half, "autocorrelation half")
         if h.ndim != 1 or h.size < 1:
             raise ValueError(f"expected a nonempty half spectrum, got shape {h.shape}")
-        return cls(h.size, np.concatenate([h[:0:-1], h]))
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", h.size)
+        object.__setattr__(out, "values", _freeze(np.concatenate([h[:0:-1], h])))
+        object.__setattr__(out, "max_abs", float(np.abs(h).max()))
+        return out
 
     def lag(self, ell: int) -> float:
         return float(self.values[ell + self.m - 1])
@@ -224,6 +237,11 @@ def dft_matrix(m: int, cols: int | None = None) -> np.ndarray:
     return np.exp(-2j * np.pi * np.multiply.outer(k, p) / m)
 
 
+@functools.lru_cache(maxsize=CACHED_DFT_SIZES)
+def _cached_inverse_dft(m: int) -> np.ndarray:
+    return _freeze(np.conj(dft_matrix(m)))
+
+
 def fourier_magnitude_2d(X: Matrix2D, m: int) -> MagnitudeGrid:
     """Squared magnitude of the zero-padded m-by-m Fourier transform of X."""
     F = dft_matrix(m, X.n)
@@ -241,7 +259,7 @@ def measurements_to_autocorr_2d(Y: MagnitudeGrid) -> Autocorr2D:
     transform of any real grid has a point-symmetric real part, up to roundoff.
     """
     m, n = Y.m, Y.n
-    G = np.conj(dft_matrix(m))
+    G = _cached_inverse_dft(m) if m <= CACHED_DFT_SIDE else np.conj(dft_matrix(m))
     grid = (G @ Y.values @ G.T) / (m * m)
     if np.abs(grid.imag).max() > SYMMETRY_RTOL * np.abs(grid.real).max():
         raise NotAnAutocorrelation("inverse transform has a non-real residue")

@@ -79,14 +79,21 @@ def dumps(obj) -> str:
 
 
 def census_csv(census) -> str:
-    """CSV with columns index, d, log_gap; an undefined log gap is left empty."""
+    """CSV with columns index, d, log_gap; an undefined log gap is left empty.
+
+    One "%" fills the whole table: one template per row, from one flat tuple.
+    """
     d = np.asarray(census.d, dtype=float)
     require_finite(d)
     gaps = list(census.v[: d.size]) + [None] * (d.size - len(census.v))
-    require_finite(np.array([g for g in gaps if g is not None], dtype=float))
-    rows = ["%d,%.17g," % (i, x) if gap is None else "%d,%.17g,%.17g" % (i, x, gap)
-            for i, (x, gap) in enumerate(zip(d.tolist(), gaps))]
-    return "\n".join(["index,d,log_gap", *rows]) + "\n"
+    defined = [g is not None for g in gaps]
+    g = np.array([0.0 if gap is None else gap for gap in gaps], dtype=float)
+    require_finite(g)
+    table = np.column_stack([np.arange(d.size), d, g])
+    keep = np.ones(table.shape, dtype=bool)
+    keep[:, 2] = defined
+    rows = ["%d,%.17g,%.17g" if k else "%d,%.17g," for k in defined]
+    return "\n".join(["index,d,log_gap", *rows]) % tuple(table[keep].tolist()) + "\n"
 
 
 def _require(mapping: dict, key: str, kind, context: str):

@@ -9,12 +9,14 @@ with their conjugates so that every candidate stays real.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .core import SYMMETRY_RTOL, Autocorr1D, Signal1D
+from .core import SYMMETRY_RTOL, Autocorr1D, Signal1D, _freeze
 from .errors import (
     NonRealResult,
     RootFindingFailed,
@@ -27,6 +29,9 @@ ENDPOINT_RTOL = 1e-12  # lags at or below this times max|r| count as zero
 
 DEFAULT_TOL_ROOT = 1e-8
 DEFAULT_TOL_PAIR = 1e-6
+
+# _chebyshev_roots keeps the colleague-matrix bases of this many degrees.
+CACHED_DEGREES = 16
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -78,17 +83,9 @@ class ZeroPairing:
     scale: float  # leading coefficient, i.e. the extreme lag value
 
 
-def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
-    """Zeros of the Chebyshev series sum_k a[k] T_k(x), as a complex array.
-
-    The colleague matrix is built, and rotated, exactly as numpy's
-    chebcompanion and chebroots do; numpy.polynomial itself is not imported
-    because loading it costs import time and memory on every run. Real zeros
-    come back with imaginary part exactly 0, complex ones as exact conjugates.
-    """
-    d = a.size - 1
-    if d == 1:
-        return np.array([-a[0] / a[1]], dtype=complex)
+@functools.lru_cache(maxsize=CACHED_DEGREES)
+def _colleague_base(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The colleague matrix of degree d before its last-column update, and scl / scl[-1]."""
     mat = np.zeros((d, d))
     scl = np.array([1.0] + [_SQRT_HALF] * (d - 1))
     top = mat.reshape(-1)[1::d + 1]
@@ -96,8 +93,35 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
     top[0] = _SQRT_HALF
     top[1:] = 0.5
     bot[...] = top
-    mat[:, -1] -= (a[:-1] / a[-1]) * (scl / scl[-1]) * 0.5
-    return np.linalg.eigvals(mat[::-1, ::-1]).astype(complex)
+    return _freeze(mat), _freeze(scl / scl[-1])
+
+
+def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
+    """Zeros of the Chebyshev series sum_k a[k] T_k(x), as a complex array.
+
+    The colleague matrix is built, and rotated, exactly as numpy's
+    chebcompanion and chebroots do; numpy.polynomial itself is not imported
+    because loading it costs import time and memory on every run. Real zeros
+    come back with imaginary part exactly 0, complex ones as exact conjugates.
+
+    The eigenvalues come from the LAPACK call np.linalg.eigvals makes, with its
+    finiteness check, without its wrapper. LAPACK non-convergence sets the
+    invalid-value flag, as it does for np.linalg.eigvals, and raises
+    RootFindingFailed here.
+    """
+    d = a.size - 1
+    if d == 1:
+        return np.array([-a[0] / a[1]], dtype=complex)
+    base, ratio = _colleague_base(d)
+    mat = base.copy()
+    mat[:, -1] -= (a[:-1] / a[-1]) * ratio * 0.5
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.eigvals(mat[::-1, ::-1], signature="d->D")
+    except FloatingPointError:
+        raise RootFindingFailed("eigenvalues of the colleague matrix did not converge") from None
 
 
 def find_zero_pairs(
@@ -274,32 +298,37 @@ def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand_zero_products(units, masks: np.ndarray, first: int = 0,
+def _factor_arrays(units) -> list[np.ndarray]:
+    """Per flip unit, its factor's lower coefficients unflipped (row 0) and flipped (row 1)."""
+    return [np.array([unit.factor(False), unit.factor(True)]) for unit in units]
+
+
+def _expand_zero_products(factors, masks: np.ndarray, first: int = 0,
                           coeffs: np.ndarray | None = None) -> np.ndarray:
     """Ascending coefficients of prod (z - beta) per mask, in real arithmetic.
 
-    `coeffs`, one row per mask, holds the product over units[:first] (the
-    empty product when omitted); bit k of a mask flips unit k.
+    `factors` are the units' _factor_arrays. `coeffs`, one row per mask, holds
+    the product over units[:first] (the empty product when omitted); bit k of a
+    mask flips unit k.
     """
     if coeffs is None:
         coeffs = np.ones((masks.size, 1))
-    for k in range(first, len(units)):
-        choices = np.array([units[k].factor(False), units[k].factor(True)])
-        coeffs = _multiply_factor_rows(coeffs, choices[(masks >> k) & 1])
+    for k in range(first, len(factors)):
+        coeffs = _multiply_factor_rows(coeffs, factors[k][(masks >> k) & 1])
     return coeffs
 
 
-def _zero_product_table(units, pinned: bool) -> np.ndarray:
-    """_expand_zero_products of every mask over `units`, in ascending mask order.
+def _zero_product_table(factors, pinned: bool) -> np.ndarray:
+    """_expand_zero_products of every mask over the units of `factors`, in ascending
+    mask order.
 
     Built by doubling: unit k's two factors are applied to the table of units
     0..k-1, the unflipped product on top. With `pinned` the first unit stays
     unflipped, which halves the table.
     """
     table = np.ones((1, 1))
-    for k, unit in enumerate(units):
-        choices = (False,) if pinned and k == 0 else (False, True)
-        lower = np.array([[unit.factor(flipped)] for flipped in choices])
+    for k, choices in enumerate(factors):
+        lower = choices[:1 if pinned and k == 0 else 2, None]
         table = _multiply_factor_rows(table, lower).reshape(-1, table.shape[1] + lower.shape[-1])
     return table
 
@@ -371,7 +400,7 @@ def reconstruct_candidate(
     if not 0 <= flips < (1 << fu.unit_count):
         raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
     masks = np.array([flips], dtype=np.int64)
-    vals = _scale_rows(_expand_zero_products(fu.units, masks), r_peak)
+    vals = _scale_rows(_expand_zero_products(_factor_arrays(fu.units), masks), r_peak)
     if target.m != vals.shape[1]:
         raise ValueError(
             f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"

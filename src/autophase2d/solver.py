@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .polyfactor import (
     group_flip_units,
     _constraint_products,
     _expand_zero_products,
+    _factor_arrays,
     _residual_rows,
     _scale_rows,
     _wrap_candidates,
@@ -58,7 +59,8 @@ class SolverOptions:
     tol_match: float = DEFAULT_TOL_MATCH
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"tol_root": self.tol_root, "tol_pair": self.tol_pair,
+                "tol_resid": self.tol_resid, "tol_match": self.tol_match}
 
 
 def _support_length(r: Autocorr1D) -> int:
@@ -70,7 +72,8 @@ def _support_length(r: Autocorr1D) -> int:
 
 
 def _factor(r: Autocorr1D, opts: SolverOptions):
-    """(autocorrelation trimmed to its support, flip units, extreme lag); None if r == 0.
+    """(autocorrelation trimmed to its support, the flip units' _factor_arrays,
+    extreme lag); None if r == 0.
 
     The trimmed lags are palindromic and end in a nonzero lag, as _zero_pairs needs.
     """
@@ -79,7 +82,7 @@ def _factor(r: Autocorr1D, opts: SolverOptions):
     support = _support_length(r)
     core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
     pairing = _zero_pairs(core.values, opts.tol_pair, opts.tol_root)
-    return core, group_flip_units(pairing).units, pairing.scale
+    return core, _factor_arrays(group_flip_units(pairing).units), pairing.scale
 
 
 def _refuse_beyond(count: int, budget: int, what: str) -> None:
@@ -114,11 +117,11 @@ def _table_arrays(r: Autocorr1D, factors, tol_resid: float):
     """Flip masks, rows and residuals of every candidate, from one full table."""
     if factors is None:
         return np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1)
-    core, units, scale = factors
-    count = 1 << max(len(units) - 1, 0)
+    core, unit_factors, scale = factors
+    count = 1 << max(len(unit_factors) - 1, 0)
     _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
     masks = np.arange(count, dtype=np.int64) << 1
-    vals = _scale_rows(_zero_product_table(units, pinned=True), scale)
+    vals = _scale_rows(_zero_product_table(unit_factors, pinned=True), scale)
     residuals = _residual_rows(vals, core)
     _gate_rows(masks, residuals, tol_resid)
     return masks, _pad(vals, r.m), residuals
@@ -162,13 +165,13 @@ class _Halves:
     """
 
     def __init__(self, factors, tol_resid: float):
-        core, self.units, self.scale = factors
-        u = len(self.units)
+        core, self.unit_factors, self.scale = factors
+        u = len(self.unit_factors)
         self.total = 1 << (u - 1)
         _refuse_beyond(self.total, CANDIDATE_BUDGET, "candidates")
         self.a = (u - 1) // 2
-        self.A = _zero_product_table(self.units[:self.a + 1], pinned=True)
-        self.B = _zero_product_table(self.units[self.a + 1:], pinned=False)
+        self.A = _zero_product_table(self.unit_factors[:self.a + 1], pinned=True)
+        self.B = _zero_product_table(self.unit_factors[self.a + 1:], pinned=False)
         self._gate(core, tol_resid)
 
     def masks(self, j: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -213,7 +216,7 @@ class _Halves:
 
     def rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Candidate rows (i, j), expanded from their A rows as the full table would."""
-        coeffs = _expand_zero_products(self.units, self.masks(j, i), self.a + 1, self.A[i])
+        coeffs = _expand_zero_products(self.unit_factors, self.masks(j, i), self.a + 1, self.A[i])
         return _scale_rows(coeffs, self.scale)
 
 

@@ -71,3 +71,16 @@ def elementary_symmetric_oracle(values, k):
     """e_k from the signed coefficients of prod (z - v)."""
     coeffs = np.poly(np.asarray(values, dtype=complex))
     return complex((-1) ** k * coeffs[k])
+
+
+@pytest.fixture
+def lapack_not_converging(monkeypatch):
+    """Make the LAPACK eigenvalue call fail as it does when it does not converge:
+    nan eigenvalues and the floating-point invalid flag, raised under the caller's errstate."""
+    from numpy.linalg import _umath_linalg
+
+    def not_converging(a, signature):
+        np.subtract(np.inf, np.inf)
+        return np.full(a.shape[-1], complex(np.nan, np.nan))
+
+    monkeypatch.setattr(_umath_linalg, "eigvals", not_converging)

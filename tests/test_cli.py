@@ -233,6 +233,15 @@ def test_stdout_is_the_serialized_library_result(
     assert out == library({"X": golden_matrix, "R": golden_grid, "r": golden_r})
 
 
+def test_eigenvalue_nonconvergence_exits_1(capsys, golden_files, lapack_not_converging):
+    code, out, err = run_cli(capsys, "solve", "--input", str(golden_files[1]))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "RootFindingFailed",
+        "detail": "eigenvalues of the colleague matrix did not converge",
+    }
+
+
 def test_enumerate_builds_no_object_per_candidate(capsys, tmp_path, monkeypatch):
     seq = tmp_path / "r4.json"
     seq.write_text(dumps(SEQ4.to_dict()) + "\n")

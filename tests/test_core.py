@@ -21,6 +21,8 @@ from autophase2d import (
     trivially_equivalent_2d,
     vectorize_rowwise,
 )
+from autophase2d import core
+from autophase2d.core import dft_matrix
 from conftest import autocorr_1d_oracle, autocorr_2d_oracle
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -74,6 +76,23 @@ def test_autocorr1d_from_nonneg_mirrors_exactly():
     assert r.lag(1) == r.lag(-1)
     assert r.lag(0) == 5.0
     assert np.array_equal(r.nonneg, [5.0, 0.1 + 0.2])
+
+
+def test_from_nonneg_refuses_what_the_constructor_refuses():
+    for bad in ([1.0, np.nan], [np.inf], [[1.0, 2.0]], []):
+        with pytest.raises(ValueError):
+            Autocorr1D.from_nonneg(bad)
+
+
+@pytest.mark.parametrize("half", [[2.0], [5.0, -7.5, 0.1 + 0.2], [-3.0, 1.0, 0.0, -0.0]])
+def test_from_nonneg_equals_the_checked_constructor(half):
+    h = np.asarray(half)
+    r = Autocorr1D.from_nonneg(half)
+    checked = Autocorr1D(h.size, np.concatenate([h[:0:-1], h]))
+    assert r.m == checked.m
+    assert r.values.tobytes() == checked.values.tobytes()
+    assert r.max_abs == checked.max_abs
+    assert not r.values.flags.writeable
 
 
 def test_autocorr2d_shape_checks():
@@ -184,6 +203,33 @@ def test_measurements_roundtrip(n, m):
     scale = np.max(np.abs(expected.values))
     assert np.max(np.abs(R.values - expected.values)) <= 1e-10 * scale
     assert np.array_equal(R.values, R.values[::-1, ::-1])
+
+
+def test_inverse_dft_cache_is_read_only_and_exact():
+    for m in (3, 7, 12):
+        G = core._cached_inverse_dft(m)
+        assert not G.flags.writeable
+        assert G.tobytes() == np.conj(dft_matrix(m)).tobytes()
+
+
+def test_front_end_gives_the_same_bits_twice():
+    X = Matrix2D(3, np.random.default_rng(5).standard_normal((3, 3)))
+    Y = fourier_magnitude_2d(X, 6)
+    first = measurements_to_autocorr_2d(Y).values.tobytes()
+    assert measurements_to_autocorr_2d(Y).values.tobytes() == first
+
+
+def test_inverse_dft_cache_stays_bounded():
+    X = Matrix2D(1, [[2.0]])
+    for m in range(1, 4 * core.CACHED_DFT_SIZES):
+        measurements_to_autocorr_2d(fourier_magnitude_2d(X, m))
+    assert core._cached_inverse_dft.cache_info().currsize <= core.CACHED_DFT_SIZES
+    big = core.CACHED_DFT_SIDE + 1  # past the side bound the matrix is built per call
+    R = measurements_to_autocorr_2d(fourier_magnitude_2d(X, big))
+    assert R.values.tolist() == [[pytest.approx(4.0)]]
+    core._cached_inverse_dft.cache_clear()
+    measurements_to_autocorr_2d(fourier_magnitude_2d(X, big))
+    assert core._cached_inverse_dft.cache_info().currsize == 0
 
 
 def test_measurements_reject_tampered_grid():

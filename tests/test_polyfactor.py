@@ -30,7 +30,13 @@ from autophase2d import (
     reconstruct_candidate,
     trivially_equivalent_1d,
 )
-from autophase2d.polyfactor import _autocorr_rows, _expand_zero_products
+from autophase2d import polyfactor
+from autophase2d.polyfactor import (
+    _autocorr_rows,
+    _chebyshev_roots,
+    _expand_zero_products,
+    _factor_arrays,
+)
 from conftest import GOLDEN_ZEROS, elementary_symmetric_oracle
 
 # Seeded signals whose zeros give both real and conjugate-pair flip units.
@@ -139,6 +145,36 @@ def test_unit_circle_band_is_tol_pair(golden_r):
 def test_root_tolerance_is_enforced(golden_r):
     with pytest.raises(RootFindingFailed):
         find_zero_pairs(associated_polynomial(golden_r), tol_root=1e-300)
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_chebyshev_roots_are_numpys_eigvals_bit_for_bit(d):
+    from numpy.polynomial.chebyshev import chebcompanion
+
+    a = np.random.default_rng(d).standard_normal(d + 1)
+    want = np.linalg.eigvals(chebcompanion(a)[::-1, ::-1]).astype(complex)
+    got = _chebyshev_roots(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def test_colleague_bases_are_bounded_and_read_only():
+    for d in range(2, 3 * polyfactor.CACHED_DEGREES):
+        _chebyshev_roots(np.random.default_rng(d).standard_normal(d + 1))
+    assert polyfactor._colleague_base.cache_info().currsize <= polyfactor.CACHED_DEGREES
+    for base in polyfactor._colleague_base(5):
+        assert not base.flags.writeable
+
+
+def test_eigenvalue_nonconvergence_is_root_finding_failed(lapack_not_converging, golden_r):
+    with pytest.raises(RootFindingFailed, match="did not converge"):
+        find_zero_pairs(associated_polynomial(golden_r))
+
+
+def test_nonfinite_colleague_matrix_keeps_numpys_refusal():
+    P = Polynomial([1e-320, 0.0, 1e300, 0.0, 1e-320])  # 1e300 / 2e-320 overflows
+    with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                  match="must not contain infs or NaNs"):
+        find_zero_pairs(P)
 
 
 def nearest_match_error(ours, reference):
@@ -264,12 +300,23 @@ def test_real_expansion_matches_np_poly(m, seed):
     kinds = {type(u) for u in fu.units}
     assert kinds == {RealZero, ConjugatePair}
     masks = np.arange(1 << fu.unit_count, dtype=np.int64)
-    got = _expand_zero_products(fu.units, masks)
+    got = _expand_zero_products(_factor_arrays(fu.units), masks)
     assert got.dtype == np.float64
     for mask, row in zip(masks, got):
         want = np.poly(np.array(fu.betas(int(mask))))[::-1]
         assert np.isrealobj(want)  # np.poly returns real for conjugate-closed zeros
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
+def test_factor_arrays_hold_each_units_factors(m, seed):
+    _, _, fu = seeded_units(m, seed)
+    arrays = _factor_arrays(fu.units)
+    assert len(arrays) == fu.unit_count
+    for unit, choices in zip(fu.units, arrays):
+        assert choices.shape == (2, 1 if isinstance(unit, RealZero) else 2)
+        assert choices[0].tolist() == list(unit.factor(False))
+        assert choices[1].tolist() == list(unit.factor(True))
 
 
 def autocorr_rows_per_lag(vals):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -54,7 +55,8 @@ def test_solver_options_defaults():
     assert opts.tol_pair == 1e-6
     assert opts.tol_resid == 1e-6
     assert opts.tol_match == 1e-6
-    assert set(opts.to_dict()) == {"tol_root", "tol_pair", "tol_resid", "tol_match"}
+    assert list(opts.to_dict().items()) == [
+        (f.name, getattr(opts, f.name)) for f in dataclasses.fields(SolverOptions)]
 
 
 # --- enumeration ----------------------------------------------------------------
