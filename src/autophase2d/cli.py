@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import shutil
 import sys
 from dataclasses import fields
 
@@ -72,19 +71,17 @@ def _emit_error(name: str, detail: str) -> None:
     sys.stderr.write(json.dumps({"error": name, "detail": detail}) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     epilog = "commands:\n" + "".join(
         f"  {name:<10} {help_text} (needs --{', --'.join(needs)})\n"
         for name, (help_text, needs) in _COMMANDS.items()
     )
-    # argparse builds a formatter per add_argument, and by default each one asks
-    # for the terminal size: ask once, with argparse's rule (columns - 2).
-    width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
         prog="autophase2d",
         description=__doc__,
         epilog=epilog,
-        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "command", choices=_COMMANDS, metavar="command", help="one of the commands below"

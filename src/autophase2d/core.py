@@ -4,6 +4,10 @@ Lag-indexed data uses a fixed offset layout throughout the package: the 1D
 autocorrelation of a length-m signal is stored as 2m-1 values with lag zero
 at index m-1, and the 2D autocorrelation of an n-by-n matrix as a
 (2n-1)-square grid with the zero lag at (n-1, n-1).
+
+Containers that hold arrays are declared with eq=False, so they compare and
+hash by identity: a generated field-wise == would raise on any array of two
+or more elements.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ def _finite_float_array(values, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix2D:
     """Real square signal, the recovery target."""
 
@@ -66,7 +70,7 @@ class Matrix2D:
         return {"n": self.n, "rows": [[float(v) for v in row] for row in self.values]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal1D:
     """Real vector signal."""
 
@@ -82,7 +86,7 @@ class Signal1D:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Autocorr1D:
     """Symmetric 1D autocorrelation.
 
@@ -93,7 +97,7 @@ class Autocorr1D:
     m: int
     values: np.ndarray  # length 2m-1, lag ell stored at index ell + m - 1
     # max |values|, the scale every relative tolerance on r is taken against
-    max_abs: float = field(init=False, repr=False, compare=False)
+    max_abs: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -136,7 +140,7 @@ class Autocorr1D:
         return {"m": self.m, "values": [float(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Autocorr2D:
     """2D autocorrelation grid over lags (-(n-1)..n-1)^2.
 
@@ -166,7 +170,7 @@ class Autocorr2D:
         return {"n": self.n, "values": [[float(v) for v in row] for row in self.values]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagnitudeGrid:
     """Squared Fourier magnitudes of an n-by-n signal on an m-by-m grid."""
 

@@ -36,7 +36,7 @@ CACHED_DEGREES = 16
 _SQRT_HALF = math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Real polynomial with ascending coefficients; trailing zeros are trimmed."""
 
@@ -74,7 +74,7 @@ def associated_polynomial(r: Autocorr1D) -> Polynomial:
     return Polynomial(r.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroPairing:
     """Zeros grouped into reflected pairs, keeping the representative outside the circle."""
 
@@ -107,16 +107,25 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
     The eigenvalues come from the LAPACK call np.linalg.eigvals makes, with its
     finiteness check, without its wrapper. LAPACK non-convergence sets the
     invalid-value flag, as it does for np.linalg.eigvals, and raises
-    RootFindingFailed here.
+    RootFindingFailed here. So does a leading coefficient so small against the
+    others that the matrix's last column (or the d = 1 root) overflows.
     """
     d = a.size - 1
+    with np.errstate(over="ignore"):  # a non-finite column is refused below
+        if d == 1:
+            column = np.array([-a[0] / a[1]])
+        else:
+            base, ratio = _colleague_base(d)
+            column = (a[:-1] / a[-1]) * ratio * 0.5
+    if not np.isfinite(column).all():
+        raise RootFindingFailed(
+            f"colleague matrix overflows: leading coefficient {a[-1]:.3e} "
+            f"against {np.abs(a).max():.3e}"
+        )
     if d == 1:
-        return np.array([-a[0] / a[1]], dtype=complex)
-    base, ratio = _colleague_base(d)
+        return column.astype(complex)
     mat = base.copy()
-    mat[:, -1] -= (a[:-1] / a[-1]) * ratio * 0.5
-    if not np.isfinite(mat).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    mat[:, -1] -= column
     try:
         with np.errstate(all="ignore", invalid="raise"):
             return _umath_linalg.eigvals(mat[::-1, ::-1], signature="d->D")

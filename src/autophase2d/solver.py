@@ -348,7 +348,7 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensusData:
     """Sorted normalized constraint products of every candidate, with log gaps."""
 

@@ -1,6 +1,5 @@
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -427,18 +426,19 @@ def test_help_lists_every_command(capsys):
         assert f"\n  {name} " in out
 
 
-def test_parser_reads_the_terminal_width_once(monkeypatch):
-    calls = []
-    real = shutil.get_terminal_size
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    init = autophase2d.cli._Parser.__init__
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr("shutil.get_terminal_size", spy)
-    parser = autophase2d.cli._build_parser()
-    parser.format_help()
-    assert len(calls) == 1
+    monkeypatch.setattr(autophase2d.cli._Parser, "__init__", spy)
+    autophase2d.cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")[0] == 0
+    assert len(built) == 1
 
 
 def test_help_follows_the_terminal_width(capsys, monkeypatch):

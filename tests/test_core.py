@@ -23,6 +23,8 @@ from autophase2d import (
 )
 from autophase2d import core
 from autophase2d.core import dft_matrix
+from autophase2d.polyfactor import Polynomial, ZeroPairing
+from autophase2d.solver import CensusData
 from conftest import autocorr_1d_oracle, autocorr_2d_oracle
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -265,3 +267,28 @@ def test_trivially_equivalent_2d(golden_matrix):
     assert not trivially_equivalent_2d(golden_matrix, transposed, 1e-6)
     with pytest.raises(ValueError):
         trivially_equivalent_2d(golden_matrix, Matrix2D.from_rows([[1.0]]), 0.0)
+
+
+# --- array containers ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Matrix2D(2, [1.0, 2.0, 3.0, 4.0]),
+        lambda: Signal1D([1.0, 2.0]),
+        lambda: Autocorr1D(2, [1.0, 5.0, 1.0]),
+        lambda: Autocorr2D(2, np.ones((3, 3))),
+        lambda: MagnitudeGrid(3, 2, np.ones((3, 3))),
+        lambda: Polynomial([1.0, 2.0, 1.0]),
+        lambda: ZeroPairing(np.array([2.0, 3.0 + 1j]), np.zeros(2), 1.0),
+        lambda: CensusData(np.array([0.5, 1.0]), [float(np.log(0.5))], 2),
+    ],
+    ids=["Matrix2D", "Signal1D", "Autocorr1D", "Autocorr2D", "MagnitudeGrid",
+         "Polynomial", "ZeroPairing", "CensusData"],
+)
+def test_array_containers_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b}) == 2

@@ -170,11 +170,13 @@ def test_eigenvalue_nonconvergence_is_root_finding_failed(lapack_not_converging,
         find_zero_pairs(associated_polynomial(golden_r))
 
 
-def test_nonfinite_colleague_matrix_keeps_numpys_refusal():
-    P = Polynomial([1e-320, 0.0, 1e300, 0.0, 1e-320])  # 1e300 / 2e-320 overflows
-    with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError,
-                                                  match="must not contain infs or NaNs"):
-        find_zero_pairs(P)
+@pytest.mark.parametrize("coeffs", [
+    [1e-320, 0.0, 1e300, 0.0, 1e-320],  # 1e300 / 2e-320 overflows the last column
+    [1e-320, 1e300, 1e-320],  # and the d = 1 root
+], ids=["degree-4", "degree-2"])
+def test_nonfinite_colleague_matrix_is_a_typed_refusal(coeffs):
+    with pytest.raises(RootFindingFailed, match="colleague matrix overflows"):
+        find_zero_pairs(Polynomial(coeffs))
 
 
 def nearest_match_error(ours, reference):
