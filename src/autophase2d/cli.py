@@ -26,6 +26,7 @@ from .reduction import reduce_2d_to_1d
 from .solver import (
     SolverOptions,
     _candidate_arrays,
+    _refuse_support,
     ambiguity_census,
     asymptotic_probe,
     solve_2d,
@@ -219,6 +220,7 @@ def _dispatch(cfg: argparse.Namespace) -> str:
         if cfg.input is not None:
             r = jsonio.load_autocorr1d(_read_json(cfg.input))
         else:
+            _refuse_support(cfg.n * cfg.n)
             rng = np.random.default_rng(cfg.seed)
             r = autocorr_1d(Signal1D(rng.standard_normal(cfg.n * cfg.n)))
         census = ambiguity_census(r, cfg.n, opts)

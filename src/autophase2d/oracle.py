@@ -25,7 +25,7 @@ _CHUNK = 1 << 18
 EQUIV_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     solutions: list[Matrix2D]  # every exact preimage, lexicographic by entries
     classes: list[Matrix2D]  # one representative per sign / half-turn class

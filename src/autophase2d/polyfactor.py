@@ -32,6 +32,9 @@ DEFAULT_TOL_PAIR = 1e-6
 
 # _chebyshev_roots keeps the colleague-matrix bases of this many degrees.
 CACHED_DEGREES = 16
+# Entries per chunk: of the zero-padded rows in _autocorr_rows, and of the
+# constraint products in the solver's half-table path.
+CHUNK_PRODUCTS = 1 << 20
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -357,11 +360,24 @@ def _scale_rows(coeffs: np.ndarray, r_peak: float) -> np.ndarray:
 
 
 def _autocorr_rows(vals: np.ndarray) -> np.ndarray:
-    """Nonnegative-lag autocorrelation of each row."""
-    m = vals.shape[1]
-    out = np.empty_like(vals)
-    for ell in range(m):
-        out[:, ell] = np.add.reduce(vals[:, : m - ell] * vals[:, ell:], axis=1)
+    """Nonnegative-lag autocorrelation of each row, in one einsum over shifted views.
+
+    Lag l of a row y is the sum over t of y[t] * y[l + t], in the order of
+    einsum's inner loop over t. The rows are copied, zero-padded to 2w - 1,
+    CHUNK_PRODUCTS // (2w - 1) at a time. Both operands come from that copy,
+    so a row's lags do not depend on the layout, batch or chunk it came in.
+    """
+    rows, w = vals.shape
+    out = np.empty((rows, w))
+    step = max(1, CHUNK_PRODUCTS // (2 * w - 1))
+    for r0 in range(0, rows, step):
+        chunk = vals[r0:r0 + step]
+        padded = np.zeros((chunk.shape[0], 2 * w - 1))
+        padded[:, :w] = chunk
+        row, col = padded.strides
+        shifted = np.ndarray((chunk.shape[0], w, w), buffer=padded, strides=(row, col, col))
+        # shifted[r, l, t] = padded[r, l + t]: entry l + t of the row, or 0 past its end
+        np.einsum("rt,rlt->rl", padded[:, :w], shifted, out=out[r0:r0 + step])
     return out
 
 

@@ -15,12 +15,14 @@ import numpy as np
 from .core import Autocorr1D, Autocorr2D, Matrix2D, reshape_rowwise
 from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
 from .polyfactor import (
+    CHUNK_PRODUCTS,
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
     ENDPOINT_RTOL,
     Candidate,
     elementary_symmetric,
     group_flip_units,
+    _autocorr_rows,
     _constraint_products,
     _expand_zero_products,
     _factor_arrays,
@@ -37,8 +39,6 @@ DEFAULT_TOL_MATCH = 1e-6
 # Past this many flip units solve and census use the half tables; at or below
 # it one full table costs less than two half tables plus re-expansion.
 CROSSOVER_UNITS = 8
-# Constraint products computed per chunk of B rows in the half-table path.
-CHUNK_PRODUCTS = 1 << 20
 # Largest candidate count (2^(u-1)) the half-table path takes on.
 CANDIDATE_BUDGET = 1 << 27
 # Largest candidate count times candidate length that enumerate, census or the
@@ -80,6 +80,7 @@ def _factor(r: Autocorr1D, opts: SolverOptions):
     if r.max_abs == 0.0:
         return None
     support = _support_length(r)
+    _refuse_support(support)
     core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
     pairing = _zero_pairs(core.values, opts.tol_pair, opts.tol_root)
     return core, _factor_arrays(group_flip_units(pairing).units), pairing.scale
@@ -88,6 +89,21 @@ def _factor(r: Autocorr1D, opts: SolverOptions):
 def _refuse_beyond(count: int, budget: int, what: str) -> None:
     if count > budget:
         raise SearchSpaceTooLarge(f"{count} {what} exceed the budget of {budget}")
+
+
+def _refuse_support(length: int) -> None:
+    """Refuse `length` nonnegative lags whose candidates must exceed CANDIDATE_BUDGET.
+
+    They hold d = length - 1 reflected zero pairs, and a flip unit holds at
+    most two, so there are at least ceil(d/2) units and 2^(ceil(d/2) - 1)
+    candidates. Compared by exponent: the count can be astronomically large.
+    """
+    least = length // 2 - 1  # ceil(d/2) - 1
+    if least >= CANDIDATE_BUDGET.bit_length():
+        raise SearchSpaceTooLarge(
+            f"{length} lags give at least 2^{least} candidates, "
+            f"beyond the budget of {CANDIDATE_BUDGET}"
+        )
 
 
 def _pad(vals: np.ndarray, m: int) -> np.ndarray:
@@ -138,20 +154,6 @@ def _split(factors) -> bool:
     return factors is not None and len(factors[1]) > CROSSOVER_UNITS
 
 
-def _lag_products(T: np.ndarray) -> np.ndarray:
-    """Nonnegative-lag autocorrelation of each row, in one einsum over shifted views.
-
-    Several times faster than _autocorr_rows on half tables, but it sums in
-    another order, so the residuals that enumerate prints keep _autocorr_rows.
-    """
-    rows, w = T.shape
-    padded = np.zeros((rows, 2 * w - 1))
-    padded[:, :w] = T
-    row, step = padded.strides
-    shifted = np.ndarray((rows, w, w), buffer=padded, strides=(row, step, step))
-    return np.einsum("rt,rlt->rl", T, shifted)  # shifted[r, l, t] = T[r, l + t] or 0
-
-
 class _Halves:
     """Candidates as products of two half tables.
 
@@ -179,7 +181,7 @@ class _Halves:
 
     def _gate(self, core: Autocorr1D, tol: float) -> None:
         with np.errstate(all="ignore"):  # inf and nan rows fail below
-            norm = [_lag_products(T) / np.abs(T[:, :1]) for T in (self.A, self.B)]
+            norm = [_autocorr_rows(T) / np.abs(T[:, :1]) for T in (self.A, self.B)]
             gaps = [np.abs(h - h[0]).max(axis=1) / np.abs(h[0]).max() for h in norm]
             sides = [np.concatenate([h[0, :0:-1], h[0]]) for h in norm]
             full = abs(self.scale) * np.convolve(*sides)[core.m - 1:]
@@ -258,7 +260,7 @@ def filter_by_constraint(
     return [y for y, k in zip(candidates, keep) if k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     n: int
     candidates_total: int

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,14 @@ def test_no_match_exits_1(golden_files, capsys, tmp_path):
     assert error_payload(err)["error"] == "NoMatch"
 
 
+def test_census_of_an_oversized_draw_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "--seed", "1", "--n", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert error_payload(err)["error"] == "SearchSpaceTooLarge"
+
+
 def test_probe_alpha_validation_exits_2(capsys):
     code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "3")
     assert code == 2
@@ -524,6 +533,14 @@ def test_oracle_refuses_inexact_lag_values(tmp_path):
     path.write_text(json.dumps({"n": 2, "values": [[1e308] * 3] * 3}))
     assert_single_error_line(run_module("oracle", "--input", str(path), "--bound", "1"),
                              "InputError")
+
+
+def test_enumerate_prints_the_same_bytes_in_fresh_processes(tmp_path):
+    path = tmp_path / "r4.json"
+    path.write_text(dumps(SEQ4.to_dict()) + "\n")
+    first, second = (run_module("enumerate", "--input", str(path)) for _ in range(2))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
 
 
 def test_module_entry_point(tmp_path):

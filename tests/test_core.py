@@ -23,8 +23,9 @@ from autophase2d import (
 )
 from autophase2d import core
 from autophase2d.core import dft_matrix
+from autophase2d.oracle import exhaustive_integer_search
 from autophase2d.polyfactor import Polynomial, ZeroPairing
-from autophase2d.solver import CensusData
+from autophase2d.solver import CensusData, solve_2d
 from conftest import autocorr_1d_oracle, autocorr_2d_oracle
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -283,9 +284,11 @@ def test_trivially_equivalent_2d(golden_matrix):
         lambda: Polynomial([1.0, 2.0, 1.0]),
         lambda: ZeroPairing(np.array([2.0, 3.0 + 1j]), np.zeros(2), 1.0),
         lambda: CensusData(np.array([0.5, 1.0]), [float(np.log(0.5))], 2),
+        lambda: solve_2d(autocorr_2d(Matrix2D(2, [1.0, 2.0, 3.0, 5.0]))),
+        lambda: exhaustive_integer_search(autocorr_2d(Matrix2D(2, [1.0, 0.0, 1.0, -1.0])), 1),
     ],
     ids=["Matrix2D", "Signal1D", "Autocorr1D", "Autocorr2D", "MagnitudeGrid",
-         "Polynomial", "ZeroPairing", "CensusData"],
+         "Polynomial", "ZeroPairing", "CensusData", "SolveReport", "OracleResult"],
 )
 def test_array_containers_compare_and_hash_by_identity(make):
     a, b = make(), make()

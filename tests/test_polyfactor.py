@@ -330,12 +330,36 @@ def autocorr_rows_per_lag(vals):
     return out
 
 
-@pytest.mark.parametrize("rows", [1, 256])
-@pytest.mark.parametrize("width", range(1, 17))
-def test_autocorr_rows_are_the_per_lag_sums(rows, width):
+def scaled_rows(rows, width):
     rng = np.random.default_rng(width)
-    vals = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-8, 8, (rows, width))
-    assert np.array_equal(_autocorr_rows(vals), autocorr_rows_per_lag(vals))
+    return rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-8, 8, (rows, width))
+
+
+KERNEL_SHAPES = [(rows, width) for width in range(1, 17) for rows in (1, 256)] + [(64, 25)]
+
+
+@pytest.mark.parametrize("rows,width", KERNEL_SHAPES,
+                         ids=[f"{width}-{rows}" for rows, width in KERNEL_SHAPES])
+def test_autocorr_rows_are_the_per_lag_sums(rows, width):
+    """Equal up to summation order: each lag differs by at most w eps times the row's
+    lag 0, which bounds the sum of |products| (Cauchy-Schwarz)."""
+    vals = scaled_rows(rows, width)
+    got, want = _autocorr_rows(vals), autocorr_rows_per_lag(vals)
+    assert (np.abs(got - want) <= width * np.finfo(float).eps * want[:, :1]).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 9, 16, 25])
+def test_autocorr_rows_do_not_depend_on_batch_offset_or_chunk(monkeypatch, width):
+    vals = scaled_rows(10, width)
+    batch = _autocorr_rows(vals)
+    for i, row in enumerate(vals):
+        assert np.array_equal(_autocorr_rows(row[None]), batch[i:i + 1])
+        for offset in range(8):
+            buf = np.empty(offset + width)
+            buf[offset:] = row
+            assert np.array_equal(_autocorr_rows(buf[offset:][None]), batch[i:i + 1])
+    monkeypatch.setattr(polyfactor, "CHUNK_PRODUCTS", 3 * (2 * width - 1))  # 3 rows a chunk
+    assert np.array_equal(_autocorr_rows(vals), batch)
 
 
 @pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)

@@ -25,9 +25,15 @@ from autophase2d import (
     trivially_equivalent_1d,
     trivially_equivalent_2d,
 )
-from autophase2d import AutophaseError, ResidualExceeded, SearchSpaceTooLarge, reduction, solver
+from autophase2d import (
+    AutophaseError,
+    ResidualExceeded,
+    SearchSpaceTooLarge,
+    polyfactor,
+    reduction,
+    solver,
+)
 from autophase2d.polyfactor import (
-    _autocorr_rows,
     associated_polynomial,
     find_zero_pairs,
     group_flip_units,
@@ -446,13 +452,6 @@ def test_half_table_census_matches_full_table(monkeypatch, n, seed):
     assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
 
-@pytest.mark.parametrize("rows,width", [(1, 1), (3, 2), (16, 9), (64, 25)])
-def test_lag_products_match_the_row_loop(rows, width):
-    T = np.random.default_rng(width).standard_normal((rows, width)) * 10.0 ** np.arange(width)
-    want = _autocorr_rows(T)
-    assert np.max(np.abs(solver._lag_products(T) - want)) <= 1e-14 * np.max(np.abs(want))
-
-
 def nan_half_row(monkeypatch, which, row, value):
     table = solver._zero_product_table
 
@@ -507,6 +506,18 @@ def test_n9_is_refused_by_type_quickly(seed):
     with pytest.raises(SearchSpaceTooLarge):
         solve_2d(R)
     assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_support_is_refused_before_root_finding(monkeypatch):
+    def refuse(a):
+        raise AssertionError("root finding ran")
+
+    solver._refuse_support(57)  # 28 units at least: 2^27 candidates fit the budget
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^28 candidates"):
+        solver._refuse_support(58)
+    monkeypatch.setattr(polyfactor, "_chebyshev_roots", refuse)
+    with pytest.raises(SearchSpaceTooLarge, match=r"64 lags give at least 2\^31 candidates"):
+        solve_2d(autocorr_2d(planted(8, 0)))
 
 
 def test_n7_enumeration_is_refused_before_allocating():
