@@ -18,17 +18,16 @@ from dataclasses import fields
 import numpy as np
 
 from . import jsonio
-from .core import Autocorr1D, Signal1D, autocorr_1d, autocorr_2d
+from .core import Signal1D, autocorr_1d, autocorr_2d
 from .errors import AutophaseError
 from .oracle import exhaustive_integer_search, planted_roundtrip
-from .polyfactor import _constraint_products
 from .reduction import reduce_2d_to_1d
 from .solver import (
     SolverOptions,
-    _candidate_arrays,
-    _refuse_support,
     ambiguity_census,
     asymptotic_probe,
+    check_support_budget,
+    enumerate_candidates,
     solve_2d,
 )
 
@@ -130,6 +129,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
+        known = {*_SETTINGS, *(f.name for f in fields(SolverOptions))}
+        unknown = [key for key in file_values if key not in known]
+        if unknown:
+            raise ConfigError(f"config file has unknown keys: {', '.join(map(repr, unknown))}")
 
     def pick(key, kind):
         flag = getattr(args, key)
@@ -156,12 +159,14 @@ def _validate(cfg: argparse.Namespace) -> None:
     missing = [key for key in _COMMANDS[cfg.command][1] if getattr(cfg, key) in (None, "")]
     if missing:
         raise ConfigError(f"{cfg.command} requires --{', --'.join(missing)}")
-    if cfg.command in ("census", "roundtrip") and cfg.n < 2:
+    if cfg.command in ("census", "probe", "roundtrip") and cfg.n < 2:
         raise ConfigError(f"{cfg.command} needs n >= 2, got {cfg.n}")
     if cfg.command == "census" and cfg.input is None and cfg.seed is None:
         raise ConfigError("census requires --seed when no --input is given")
     if cfg.command == "roundtrip" and cfg.trials < 0:
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
+    if cfg.command == "oracle" and cfg.bound < 0:
+        raise ConfigError(f"bound must be nonnegative, got {cfg.bound}")
     if not cfg.output:
         raise ConfigError("output path must be nonempty")
 
@@ -182,27 +187,6 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _enumerate_text(r: Autocorr1D, opts: SolverOptions) -> str:
-    """The JSON of enumerate_candidates(r, opts), written straight from the candidate arrays.
-
-    One "%" fills a template repeated per candidate from one flat tuple: each
-    row's values, flip mask, residual and constraint product (null unless m is
-    a square n*n). Masks stay below 2^25 (MATERIALIZE_BUDGET), so they pass
-    through floats exactly.
-    """
-    masks, vals, residuals = _candidate_arrays(r, opts)
-    f = _constraint_products(vals)
-    tail = [residuals] if f is None else [residuals, f]
-    for a in [vals, *tail]:
-        jsonio.require_finite(a)
-    row = ('{"values": ' + jsonio.row_template(r.m) + ', "flips": %d, '
-           '"autocorr_residual": ' + jsonio.FLOAT + ', "f_value": '
-           + ("null" if f is None else jsonio.FLOAT) + "}")
-    table = np.column_stack([vals, masks, *tail])
-    body = ", ".join([row] * masks.size) % tuple(table.ravel().tolist())
-    return f'{{"m": {r.m}, "candidates_total": {masks.size}, "candidates": [{body}]}}\n'
-
-
 def _dispatch(cfg: argparse.Namespace) -> str:
     opts = cfg.options
     if cfg.command == "autocorr":
@@ -215,12 +199,15 @@ def _dispatch(cfg: argparse.Namespace) -> str:
         R = jsonio.load_autocorr2d(_read_json(cfg.input))
         return jsonio.dumps(solve_2d(R, opts).to_dict()) + "\n"
     if cfg.command == "enumerate":
-        return _enumerate_text(jsonio.load_autocorr1d(_read_json(cfg.input)), opts)
+        r = jsonio.load_autocorr1d(_read_json(cfg.input))
+        table = enumerate_candidates(r, opts)
+        payload = {"m": r.m, "candidates_total": len(table), "candidates": table}
+        return jsonio.dumps(payload) + "\n"
     if cfg.command == "census":
         if cfg.input is not None:
             r = jsonio.load_autocorr1d(_read_json(cfg.input))
         else:
-            _refuse_support(cfg.n * cfg.n)
+            check_support_budget(cfg.n * cfg.n)
             rng = np.random.default_rng(cfg.seed)
             r = autocorr_1d(Signal1D(rng.standard_normal(cfg.n * cfg.n)))
         census = ambiguity_census(r, cfg.n, opts)

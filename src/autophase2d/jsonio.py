@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
+from .polyfactor import Candidates
 
 
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
@@ -51,6 +52,20 @@ def _float_array(values) -> str:
     return nest(a.tolist(), a.ndim)
 
 
+def _candidates(table: Candidates) -> str:
+    """JSON array of one candidate object per row, filled by one "%" from one flat
+    tuple. Masks pass through floats: exact below 2^53 (the solver's are below 2^28)."""
+    f = table.f_values
+    tail = [table.autocorr_residuals] if f is None else [table.autocorr_residuals, f]
+    for a in [table.values, *tail]:
+        require_finite(a)
+    row = ('{"values": ' + row_template(table.values.shape[1]) + ', "flips": %d, '
+           '"autocorr_residual": ' + FLOAT + ', "f_value": '
+           + ("null" if f is None else FLOAT) + "}")
+    cells = np.column_stack([table.values, table.flips, *tail])
+    return "[" + ", ".join([row] * len(table)) % tuple(cells.ravel().tolist()) + "]"
+
+
 def dumps(obj) -> str:
     """Single-line JSON with deterministic float formatting."""
     if obj is None:
@@ -65,6 +80,8 @@ def dumps(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
+    if isinstance(obj, Candidates):
+        return _candidates(obj)
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("JSON object keys must be strings")
@@ -119,6 +136,8 @@ def load_autocorr2d(data: dict) -> Autocorr2D:
 
 def load_autocorr1d(data: dict) -> Autocorr1D:
     m = _require(data, "m", int, "lag sequence")
+    if m < 1:
+        raise ValueError(f"lag sequence: m must be positive, got {m}")
     values = np.asarray(_require(data, "values", list, "lag sequence"), dtype=float)
     if values.shape != (2 * m - 1,):
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")

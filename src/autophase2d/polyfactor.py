@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -270,24 +270,6 @@ def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     ]))
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One signal consistent with the autocorrelation."""
-
-    values: Signal1D
-    flips: int
-    autocorr_residual: float
-    f_value: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "values": [float(v) for v in self.values.values],
-            "flips": int(self.flips),
-            "autocorr_residual": float(self.autocorr_residual),
-            "f_value": None if self.f_value is None else float(self.f_value),
-        }
-
-
 # --- shared expansion kernel -------------------------------------------------
 # Every path applies the units' factors in unit order with the same elementwise
 # expressions, so a row built alone, from a half table, or in the doubling
@@ -396,15 +378,36 @@ def _constraint_products(vals: np.ndarray) -> np.ndarray | None:
     return vals[..., n - 1] * vals[..., n * n - n]
 
 
-def _wrap_candidates(masks: np.ndarray, vals: np.ndarray,
-                     residuals: np.ndarray) -> list[Candidate]:
-    """Candidate objects for array rows, with their constraint products as f_value."""
-    f = _constraint_products(vals)
-    return [
-        Candidate(Signal1D(vals[i]), int(masks[i]), float(residuals[i]),
-                  None if f is None else float(f[i]))
-        for i in range(masks.size)
-    ]
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Candidate signals as one table of read-only arrays, one row per candidate:
+    flip mask, signal, autocorrelation residual and constraint product (entry n-1
+    times entry n*n-n; f_values is None unless the row length is n*n, n >= 2)."""
+
+    flips: np.ndarray  # (k,) int64
+    values: np.ndarray  # (k, m)
+    autocorr_residuals: np.ndarray  # (k,)
+    f_values: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        flips = _freeze(np.asarray(self.flips, dtype=np.int64))
+        values = _freeze(np.asarray(self.values, dtype=float))
+        residuals = _freeze(np.asarray(self.autocorr_residuals, dtype=float))
+        if values.ndim != 2 or not flips.shape == residuals.shape == values.shape[:1]:
+            raise ValueError(f"expected k masks, k rows and k residuals, got shapes "
+                             f"{flips.shape}, {values.shape} and {residuals.shape}")
+        f = _constraint_products(values)
+        object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "autocorr_residuals", residuals)
+        object.__setattr__(self, "f_values", None if f is None else _freeze(f))
+
+    def __len__(self) -> int:
+        return self.flips.size
+
+    def take(self, keep) -> "Candidates":
+        """The rows that `keep` (a boolean mask or an index array) selects, in its order."""
+        return Candidates(self.flips[keep], self.values[keep], self.autocorr_residuals[keep])
 
 
 def reconstruct_candidate(
@@ -412,8 +415,8 @@ def reconstruct_candidate(
     flips: int,
     r_peak: float,
     target: Autocorr1D,
-) -> Candidate:
-    """Build the signal selected by a flip mask.
+) -> Candidates:
+    """The one-row table of the signal selected by a flip mask.
 
     The polynomial prod (z - beta) is expanded one real factor per flip unit
     and scaled by sqrt(|r_peak| * prod 1/|beta|); the sign is canonicalized so the
@@ -430,7 +433,7 @@ def reconstruct_candidate(
         raise ValueError(
             f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"
         )
-    return _wrap_candidates(masks, vals, _residual_rows(vals, target))[0]
+    return Candidates(masks, vals, _residual_rows(vals, target))
 
 
 def elementary_symmetric(values, k: int) -> complex:
@@ -445,16 +448,15 @@ def elementary_symmetric(values, k: int) -> complex:
     return complex(c[k])
 
 
-def f_direct(y, n: int) -> float:
+def f_direct(y: Signal1D, n: int) -> float:
     """Product of entries n-1 and n*n-n of a flattened n-by-n candidate.
 
     Invariant under global sign change and reversal, and equal to the corner
     grid entry used by key_constraint for any true preimage.
     """
-    values = y.values.values if isinstance(y, Candidate) else y.values
-    f = _constraint_products(values) if values.size == n * n else None
+    f = _constraint_products(y.values) if y.values.size == n * n else None
     if f is None:
-        raise ValueError(f"candidate length {values.size} is not {n}x{n} with n >= 2")
+        raise ValueError(f"candidate length {y.values.size} is not {n}x{n} with n >= 2")
     return float(f)
 
 

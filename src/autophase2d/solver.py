@@ -12,23 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Autocorr1D, Autocorr2D, Matrix2D, reshape_rowwise
+from .core import Autocorr1D, Autocorr2D, Matrix2D
 from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
 from .polyfactor import (
     CHUNK_PRODUCTS,
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
     ENDPOINT_RTOL,
-    Candidate,
+    Candidates,
     elementary_symmetric,
     group_flip_units,
     _autocorr_rows,
-    _constraint_products,
     _expand_zero_products,
     _factor_arrays,
     _residual_rows,
     _scale_rows,
-    _wrap_candidates,
     _zero_pairs,
     _zero_product_table,
 )
@@ -80,7 +78,7 @@ def _factor(r: Autocorr1D, opts: SolverOptions):
     if r.max_abs == 0.0:
         return None
     support = _support_length(r)
-    _refuse_support(support)
+    check_support_budget(support)
     core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
     pairing = _zero_pairs(core.values, opts.tol_pair, opts.tol_root)
     return core, _factor_arrays(group_flip_units(pairing).units), pairing.scale
@@ -91,8 +89,9 @@ def _refuse_beyond(count: int, budget: int, what: str) -> None:
         raise SearchSpaceTooLarge(f"{count} {what} exceed the budget of {budget}")
 
 
-def _refuse_support(length: int) -> None:
-    """Refuse `length` nonnegative lags whose candidates must exceed CANDIDATE_BUDGET.
+def check_support_budget(length: int) -> None:
+    """Raise SearchSpaceTooLarge for `length` nonnegative lags whose candidates
+    must exceed CANDIDATE_BUDGET, before any root finding.
 
     They hold d = length - 1 reflected zero pairs, and a flip unit holds at
     most two, so there are at least ceil(d/2) units and 2^(ceil(d/2) - 1)
@@ -129,10 +128,10 @@ def _gate_rows(masks: np.ndarray, residuals: np.ndarray, tol_resid: float) -> No
                               masks[over].tolist())
 
 
-def _table_arrays(r: Autocorr1D, factors, tol_resid: float):
-    """Flip masks, rows and residuals of every candidate, from one full table."""
+def _full_table(r: Autocorr1D, factors, tol_resid: float) -> Candidates:
+    """Every candidate, from one full table."""
     if factors is None:
-        return np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1)
+        return Candidates(np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1))
     core, unit_factors, scale = factors
     count = 1 << max(len(unit_factors) - 1, 0)
     _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
@@ -140,12 +139,7 @@ def _table_arrays(r: Autocorr1D, factors, tol_resid: float):
     vals = _scale_rows(_zero_product_table(unit_factors, pinned=True), scale)
     residuals = _residual_rows(vals, core)
     _gate_rows(masks, residuals, tol_resid)
-    return masks, _pad(vals, r.m), residuals
-
-
-def _candidate_arrays(r: Autocorr1D, opts: SolverOptions):
-    """Flip masks, candidate rows and residuals behind enumerate_candidates."""
-    return _table_arrays(r, _factor(r, opts), opts.tol_resid)
+    return Candidates(masks, _pad(vals, r.m), residuals)
 
 
 def _split(factors) -> bool:
@@ -222,7 +216,7 @@ class _Halves:
         return _scale_rows(coeffs, self.scale)
 
 
-def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> list[Candidate]:
+def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Candidates:
     """All candidate signals with autocorrelation r, one per equivalence class.
 
     Candidates are ordered by ascending flip mask, sign-canonicalized, and
@@ -231,7 +225,8 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> li
     shorter support: those lags are trimmed, the short problem is solved, and
     candidates are padded back with trailing zeros.
     """
-    return _wrap_candidates(*_candidate_arrays(r, opts or SolverOptions()))
+    opts = opts or SolverOptions()
+    return _full_table(r, _factor(r, opts), opts.tol_resid)
 
 
 def _matches_constraint(products: np.ndarray, c: float, tol_match: float,
@@ -243,28 +238,24 @@ def _matches_constraint(products: np.ndarray, c: float, tol_match: float,
 
 
 def filter_by_constraint(
-    candidates: list[Candidate],
+    candidates: Candidates,
     c: float,
     n: int,
     tol_match: float = DEFAULT_TOL_MATCH,
     scale_floor: float = 0.0,
-) -> list[Candidate]:
+) -> Candidates:
     """Candidates whose constraint product matches c, in the original order."""
-    if not candidates:
-        return []
-    vals = np.array([y.values.values for y in candidates])
-    products = _constraint_products(vals) if vals.shape[1] == n * n else None
-    if products is None:
-        raise ValueError(f"candidate length {vals.shape[1]} is not {n}x{n} with n >= 2")
-    keep = _matches_constraint(products, c, tol_match, scale_floor)
-    return [y for y, k in zip(candidates, keep) if k]
+    m = candidates.values.shape[1]
+    if m != n * n or candidates.f_values is None:
+        raise ValueError(f"candidate length {m} is not {n}x{n} with n >= 2")
+    return candidates.take(_matches_constraint(candidates.f_values, c, tol_match, scale_floor))
 
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     n: int
     candidates_total: int
-    matches: list[Candidate]
+    matches: Candidates
     solution: Matrix2D | None
     unique: bool
     residuals: list[float]
@@ -275,7 +266,7 @@ class SolveReport:
         return {
             "n": self.n,
             "candidates_total": self.candidates_total,
-            "matches": [y.to_dict() for y in self.matches],
+            "matches": self.matches,  # a Candidates table, which jsonio.dumps writes
             "solution": None if self.solution is None else self.solution.to_dict(),
             "unique": self.unique,
             "residuals": [float(v) for v in self.residuals],
@@ -286,13 +277,12 @@ class SolveReport:
 
 def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
                opts: SolverOptions):
-    """Candidate count, then masks, rows and residuals of the candidates whose
-    constraint product lies within tol of c (see _matches_constraint)."""
+    """Candidate count, then the table of the candidates whose constraint
+    product lies within tol of c (see _matches_constraint)."""
     factors = _factor(r, opts)
     if not _split(factors):
-        masks, vals, residuals = _table_arrays(r, factors, opts.tol_resid)
-        keep = _matches_constraint(_constraint_products(vals), c, tol, floor)
-        return masks.size, masks[keep], vals[keep], residuals[keep]
+        table = _full_table(r, factors, opts.tol_resid)
+        return len(table), table.take(_matches_constraint(table.f_values, c, tol, floor))
 
     halves = _Halves(factors, opts.tol_resid)
     rows_a = halves.A.shape[0]
@@ -308,7 +298,7 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
     vals = halves.rows(i, j)
     residuals = _residual_rows(vals, factors[0])
     _gate_rows(masks, residuals, opts.tol_resid)
-    return halves.total, masks, _pad(vals, r.m), residuals
+    return halves.total, Candidates(masks, _pad(vals, r.m), residuals)
 
 
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
@@ -326,19 +316,17 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     c = key_constraint(R)  # refuses n < 2 and an asymmetric grid
     r = _reduce_unchecked(R)
     floor = 1e-9 * r.max_abs
-    total, masks, vals, residuals = _survivors(
-        r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
-    keep = _matches_constraint(_constraint_products(vals), c, opts.tol_match, floor)
-    matches = _wrap_candidates(masks[keep], vals[keep], residuals[keep])
+    total, survivors = _survivors(r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
+    matches = survivors.take(_matches_constraint(survivors.f_values, c, opts.tol_match, floor))
     tolerances = opts.to_dict()
     tolerances["scale_floor"] = floor
     report = SolveReport(
         n=n,
         candidates_total=total,
         matches=matches,
-        solution=reshape_rowwise(matches[0].values, n) if matches else None,
+        solution=Matrix2D(n, matches.values[0]) if matches else None,
         unique=len(matches) == 1,
-        residuals=residuals.tolist(),
+        residuals=survivors.autocorr_residuals.tolist(),
         key_constraint_value=c,
         tolerances=tolerances,
     )
@@ -382,8 +370,7 @@ def ambiguity_census(r: Autocorr1D, n: int, opts: SolverOptions | None = None) -
     opts = opts or SolverOptions()
     factors = _factor(r, opts)
     if not _split(factors):
-        _, vals, _ = _table_arrays(r, factors, opts.tol_resid)
-        return _census_from_products(_constraint_products(vals), n)
+        return _census_from_products(_full_table(r, factors, opts.tol_resid).f_values, n)
     halves = _Halves(factors, opts.tol_resid)
     # one value per candidate, then a CSV line each: the budget of enumerate
     _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")

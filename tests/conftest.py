@@ -84,3 +84,11 @@ def lapack_not_converging(monkeypatch):
         return np.full(a.shape[-1], complex(np.nan, np.nan))
 
     monkeypatch.setattr(_umath_linalg, "eigvals", not_converging)
+
+
+def assert_same_table(a, b):
+    """Two candidate tables hold the same rows, bit for bit."""
+    for name in ("flips", "values", "autocorr_residuals", "f_values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        assert x is None or (x.shape == y.shape and np.array_equal(x, y)), name

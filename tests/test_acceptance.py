@@ -58,10 +58,10 @@ def test_1_known_instance_end_to_end(capsys, golden_grid, golden_matrix):
     if len(candidates) != 4:
         failures.append(f"{len(candidates)} candidates instead of 4")
     unmatched = [Signal1D(row) for row in GOLDEN_CLASSES]
-    for y in candidates:
-        hits = [p for p in unmatched if trivially_equivalent_1d(y.values, p, 1e-6)]
+    for flips, row in zip(candidates.flips.tolist(), candidates.values):
+        hits = [p for p in unmatched if trivially_equivalent_1d(Signal1D(row), p, 1e-6)]
         if len(hits) != 1:
-            failures.append(f"candidate mask {y.flips} matches {len(hits)} known classes")
+            failures.append(f"candidate mask {flips} matches {len(hits)} known classes")
             continue
         unmatched = [p for p in unmatched if p is not hits[0]]
     if unmatched:
@@ -69,7 +69,7 @@ def test_1_known_instance_end_to_end(capsys, golden_grid, golden_matrix):
 
     kept = filter_by_constraint(candidates, GOLDEN_KEY, 2, TOL_MATCH)
     first = Signal1D(GOLDEN_CLASSES[0])
-    if len(kept) != 1 or not trivially_equivalent_1d(kept[0].values, first, 1e-6):
+    if len(kept) != 1 or not trivially_equivalent_1d(Signal1D(kept.values[0]), first, 1e-6):
         failures.append("constraint filter does not isolate the known class")
 
     report = solve_2d(golden_grid)
@@ -177,10 +177,10 @@ def test_4_candidate_validity(capsys):
         tag = f"n={n} seed={seed}"
         if len(candidates) != 2 ** (u - 1):
             failures.append(f"{tag}: {len(candidates)} candidates for {u} units")
-        bad = max(y.autocorr_residual for y in candidates)
+        bad = float(candidates.autocorr_residuals.max())
         if bad > 1e-6:
             failures.append(f"{tag}: autocorrelation residual {bad:.3e}")
-        vals = np.stack([y.values.values for y in candidates])
+        vals = candidates.values
         scale = float(np.max(np.abs(vals)))
         if equivalent_pair_exists(vals, 1e-6 * scale):
             failures.append(f"{tag}: two candidates are trivially equivalent")
@@ -202,14 +202,15 @@ def test_5_constraint_product_cross_check(capsys):
             except UnitCircleZero:
                 continue
             fu = group_flip_units(pairing)
-            for y in enumerate_candidates(r):
-                direct = f_direct(y, n)
-                vieta = f_vieta(fu, y.flips, pairing.scale, n)
+            candidates = enumerate_candidates(r)
+            for flips, row in zip(candidates.flips.tolist(), candidates.values):
+                direct = f_direct(Signal1D(row), n)
+                vieta = f_vieta(fu, flips, pairing.scale, n)
                 rel = abs(abs(vieta) - abs(direct)) / max(abs(direct), 1e-300)
                 worst = max(worst, rel)
                 checked += 1
                 if rel > 1e-8:
-                    failures.append(f"n={n} seed={seed} mask={y.flips}: rel error {rel:.3e}")
+                    failures.append(f"n={n} seed={seed} mask={flips}: rel error {rel:.3e}")
     if checked < 500:
         failures.append(f"only {checked} candidates checked, need 500")
     elapsed = time.monotonic() - started

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,6 @@ import pytest
 
 import autophase2d
 from autophase2d import (
-    Candidate,
     Matrix2D,
     Signal1D,
     autocorr_1d,
@@ -157,10 +157,13 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
 
 
 def _enumerate_text(r):
-    candidates = enumerate_candidates(r)
-    payload = {"m": r.m, "candidates_total": len(candidates),
-               "candidates": [y.to_dict() for y in candidates]}
-    return dumps(payload) + "\n"
+    """enumerate's JSON, spelled out entry by entry through dumps' dict and list paths."""
+    t = enumerate_candidates(r)
+    f = [None] * len(t) if t.f_values is None else t.f_values.tolist()
+    entries = [{"values": row, "flips": mask, "autocorr_residual": residual, "f_value": fv}
+               for row, mask, residual, fv in zip(t.values.tolist(), t.flips.tolist(),
+                                                  t.autocorr_residuals.tolist(), f)]
+    return dumps({"m": r.m, "candidates_total": len(t), "candidates": entries}) + "\n"
 
 
 def _census_text(n, seed):
@@ -250,11 +253,28 @@ def test_enumerate_builds_no_object_per_candidate(capsys, tmp_path, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate built a per-candidate object")
 
-    monkeypatch.setattr(Candidate, "__init__", refuse)
     monkeypatch.setattr(Signal1D, "__init__", refuse)
     code, out, _ = run_cli(capsys, "enumerate", "--input", str(seq))
     assert code == 0
     assert out == expected
+
+
+CANDIDATE_ENTRY = re.compile(r'\{"values": [^{}]*\}')
+
+
+@pytest.mark.parametrize("grid", ["golden", "R4"])
+def test_solve_match_is_the_enumerate_entry_of_its_mask(capsys, tmp_path, golden_grid, grid):
+    R = golden_grid if grid == "golden" else GRID4  # R4 solves by the half tables
+    (tmp_path / "R.json").write_text(dumps(R.to_dict()) + "\n")
+    (tmp_path / "r.json").write_text(dumps(reduce_2d_to_1d(R).to_dict()) + "\n")
+    _, solved, _ = run_cli(capsys, "solve", "--input", str(tmp_path / "R.json"))
+    _, listed, _ = run_cli(capsys, "enumerate", "--input", str(tmp_path / "r.json"))
+    matches = json.loads(solved)["matches"]
+    assert len(matches) == 1
+    [match] = CANDIDATE_ENTRY.findall(solved)
+    by_mask = {json.loads(entry)["flips"]: entry for entry in CANDIDATE_ENTRY.findall(listed)}
+    assert len(by_mask) == json.loads(listed)["candidates_total"]
+    assert match == by_mask[matches[0]["flips"]]
 
 
 # --- failure paths --------------------------------------------------------------
@@ -373,10 +393,13 @@ def test_nonfinite_tolerance_is_refused_before_any_work(
     (None, ("probe", "--n", "3", "--alpha", "1000"), "cannot read config file"),
     ("{not json", ("probe", "--n", "3", "--alpha", "1000"), "config file is not valid JSON"),
     ("[1, 2]", ("probe", "--n", "3", "--alpha", "1000"), "config file must hold a JSON object"),
+    ('{"tol_mtch": 1e-3, "tol_match": 1e-3, "tol-match": 1e-3}',
+     ("probe", "--n", "3", "--alpha", "1000"), "config file has unknown keys: 'tol_mtch', 'tol-match'"),
     ("{}", ("census", "--n", "3"), "census requires --seed when no --input is given"),
     ("{}", ("probe", "--n", "3", "--alpha", "1000", "--output", ""),
      "output path must be nonempty"),
-], ids=["unreadable", "invalid-json", "not-an-object", "census-without-seed", "empty-output"])
+], ids=["unreadable", "invalid-json", "not-an-object", "unknown-keys", "census-without-seed",
+         "empty-output"])
 def test_config_refusals_exit_2(capsys, tmp_path, config, argv, detail):
     cfg = tmp_path / "cfg.json"  # left unwritten, so unreadable, when config is None
     if config is not None:
@@ -410,12 +433,21 @@ def test_roundtrip_negative_trials_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     ("roundtrip", "--n", "1", "--seed", "0", "--trials", "2"),
     ("census", "--n", "1", "--seed", "0"),
+    ("probe", "--n", "1", "--alpha", "1000"),
 ])
 def test_n_below_2_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert error_payload(err)["error"] == "ConfigError"
+    assert error_payload(err)["detail"] == f"{argv[0]} needs n >= 2, got 1"
+
+
+def test_oracle_negative_bound_rejected(capsys, golden_files):
+    code, out, err = run_cli(capsys, "oracle", "--input", str(golden_files[1]), "--bound", "-1")
+    assert (code, out) == (2, "")
+    assert error_payload(err) == {"error": "ConfigError",
+                                  "detail": "bound must be nonnegative, got -1"}
 
 
 def test_unknown_command_exits_2(capsys):

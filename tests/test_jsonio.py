@@ -14,6 +14,7 @@ from autophase2d.jsonio import (
     load_autocorr2d,
     load_matrix2d,
 )
+from autophase2d.polyfactor import Candidates
 from autophase2d.solver import CensusData
 
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
@@ -120,6 +121,29 @@ def test_other_sequences_serialize_as_before():
         dumps(np.array([1 + 2j]))
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_candidate_table_bytes_match_per_entry(m):
+    values = random_finite(8 * m, seed=m)[:8 * m].reshape(-1, m) * 1e-160  # products stay finite
+    k = values.shape[0]
+    table = Candidates(np.arange(k) << 1, values, np.abs(random_finite(k, seed=9)[:k]))
+    f = [None] * k if table.f_values is None else table.f_values.tolist()
+    entries = ["{" + f'"values": {per_element(row)}, "flips": {mask}, "autocorr_residual": '
+               f'{format_float(residual)}, "f_value": {"null" if fv is None else format_float(fv)}'
+               + "}" for row, mask, residual, fv in zip(values, table.flips.tolist(),
+                                                          table.autocorr_residuals.tolist(), f)]
+    assert dumps(table) == "[" + ", ".join(entries) + "]"
+    assert dumps(table.take(np.zeros(k, dtype=bool))) == "[]"
+
+
+@pytest.mark.parametrize("field", ["values", "autocorr_residuals"])
+def test_candidate_table_refuses_nonfinite_values(field):
+    parts = {"flips": [0, 2], "values": np.ones((2, 4)), "autocorr_residuals": np.zeros(2)}
+    parts[field] = parts[field].copy()
+    parts[field][1] = np.nan
+    with pytest.raises(ValueError, match="non-finite value nan$"):
+        dumps({"candidates": Candidates(**parts)})
+
+
 def test_census_csv_bytes():
     d = np.array([-2.5, -0.0, 1e-310, 0.3, 1.0])
     census = CensusData(d=d, v=[None, -7.25, None, -0.5], n=2)
@@ -156,8 +180,11 @@ def test_census_csv_bytes():
      "lag sequence: expected 3 values, got 4"),
     (load_autocorr1d, {"m": 2, "values": [1.0, 2.0, 1.5]},
      "lag sequence: asymmetry 5.000e-01 exceeds"),
+    (load_autocorr1d, {"m": 0, "values": []}, "lag sequence: m must be positive, got 0"),
+    (load_autocorr1d, {"m": -1, "values": [1.0, 2.0, 1.0]},
+     "lag sequence: m must be positive, got -1"),
 ], ids=["missing-n", "missing-values", "float-n", "bool-n", "string-m", "wrong-length",
-        "asymmetric"])
+        "asymmetric", "zero-m", "negative-m"])
 def test_loaders_refuse_malformed_input(load, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load(data)

@@ -112,7 +112,7 @@ def test_roundtrip_scores_every_outcome(monkeypatch, golden_grid):
 
     def two_matches(R):
         report = real(R)
-        return dataclasses.replace(report, matches=report.matches * 2, unique=False)
+        return dataclasses.replace(report, matches=report.matches.take([0, 0]), unique=False)
 
     def wrong(R):
         report = real(R)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from autophase2d import (
     Autocorr1D,
+    Candidates,
     ConjugatePair,
     FlipUnits,
     NonRealResult,
@@ -37,7 +38,7 @@ from autophase2d.polyfactor import (
     _expand_zero_products,
     _factor_arrays,
 )
-from conftest import GOLDEN_ZEROS, elementary_symmetric_oracle
+from conftest import GOLDEN_ZEROS, assert_same_table, elementary_symmetric_oracle
 
 # Seeded signals whose zeros give both real and conjugate-pair flip units.
 MIXED_UNIT_CASES = [(4, 0), (9, 0), (9, 2), (16, 0), (16, 7)]
@@ -269,10 +270,11 @@ def test_reconstruct_golden_base(golden_r):
     zp = golden_pairing(golden_r)
     fu = group_flip_units(zp)
     y = reconstruct_candidate(fu, 0, zp.scale, target=golden_r)
-    assert trivially_equivalent_1d(y.values, Signal1D([-24.0, 26.0, -9.0, 1.0]), 1e-6)
-    assert y.values.values[0] > 0  # canonical sign
-    assert y.autocorr_residual <= 1e-12
-    assert y.f_value == pytest.approx(-234.0, abs=1e-6)
+    assert len(y) == 1 and y.flips.tolist() == [0]
+    assert trivially_equivalent_1d(Signal1D(y.values[0]), Signal1D([-24.0, 26.0, -9.0, 1.0]), 1e-6)
+    assert y.values[0, 0] > 0  # canonical sign
+    assert y.autocorr_residuals[0] <= 1e-12
+    assert y.f_values[0] == pytest.approx(-234.0, abs=1e-6)
 
 
 def test_reconstruct_validates_arguments(golden_r):
@@ -289,10 +291,10 @@ def test_reconstruct_validates_arguments(golden_r):
 def test_flipped_masks_share_autocorrelation(golden_r):
     zp = golden_pairing(golden_r)
     fu = group_flip_units(zp)
-    base = autocorr_1d(reconstruct_candidate(fu, 0, zp.scale, target=golden_r).values)
+    base = autocorr_1d(Signal1D(reconstruct_candidate(fu, 0, zp.scale, target=golden_r).values[0]))
     for flips in range(1, 8):
         y = reconstruct_candidate(fu, flips, zp.scale, target=golden_r)
-        got = autocorr_1d(y.values)
+        got = autocorr_1d(Signal1D(y.values[0]))
         assert np.max(np.abs(got.values - base.values)) <= 1e-9 * np.max(np.abs(base.values))
 
 
@@ -367,11 +369,58 @@ def test_reconstruct_reproduces_enumeration_rows(m, seed):
     r, zp, fu = seeded_units(m, seed)
     candidates = enumerate_candidates(r)
     assert len(candidates) == 1 << (fu.unit_count - 1)
-    for y in candidates:
-        single = reconstruct_candidate(fu, y.flips, zp.scale, target=r)
-        assert np.array_equal(single.values.values, y.values.values)
-        assert single.autocorr_residual == y.autocorr_residual
-        assert single.f_value == y.f_value
+    for i, flips in enumerate(candidates.flips.tolist()):
+        single = reconstruct_candidate(fu, flips, zp.scale, target=r)
+        assert_same_table(single, candidates.take([i]))
+
+
+# --- the candidate table ----------------------------------------------------------
+
+
+def test_candidate_table_arrays_are_read_only(golden_r):
+    table = enumerate_candidates(golden_r)
+    for a in (table.flips, table.values, table.autocorr_residuals, table.f_values):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    for a in (table.take([1, 2]).values, table.take(np.ones(4, dtype=bool)).flips):
+        assert not a.flags.writeable
+
+
+def test_candidate_table_take_keeps_mask_order(golden_r):
+    table = enumerate_candidates(golden_r)
+    kept = table.take(np.array([True, False, True, True]))
+    assert kept.flips.tolist() == [0, 4, 6]
+    assert np.array_equal(kept.values, table.values[[0, 2, 3]])
+    assert np.array_equal(kept.autocorr_residuals, table.autocorr_residuals[[0, 2, 3]])
+    assert np.array_equal(kept.f_values, table.f_values[[0, 2, 3]])
+
+
+def test_candidate_table_with_zero_rows(golden_r):
+    empty = enumerate_candidates(golden_r).take(np.zeros(4, dtype=bool))
+    assert len(empty) == 0 and not empty
+    assert empty.values.shape == (0, 4)
+    assert empty.f_values.shape == empty.autocorr_residuals.shape == empty.flips.shape == (0,)
+    assert len(empty.take(np.zeros(0, dtype=bool))) == 0
+    assert_same_table(Candidates([], np.zeros((0, 4)), []), empty)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_candidate_table_has_no_f_values_unless_m_is_a_square(m):
+    table = Candidates([0, 2], np.arange(2.0 * m).reshape(2, m), [0.0, 0.0])
+    assert table.f_values is None
+    square = Candidates([0, 2], np.arange(18.0).reshape(2, 9), [0.0, 0.0])
+    assert square.f_values.tolist() == [2.0 * 6.0, 11.0 * 15.0]  # entries n-1 and n*n-n
+
+
+@pytest.mark.parametrize("flips, values, residuals", [
+    ([0], [1.0, 2.0], [0.0]),
+    ([0, 2], [[1.0, 2.0]], [0.0, 0.0]),
+    ([0], [[1.0, 2.0]], [0.0, 1.0]),
+], ids=["one-dimensional-values", "fewer-rows", "more-residuals"])
+def test_candidate_table_refuses_mismatched_shapes(flips, values, residuals):
+    with pytest.raises(ValueError, match="expected k masks, k rows and k residuals"):
+        Candidates(flips, values, residuals)
 
 
 # --- symmetric functions and the constraint product ------------------------------
@@ -422,7 +471,7 @@ def test_f_vieta_matches_f_direct_golden(golden_r):
     for flips in range(8):
         y = reconstruct_candidate(fu, flips, zp.scale, target=golden_r)
         fv = f_vieta(fu, flips, zp.scale, 2)
-        assert abs(fv) == pytest.approx(abs(f_direct(y, 2)), rel=1e-10)
+        assert abs(fv) == pytest.approx(abs(f_direct(Signal1D(y.values[0]), 2)), rel=1e-10)
 
 
 def test_f_vieta_validates_count(golden_r):

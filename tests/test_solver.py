@@ -9,6 +9,7 @@ import pytest
 from autophase2d import (
     Autocorr1D,
     Autocorr2D,
+    Candidates,
     Matrix2D,
     NoMatch,
     Signal1D,
@@ -38,7 +39,7 @@ from autophase2d.polyfactor import (
     find_zero_pairs,
     group_flip_units,
 )
-from conftest import GOLDEN_CLASSES, GOLDEN_F, elementary_symmetric_oracle
+from conftest import GOLDEN_CLASSES, GOLDEN_F, assert_same_table, elementary_symmetric_oracle
 
 
 def nomatch_grid(golden_grid):
@@ -70,15 +71,15 @@ def test_solver_options_defaults():
 
 def test_enumerate_golden(golden_r):
     candidates = enumerate_candidates(golden_r)
-    assert [y.flips for y in candidates] == [0, 2, 4, 6]  # first unit pinned
+    assert candidates.flips.tolist() == [0, 2, 4, 6]  # first unit pinned
     published = [Signal1D(row) for row in GOLDEN_CLASSES]
-    for y in candidates:
-        hits = [p for p in published if trivially_equivalent_1d(y.values, p, 1e-6)]
+    for row, residual in zip(candidates.values, candidates.autocorr_residuals):
+        hits = [p for p in published if trivially_equivalent_1d(Signal1D(row), p, 1e-6)]
         assert len(hits) == 1
         published = [p for p in published if p is not hits[0]]
-        assert y.autocorr_residual <= 1e-6
+        assert residual <= 1e-6
     assert published == []
-    got_f = sorted(y.f_value for y in candidates)
+    got_f = sorted(candidates.f_values.tolist())
     assert got_f == pytest.approx(sorted(GOLDEN_F), abs=1e-6)
 
 
@@ -88,26 +89,25 @@ def test_enumerate_count_matches_unit_count(seed, m):
     u = group_flip_units(find_zero_pairs(associated_polynomial(r))).unit_count
     candidates = enumerate_candidates(r)
     assert len(candidates) == 2 ** (u - 1)
-    assert all(y.autocorr_residual <= 1e-6 for y in candidates)
+    assert (candidates.autocorr_residuals <= 1e-6).all()
 
 
 def test_enumerate_candidates_pairwise_distinct():
     r = autocorr_1d(Signal1D(np.random.default_rng(8).standard_normal(9)))
     candidates = enumerate_candidates(r)
-    scale = max(np.max(np.abs(y.values.values)) for y in candidates)
-    for a in range(len(candidates)):
-        for b in range(a + 1, len(candidates)):
-            assert not trivially_equivalent_1d(
-                candidates[a].values, candidates[b].values, 1e-6 * scale
-            )
+    scale = np.max(np.abs(candidates.values))
+    rows = [Signal1D(row) for row in candidates.values]
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            assert not trivially_equivalent_1d(rows[a], rows[b], 1e-6 * scale)
 
 
 def test_enumerate_zero_signal():
     r = Autocorr1D.from_nonneg([0.0, 0.0, 0.0])
     candidates = enumerate_candidates(r)
     assert len(candidates) == 1
-    assert np.array_equal(candidates[0].values.values, [0.0, 0.0, 0.0])
-    assert candidates[0].autocorr_residual == 0.0
+    assert np.array_equal(candidates.values[0], [0.0, 0.0, 0.0])
+    assert candidates.autocorr_residuals[0] == 0.0
 
 
 def test_enumerate_pads_short_support():
@@ -116,17 +116,18 @@ def test_enumerate_pads_short_support():
     r = autocorr_1d(x)
     candidates = enumerate_candidates(r)
     assert len(candidates) == 1
-    y = candidates[0]
-    assert len(y.values) == 3
-    assert y.values.values[-1] == 0.0
-    assert trivially_equivalent_1d(y.values, Signal1D([2.0, 1.0, 0.0]), 1e-9)
+    y = candidates.values[0]
+    assert len(y) == 3
+    assert y[-1] == 0.0
+    assert trivially_equivalent_1d(Signal1D(y), Signal1D([2.0, 1.0, 0.0]), 1e-9)
 
 
 def test_enumerate_f_value_only_for_square_lengths():
     r = autocorr_1d(Signal1D(np.random.default_rng(4).standard_normal(5)))
-    assert all(y.f_value is None for y in enumerate_candidates(r))
+    assert enumerate_candidates(r).f_values is None
     r = autocorr_1d(Signal1D(np.random.default_rng(4).standard_normal(4)))
-    assert all(y.f_value is not None for y in enumerate_candidates(r))
+    candidates = enumerate_candidates(r)
+    assert candidates.f_values.shape == (len(candidates),)
 
 
 @pytest.mark.parametrize("call", [
@@ -156,27 +157,32 @@ def test_filter_golden(golden_r):
     candidates = enumerate_candidates(golden_r)
     kept = filter_by_constraint(candidates, -234.0, 2)
     assert len(kept) == 1
-    assert kept[0].flips == 0
-    assert filter_by_constraint(candidates, -570.0, 2)[0].flips == 2
-    assert filter_by_constraint(candidates, 1e9, 2) == []
-    assert filter_by_constraint(candidates, -234.0, 2, tol_match=math.inf) == candidates
-    assert filter_by_constraint([], -234.0, 2) == []
+    assert kept.flips[0] == 0
+    assert filter_by_constraint(candidates, -570.0, 2).flips[0] == 2
+    assert len(filter_by_constraint(candidates, 1e9, 2)) == 0
+    assert_same_table(filter_by_constraint(candidates, -234.0, 2, tol_match=math.inf), candidates)
+    empty = candidates.take(np.zeros(len(candidates), dtype=bool))
+    assert_same_table(filter_by_constraint(empty, -234.0, 2), empty)
+    assert filter_by_constraint(empty, -234.0, 2).values.shape == (0, 4)
 
 
 def test_filter_scale_floor():
     candidates = enumerate_candidates(autocorr_1d(Signal1D([1.0, 0.5, 0.25, 2.0])))
     # c = 0 and no floor keeps exact zero products only; the floor admits roundoff
-    assert filter_by_constraint(candidates, 0.0, 2, 1e-6, scale_floor=0.0) == []
-    assert filter_by_constraint(candidates, 0.0, 2, 1e-6, scale_floor=1e12) == candidates
+    assert len(filter_by_constraint(candidates, 0.0, 2, 1e-6, scale_floor=0.0)) == 0
+    assert_same_table(filter_by_constraint(candidates, 0.0, 2, 1e-6, scale_floor=1e12), candidates)
 
 
 def test_filter_rejects_candidates_of_the_wrong_length(golden_r):
     golden = enumerate_candidates(golden_r)  # length 4
     short = enumerate_candidates(autocorr_1d(Signal1D([1.0, 2.0, 3.0])))
     single = enumerate_candidates(autocorr_1d(Signal1D([2.0])))
-    for candidates, n in [(golden, 3), (short, 2), (golden + short, 2), (single, 1)]:
+    for candidates, n in [(golden, 3), (short, 2), (single, 1)]:
         with pytest.raises(ValueError):
             filter_by_constraint(candidates, -234.0, n)
+    with pytest.raises(ValueError):  # rows of two lengths make no table
+        Candidates(np.r_[golden.flips, short.flips], [*golden.values, *short.values],
+                   np.r_[golden.autocorr_residuals, short.autocorr_residuals])
 
 
 # --- end-to-end solve -----------------------------------------------------------
@@ -206,8 +212,8 @@ def test_solve_golden(golden_grid, golden_matrix):
     assert report.key_constraint_value == -234.0
     survivors = prefilter_survivors(enumerate_candidates(reduce_2d_to_1d(golden_grid)),
                                     report)
-    assert [y.flips for y in survivors] == [0]
-    assert report.residuals == [y.autocorr_residual for y in survivors]
+    assert survivors.flips.tolist() == [0]
+    assert report.residuals == survivors.autocorr_residuals.tolist()
     assert trivially_equivalent_2d(report.solution, golden_matrix, 1e-6)
     assert report.tolerances["tol_match"] == 1e-6
     assert report.tolerances["scale_floor"] == pytest.approx(1e-9 * 1334.0)
@@ -229,12 +235,12 @@ def test_solve_no_match_carries_report(golden_grid, golden_r):
         solve_2d(nomatch_grid(golden_grid))
     report = err.value.report
     assert report is not None
-    assert report.matches == []
+    assert len(report.matches) == 0
     assert report.solution is None
     assert not report.unique
     assert report.candidates_total == 4
     survivors = prefilter_survivors(enumerate_candidates(golden_r), report)
-    assert report.residuals == [y.autocorr_residual for y in survivors]
+    assert report.residuals == survivors.autocorr_residuals.tolist()
 
 
 def test_solve_delta_matrix():
@@ -263,8 +269,8 @@ def test_solve_agrees_with_enumerate_then_filter(n, seed):
     kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
                                 tol["scale_floor"])
     assert report.candidates_total == len(candidates)
-    assert report.residuals == [y.autocorr_residual for y in prefilter_survivors(candidates, report)]
-    assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in kept]
+    assert report.residuals == prefilter_survivors(candidates, report).autocorr_residuals.tolist()
+    assert_same_table(report.matches, kept)
 
 
 # --- census ---------------------------------------------------------------------
@@ -401,9 +407,8 @@ def test_solve_matches_enumerate_then_filter_in_both_regimes(n, kind):
         tol = report.tolerances
         kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
                                     tol["scale_floor"])
-        assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in kept]
-        assert report.residuals == [y.autocorr_residual
-                                    for y in prefilter_survivors(candidates, report)]
+        assert_same_table(report.matches, kept)
+        assert report.residuals == prefilter_survivors(candidates, report).autocorr_residuals.tolist()
         regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
     if n >= 4:
         assert True in regimes
@@ -512,9 +517,9 @@ def test_oversized_support_is_refused_before_root_finding(monkeypatch):
     def refuse(a):
         raise AssertionError("root finding ran")
 
-    solver._refuse_support(57)  # 28 units at least: 2^27 candidates fit the budget
+    solver.check_support_budget(57)  # 28 units at least: 2^27 candidates fit the budget
     with pytest.raises(SearchSpaceTooLarge, match=r"2\^28 candidates"):
-        solver._refuse_support(58)
+        solver.check_support_budget(58)
     monkeypatch.setattr(polyfactor, "_chebyshev_roots", refuse)
     with pytest.raises(SearchSpaceTooLarge, match=r"64 lags give at least 2\^31 candidates"):
         solve_2d(autocorr_2d(planted(8, 0)))
@@ -549,5 +554,5 @@ def test_infinite_tol_match_keeps_every_candidate_past_the_crossover():
     candidates = enumerate_candidates(reduce_2d_to_1d(R))
     assert not report.unique
     assert report.candidates_total == len(candidates)
-    assert [y.to_dict() for y in report.matches] == [y.to_dict() for y in candidates]
-    assert report.residuals == [y.autocorr_residual for y in candidates]
+    assert_same_table(report.matches, candidates)
+    assert report.residuals == candidates.autocorr_residuals.tolist()
