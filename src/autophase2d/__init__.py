@@ -6,6 +6,8 @@ and a single corner entry of the 2D grid picks out the true signal up to
 sign and half-turn rotation.
 """
 
+import types
+
 from .core import (
     Autocorr1D,
     Autocorr2D,
@@ -53,13 +55,7 @@ from .polyfactor import (
     group_flip_units,
     reconstruct_candidate,
 )
-from .reduction import (
-    ConstraintSpec,
-    key_constraint,
-    reduce_2d_to_1d,
-    residual_constraint_set,
-    verify_reduction,
-)
+from .reduction import key_constraint, reduce_2d_to_1d, verify_reduction
 from .solver import (
     CensusData,
     ProbeResult,
@@ -74,62 +70,9 @@ from .solver import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above, in import order; submodules are left out.
 __all__ = [
-    "Autocorr1D",
-    "Autocorr2D",
-    "MagnitudeGrid",
-    "Matrix2D",
-    "Signal1D",
-    "autocorr_1d",
-    "autocorr_2d",
-    "fourier_magnitude_2d",
-    "measurements_to_autocorr_2d",
-    "reshape_rowwise",
-    "trivially_equivalent_1d",
-    "trivially_equivalent_2d",
-    "vectorize_rowwise",
-    "AsymmetricInput",
-    "AutophaseError",
-    "DegenerateSize",
-    "InvalidOversampling",
-    "LengthMismatch",
-    "NoMatch",
-    "NonRealResult",
-    "NotAnAutocorrelation",
-    "ResidualExceeded",
-    "RootFindingFailed",
-    "SearchSpaceTooLarge",
-    "UnitCircleZero",
-    "UnpairedComplexZero",
-    "ZeroEndpoint",
-    "OracleResult",
-    "exhaustive_integer_search",
-    "planted_roundtrip",
-    "Candidates",
-    "ConjugatePair",
-    "FlipUnits",
-    "Polynomial",
-    "RealZero",
-    "ZeroPairing",
-    "associated_polynomial",
-    "elementary_symmetric",
-    "f_direct",
-    "f_vieta",
-    "find_zero_pairs",
-    "group_flip_units",
-    "reconstruct_candidate",
-    "ConstraintSpec",
-    "key_constraint",
-    "reduce_2d_to_1d",
-    "residual_constraint_set",
-    "verify_reduction",
-    "CensusData",
-    "ProbeResult",
-    "SolveReport",
-    "SolverOptions",
-    "ambiguity_census",
-    "asymptotic_probe",
-    "enumerate_candidates",
-    "filter_by_constraint",
-    "solve_2d",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

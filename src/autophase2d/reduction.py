@@ -7,8 +7,6 @@ as a 1D problem plus side constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
@@ -48,31 +46,6 @@ def _reduce_unchecked(R: Autocorr2D) -> Autocorr1D:
     half[:-1, 1:] = v[n - 1:-1, n:] + v[n:, :n - 1]
     half[-1, 1:] = v[-1, n:]
     return Autocorr1D.from_nonneg(half.reshape(-1))
-
-
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """One grid entry the 1D reduction does not consume, as a check on candidates."""
-
-    i: int
-    j: int
-    ell: int  # index pair in the flattened signal: x[ell'] x[ell' + ell] terms
-    value: float
-
-    def to_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "ell": self.ell, "value": float(self.value)}
-
-
-def residual_constraint_set(R: Autocorr2D) -> list[ConstraintSpec]:
-    """Grid entries with i > 0, j < 0: the (n-1)^2 values untouched by the reduction."""
-    _check_symmetry(R)
-    n = R.n
-    out = []
-    for i in range(1, n):
-        for j in range(-(n - 1), 0):
-            out.append(ConstraintSpec(i, j, i * n + j, R.at(i, j)))
-    out.sort(key=lambda c: c.ell)
-    return out
 
 
 def key_constraint(R: Autocorr2D) -> float:

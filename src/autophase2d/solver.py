@@ -57,8 +57,7 @@ class SolverOptions:
     tol_match: float = DEFAULT_TOL_MATCH
 
     def to_dict(self) -> dict:
-        return {"tol_root": self.tol_root, "tol_pair": self.tol_pair,
-                "tol_resid": self.tol_resid, "tol_match": self.tol_match}
+        return self.__dict__.copy()
 
 
 def _support_length(r: Autocorr1D) -> int:
@@ -388,12 +387,7 @@ class ProbeResult:
     predicted: float
 
     def to_dict(self) -> dict:
-        return {
-            "f1_norm": float(self.f1_norm),
-            "f2_norm": float(self.f2_norm),
-            "diff_norm": float(self.diff_norm),
-            "predicted": float(self.predicted),
-        }
+        return self.__dict__.copy()
 
 
 def asymptotic_probe(n: int, alpha: float) -> ProbeResult:

@@ -11,7 +11,6 @@ from autophase2d import (
     autocorr_2d,
     key_constraint,
     reduce_2d_to_1d,
-    residual_constraint_set,
     verify_reduction,
 )
 from conftest import GOLDEN_KEY, GOLDEN_R1D
@@ -81,26 +80,6 @@ def test_verify_reduction_identity(n, data):
     X = Matrix2D(n, np.array(flat))
     scale = max(1.0, float(np.max(np.abs(X.values))) ** 2 * n * n)
     assert verify_reduction(X) <= 1e-10 * scale
-
-
-def test_residual_constraints_golden(golden_grid):
-    specs = residual_constraint_set(golden_grid)
-    assert len(specs) == 1
-    c = specs[0]
-    assert (c.i, c.j, c.ell, c.value) == (1, -1, 1, -234.0)
-    assert c.to_dict() == {"i": 1, "j": -1, "ell": 1, "value": -234.0}
-
-
-def test_residual_constraints_shape():
-    rng = np.random.default_rng(11)
-    R = autocorr_2d(Matrix2D(3, rng.standard_normal((3, 3))))
-    specs = residual_constraint_set(R)
-    assert len(specs) == 4  # (n-1)^2 grid entries
-    assert [s.ell for s in specs] == sorted(s.ell for s in specs)
-    for s in specs:
-        assert s.i > 0 and s.j < 0
-        assert s.ell == s.i * 3 + s.j
-        assert s.value == R.at(s.i, s.j)
 
 
 def test_key_constraint_golden(golden_grid):

@@ -273,6 +273,30 @@ def test_solve_agrees_with_enumerate_then_filter(n, seed):
     assert_same_table(report.matches, kept)
 
 
+_GRID_DECIDES = "ROADMAP item 1: only the corner entry decides, and it picks a wrong match"
+_ZERO_CORNER = "ROADMAP item 2: X(0,0) = 0, so the truth is enumerated only as a shift"
+
+
+def _silent_wrong(n, seed, reason):
+    return pytest.param(n, seed, marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+# Integer inputs that solve_2d answers as unique today with a grid 13-45% off the input's.
+@pytest.mark.parametrize("n,seed", [
+    _silent_wrong(4, 40099, _GRID_DECIDES), _silent_wrong(5, 50127, _GRID_DECIDES),
+    _silent_wrong(5, 50243, _GRID_DECIDES), _silent_wrong(5, 50269, _GRID_DECIDES),
+    _silent_wrong(4, 4075, _ZERO_CORNER)])
+def test_no_silent_wrong_answer(n, seed):
+    R = autocorr_2d(Matrix2D(n, np.random.default_rng(seed).integers(-3, 4, (n, n)).astype(float)))
+    try:
+        report = solve_2d(R)
+    except AutophaseError:
+        return  # a typed refusal is loud, not wrong
+    if report.unique:
+        miss = np.abs(autocorr_2d(report.solution).values - R.values).max()
+        assert miss <= 1e-9 * np.abs(R.values).max()
+
+
 # --- census ---------------------------------------------------------------------
 
 

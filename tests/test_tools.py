@@ -1,0 +1,42 @@
+"""The scripts under tools/ run against this tree and report what they claim."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def run_tool(name, *args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / name), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_compare_outputs_passes_a_tree_against_itself():
+    done = run_tool("compare_outputs.py", str(SRC), str(SRC))
+    assert done.returncode == 0, done.stderr
+    *digests, summary = done.stdout.splitlines()
+    assert summary == f"{len(digests)} records identical"
+    assert len(digests) >= 400
+    assert len({line.split("  ", 1)[1] for line in digests}) == len(digests)  # names are unique
+
+
+def test_compare_outputs_names_the_first_record_that_differs(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    solver = changed / "autophase2d" / "solver.py"
+    text = solver.read_text(encoding="utf-8")
+    assert "DEFAULT_TOL_MATCH = 1e-6\n" in text
+    solver.write_text(text.replace("DEFAULT_TOL_MATCH = 1e-6\n", "DEFAULT_TOL_MATCH = 2e-6\n"),
+                      encoding="utf-8")
+    done = run_tool("compare_outputs.py", str(SRC), str(changed))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("record 2 differs: 'gauss-n2-s20000 solve'")
+
+
+def test_regime_timing_reports_identical_solves():
+    done = run_tool("regime_timing.py", "--n", "3", "--seeds", "100", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "reports identical: True"

@@ -1,0 +1,176 @@
+"""Check that two source trees of autophase2d give byte-identical outputs.
+
+Run from anywhere:
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding an `autophase2d` package (the
+`src/` of two checkouts). Each tree runs in its own process, in its own
+empty working directory, over the same fixed corpus:
+
+- every CLI command, run in-process through `autophase2d.cli.main`, on
+  Gaussian and integer inputs (entries in -3..3) with n = 2..4, drawn from
+  `default_rng(10000 n + s)`: autocorr, reduce, solve (also with
+  `--tol-match 1e-2`), enumerate, census of a sequence, and oracle at n = 2;
+- `census --seed`, `roundtrip`, `probe`, `--help`, a missing input file and
+  `probe --n 1`;
+- `jsonio.dumps(solve_2d(autocorr_2d(X)).to_dict())`, or the error it
+  raises, for the same kinds of input with n = 2..5.
+
+A CLI record holds the exit status, standard output, standard error and the
+file the command wrote. The script prints one line per record, its name and
+the digest of its output under NEW_SRC, then the record count. It exits 1
+naming the first record whose output differs, and 0 when every record is
+identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CLI_SEEDS = range(12)  # CLI inputs per (kind, n)
+SOLVE_SEEDS = range(16)  # library solves per (kind, n)
+# (n, default_rng seed) of the integer inputs the corner constraint answers wrongly.
+SILENT_WRONG = ((4, 40099), (4, 4075), (5, 50127), (5, 50243), (5, 50269))
+
+
+def draw(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        return rng.standard_normal((n, n))
+    return rng.integers(-3, 4, (n, n)).astype(float)
+
+
+def cli_record(argv: list[str], output: str | None = None) -> str:
+    """Exit status, stdout, stderr and the written file of one in-process run."""
+    from autophase2d import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an uncaught error is this record's output
+            code = f"{type(exc).__name__}: {exc}"
+    written = Path(output).read_text(encoding="utf-8") if output and Path(output).exists() else None
+    return json.dumps([code, out.getvalue(), err.getvalue(), written])
+
+
+def solve_record(X) -> str:
+    from autophase2d import Matrix2D, autocorr_2d, jsonio, solve_2d
+
+    try:
+        return jsonio.dumps(solve_2d(autocorr_2d(Matrix2D(len(X), X))).to_dict())
+    except Exception as err:  # the error is the output
+        return f"{type(err).__name__}: {err}"
+
+
+def cli_records(kind: str, n: int, seed: int):
+    """The CLI chain on one input; each file name is relative to the working directory."""
+    X = draw(kind, n, seed)
+    name = f"{kind}-n{n}-s{seed}"
+    Path(f"{name}.X.json").write_text(json.dumps({"n": n, "rows": X.tolist()}), encoding="utf-8")
+    steps = [
+        ("autocorr", ["--input", f"{name}.X.json"], f"{name}.R.json"),
+        ("reduce", ["--input", f"{name}.R.json"], f"{name}.r.json"),
+        ("solve", ["--input", f"{name}.R.json"], f"{name}.solve.json"),
+        ("solve", ["--input", f"{name}.R.json", "--tol-match", "1e-2"], f"{name}.loose.json"),
+        ("enumerate", ["--input", f"{name}.r.json"], f"{name}.candidates.json"),
+        ("census", ["--input", f"{name}.r.json", "--n", str(n)], f"{name}.census.csv"),
+    ]
+    if n == 2:
+        steps.append(("oracle", ["--input", f"{name}.R.json", "--bound", "3"], f"{name}.oracle.json"))
+    for command, flags, output in steps:
+        argv = [command, *flags, "--output", output]
+        yield " ".join([name, command, *flags[2:]]), cli_record(argv, output)
+
+
+def corpus():
+    """(name, output text) of every record, in a fixed order."""
+    for kind in ("gauss", "int"):
+        for n in (2, 3, 4):
+            for s in CLI_SEEDS:
+                yield from cli_records(kind, n, 10000 * n + s)
+    for n in (2, 3, 4):
+        for seed in (0, 1, 2):
+            yield f"census --seed {seed} --n {n}", cli_record(
+                ["census", "--seed", str(seed), "--n", str(n)])
+            yield f"roundtrip --n {n} --seed {seed}", cli_record(
+                ["roundtrip", "--n", str(n), "--seed", str(seed), "--trials", "3"])
+        for alpha in ("20", "1e4", "1e150", "inf", "5"):
+            yield f"probe --n {n} --alpha {alpha}", cli_record(
+                ["probe", "--n", str(n), "--alpha", alpha])
+    yield "probe --n 1", cli_record(["probe", "--n", "1", "--alpha", "100"])
+    yield "solve missing input", cli_record(["solve", "--input", "missing.json"])
+    yield "--help", cli_record(["--help"])
+    for kind in ("gauss", "int"):
+        for n in (2, 3, 4, 5):
+            for s in SOLVE_SEEDS:
+                seed = 10000 * n + s
+                yield f"library solve {kind}-n{n}-s{seed}", solve_record(draw(kind, n, seed))
+    for n, seed in SILENT_WRONG:
+        yield f"library solve int-n{n}-s{seed}", solve_record(draw("int", n, seed))
+
+
+def emit(src: str) -> None:
+    """Child side: import the package from `src` and print `name<TAB>digest` per record."""
+    sys.path.insert(0, src)
+    import autophase2d
+
+    if Path(autophase2d.__file__).resolve().parent != Path(src) / "autophase2d":
+        raise SystemExit(f"autophase2d imported from {autophase2d.__file__}, not {src}")
+    for name, text in corpus():
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        print(f"{name}\t{digest}", flush=True)
+
+
+def records(src: Path) -> list[tuple[str, str]]:
+    """Run the corpus on `src` in a fresh process and working directory."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["COLUMNS"] = "80"  # --help wraps to the terminal width
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit", str(src)],
+                              cwd=work, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"corpus run on {src} failed:\n{done.stderr}")
+    return [tuple(line.split("\t")) for line in done.stdout.splitlines()]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src", nargs="?", type=Path)
+    ap.add_argument("new_src", nargs="?", type=Path)
+    ap.add_argument("--emit", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    if args.new_src is None:
+        ap.error("needs OLD_SRC and NEW_SRC")
+    old = records(args.old_src.resolve())
+    new = records(args.new_src.resolve())
+    for name, digest in new:
+        print(f"{digest}  {name}")
+    for k, (before, after) in enumerate(zip(old, new)):
+        if before != after:
+            print(f"record {k} differs: {before[0]!r} {before[1]} -> {after[0]!r} {after[1]}")
+            return 1
+    if len(old) != len(new):
+        print(f"record counts differ: {len(old)} -> {len(new)}")
+        return 1
+    print(f"{len(new)} records identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

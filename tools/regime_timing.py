@@ -1,0 +1,101 @@
+"""Time `solve_2d` with the full candidate table against the half tables.
+
+Run from the root of a checkout:
+
+    python3 tools/regime_timing.py --n 4 --seeds 100-109 --rounds 200
+
+The inputs are the n-by-n entries of perfbench's `small-n34` pool (n = 3 has
+u = 5 flip units, n = 4 has u = 9), drawn for every seed of the range, as the
+benchmark draws them. Each input is solved once in each regime per round:
+`solver.CROSSOVER_UNITS` set above every u forces the full table, and set
+to 0 forces the half tables. The two regimes alternate which goes first from
+one round to the next. The script prints, per regime, the median over rounds
+of the mean solve time, the number of rounds the full table was faster, and
+whether every report was byte-identical in the two regimes (exit status 1 if
+not).
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from autophase2d import Autocorr2D, jsonio, solve_2d, solver  # noqa: E402
+from workloads import WORKLOADS, lag_grid, make_instance  # noqa: E402
+
+REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def draw_inputs(n: int, seeds: range) -> list:
+    workload = WORKLOADS["small-n34"]
+    picks = [i for i, (side, _) in enumerate(workload.pool) if side == n]
+    if not picks:
+        raise SystemExit(f"small-n34 holds no n = {n} input")
+    grids = []
+    for seed in seeds:
+        for i in picks:
+            X = make_instance(workload, seed, i).X
+            grids.append(Autocorr2D(n, lag_grid(X)))
+    return grids
+
+
+def solve_in(regime: str, R: Autocorr2D) -> tuple[int, str]:
+    solver.CROSSOVER_UNITS = REGIMES[regime]
+    t0 = time.perf_counter_ns()
+    report = solve_2d(R)
+    elapsed = time.perf_counter_ns() - t0
+    return elapsed, jsonio.dumps(report.to_dict())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", type=int, default=4, help="side of the inputs (3 or 4)")
+    ap.add_argument("--seeds", type=seed_range, default=seed_range("100-109"),
+                    help="benchmark seeds, FIRST-LAST (default 100-109)")
+    ap.add_argument("--rounds", type=int, default=200, help="interleaved rounds")
+    args = ap.parse_args(argv)
+
+    grids = draw_inputs(args.n, args.seeds)
+    default = solver.CROSSOVER_UNITS
+    for regime in REGIMES:  # warm every cache once
+        for R in grids:
+            solve_in(regime, R)
+    per_solve = {regime: [] for regime in REGIMES}
+    reports = {regime: [] for regime in REGIMES}
+    for rnd in range(args.rounds):
+        order = list(REGIMES) if rnd % 2 == 0 else list(REGIMES)[::-1]
+        for regime in order:
+            total = 0
+            for R in grids:
+                elapsed, text = solve_in(regime, R)
+                total += elapsed
+                if rnd == 0:
+                    reports[regime].append(text)
+            per_solve[regime].append(total / len(grids) / 1e3)
+    solver.CROSSOVER_UNITS = default
+
+    full, half = (statistics.median(per_solve[r]) for r in REGIMES)
+    wins = sum(f < h for f, h in zip(per_solve["full"], per_solve["half"]))
+    same = reports["full"] == reports["half"]
+    print(f"{len(grids)} inputs, n = {args.n}, {args.rounds} rounds")
+    print(f"full table: {full:.0f} us a solve (median over rounds)")
+    print(f"half tables: {half:.0f} us a solve ({(full / half - 1) * 100:+.1f}% for full)")
+    print(f"full table faster in {wins} of {args.rounds} rounds")
+    print(f"reports identical: {same}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
