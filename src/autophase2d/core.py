@@ -40,6 +40,12 @@ def _finite_float_array(values, name: str) -> np.ndarray:
     return a
 
 
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a - np.flip(a)|, inf or nan (never a numpy warning) when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(a - np.flip(a)).max())
+
+
 @dataclass(frozen=True, eq=False)
 class Matrix2D:
     """Real square signal, the recovery target."""

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
+from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D, _asymmetry
 from .polyfactor import Candidates
 
 
@@ -109,7 +109,7 @@ def census_csv(census) -> str:
     table = np.column_stack([np.arange(d.size), d, g])
     keep = np.ones(table.shape, dtype=bool)
     keep[:, 2] = defined
-    rows = ["%d,%.17g,%.17g" if k else "%d,%.17g," for k in defined]
+    rows = [f"%d,{FLOAT},{FLOAT}" if k else f"%d,{FLOAT}," for k in defined]
     return "\n".join(["index,d,log_gap", *rows]) % tuple(table[keep].tolist()) + "\n"
 
 
@@ -141,10 +141,8 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     values = np.asarray(_require(data, "values", list, "lag sequence"), dtype=float)
     if values.shape != (2 * m - 1,):
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")
-    ref = float(np.abs(values).max()) if values.size else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        asym = float(np.abs(values - values[::-1]).max())
-        half = (values[m - 1:] + values[m - 1::-1]) / 2  # exact symmetry for the invariant
-    if not asym <= SYMMETRY_RTOL * ref:  # a nan asymmetry fails too
+    asym = _asymmetry(values)
+    if not asym <= SYMMETRY_RTOL * np.abs(values).max():  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")
-    return Autocorr1D.from_nonneg(half)
+    with np.errstate(over="ignore", invalid="ignore"):  # Autocorr1D refuses overflow
+        return Autocorr1D.from_nonneg((values[m - 1:] + values[m - 1::-1]) / 2)

@@ -114,7 +114,7 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
     others that the matrix's last column (or the d = 1 root) overflows.
     """
     d = a.size - 1
-    with np.errstate(over="ignore"):  # a non-finite column is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
         if d == 1:
             column = np.array([-a[0] / a[1]])
         else:
@@ -172,7 +172,8 @@ def _zero_pairs(c: np.ndarray, tol_pair: float, tol_root: float) -> ZeroPairing:
     if deg == 0:
         return ZeroPairing(np.empty(0, complex), np.empty(0), float(c[-1]))
     d = deg // 2
-    x = _chebyshev_roots(np.concatenate([c[d:d + 1], 2.0 * c[d + 1:]]))
+    with np.errstate(over="ignore"):  # _chebyshev_roots refuses an overflowing series
+        x = _chebyshev_roots(np.concatenate([c[d:d + 1], 2.0 * c[d + 1:]]))
     s = np.sqrt((x - 1.0) * (x + 1.0))
     # |x + s| * |x - s| = 1; the sign with Re(x conj(s)) >= 0 picks |z| >= 1.
     z = x + np.where(x.real * s.real + x.imag * s.imag < 0, -s, s)
@@ -330,14 +331,12 @@ def _zero_product_table(factors, pinned: bool) -> np.ndarray:
 def _scale_rows(coeffs: np.ndarray, r_peak: float) -> np.ndarray:
     """Sign-canonical candidate signals from monic products, in place.
 
-    Each product is scaled by sqrt(|r_peak| / prod |beta|); the product of the
-    moduli is the modulus of its constant coefficient.
+    Each product is scaled by sqrt(|r_peak| / prod |beta|), the product of the
+    moduli being the modulus of its constant coefficient c0, and signed by c0 so
+    that entry 0 is positive. c0 is never zero: every beta is nonzero.
     """
-    coeffs *= np.sqrt(abs(r_peak) / np.abs(coeffs[:, 0]))[:, None]
-    mags = np.abs(coeffs)
-    lead_idx = (mags > (1e-12 * mags.max(axis=1))[:, None]).argmax(axis=1)
-    lead = coeffs[np.arange(coeffs.shape[0]), lead_idx]
-    coeffs *= np.where(lead < 0, -1.0, 1.0)[:, None]
+    c0 = coeffs[:, :1]
+    coeffs *= np.sqrt(abs(r_peak) / np.abs(c0)) * np.sign(c0)
     return coeffs
 
 
@@ -418,10 +417,9 @@ def reconstruct_candidate(
 ) -> Candidates:
     """The one-row table of the signal selected by a flip mask.
 
-    The polynomial prod (z - beta) is expanded one real factor per flip unit
-    and scaled by sqrt(|r_peak| * prod 1/|beta|); the sign is canonicalized so the
-    first nonzero entry is positive. The autocorrelation residual is measured
-    against ``target``.
+    The polynomial prod (z - beta) is expanded one real factor per flip unit,
+    scaled by sqrt(|r_peak| * prod 1/|beta|) and signed so that entry 0 (never
+    zero) is positive. The autocorrelation residual is measured against ``target``.
     """
     if r_peak == 0:
         raise ValueError("extreme lag must be nonzero")

@@ -104,13 +104,6 @@ def check_support_budget(length: int) -> None:
         )
 
 
-def _pad(vals: np.ndarray, m: int) -> np.ndarray:
-    """Rows of a trimmed support, padded with trailing zeros to length m."""
-    if vals.shape[1] == m:
-        return vals
-    return np.hstack([vals, np.zeros((vals.shape[0], m - vals.shape[1]))])
-
-
 def _residual_error(count: int, worst: float, masks) -> ResidualExceeded:
     """ResidualExceeded for `count` candidates, listing the first masks of `masks`."""
     return ResidualExceeded(
@@ -120,25 +113,30 @@ def _residual_error(count: int, worst: float, masks) -> ResidualExceeded:
     )
 
 
-def _gate_rows(masks: np.ndarray, residuals: np.ndarray, tol_resid: float) -> None:
+def _gated_table(masks: np.ndarray, coeffs: np.ndarray, factors, m: int,
+                 tol_resid: float) -> Candidates:
+    """Candidates of the monic products `coeffs`, one row per mask: scaled, signed,
+    gated against the trimmed autocorrelation, padded with trailing zeros to m."""
+    core, _, scale = factors
+    vals = _scale_rows(coeffs, scale)
+    residuals = _residual_rows(vals, core)
     over = ~(residuals <= tol_resid)  # a nan residual fails too
     if over.any():
-        raise _residual_error(int(over.sum()), float(residuals.max()),
-                              masks[over].tolist())
+        raise _residual_error(int(over.sum()), float(residuals.max()), masks[over].tolist())
+    if vals.shape[1] < m:
+        vals = np.hstack([vals, np.zeros((masks.size, m - vals.shape[1]))])
+    return Candidates(masks, vals, residuals)
 
 
 def _full_table(r: Autocorr1D, factors, tol_resid: float) -> Candidates:
     """Every candidate, from one full table."""
     if factors is None:
         return Candidates(np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1))
-    core, unit_factors, scale = factors
-    count = 1 << max(len(unit_factors) - 1, 0)
+    count = 1 << max(len(factors[1]) - 1, 0)
     _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
     masks = np.arange(count, dtype=np.int64) << 1
-    vals = _scale_rows(_zero_product_table(unit_factors, pinned=True), scale)
-    residuals = _residual_rows(vals, core)
-    _gate_rows(masks, residuals, tol_resid)
-    return Candidates(masks, _pad(vals, r.m), residuals)
+    table = _zero_product_table(factors[1], pinned=True)
+    return _gated_table(masks, table, factors, r.m, tol_resid)
 
 
 def _split(factors) -> bool:
@@ -209,20 +207,19 @@ class _Halves:
             f /= np.abs(chunk[:, :1])
             yield j0, f
 
-    def rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Candidate rows (i, j), expanded from their A rows as the full table would."""
-        coeffs = _expand_zero_products(self.unit_factors, self.masks(j, i), self.a + 1, self.A[i])
-        return _scale_rows(coeffs, self.scale)
+    def rows(self, masks: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Monic products of candidates (masks, A rows i), expanded as the full table would."""
+        return _expand_zero_products(self.unit_factors, masks, self.a + 1, self.A[i])
 
 
 def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Candidates:
     """All candidate signals with autocorrelation r, one per equivalence class.
 
-    Candidates are ordered by ascending flip mask, sign-canonicalized, and
-    validated against r; a violation raises ResidualExceeded listing the
-    offending masks. Vanishing extreme lags mean the underlying signal has
-    shorter support: those lags are trimmed, the short problem is solved, and
-    candidates are padded back with trailing zeros.
+    Candidates are ordered by ascending flip mask, signed so that entry 0 is
+    positive, and validated against r; a violation raises ResidualExceeded
+    listing the offending masks. Vanishing extreme lags mean the underlying
+    signal has shorter support: those lags are trimmed, the short problem is
+    solved, and candidates are padded back with trailing zeros.
     """
     opts = opts or SolverOptions()
     return _full_table(r, _factor(r, opts), opts.tol_resid)
@@ -292,12 +289,9 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
         _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
         hits.append(hit + j0 * rows_a)
     idx = np.concatenate(hits)
-    i, j = idx % rows_a, idx // rows_a
-    masks = halves.masks(j, i)
-    vals = halves.rows(i, j)
-    residuals = _residual_rows(vals, factors[0])
-    _gate_rows(masks, residuals, opts.tol_resid)
-    return halves.total, Candidates(masks, _pad(vals, r.m), residuals)
+    i = idx % rows_a
+    masks = halves.masks(idx // rows_a, i)
+    return halves.total, _gated_table(masks, halves.rows(masks, i), factors, r.m, opts.tol_resid)
 
 
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:

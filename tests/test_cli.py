@@ -540,8 +540,8 @@ def run_module(*argv):
                           capture_output=True, text=True, env=env)
 
 
-def assert_single_error_line(proc, kind):
-    assert proc.returncode == 2
+def assert_single_error_line(proc, kind, code=2):
+    assert proc.returncode == code
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr  # no numpy warning before the payload
@@ -558,6 +558,21 @@ def test_enumerate_overflowing_lag_sequence_is_one_error_line(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"m": 2, "values": [1e308, 1.5e308, 1e308]}))
     assert_single_error_line(run_module("enumerate", "--input", str(path)), "InputError")
+
+
+# Lag grids near the float range: the symmetry check's subtraction, the reduction's
+# sum and the root finder's coefficient doubling overflow on the way to the refusal.
+@pytest.mark.parametrize("command,values,kind,code", [
+    ("solve", [[1e308, 0, -1e308], [0, 1, 0], [1e308, 0, -1e308]], "AsymmetricInput", 1),
+    ("reduce", [[1e308, 0, -1e308], [0, 1, 0], [1e308, 0, -1e308]], "AsymmetricInput", 1),
+    ("solve", [[0, 0, 1e308], [1e308, 1, 1e308], [1e308, 0, 0]], "InputError", 2),
+    ("reduce", [[0, 0, 1e308], [1e308, 1, 1e308], [1e308, 0, 0]], "InputError", 2),
+    ("solve", [[-1e308, 0, 1e308], [0, 1, 0], [1e308, 0, -1e308]], "RootFindingFailed", 1),
+], ids=["solve-asymmetry", "reduce-asymmetry", "solve-sum", "reduce-sum", "solve-doubling"])
+def test_lag_grid_near_the_float_range_is_one_error_line(tmp_path, command, values, kind, code):
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps({"n": 2, "values": values}))
+    assert_single_error_line(run_module(command, "--input", str(path)), kind, code)
 
 
 def test_oracle_refuses_inexact_lag_values(tmp_path):

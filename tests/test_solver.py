@@ -440,6 +440,30 @@ def test_solve_matches_enumerate_then_filter_in_both_regimes(n, kind):
         assert regimes == {False}
 
 
+@pytest.mark.parametrize("zero", [None, 0, -1], ids=["full", "zero-first", "zero-last"])
+@pytest.mark.parametrize("kind", [planted, integer_planted])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_candidate_and_match_starts_positive(n, kind, zero):
+    """Rows are signed by their constant coefficient, which never vanishes; with a
+    zero X(0,0) or X(n-1,n-1) the trimmed support's rows start the padded row."""
+    regimes = set()
+    for seed in range(12 if n < 5 else 4):
+        X = kind(n, 900 + seed).values.copy()
+        if zero is not None:
+            X[zero, zero] = 0.0
+        R = autocorr_2d(Matrix2D(n, X))
+        try:
+            tables = [enumerate_candidates(reduce_2d_to_1d(R)), solve_outcome(R).matches,
+                      solve_2d(R, SolverOptions(tol_match=math.inf)).matches]
+        except AutophaseError:
+            continue
+        for table in tables:
+            assert (table.values[:, 0] > 0).all()
+        assert len(tables[2]) == len(tables[0])
+        regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
+    assert regimes == {2: {False}, 3: {False}, 4: {False, True}, 5: {True}}[n]
+
+
 def test_integer_corpus_covers_a_zero_corner():
     corners = [key_constraint(autocorr_2d(integer_planted(n, 700 + seed)))
                for n in (3, 4) for seed in range(24)]
