@@ -187,22 +187,22 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _dispatch(cfg: argparse.Namespace) -> str:
+def _dispatch(cfg: argparse.Namespace):
+    """The command's JSON payload, or the census CSV text."""
     opts = cfg.options
     if cfg.command == "autocorr":
         X = jsonio.load_matrix2d(_read_json(cfg.input))
-        return jsonio.dumps(autocorr_2d(X).to_dict()) + "\n"
+        return autocorr_2d(X).to_dict()
     if cfg.command == "reduce":
         R = jsonio.load_autocorr2d(_read_json(cfg.input))
-        return jsonio.dumps(reduce_2d_to_1d(R).to_dict()) + "\n"
+        return reduce_2d_to_1d(R).to_dict()
     if cfg.command == "solve":
         R = jsonio.load_autocorr2d(_read_json(cfg.input))
-        return jsonio.dumps(solve_2d(R, opts).to_dict()) + "\n"
+        return solve_2d(R, opts).to_dict()
     if cfg.command == "enumerate":
         r = jsonio.load_autocorr1d(_read_json(cfg.input))
         table = enumerate_candidates(r, opts)
-        payload = {"m": r.m, "candidates_total": len(table), "candidates": table}
-        return jsonio.dumps(payload) + "\n"
+        return {"m": r.m, "candidates_total": len(table), "candidates": table}
     if cfg.command == "census":
         if cfg.input is not None:
             r = jsonio.load_autocorr1d(_read_json(cfg.input))
@@ -220,26 +220,24 @@ def _dispatch(cfg: argparse.Namespace) -> str:
         return jsonio.census_csv(census)
     if cfg.command == "probe":
         result = asymptotic_probe(cfg.n, cfg.alpha)
-        payload = {"n": cfg.n, "alpha": float(cfg.alpha)}
-        payload.update(result.to_dict())
-        return jsonio.dumps(payload) + "\n"
+        return {"n": cfg.n, "alpha": float(cfg.alpha), **result.to_dict()}
     if cfg.command == "oracle":
         R = jsonio.load_autocorr2d(_read_json(cfg.input))
-        return jsonio.dumps(exhaustive_integer_search(R, cfg.bound).to_dict()) + "\n"
+        return exhaustive_integer_search(R, cfg.bound).to_dict()
     if cfg.command == "roundtrip":
-        record = planted_roundtrip(cfg.n, cfg.trials, cfg.seed, opts)
-        return jsonio.dumps(record) + "\n"
+        return planted_roundtrip(cfg.n, cfg.trials, cfg.seed, opts)
 
 
 def run(config: argparse.Namespace) -> int:
     """Execute one command; exceptions are folded into the exit-code contract."""
     try:
-        text = _dispatch(config)
+        payload = _dispatch(config)
+        text = payload if isinstance(payload, str) else jsonio.dumps(payload) + "\n"
         _write_text(config.output, text)
     except AutophaseError as err:
         _emit_error(type(err).__name__, str(err))
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # json.JSONDecodeError is a ValueError
         _emit_error("InputError", str(err))
         return 2
     return 0

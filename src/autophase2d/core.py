@@ -291,12 +291,8 @@ def trivially_equivalent_1d(x: Signal1D, y: Signal1D, tol: float) -> bool:
 
 
 def trivially_equivalent_2d(X: Matrix2D, Z: Matrix2D, tol: float) -> bool:
-    """True when Z matches X, -X, or a half-turn rotation of either within tol."""
-    a, b = X.values, Z.values
-    if a.shape != b.shape:
-        raise ValueError(f"matrices differ in size: {a.shape} vs {b.shape}")
-    rot = a[::-1, ::-1]
-    for cand in (a, -a, rot, -rot):
-        if np.abs(b - cand).max() <= tol:
-            return True
-    return False
+    """True when Z matches X, -X, or a half-turn rotation of either within tol: a
+    half-turn reverses the row-flattened values."""
+    if X.values.shape != Z.values.shape:
+        raise ValueError(f"matrices differ in size: {X.values.shape} vs {Z.values.shape}")
+    return trivially_equivalent_1d(vectorize_rowwise(X), vectorize_rowwise(Z), tol)

@@ -144,5 +144,4 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     asym = _asymmetry(values)
     if not asym <= SYMMETRY_RTOL * np.abs(values).max():  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")
-    with np.errstate(over="ignore", invalid="ignore"):  # Autocorr1D refuses overflow
-        return Autocorr1D.from_nonneg((values[m - 1:] + values[m - 1::-1]) / 2)
+    return Autocorr1D.from_nonneg(values[m - 1:] / 2 + values[m - 1::-1] / 2)

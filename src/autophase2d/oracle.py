@@ -39,10 +39,10 @@ class OracleResult:
         }
 
 
-def _class_representative(flat: tuple, n: int) -> tuple:
-    a = np.array(flat, dtype=np.int64).reshape(n, n)
-    variants = [a, -a, a[::-1, ::-1], -a[::-1, ::-1]]
-    return min(tuple(v.reshape(-1)) for v in variants)
+def _class_representative(flat: tuple) -> tuple:
+    """Least of the row-flattened X, -X and their half-turns (reversals)."""
+    neg = tuple(-v for v in flat)
+    return min(flat, neg, flat[::-1], neg[::-1])
 
 
 def exhaustive_integer_search(R, bound: int) -> OracleResult:
@@ -84,7 +84,7 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
                     solutions.append(X)
 
     reps = sorted({
-        _class_representative(tuple(int(v) for v in s.values.reshape(-1)), n)
+        _class_representative(tuple(int(v) for v in s.values.reshape(-1)))
         for s in solutions
     })
     classes = [Matrix2D(n, np.array(rep, dtype=float)) for rep in reps]

@@ -154,8 +154,9 @@ def find_zero_pairs(
         Bound on the scaled per-root residual of all 2d zeros; a larger
         residual raises RootFindingFailed.
 
-    With x = (z + 1/z)/2, P(z)/z^d = c_d + sum_{k>=1} 2 c_{d+k} T_k(x), so the
-    d zeros x of that Chebyshev series give the pairs {z, 1/z} directly:
+    With x = (z + 1/z)/2, P(z)/(2 z^d) = c_d/2 + sum_{k>=1} c_{d+k} T_k(x): the
+    lags are the Chebyshev coefficients, with the zero lag halved, so building
+    the series cannot overflow. Its d zeros x give the pairs {z, 1/z} directly:
     z = x + sqrt(x^2 - 1) on the branch with |z| >= 1.
     """
     c = P.coeffs
@@ -172,8 +173,7 @@ def _zero_pairs(c: np.ndarray, tol_pair: float, tol_root: float) -> ZeroPairing:
     if deg == 0:
         return ZeroPairing(np.empty(0, complex), np.empty(0), float(c[-1]))
     d = deg // 2
-    with np.errstate(over="ignore"):  # _chebyshev_roots refuses an overflowing series
-        x = _chebyshev_roots(np.concatenate([c[d:d + 1], 2.0 * c[d + 1:]]))
+    x = _chebyshev_roots(np.concatenate([c[d:d + 1] / 2, c[d + 1:]]))
     s = np.sqrt((x - 1.0) * (x + 1.0))
     # |x + s| * |x - s| = 1; the sign with Re(x conj(s)) >= 0 picks |z| >= 1.
     z = x + np.where(x.real * s.real + x.imag * s.imag < 0, -s, s)

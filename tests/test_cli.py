@@ -555,20 +555,48 @@ def test_autocorr_overflow_is_one_error_line(tmp_path):
 
 
 def test_enumerate_overflowing_lag_sequence_is_one_error_line(tmp_path):
+    # r(0) < 2 |r(1)|: both zeros of 1e308 + 1.5e308 z + 1e308 z^2 lie on the unit circle
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"m": 2, "values": [1e308, 1.5e308, 1e308]}))
-    assert_single_error_line(run_module("enumerate", "--input", str(path)), "InputError")
+    assert_single_error_line(run_module("enumerate", "--input", str(path)), "UnitCircleZero", 1)
 
 
-# Lag grids near the float range: the symmetry check's subtraction, the reduction's
-# sum and the root finder's coefficient doubling overflow on the way to the refusal.
+def test_enumerate_answers_a_sequence_in_the_top_octave(tmp_path):
+    # lags above half the float maximum: the autocorrelation of x below
+    x = [1.0664089892376663e154, 0.0, 7.5018122322082854e153]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"m": 3, "values": [8e307, 0, 1.7e308, 0, 8e307]}))
+    proc = run_module("enumerate", "--input", str(path))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    [candidate] = json.loads(proc.stdout)["candidates"]
+    assert candidate["values"] == pytest.approx(x, rel=1e-12, abs=0)
+
+
+def test_census_of_a_sequence_in_the_top_octave_is_the_unscaled_csv(capsys, tmp_path):
+    r = 2.0 * np.array(GOLDEN_R1D)  # 4^k r reaches above half the float maximum
+    k = (np.finfo(float).maxexp - np.frexp(np.abs(r).max())[1]) // 2
+    top = np.ldexp(r, 2 * k)
+    assert np.abs(top).max() > np.finfo(float).max / 2
+    outputs = []
+    for values in (r, top):
+        path = tmp_path / "r.json"
+        path.write_text(dumps({"m": 4, "values": values}) + "\n")
+        outputs.append(run_cli(capsys, "census", "--n", "2", "--input", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+# Lag grids near the float range: the symmetry check's subtraction and the reduction's
+# sum overflow on the way to the refusal. The last grid reduces to the lags of
+# -1e308 (z^6 + 1) + 1e308 (z^4 + z^2) + z^3, which has zeros on the unit circle.
 @pytest.mark.parametrize("command,values,kind,code", [
     ("solve", [[1e308, 0, -1e308], [0, 1, 0], [1e308, 0, -1e308]], "AsymmetricInput", 1),
     ("reduce", [[1e308, 0, -1e308], [0, 1, 0], [1e308, 0, -1e308]], "AsymmetricInput", 1),
     ("solve", [[0, 0, 1e308], [1e308, 1, 1e308], [1e308, 0, 0]], "InputError", 2),
     ("reduce", [[0, 0, 1e308], [1e308, 1, 1e308], [1e308, 0, 0]], "InputError", 2),
-    ("solve", [[-1e308, 0, 1e308], [0, 1, 0], [1e308, 0, -1e308]], "RootFindingFailed", 1),
-], ids=["solve-asymmetry", "reduce-asymmetry", "solve-sum", "reduce-sum", "solve-doubling"])
+    ("solve", [[-1e308, 0, 1e308], [0, 1, 0], [1e308, 0, -1e308]], "UnitCircleZero", 1),
+], ids=["solve-asymmetry", "reduce-asymmetry", "solve-sum", "reduce-sum", "solve-unit-circle"])
 def test_lag_grid_near_the_float_range_is_one_error_line(tmp_path, command, values, kind, code):
     path = tmp_path / "R.json"
     path.write_text(json.dumps({"n": 2, "values": values}))

@@ -116,6 +116,8 @@ def test_magnitude_grid_checks():
         MagnitudeGrid(3, 2, -np.ones((3, 3)))
     with pytest.raises(ValueError):
         MagnitudeGrid(3, 2, np.ones((3, 4)))
+    with pytest.raises(ValueError, match="signal side must be positive"):
+        MagnitudeGrid(3, 0, np.ones((3, 3)))
 
 
 # --- autocorrelation operators ------------------------------------------------

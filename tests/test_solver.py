@@ -464,6 +464,44 @@ def test_every_candidate_and_match_starts_positive(n, kind, zero):
     assert regimes == {2: {False}, 3: {False}, 4: {False, True}, 5: {True}}[n]
 
 
+def positive(n, seed):
+    return Matrix2D(n, np.random.default_rng(seed).uniform(0.5, 1.0, (n, n)))
+
+
+# The first seed from 1600 whose grid, at the top of the float range, has a lag
+# beyond lag 0 above half the float maximum: doubling it overflowed.
+FIRST_OVER_HALF = {(positive, 2): 1604, (positive, 3): 1624, (positive, 4): 1601,
+                   (positive, 5): 1600, (planted, 2): 1622, (planted, 3): 1706,
+                   (planted, 4): 1624, (planted, 5): 5934}
+
+
+@pytest.mark.parametrize("kind", [positive, planted])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_solve_at_the_top_of_the_float_range_scales_exactly(n, kind):
+    """solve(4^k R) is 2^k solve(R) bit for bit, k the largest that keeps 4^k R finite."""
+    hit = FIRST_OVER_HALF[kind, n]
+    for seed in sorted({*range(1600, 1600 + (12 if n < 5 else 6)), hit}):
+        R = autocorr_2d(kind(n, seed))
+        k = (np.finfo(float).maxexp - np.frexp(np.abs(R.values).max())[1]) // 2
+        scaled = Autocorr2D(n, np.ldexp(R.values, 2 * k))
+        if seed == hit:
+            assert np.abs(reduce_2d_to_1d(scaled).nonneg[1:]).max() > np.finfo(float).max / 2
+        try:
+            report = solve_outcome(R)
+        except AutophaseError as err:
+            with pytest.raises(type(err)):
+                solve_2d(scaled)
+            continue
+        big = solve_outcome(scaled)
+        assert np.array_equal(big.matches.flips, report.matches.flips)
+        assert big.residuals == report.residuals
+        assert big.key_constraint_value == np.ldexp(report.key_constraint_value, 2 * k)
+        if report.solution is None:
+            assert big.solution is None
+        else:
+            assert np.array_equal(big.solution.values, np.ldexp(report.solution.values, k))
+
+
 def test_integer_corpus_covers_a_zero_corner():
     corners = [key_constraint(autocorr_2d(integer_planted(n, 700 + seed)))
                for n in (3, 4) for seed in range(24)]
