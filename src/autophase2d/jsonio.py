@@ -3,7 +3,8 @@
 Floats are always written with 17 significant digits so identical runs
 produce identical bytes and values round-trip exactly. Arrays of floats are
 written row by row: one "%.17g" template per innermost row, after a single
-finiteness check of the whole array.
+finiteness check of the whole array. Tables of at least KERNEL_CELLS floats
+are written by a vectorized kernel that gives the same bytes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import math
 import numpy as np
 
 from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D, _asymmetry
-from .polyfactor import Candidates
+from .polyfactor import CHUNK_PRODUCTS, Candidates
 
 
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
+# Tables of at least this many floats are written by _kernel_text, smaller ones
+# by one "%" over a template (tools/regime_timing.py --writer times both).
+KERNEL_CELLS = 512
 
 
 def format_float(x: float) -> str:
@@ -38,10 +42,230 @@ def row_template(k: int) -> str:
     return "[" + ", ".join([FLOAT] * k) + "]"
 
 
+# A cell's text fills four little-endian uint64 words, NUL wherever a
+# character is absent. Word 0 holds the sign, the prefix "0.000" and T[0:2];
+# words 1 and 2 hold T[2:18]; word 3 holds "e+XX" in its low four bytes and,
+# in its high four, the start of what follows the cell. T is the 17 digits
+# with the point inserted after one of them, cut after the last digit kept.
+_SLOT_WORDS = 3  # the words that are the cell's alone
+_EXP_BYTES = np.uint64(0xFFFF_FFFF)  # the part of word 3 that is the cell's
+_E0 = 30  # tables are indexed by the decimal exponent plus _E0, for -30..17
+
+
+def _split(x):
+    """Veltkamp split: x = hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# 10^p = _POW_HI[p] + _POW_LO[p] exactly for p = 0..45, since 5^45 < 2^106.
+_POW_HI = np.array([float(10**p) for p in range(46)])
+_POW_LO = np.array([float(10**p - int(h)) for p, h in enumerate(_POW_HI)])
+_POW_HI_HI, _POW_HI_LO = _split(_POW_HI)
+
+
+def _words(rows: list[bytes], k: int = 0) -> np.ndarray:
+    """Byte strings as the rows of a little-endian uint64 array, NUL-padded to
+    k words, or to as few as the longest needs."""
+    k = k or max(1, -(-max(map(len, rows)) // 8))
+    return np.array(rows, dtype=f"S{8 * k}").view("<u8").reshape(len(rows), k)
+
+
+def _tables():
+    """The kernel's lookup tables; see _format_into. Each is built from the
+    100 2-digit numbers, without a temporary larger than itself."""
+    exps = range(-_E0, 18)
+    heads = [(b"-" if neg else b"\0") + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+             for neg in (0, 1) for e in exps]
+    tails = [b"" if -4 <= e <= 16 else b"e%+03d" % e for e in exps]
+    two = np.arange(100)
+    twos = (two // 10 + ord("0")) | (two % 10 + ord("0")) << 8  # the characters of each
+    chars = (twos[:, None] | twos << 16).ravel().astype("<u8")  # those of each 4-digit quad
+    # the place of the last nonzero digit in a pair and in a quad, -99 if none
+    in_pair = np.where(two % 10 != 0, 1, np.where(two != 0, 0, -99)).astype(np.int8)
+    in_quad = np.where(in_pair >= 0, in_pair + 2, in_pair[:, None]).ravel()
+    lasts = np.maximum(0, in_quad + np.arange(2, 18, 4, dtype=np.int8)[:, None])  # in T
+    # By exponent and last nonzero digit: the bytes of words 0..2 kept in place,
+    # those kept from the text moved on by one, and the point. The point
+    # follows digit `point`, 99 when there is none.
+    e = np.arange(-_E0, 18)[:, None]
+    last = np.arange(17)
+    point = np.where((e >= -4) & (e <= 16), np.where(e >= 0, e, 99), 0)
+    keep = np.where(point == 99, last, np.maximum(last, point))
+    point = np.where(point < keep, point, 99)[..., None]
+    end = (keep + 1 + (point[..., 0] < 99))[..., None]  # T's length
+    q = np.array([-1] * 6 + list(range(18)))  # T's place of each byte of words 0..2
+    masks = [((0 <= q) & (q <= point) & (q < end)).astype(np.uint8) * 255,
+             ((point + 1 < q) & (q < end)).astype(np.uint8) * 255,
+             (q == point + 1).astype(np.uint8) * ord(".")]
+    return (_words(heads)[:, 0], _words(tails)[:, 0], chars, (twos << 48).astype("<u8"),
+            np.maximum(in_pair, 0), lasts,
+            *(np.ascontiguousarray(m.view("<u8").reshape(-1, _SLOT_WORDS).T) for m in masks))
+
+
+_HEADS, _TAILS, _CHARS, _PAIRS, _PAIR_LASTS, _LASTS, _KEPT, _MOVED, _DOTS = _tables()
+
+
+def _scaled(a, p):
+    """a * 10^p as hi + lo: Dekker's exact product of a and _POW_HI[p], plus
+    a * _POW_LO[p]; lo is within 3e-15 of the exact remainder for hi < 2e17."""
+    hi = _POW_HI.take(p)
+    hi *= a
+    ah = a * 134217729.0  # the Veltkamp split of a, as in _split
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    b = _POW_HI_HI.take(p)
+    lo = ah * b
+    lo -= hi
+    b *= al
+    lo += b
+    _POW_HI_LO.take(p, out=b)
+    ah *= b
+    lo += ah
+    al *= b
+    lo += al
+    _POW_LO.take(p, out=b)
+    b *= a
+    lo += b
+    return hi, lo
+
+
+def _format_into(out: np.ndarray, x: np.ndarray) -> None:
+    """Write format(v, ".17g") of each finite v of x into its row of the
+    (len(x), _SLOT_WORDS + 1) uint64 array out, NUL-padded; the high half of
+    word 3 is left as it is.
+
+    N = round(|v| 10^(16-E)) is the 17-digit significand, with E the decimal
+    exponent. Zeros, |v| outside [1e-29, 1e17) (10^(16-E) not exact in two
+    doubles) and fractions within 1e-9 of a tie take format() itself.
+
+    Operations work in place where they can: each fresh page of a temporary
+    costs a fault, and the pages of the largest set alive at once count
+    towards the process's peak memory."""
+    a = np.abs(x)
+    ok = (a >= 1e-29) & (a < 1e17)
+    np.copyto(a, 1.0, where=~ok)
+    p = np.log10(a)
+    p = np.floor(p, out=p).astype(np.int64)
+    np.maximum(np.minimum(np.subtract(16, p, out=p), 45, out=p), 0, out=p)
+    hi, lo = _scaled(a, p)
+    # log10 may miss the exponent by one next to a power of ten
+    shift = (((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64)
+             - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))))
+    if shift.any():
+        p += shift
+        ok &= (p >= 0) & (p <= 45)
+        np.maximum(np.minimum(p, 45, out=p), 0, out=p)
+        hi, lo = _scaled(a, p)
+    whole = np.floor(lo)
+    lo -= whole  # the fraction
+    ok &= np.abs(lo - 0.5) >= 1e-9
+    whole += lo > 0.5
+    n = hi.astype(np.int64)
+    n += whole.astype(np.int64)
+    del a, hi, lo, whole
+    e = np.subtract(_E0 + 16, p, out=p)  # the exponent plus _E0
+    carry = n == 10**17
+    if carry.any():
+        n[carry] = 10**16
+        e += carry
+    np.putmask(n, ~ok, 10**16)
+    # T's digits: 0-1 (pair), 2-9, and 10-16 with a 0 after them
+    mid = n // 10**7
+    n -= mid * 10**7
+    n *= 10
+    pair = mid // 10**8
+    mid -= pair * 10**8
+    last = _PAIR_LASTS.take(pair)  # the place of the last nonzero digit
+    words = [_PAIRS.take(pair)]
+    eights = [mid, n]
+    del pair, mid, n
+    for k in (0, 1):  # eight digits: two 4-digit quads
+        rest = eights.pop(0)
+        quad = rest // 10**4
+        rest -= quad * 10**4
+        np.maximum(last, _LASTS[2 * k].take(quad), out=last)
+        np.maximum(last, _LASTS[2 * k + 1].take(rest), out=last)
+        word = _CHARS.take(rest)
+        del rest
+        word <<= 32
+        word |= _CHARS.take(quad)
+        words.append(word)
+    del quad, word
+    combo = e * 17
+    combo += last
+    for k in (2, 1):  # a point moves the rest of T one byte on
+        moved = words[k] << 8
+        moved |= words[k - 1] >> 56
+        moved &= _MOVED[k].take(combo)
+        words[k] &= _KEPT[k].take(combo)
+        words[k] |= moved
+        np.bitwise_or(words[k], _DOTS[k].take(combo), out=out[:, k])
+    del moved
+    words[0] &= _KEPT[0].take(combo)
+    words[0] |= _DOTS[0].take(combo)
+    out[:, 3] |= _TAILS.take(e)
+    e += len(_TAILS) * (x < 0)
+    np.bitwise_or(words[0], _HEADS.take(e), out=out[:, 0])
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        out[rest, :_SLOT_WORDS] = _words([format(v, ".17g").encode() for v in x[rest].tolist()],
+                                        _SLOT_WORDS)
+        out[rest, _SLOT_WORDS] &= ~_EXP_BYTES
+
+
+def _pads(pieces: list[str]) -> np.ndarray:
+    """Separators as rows of uint64 words after four NUL bytes, the exponent's."""
+    return _words([b"\0" * 4 + piece.encode() for piece in pieces])
+
+
+def _kernel_text(cells: np.ndarray, seps: np.ndarray, head: str, last: str,
+                 blank: np.ndarray | None = None) -> str:
+    """head, then the text of each float of `cells` (C order) followed by its
+    separator; the final separator is replaced by `last`.
+
+    seps holds separators from _pads, broadcast over cells.shape[1:]; a cell
+    that `blank` marks is written as nothing. Cells and separators go to one
+    buffer per chunk of at most CHUNK_PRODUCTS cells (whole rows of axis 0),
+    from which translate drops every NUL; head goes before the first."""
+    width = _SLOT_WORDS + seps.shape[-1]
+    step = max(1, CHUNK_PRODUCTS // math.prod(cells.shape[1:]))
+    parts = []
+    for start in range(0, len(cells), step):
+        chunk = cells[start:start + step]
+        lead = b"" if start else head.encode()
+        skip = -(-len(lead) // 8) * 8  # whole words
+        data = bytearray(skip + 8 * width * chunk.size)
+        data[:len(lead)] = lead
+        flat = np.frombuffer(data, "<u8", offset=skip).reshape(-1, width)
+        flat.reshape(chunk.shape + (width,))[..., _SLOT_WORDS:] = seps
+        if start + step >= len(cells):
+            flat[-1, _SLOT_WORDS:] = _words([b"\0" * 4 + last.encode()], seps.shape[-1])
+        _format_into(flat[:, :_SLOT_WORDS + 1], chunk.ravel())
+        if blank is not None:
+            rows = blank[start:start + step].ravel()
+            flat[rows, :_SLOT_WORDS] = 0
+            flat[rows, _SLOT_WORDS] &= ~_EXP_BYTES
+        del flat  # a view of data
+        parts.append(data.translate(None, b"\0").decode("ascii"))
+        del data
+    return parts[0] if len(parts) == 1 else "".join(parts)
+
+
 def _float_array(values) -> str:
-    """JSON nested array of a float ndarray or a list of floats, one template per row."""
+    """JSON nested array of a float ndarray or a list of floats: one template
+    per row, or the kernel from KERNEL_CELLS floats on."""
     a = np.asarray(values, dtype=float)
     require_finite(a)
+    if a.size >= KERNEL_CELLS:
+        # after a cell that ends d innermost rows: "]" * d + ", " + "[" * d
+        pieces = _pads(["]" * d + ", " + "[" * d for d in range(a.ndim)])
+        seps = np.empty(a.shape[1:] + pieces.shape[1:], pieces.dtype)
+        for d in range(a.ndim):
+            seps[(Ellipsis,) + (-1,) * d + (slice(None),)] = pieces[d]
+        return _kernel_text(a, seps, "[" * a.ndim, "]" * a.ndim)
     row = row_template(a.shape[-1])
 
     def nest(rows, depth):
@@ -54,15 +278,21 @@ def _float_array(values) -> str:
 
 def _candidates(table: Candidates) -> str:
     """JSON array of one candidate object per row, filled by one "%" from one flat
-    tuple. Masks pass through floats: exact below 2^53 (the solver's are below 2^28)."""
+    tuple, or by the kernel from KERNEL_CELLS cells on. Masks pass through floats:
+    exact below 2^53 (the solver's are below 2^28)."""
     f = table.f_values
     tail = [table.autocorr_residuals] if f is None else [table.autocorr_residuals, f]
     for a in [table.values, *tail]:
         require_finite(a)
+    cells = np.column_stack([table.values, table.flips, *tail])
+    if cells.size >= KERNEL_CELLS:
+        end = ', "f_value": null}' if f is None else "}"
+        pieces = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
+                  + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
+        return _kernel_text(cells, _pads(pieces), '[{"values": [', end + "]")
     row = ('{"values": ' + row_template(table.values.shape[1]) + ', "flips": %d, '
            '"autocorr_residual": ' + FLOAT + ', "f_value": '
            + ("null" if f is None else FLOAT) + "}")
-    cells = np.column_stack([table.values, table.flips, *tail])
     return "[" + ", ".join([row] * len(table)) % tuple(cells.ravel().tolist()) + "]"
 
 
@@ -98,7 +328,8 @@ def dumps(obj) -> str:
 def census_csv(census) -> str:
     """CSV with columns index, d, log_gap; an undefined log gap is left empty.
 
-    One "%" fills the whole table: one template per row, from one flat tuple.
+    One "%" fills the whole table: one template per row, from one flat tuple;
+    from KERNEL_CELLS cells on, the kernel writes it.
     """
     d = np.asarray(census.d, dtype=float)
     require_finite(d)
@@ -109,36 +340,45 @@ def census_csv(census) -> str:
     table = np.column_stack([np.arange(d.size), d, g])
     keep = np.ones(table.shape, dtype=bool)
     keep[:, 2] = defined
+    if table.size >= KERNEL_CELLS:
+        return _kernel_text(table, _pads([",", ",", "\n"]), "index,d,log_gap\n", "\n",
+                            blank=~keep)
     rows = [f"%d,{FLOAT},{FLOAT}" if k else f"%d,{FLOAT}," for k in defined]
     return "\n".join(["index,d,log_gap", *rows]) % tuple(table[keep].tolist()) + "\n"
 
 
 def _require(mapping: dict, key: str, kind, context: str):
+    """The field `key`; an integer for kind int, a float array for kind list."""
     if key not in mapping:
         raise ValueError(f"{context}: missing field {key!r}")
     value = mapping[key]
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ValueError(f"{context}: field {key!r} must be an integer")
+    if kind is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{context}: field {key!r} must be a list")
+        try:
+            return np.asarray(value, dtype=float)
+        except TypeError as err:  # an entry that is an object
+            raise ValueError(f"{context}: field {key!r}: {err}") from err
     return value
 
 
 def load_matrix2d(data: dict) -> Matrix2D:
     n = _require(data, "n", int, "matrix")
-    rows = _require(data, "rows", list, "matrix")
-    return Matrix2D(n, np.asarray(rows, dtype=float))
+    return Matrix2D(n, _require(data, "rows", list, "matrix"))
 
 
 def load_autocorr2d(data: dict) -> Autocorr2D:
     n = _require(data, "n", int, "lag grid")
-    values = _require(data, "values", list, "lag grid")
-    return Autocorr2D(n, np.asarray(values, dtype=float))
+    return Autocorr2D(n, _require(data, "values", list, "lag grid"))
 
 
 def load_autocorr1d(data: dict) -> Autocorr1D:
     m = _require(data, "m", int, "lag sequence")
     if m < 1:
         raise ValueError(f"lag sequence: m must be positive, got {m}")
-    values = np.asarray(_require(data, "values", list, "lag sequence"), dtype=float)
+    values = _require(data, "values", list, "lag sequence")
     if values.shape != (2 * m - 1,):
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")
     asym = _asymmetry(values)

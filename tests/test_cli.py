@@ -423,6 +423,25 @@ def test_input_that_is_not_an_object_is_input_error(capsys, tmp_path):
     assert payload["detail"].endswith("expected a JSON object")
 
 
+@pytest.mark.parametrize("argv, data, detail", [
+    (["solve"], {"n": 2, "values": {"a": 1}}, "lag grid: field 'values' must be a list"),
+    (["enumerate"], {"m": 2, "values": [1, {"a": 2}, 1]}, "lag sequence: field 'values': "),
+    (["census", "--n", "2"], {"m": 2, "values": {"a": 1}},
+     "lag sequence: field 'values' must be a list"),
+    (["autocorr"], {"n": 2, "rows": {"a": 1}}, "matrix: field 'rows' must be a list"),
+], ids=["solve", "enumerate", "census", "autocorr"])
+def test_malformed_container_is_one_input_error_line(capsys, tmp_path, argv, data, detail):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "InputError"
+    assert payload["detail"].startswith(detail)
+
+
 def test_roundtrip_negative_trials_rejected(capsys):
     code, out, err = run_cli(capsys, "roundtrip", "--n", "2", "--seed", "0", "--trials", "-1")
     assert code == 2

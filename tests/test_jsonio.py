@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autophase2d import jsonio
 from autophase2d.jsonio import (
+    KERNEL_CELLS,
     census_csv,
     dumps,
     format_float,
@@ -83,6 +85,47 @@ def test_float_list_property(values):
     assert dumps(np.array(values)) == per_element(values)
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+       st.integers(0, KERNEL_CELLS))
+def test_kernel_property(values, extra):
+    x = np.resize(np.array(values), KERNEL_CELLS + extra)  # the values, repeated
+    assert dumps(x) == per_element(x)
+
+
+def kernel_edges():
+    """Values next to the kernel's decisions: zeros, the range ends, exponent boundaries."""
+    powers = np.array([10.0**k for k in range(-323, 309)])
+    ints = [2.0**53, 2.0**53 - 1, 2.0**52 + 1, *(10.0**k - 1 for k in range(1, 16))]
+    edges = [*EXTREMES, 1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17, 1e-29, 1e-28,
+             99999999999999984.0, 1e15 + 0.25, 1e15 + 0.75, 0.5, 2.5, 1e16 - 2, *ints]
+    x = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), edges])
+    return np.concatenate([x, -x])
+
+
+def test_kernel_edges():
+    x = kernel_edges()
+    assert x.size >= KERNEL_CELLS
+    assert dumps(x) == per_element(x)
+    assert dumps(x.reshape(2, -1)) == per_element(x.reshape(2, -1))
+    ties = np.array([1e15 + 0.25, 1e15 + 0.75, 1e16 + 2, -1e15 - 0.25] * KERNEL_CELLS)
+    assert dumps(ties) == "[" + ", ".join(["1000000000000000.2", "1000000000000000.8",
+                                           "10000000000000002", "-1000000000000000.2"]
+                                          * KERNEL_CELLS) + "]"
+
+
+def test_kernel_chunks_join_seamlessly(monkeypatch):
+    """Tables cut into many chunks (the head before the first, the final separator
+    after the last, a row longer than a chunk) give the bytes of one chunk."""
+    x = random_finite(3000, seed=5)[:3000]
+    arrays = [x, x.reshape(60, 50), x.reshape(10, 6, 50), x.reshape(2, 1500)]
+    table = Candidates(np.arange(300) << 1, x[:1200].reshape(300, 4) * 1e-160, np.abs(x[:300]))
+    census = CensusData(d=x[:300], v=[None if g < 0 else g for g in x[300:599].tolist()], n=2)
+    texts = [dumps(table), census_csv(census)]
+    monkeypatch.setattr(jsonio, "CHUNK_PRODUCTS", 100)
+    assert [dumps(a) for a in arrays] == [per_element(a) for a in arrays]
+    assert [dumps(table), census_csv(census)] == texts
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [0, 5, -1])
 def test_nonfinite_values_are_refused_alike(bad, where):
@@ -121,9 +164,11 @@ def test_other_sequences_serialize_as_before():
         dumps(np.array([1 + 2j]))
 
 
-@pytest.mark.parametrize("m", [4, 5])
-def test_candidate_table_bytes_match_per_entry(m):
-    values = random_finite(8 * m, seed=m)[:8 * m].reshape(-1, m) * 1e-160  # products stay finite
+# k rows of m + 2 or m + 3 cells: below and above KERNEL_CELLS
+@pytest.mark.parametrize("m, k", [(4, 8), (5, 8), (4, KERNEL_CELLS // 4), (5, KERNEL_CELLS // 4)],
+                         ids=["4", "5", "4-kernel", "5-kernel"])
+def test_candidate_table_bytes_match_per_entry(m, k):
+    values = random_finite(k * m, seed=m)[:k * m].reshape(-1, m) * 1e-160  # products stay finite
     k = values.shape[0]
     table = Candidates(np.arange(k) << 1, values, np.abs(random_finite(k, seed=9)[:k]))
     f = [None] * k if table.f_values is None else table.f_values.tolist()
@@ -144,9 +189,12 @@ def test_candidate_table_refuses_nonfinite_values(field):
         dumps({"candidates": Candidates(**parts)})
 
 
-def test_census_csv_bytes():
-    d = np.array([-2.5, -0.0, 1e-310, 0.3, 1.0])
-    census = CensusData(d=d, v=[None, -7.25, None, -0.5], n=2)
+@pytest.mark.parametrize("rows", [5, KERNEL_CELLS // 3 + 1], ids=["5", "kernel"])  # 3 cells a row
+def test_census_csv_bytes(rows):
+    rng = np.random.default_rng(rows)
+    d = np.concatenate([[-2.5, -0.0, 1e-310, 0.3, 1.0], rng.standard_normal(rows - 5)])
+    v = [None, -7.25, None, -0.5] + [None if g < 0 else -g for g in rng.standard_normal(rows - 5)]
+    census = CensusData(d=d, v=v, n=2)
     expected = "index,d,log_gap\n" + "".join(
         f"{i},{format_float(x)},{'' if g is None else format_float(g)}\n"
         for i, (x, g) in enumerate(zip(d.tolist(), census.v + [None]))
@@ -183,8 +231,15 @@ def test_census_csv_bytes():
     (load_autocorr1d, {"m": 0, "values": []}, "lag sequence: m must be positive, got 0"),
     (load_autocorr1d, {"m": -1, "values": [1.0, 2.0, 1.0]},
      "lag sequence: m must be positive, got -1"),
+    (load_matrix2d, {"n": 2, "rows": {"a": 1}}, "matrix: field 'rows' must be a list"),
+    (load_autocorr2d, {"n": 2, "values": {"a": 1}}, "lag grid: field 'values' must be a list"),
+    (load_autocorr1d, {"m": 2, "values": {"a": 1}}, "lag sequence: field 'values' must be a list"),
+    (load_autocorr1d, {"m": 2, "values": [1, {"a": 2}, 1]},
+     "lag sequence: field 'values': float() argument must be"),
+    (load_matrix2d, {"n": 1, "rows": [[{"a": 1}]]}, "matrix: field 'rows': float() argument"),
 ], ids=["missing-n", "missing-values", "float-n", "bool-n", "string-m", "wrong-length",
-        "asymmetric", "zero-m", "negative-m"])
+        "asymmetric", "zero-m", "negative-m", "object-rows", "object-values", "object-lags",
+        "object-lag", "object-entry"])
 def test_loaders_refuse_malformed_input(load, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load(data)

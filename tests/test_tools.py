@@ -40,3 +40,9 @@ def test_regime_timing_reports_identical_solves():
     done = run_tool("regime_timing.py", "--n", "3", "--seeds", "100", "--rounds", "2")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "reports identical: True"
+
+
+def test_regime_timing_writer_reports_identical_texts():
+    done = run_tool("regime_timing.py", "--writer", "--cells", "64-128", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "texts identical: True"

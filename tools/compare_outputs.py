@@ -12,6 +12,9 @@ empty working directory, over the same fixed corpus:
   Gaussian and integer inputs (entries in -3..3) with n = 2..4, drawn from
   `default_rng(10000 n + s)`: autocorr, reduce, solve (also with
   `--tol-match 1e-2`), enumerate, census of a sequence, and oracle at n = 2;
+- the same chain on one Gaussian and one integer n = 5 input, whose
+  sequences have 4096 candidates each, so that enumerate and census write
+  tables far larger than `jsonio.KERNEL_CELLS`;
 - `census --seed`, `roundtrip`, `probe`, `--help`, a missing input file and
   `probe --n 1`;
 - `jsonio.dumps(solve_2d(autocorr_2d(X)).to_dict())`, or the error it
@@ -41,6 +44,8 @@ import numpy as np
 
 CLI_SEEDS = range(12)  # CLI inputs per (kind, n)
 SOLVE_SEEDS = range(16)  # library solves per (kind, n)
+# (kind, default_rng seed) of n = 5 inputs with 4096 candidates (u = 13 flip units)
+LARGE_TABLES = (("gauss", 50000), ("int", 50001))
 # (n, default_rng seed) of the integer inputs the corner constraint answers wrongly.
 SILENT_WRONG = ((4, 40099), (4, 4075), (5, 50127), (5, 50243), (5, 50269))
 
@@ -101,6 +106,8 @@ def corpus():
         for n in (2, 3, 4):
             for s in CLI_SEEDS:
                 yield from cli_records(kind, n, 10000 * n + s)
+    for kind, seed in LARGE_TABLES:
+        yield from cli_records(kind, 5, seed)
     for n in (2, 3, 4):
         for seed in (0, 1, 2):
             yield f"census --seed {seed} --n {n}", cli_record(

@@ -1,8 +1,10 @@
-"""Time `solve_2d` with the full candidate table against the half tables.
+"""Time `solve_2d` with the full candidate table against the half tables, or
+(with --writer) the two writers of large float tables.
 
 Run from the root of a checkout:
 
     python3 tools/regime_timing.py --n 4 --seeds 100-109 --rounds 200
+    python3 tools/regime_timing.py --writer --cells 64-8192 --rounds 200
 
 The inputs are the n-by-n entries of perfbench's `small-n34` pool (n = 3 has
 u = 5 flip units, n = 4 has u = 9), drawn for every seed of the range, as the
@@ -13,24 +15,39 @@ one round to the next. The script prints, per regime, the median over rounds
 of the mean solve time, the number of rounds the full table was faster, and
 whether every report was byte-identical in the two regimes (exit status 1 if
 not).
+
+With --writer, the script writes seeded tables of 64, 128, ... cells (up to
+the second number of --cells) in both ways: `jsonio.KERNEL_CELLS` set to 0
+forces the vectorized kernel, and set above every size the one-"%"
+template. The tables are candidate tables of n = 4 signals (19 cells a row),
+as `enumerate` writes them, and census CSVs (3 cells a row) of sorted
+products. Each round times every table once in each way, alternating which
+goes first. The script prints the median over rounds of each table's time
+in microseconds, and whether every text was identical in the two ways (exit
+status 1 if not).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from autophase2d import Autocorr2D, jsonio, solve_2d, solver  # noqa: E402
+from autophase2d.polyfactor import Candidates  # noqa: E402
 from workloads import WORKLOADS, lag_grid, make_instance  # noqa: E402
 
 REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
+WRITERS = {"template": 1 << 62, "kernel": 0}  # KERNEL_CELLS of each writer
 
 
 def seed_range(text: str) -> range:
@@ -59,13 +76,69 @@ def solve_in(regime: str, R: Autocorr2D) -> tuple[int, str]:
     return elapsed, jsonio.dumps(report.to_dict())
 
 
+def draw_tables(cells: int, seed: int) -> list:
+    """(name, writer) of a candidate table and a census of about `cells` cells."""
+    rng = np.random.default_rng(seed)
+    k = max(1, cells // 19)
+    table = Candidates(np.arange(k) << 1, rng.standard_normal((k, 16)), 1e-15 * rng.random(k))
+    d = np.sort(rng.standard_normal(max(1, cells // 3)))
+    d = d / d[-1]
+    census = solver.CensusData(d=d, v=[math.log(g) if g > 0 else None
+                                       for g in np.diff(d).tolist()], n=4)
+    return [(f"candidates {table.values.shape[0] * 19}", lambda: jsonio.dumps(table)),
+            (f"census {d.size * 3}", lambda: jsonio.census_csv(census))]
+
+
+def cell_sizes(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    sizes = [int(first)]
+    while sizes[-1] * 2 <= int(last or first):
+        sizes.append(sizes[-1] * 2)
+    return sizes
+
+
+def writer_main(args) -> int:
+    tables = [t for k, cells in enumerate(args.cells) for t in draw_tables(cells, k)]
+    default = jsonio.KERNEL_CELLS
+    times = {(name, w): [] for name, _ in tables for w in WRITERS}
+    texts = {w: [] for w in WRITERS}
+    for rnd in range(args.rounds + 1):  # round 0 warms up and keeps the texts
+        order = list(WRITERS) if rnd % 2 == 0 else list(WRITERS)[::-1]
+        for name, write in tables:
+            for w in order:
+                jsonio.KERNEL_CELLS = WRITERS[w]
+                t0 = time.perf_counter_ns()
+                text = write()
+                elapsed = time.perf_counter_ns() - t0
+                if rnd == 0:
+                    texts[w].append(text)
+                else:
+                    times[name, w].append(elapsed / 1e3)
+    jsonio.KERNEL_CELLS = default
+
+    print(f"{len(tables)} tables, {args.rounds} rounds; us a table (median over rounds)")
+    print(f"{'table':>18} {'template':>9} {'kernel':>9}")
+    for name, _ in tables:
+        template, kernel = (statistics.median(times[name, w]) for w in WRITERS)
+        print(f"{name:>18} {template:9.0f} {kernel:9.0f}  ({(kernel / template - 1) * 100:+.0f}%)")
+    same = texts["template"] == texts["kernel"]
+    print(f"texts identical: {same}")
+    return 0 if same else 1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, default=4, help="side of the inputs (3 or 4)")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("100-109"),
                     help="benchmark seeds, FIRST-LAST (default 100-109)")
     ap.add_argument("--rounds", type=int, default=200, help="interleaved rounds")
+    ap.add_argument("--writer", action="store_true",
+                    help="time the two writers of float tables instead of the solve regimes")
+    ap.add_argument("--cells", type=cell_sizes, default=cell_sizes("64-8192"),
+                    help="table sizes for --writer, FIRST-LAST, doubling (default 64-8192)")
     args = ap.parse_args(argv)
+    if args.writer:
+        return writer_main(args)
 
     grids = draw_inputs(args.n, args.seeds)
     default = solver.CROSSOVER_UNITS
