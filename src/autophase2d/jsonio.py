@@ -1,10 +1,11 @@
 """Deterministic JSON and CSV encoding plus input loaders.
 
 Floats are always written with 17 significant digits so identical runs
-produce identical bytes and values round-trip exactly. Arrays of floats are
-written row by row: one "%.17g" template per innermost row, after a single
-finiteness check of the whole array. Tables of at least KERNEL_CELLS floats
-are written by a vectorized kernel that gives the same bytes.
+produce identical bytes and values round-trip exactly. Each table of floats
+(a list of floats, a candidate table, a census) is checked for inf and nan
+once, then written from its layout: column separators, a head and a tail.
+_text fills a layout by one "%" over a template, or from KERNEL_CELLS floats
+on by a vectorized kernel that gives the same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .polyfactor import CHUNK_PRODUCTS, Candidates
 
 
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
-# Tables of at least this many floats are written by _kernel_text, smaller ones
+# Tables of at least this many floats are written by the kernel, smaller ones
 # by one "%" over a template (tools/regime_timing.py --writer times both).
 KERNEL_CELLS = 512
 
@@ -35,11 +36,6 @@ def require_finite(a: np.ndarray) -> None:
     finite = np.isfinite(a)
     if not finite.all():
         format_float(float(a[~finite][0]))
-
-
-def row_template(k: int) -> str:
-    """Template of a JSON array of k floats."""
-    return "[" + ", ".join([FLOAT] * k) + "]"
 
 
 # A cell's text fills four little-endian uint64 words, NUL wherever a
@@ -216,22 +212,26 @@ def _format_into(out: np.ndarray, x: np.ndarray) -> None:
         out[rest, _SLOT_WORDS] &= ~_EXP_BYTES
 
 
-def _pads(pieces: list[str]) -> np.ndarray:
-    """Separators as rows of uint64 words after four NUL bytes, the exponent's."""
-    return _words([b"\0" * 4 + piece.encode() for piece in pieces])
+def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
+          blank: np.ndarray | None = None) -> str:
+    """head, then the text of each float of the 2-d table `cells` followed by its
+    column's separator from `seps`; the final separator is replaced by `last`,
+    and a cell that `blank` marks is written as nothing.
 
-
-def _kernel_text(cells: np.ndarray, seps: np.ndarray, head: str, last: str,
-                 blank: np.ndarray | None = None) -> str:
-    """head, then the text of each float of `cells` (C order) followed by its
-    separator; the final separator is replaced by `last`.
-
-    seps holds separators from _pads, broadcast over cells.shape[1:]; a cell
-    that `blank` marks is written as nothing. Cells and separators go to one
-    buffer per chunk of at most CHUNK_PRODUCTS cells (whole rows of axis 0),
-    from which translate drops every NUL; head goes before the first."""
-    width = _SLOT_WORDS + seps.shape[-1]
-    step = max(1, CHUNK_PRODUCTS // math.prod(cells.shape[1:]))
+    Below KERNEL_CELLS cells one "%" fills a template of the layout. From
+    KERNEL_CELLS on, cells and separators go to one buffer per chunk of at
+    most CHUNK_PRODUCTS cells (whole rows), from which translate drops every
+    NUL; head goes before the first."""
+    if cells.size < KERNEL_CELLS:
+        pieces = [FLOAT + sep for sep in seps] * len(cells)
+        for k in [] if blank is None else np.flatnonzero(blank).tolist():
+            pieces[k] = "%.0s" + seps[k % len(seps)]  # takes the cell's value, writes nothing
+        text = head + "".join(pieces)
+        return (text[:len(text) - len(seps[-1])] + last) % tuple(cells.ravel().tolist())
+    # the separators, then last, as rows of words after four NUL bytes, the exponent's
+    pads = _words([b"\0" * 4 + sep.encode() for sep in seps + [last]])
+    width = _SLOT_WORDS + pads.shape[-1]
+    step = max(1, CHUNK_PRODUCTS // len(seps))
     parts = []
     for start in range(0, len(cells), step):
         chunk = cells[start:start + step]
@@ -240,9 +240,9 @@ def _kernel_text(cells: np.ndarray, seps: np.ndarray, head: str, last: str,
         data = bytearray(skip + 8 * width * chunk.size)
         data[:len(lead)] = lead
         flat = np.frombuffer(data, "<u8", offset=skip).reshape(-1, width)
-        flat.reshape(chunk.shape + (width,))[..., _SLOT_WORDS:] = seps
+        flat.reshape(chunk.shape + (width,))[..., _SLOT_WORDS:] = pads[:-1]
         if start + step >= len(cells):
-            flat[-1, _SLOT_WORDS:] = _words([b"\0" * 4 + last.encode()], seps.shape[-1])
+            flat[-1, _SLOT_WORDS:] = pads[-1]
         _format_into(flat[:, :_SLOT_WORDS + 1], chunk.ravel())
         if blank is not None:
             rows = blank[start:start + step].ravel()
@@ -254,46 +254,21 @@ def _kernel_text(cells: np.ndarray, seps: np.ndarray, head: str, last: str,
     return parts[0] if len(parts) == 1 else "".join(parts)
 
 
-def _float_array(values) -> str:
-    """JSON nested array of a float ndarray or a list of floats: one template
-    per row, or the kernel from KERNEL_CELLS floats on."""
-    a = np.asarray(values, dtype=float)
-    require_finite(a)
-    if a.size >= KERNEL_CELLS:
-        # after a cell that ends d innermost rows: "]" * d + ", " + "[" * d
-        pieces = _pads(["]" * d + ", " + "[" * d for d in range(a.ndim)])
-        seps = np.empty(a.shape[1:] + pieces.shape[1:], pieces.dtype)
-        for d in range(a.ndim):
-            seps[(Ellipsis,) + (-1,) * d + (slice(None),)] = pieces[d]
-        return _kernel_text(a, seps, "[" * a.ndim, "]" * a.ndim)
-    row = row_template(a.shape[-1])
-
-    def nest(rows, depth):
-        if depth == 1:
-            return row % tuple(rows)
-        return "[" + ", ".join(nest(r, depth - 1) for r in rows) + "]"
-
-    return nest(a.tolist(), a.ndim)
-
-
 def _candidates(table: Candidates) -> str:
-    """JSON array of one candidate object per row, filled by one "%" from one flat
-    tuple, or by the kernel from KERNEL_CELLS cells on. Masks pass through floats:
-    exact below 2^53 (the solver's are below 2^28)."""
+    """JSON array of one candidate object per row. Masks pass through floats:
+    exact below 2^53 (the solver's are below 2^28), where "%.17g" writes them
+    as %d does."""
     f = table.f_values
     tail = [table.autocorr_residuals] if f is None else [table.autocorr_residuals, f]
     for a in [table.values, *tail]:
         require_finite(a)
+    if not len(table):
+        return "[]"
+    end = ', "f_value": null}' if f is None else "}"
+    seps = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
+            + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
     cells = np.column_stack([table.values, table.flips, *tail])
-    if cells.size >= KERNEL_CELLS:
-        end = ', "f_value": null}' if f is None else "}"
-        pieces = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
-                  + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
-        return _kernel_text(cells, _pads(pieces), '[{"values": [', end + "]")
-    row = ('{"values": ' + row_template(table.values.shape[1]) + ', "flips": %d, '
-           '"autocorr_residual": ' + FLOAT + ', "f_value": '
-           + ("null" if f is None else FLOAT) + "}")
-    return "[" + ", ".join([row] * len(table)) % tuple(cells.ravel().tolist()) + "]"
+    return _text(cells, seps, '[{"values": [', end + "]")
 
 
 def dumps(obj) -> str:
@@ -316,35 +291,34 @@ def dumps(obj) -> str:
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("JSON object keys must be strings")
         return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim > 0:
-        return _float_array(obj)
-    if isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
-        return _float_array(obj)
+    if isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj):
+        a = np.array(obj)
+        require_finite(a)
+        return _text(a[:, None], [", "], "[", "]")
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def census_csv(census) -> str:
-    """CSV with columns index, d, log_gap; an undefined log gap is left empty.
-
-    One "%" fills the whole table: one template per row, from one flat tuple;
-    from KERNEL_CELLS cells on, the kernel writes it.
-    """
+    """CSV with columns index, d, log_gap; an undefined log gap is left empty."""
     d = np.asarray(census.d, dtype=float)
     require_finite(d)
     gaps = list(census.v[: d.size]) + [None] * (d.size - len(census.v))
-    defined = [g is not None for g in gaps]
     g = np.array([0.0 if gap is None else gap for gap in gaps], dtype=float)
     require_finite(g)
-    table = np.column_stack([np.arange(d.size), d, g])
-    keep = np.ones(table.shape, dtype=bool)
-    keep[:, 2] = defined
-    if table.size >= KERNEL_CELLS:
-        return _kernel_text(table, _pads([",", ",", "\n"]), "index,d,log_gap\n", "\n",
-                            blank=~keep)
-    rows = [f"%d,{FLOAT},{FLOAT}" if k else f"%d,{FLOAT}," for k in defined]
-    return "\n".join(["index,d,log_gap", *rows]) % tuple(table[keep].tolist()) + "\n"
+    if not d.size:
+        return "index,d,log_gap\n"
+    blank = np.zeros((d.size, 3), dtype=bool)
+    blank[:, 2] = [gap is None for gap in gaps]
+    return _text(np.column_stack([np.arange(d.size), d, g]), [",", ",", "\n"],
+                 "index,d,log_gap\n", "\n", blank)
+
+
+def _strays(value: list) -> bool:
+    """Whether nested lists hold a null, a string or a boolean, which numpy reads as numbers."""
+    return any(_strays(v) if isinstance(v, list) else v is None or isinstance(v, (str, bool))
+               for v in value)
 
 
 def _require(mapping: dict, key: str, kind, context: str):
@@ -357,6 +331,8 @@ def _require(mapping: dict, key: str, kind, context: str):
     if kind is list:
         if not isinstance(value, list):
             raise ValueError(f"{context}: field {key!r} must be a list")
+        if _strays(value):
+            raise ValueError(f"{context}: field {key!r} must hold numbers only")
         try:
             return np.asarray(value, dtype=float)
         except TypeError as err:  # an entry that is an object

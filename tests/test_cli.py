@@ -429,7 +429,13 @@ def test_input_that_is_not_an_object_is_input_error(capsys, tmp_path):
     (["census", "--n", "2"], {"m": 2, "values": {"a": 1}},
      "lag sequence: field 'values' must be a list"),
     (["autocorr"], {"n": 2, "rows": {"a": 1}}, "matrix: field 'rows' must be a list"),
-], ids=["solve", "enumerate", "census", "autocorr"])
+    (["enumerate"], {"m": 2, "values": ["1", "2.5", "1"]},
+     "lag sequence: field 'values' must hold numbers only"),
+    (["census", "--n", "2"], {"m": 2, "values": [True, 2.5, True]},
+     "lag sequence: field 'values' must hold numbers only"),
+    (["solve"], {"n": 1, "values": [[None]]}, "lag grid: field 'values' must hold numbers only"),
+], ids=["solve", "enumerate", "census", "autocorr", "enumerate-strings", "census-booleans",
+        "solve-null"])
 def test_malformed_container_is_one_input_error_line(capsys, tmp_path, argv, data, detail):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -37,13 +38,32 @@ def random_finite(size, seed=0):
     return np.concatenate([x[np.isfinite(x)], EXTREMES])
 
 
+@contextlib.contextmanager
+def kernel_spy():
+    """The sizes of the arrays that the kernel, jsonio._format_into, formats meanwhile."""
+    calls = []
+    kernel = jsonio._format_into
+
+    def spy(out, x):
+        calls.append(x.size)
+        kernel(out, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jsonio, "_format_into", spy)
+        yield calls
+
+
 def test_float64_array_bytes_match_per_element():
     x = random_finite(200_000)
-    assert dumps(x) == per_element(x)
     square = x[: 400 * 400].reshape(400, 400)
-    assert dumps(square) == per_element(square)
     cube = x[:60].reshape(3, 4, 5)
-    assert dumps(cube) == per_element(cube)
+    for a in (x, square, cube):  # element by element
+        assert dumps(a) == per_element(a)
+    rows = x[: 100 * 1000].reshape(100, 1000)
+    with kernel_spy() as calls:  # a list of floats, or of such lists, by the kernel
+        assert dumps(x.tolist()) == per_element(x)
+        assert dumps(rows.tolist()) == per_element(rows)
+    assert sum(calls) == x.size + rows.size
 
 
 def test_float32_array_bytes_match_per_element():
@@ -89,7 +109,9 @@ def test_float_list_property(values):
        st.integers(0, KERNEL_CELLS))
 def test_kernel_property(values, extra):
     x = np.resize(np.array(values), KERNEL_CELLS + extra)  # the values, repeated
-    assert dumps(x) == per_element(x)
+    with kernel_spy() as calls:
+        assert dumps(x.tolist()) == per_element(x)
+    assert calls == [x.size]
 
 
 def kernel_edges():
@@ -104,26 +126,68 @@ def kernel_edges():
 
 def test_kernel_edges():
     x = kernel_edges()
-    assert x.size >= KERNEL_CELLS
-    assert dumps(x) == per_element(x)
-    assert dumps(x.reshape(2, -1)) == per_element(x.reshape(2, -1))
-    ties = np.array([1e15 + 0.25, 1e15 + 0.75, 1e16 + 2, -1e15 - 0.25] * KERNEL_CELLS)
-    assert dumps(ties) == "[" + ", ".join(["1000000000000000.2", "1000000000000000.8",
-                                           "10000000000000002", "-1000000000000000.2"]
-                                          * KERNEL_CELLS) + "]"
+    assert x.size >= 2 * KERNEL_CELLS
+    ties = [1e15 + 0.25, 1e15 + 0.75, 1e16 + 2, -1e15 - 0.25] * KERNEL_CELLS
+    with kernel_spy() as calls:
+        assert dumps(x.tolist()) == per_element(x)
+        assert dumps(x.reshape(2, -1).tolist()) == per_element(x.reshape(2, -1))
+        assert dumps(ties) == "[" + ", ".join(["1000000000000000.2", "1000000000000000.8",
+                                               "10000000000000002", "-1000000000000000.2"]
+                                              * KERNEL_CELLS) + "]"
+    assert calls == [x.size, x.size // 2, x.size // 2, len(ties)]
 
 
 def test_kernel_chunks_join_seamlessly(monkeypatch):
     """Tables cut into many chunks (the head before the first, the final separator
     after the last, a row longer than a chunk) give the bytes of one chunk."""
     x = random_finite(3000, seed=5)[:3000]
-    arrays = [x, x.reshape(60, 50), x.reshape(10, 6, 50), x.reshape(2, 1500)]
+    lists = [x.tolist(), x.reshape(2, 1500).tolist()]
     table = Candidates(np.arange(300) << 1, x[:1200].reshape(300, 4) * 1e-160, np.abs(x[:300]))
+    wide = Candidates([0, 2, 4], x[:1800].reshape(3, 600) * 1e-160, np.abs(x[:3]))
     census = CensusData(d=x[:300], v=[None if g < 0 else g for g in x[300:599].tolist()], n=2)
-    texts = [dumps(table), census_csv(census)]
+    texts = [dumps(table), dumps(wide), census_csv(census)]
     monkeypatch.setattr(jsonio, "CHUNK_PRODUCTS", 100)
-    assert [dumps(a) for a in arrays] == [per_element(a) for a in arrays]
-    assert [dumps(table), census_csv(census)] == texts
+    with kernel_spy() as calls:
+        assert [dumps(a) for a in lists] == [per_element(a) for a in lists]
+        assert [dumps(table), dumps(wide), census_csv(census)] == texts
+    # chunks of 100 floats, of 14 rows of 7 cells, of one 603-cell row, of 33 rows of 3
+    assert len(calls) == 30 + 2 * 15 + 22 + 3 + 10
+
+
+def layout_cases():
+    """Tables of each writer, by name: empty, of one row, and of several rows."""
+    x = random_finite(1000, seed=11)[:1000]
+    small = x * 1e-160  # constraint products stay finite
+
+    def table(rows, m):
+        return Candidates(np.arange(rows) << 1, small[:rows * m].reshape(rows, m),
+                          np.abs(x[:rows]))
+
+    def census(rows):
+        gaps = [None if g < 0 else g for g in x[500:500 + rows - 1].tolist()]
+        return CensusData(d=x[:rows], v=gaps, n=2)
+
+    return {"floats-0": [], "floats-1": x[:1].tolist(), "floats-600": x[:600].tolist(),
+            **{f"candidates-f-{k}": table(k, 9) for k in (0, 1, 40)},  # with f_value
+            **{f"candidates-{k}": table(k, 5) for k in (0, 1, 40)},  # f_value null
+            **{f"census-{k}": census(k) for k in (0, 1, 2, 200)}}
+
+
+LAYOUT_CASES = layout_cases()
+
+
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_one_layout_two_fillers(monkeypatch, name):
+    """Each writer's layout gives the same bytes by template and by kernel."""
+    obj = LAYOUT_CASES[name]
+    write, rows = (census_csv, obj.d.size) if isinstance(obj, CensusData) else (dumps, len(obj))
+    texts = []
+    for cells in (0, 1 << 62):
+        monkeypatch.setattr(jsonio, "KERNEL_CELLS", cells)
+        with kernel_spy() as calls:
+            texts.append(write(obj))
+        assert bool(calls) == (cells == 0 and rows > 0)
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -237,9 +301,19 @@ def test_census_csv_bytes(rows):
     (load_autocorr1d, {"m": 2, "values": [1, {"a": 2}, 1]},
      "lag sequence: field 'values': float() argument must be"),
     (load_matrix2d, {"n": 1, "rows": [[{"a": 1}]]}, "matrix: field 'rows': float() argument"),
+    (load_autocorr1d, {"m": 2, "values": ["1", "2.5", "1"]},
+     "lag sequence: field 'values' must hold numbers only"),
+    (load_autocorr1d, {"m": 2, "values": [True, 2.5, True]},
+     "lag sequence: field 'values' must hold numbers only"),
+    (load_autocorr1d, {"m": 2, "values": [1, None, 1]},
+     "lag sequence: field 'values' must hold numbers only"),
+    (load_matrix2d, {"n": 2, "rows": [[1.0, 2.0], [3.0, "4"]]},
+     "matrix: field 'rows' must hold numbers only"),
+    (load_autocorr2d, {"n": 1, "values": [[False]]}, "lag grid: field 'values' must hold numbers"),
 ], ids=["missing-n", "missing-values", "float-n", "bool-n", "string-m", "wrong-length",
         "asymmetric", "zero-m", "negative-m", "object-rows", "object-values", "object-lags",
-        "object-lag", "object-entry"])
+        "object-lag", "object-entry", "string-lags", "bool-lags", "null-lag", "string-entry",
+        "bool-entry"])
 def test_loaders_refuse_malformed_input(load, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load(data)

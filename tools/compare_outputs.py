@@ -15,6 +15,9 @@ empty working directory, over the same fixed corpus:
 - the same chain on one Gaussian and one integer n = 5 input, whose
   sequences have 4096 candidates each, so that enumerate and census write
   tables far larger than `jsonio.KERNEL_CELLS`;
+- autocorr and reduce on one Gaussian and one integer n = 17 input, whose
+  lag sequences hold 577 floats, so that a float list is written by the
+  kernel;
 - `census --seed`, `roundtrip`, `probe`, `--help`, a missing input file and
   `probe --n 1`;
 - `jsonio.dumps(solve_2d(autocorr_2d(X)).to_dict())`, or the error it
@@ -46,6 +49,8 @@ CLI_SEEDS = range(12)  # CLI inputs per (kind, n)
 SOLVE_SEEDS = range(16)  # library solves per (kind, n)
 # (kind, default_rng seed) of n = 5 inputs with 4096 candidates (u = 13 flip units)
 LARGE_TABLES = (("gauss", 50000), ("int", 50001))
+# (kind, default_rng seed) of n = 17 inputs: lag sequences of 2 * 17^2 - 1 = 577 floats
+LONG_LAGS = (("gauss", 170000), ("int", 170001))
 # (n, default_rng seed) of the integer inputs the corner constraint answers wrongly.
 SILENT_WRONG = ((4, 40099), (4, 4075), (5, 50127), (5, 50243), (5, 50269))
 
@@ -80,8 +85,9 @@ def solve_record(X) -> str:
         return f"{type(err).__name__}: {err}"
 
 
-def cli_records(kind: str, n: int, seed: int):
-    """The CLI chain on one input; each file name is relative to the working directory."""
+def cli_records(kind: str, n: int, seed: int, commands: int | None = None):
+    """The CLI chain on one input, or its first `commands` steps; each file name is
+    relative to the working directory."""
     X = draw(kind, n, seed)
     name = f"{kind}-n{n}-s{seed}"
     Path(f"{name}.X.json").write_text(json.dumps({"n": n, "rows": X.tolist()}), encoding="utf-8")
@@ -95,7 +101,7 @@ def cli_records(kind: str, n: int, seed: int):
     ]
     if n == 2:
         steps.append(("oracle", ["--input", f"{name}.R.json", "--bound", "3"], f"{name}.oracle.json"))
-    for command, flags, output in steps:
+    for command, flags, output in steps[:commands]:
         argv = [command, *flags, "--output", output]
         yield " ".join([name, command, *flags[2:]]), cli_record(argv, output)
 
@@ -108,6 +114,8 @@ def corpus():
                 yield from cli_records(kind, n, 10000 * n + s)
     for kind, seed in LARGE_TABLES:
         yield from cli_records(kind, 5, seed)
+    for kind, seed in LONG_LAGS:
+        yield from cli_records(kind, 17, seed, commands=2)
     for n in (2, 3, 4):
         for seed in (0, 1, 2):
             yield f"census --seed {seed} --n {n}", cli_record(
