@@ -44,7 +44,6 @@ from .polyfactor import (
     Candidates,
     ConjugatePair,
     FlipUnits,
-    Polynomial,
     RealZero,
     ZeroPairing,
     associated_polynomial,

@@ -39,42 +39,19 @@ CHUNK_PRODUCTS = 1 << 20
 _SQRT_HALF = math.sqrt(0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class Polynomial:
-    """Real polynomial with ascending coefficients; trailing zeros are trimmed."""
+def associated_polynomial(r: Autocorr1D) -> Autocorr1D:
+    """The lags as ascending coefficients (z^k holds lag k - (m-1)), a palindromic
+    polynomial of degree 2m-2, with vanishing extreme lags trimmed.
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must form a nonempty 1D array")
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1] if nz.size else c[:1]
-        c = np.ascontiguousarray(c)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-
-def associated_polynomial(r: Autocorr1D) -> Polynomial:
-    """Polynomial whose coefficient of z^k is the lag k - (m-1) value.
-
-    The result is palindromic of degree 2m-2. Raises ZeroEndpoint when the
-    extreme lag vanishes, since the factorization then says nothing about the
-    signal's endpoints.
+    A lag at or below ENDPOINT_RTOL * max|r| counts as zero; trimming one
+    divides out a zero at 0 and one at infinity: the signal has shorter support.
+    Returns r itself at full support; raises ZeroEndpoint when every lag vanishes.
     """
-    peak = abs(r.lag(r.m - 1))
-    if peak <= ENDPOINT_RTOL * r.max_abs:
-        raise ZeroEndpoint(
-            f"extreme lag {r.lag(r.m - 1):.3e} vanishes relative to scale {r.max_abs:.3e}"
-        )
-    return Polynomial(r.values)
+    live = np.flatnonzero(np.abs(r.nonneg) > ENDPOINT_RTOL * r.max_abs)
+    if not live.size:
+        raise ZeroEndpoint(f"every lag vanishes (scale {r.max_abs:.3e})")
+    support = int(live[-1]) + 1
+    return r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,28 +84,18 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
     because loading it costs import time and memory on every run. Real zeros
     come back with imaginary part exactly 0, complex ones as exact conjugates.
 
-    The eigenvalues come from the LAPACK call np.linalg.eigvals makes, with its
-    finiteness check, without its wrapper. LAPACK non-convergence sets the
-    invalid-value flag, as it does for np.linalg.eigvals, and raises
-    RootFindingFailed here. So does a leading coefficient so small against the
-    others that the matrix's last column (or the d = 1 root) overflows.
+    The eigenvalues come from the LAPACK call np.linalg.eigvals makes, without
+    its wrapper or the wrapper's finiteness check: find_zero_pairs keeps |a[-1]|
+    above ENDPOINT_RTOL * max|a|, so no entry of the last column (nor the d = 1
+    root) exceeds about 7e11. LAPACK non-convergence sets the invalid-value
+    flag, as it does for np.linalg.eigvals, and raises RootFindingFailed here.
     """
     d = a.size - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
-        if d == 1:
-            column = np.array([-a[0] / a[1]])
-        else:
-            base, ratio = _colleague_base(d)
-            column = (a[:-1] / a[-1]) * ratio * 0.5
-    if not np.isfinite(column).all():
-        raise RootFindingFailed(
-            f"colleague matrix overflows: leading coefficient {a[-1]:.3e} "
-            f"against {np.abs(a).max():.3e}"
-        )
     if d == 1:
-        return column.astype(complex)
+        return np.array([-a[0] / a[1]], dtype=complex)
+    base, ratio = _colleague_base(d)
     mat = base.copy()
-    mat[:, -1] -= column
+    mat[:, -1] -= (a[:-1] / a[-1]) * ratio * 0.5
     try:
         with np.errstate(all="ignore", invalid="raise"):
             return _umath_linalg.eigvals(mat[::-1, ::-1], signature="d->D")
@@ -137,16 +104,18 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
 
 
 def find_zero_pairs(
-    P: Polynomial,
+    P: Autocorr1D,
     tol_pair: float = DEFAULT_TOL_PAIR,
     tol_root: float = DEFAULT_TOL_ROOT,
 ) -> ZeroPairing:
-    """Locate the zeros of a palindromic polynomial as reflected pairs.
+    """Locate the zeros of the palindromic polynomial of P's lags as reflected pairs.
 
     Parameters
     ----------
-    P : Polynomial
-        Real palindromic polynomial of even degree 2d.
+    P : Autocorr1D
+        Lags read as palindromic coefficients of even degree 2d = 2m-2, as
+        associated_polynomial returns them: an extreme lag at or below
+        ENDPOINT_RTOL * max|P| raises ZeroEndpoint.
     tol_pair : float
         Width of the unit-circle exclusion band: a zero z with
         ||z| - 1| <= tol_pair raises UnitCircleZero (the pair degenerates there).
@@ -159,16 +128,10 @@ def find_zero_pairs(
     the series cannot overflow. Its d zeros x give the pairs {z, 1/z} directly:
     z = x + sqrt(x^2 - 1) on the branch with |z| >= 1.
     """
-    c = P.coeffs
-    if not (c == c[::-1]).all():
-        raise ValueError("coefficients must be palindromic")
-    if P.degree % 2:
-        raise ValueError(f"palindromic factorization needs even degree, got {P.degree}")
-    return _zero_pairs(c, tol_pair, tol_root)
-
-
-def _zero_pairs(c: np.ndarray, tol_pair: float, tol_root: float) -> ZeroPairing:
-    """find_zero_pairs of palindromic coefficients of even degree, nonzero at both ends."""
+    c = P.values
+    if not abs(c[-1]) > ENDPOINT_RTOL * P.max_abs:
+        raise ZeroEndpoint(f"extreme lag {c[-1]:.3e} vanishes relative to scale "
+                           f"{P.max_abs:.3e}; associated_polynomial trims it")
     deg = c.size - 1
     if deg == 0:
         return ZeroPairing(np.empty(0, complex), np.empty(0), float(c[-1]))
@@ -183,7 +146,7 @@ def _zero_pairs(c: np.ndarray, tol_pair: float, tol_root: float) -> ZeroPairing:
     # palindromic P, |P(z)| / |z|^deg = |P(1/z)|, so one evaluation inside the
     # circle serves both members of a pair. There |w| <= 1, so the powers in one
     # Vandermonde product cannot overflow; c read descending is c itself.
-    residuals = np.abs(np.vander(both[d:], deg + 1) @ (c / np.abs(c).max()))
+    residuals = np.abs(np.vander(both[d:], deg + 1) @ (c / P.max_abs))
     if not (residuals <= tol_root).all():  # a nan residual fails too
         raise RootFindingFailed(
             f"scaled root residual {float(residuals.max()):.3e} exceeds {tol_root:.1e}"
@@ -395,6 +358,8 @@ class Candidates:
         if values.ndim != 2 or not flips.shape == residuals.shape == values.shape[:1]:
             raise ValueError(f"expected k masks, k rows and k residuals, got shapes "
                              f"{flips.shape}, {values.shape} and {residuals.shape}")
+        if values.shape[1] == 0:
+            raise ValueError(f"expected rows of at least one value, got shape {values.shape}")
         f = _constraint_products(values)
         object.__setattr__(self, "flips", flips)
         object.__setattr__(self, "values", values)

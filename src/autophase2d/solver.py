@@ -18,16 +18,16 @@ from .polyfactor import (
     CHUNK_PRODUCTS,
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
-    ENDPOINT_RTOL,
     Candidates,
+    associated_polynomial,
     elementary_symmetric,
+    find_zero_pairs,
     group_flip_units,
     _autocorr_rows,
     _expand_zero_products,
     _factor_arrays,
     _residual_rows,
     _scale_rows,
-    _zero_pairs,
     _zero_product_table,
 )
 from .reduction import _reduce_unchecked, key_constraint
@@ -40,8 +40,8 @@ CROSSOVER_UNITS = 8
 # Largest candidate count (2^(u-1)) the half-table path takes on.
 CANDIDATE_BUDGET = 1 << 27
 # Largest candidate count times candidate length that enumerate, census or the
-# survivors of a solve may reach: each entry costs about 90 bytes on the way to
-# the CLI's text, so this caps a run at about 1.5 GB.
+# survivors of a solve may reach: each entry costs about 66 bytes on the way to
+# the CLI's text (measured at n = 6, README), so this caps a run at about 1.1 GB.
 MATERIALIZE_BUDGET = 1 << 24
 # solve_2d expands the candidates within this many times tol_match of c.
 PREFILTER_SLACK = 1000.0
@@ -60,26 +60,14 @@ class SolverOptions:
         return self.__dict__.copy()
 
 
-def _support_length(r: Autocorr1D) -> int:
-    """Largest lag carrying signal, measured against the overall scale."""
-    cut = ENDPOINT_RTOL * r.max_abs
-    half = np.abs(r.nonneg)
-    live = np.nonzero(half > cut)[0]
-    return int(live[-1]) + 1 if live.size else 0
-
-
 def _factor(r: Autocorr1D, opts: SolverOptions):
     """(autocorrelation trimmed to its support, the flip units' _factor_arrays,
-    extreme lag); None if r == 0.
-
-    The trimmed lags are palindromic and end in a nonzero lag, as _zero_pairs needs.
-    """
+    extreme lag); None if r == 0."""
     if r.max_abs == 0.0:
         return None
-    support = _support_length(r)
-    check_support_budget(support)
-    core = r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
-    pairing = _zero_pairs(core.values, opts.tol_pair, opts.tol_root)
+    core = associated_polynomial(r)
+    check_support_budget(core.m)
+    pairing = find_zero_pairs(core, opts.tol_pair, opts.tol_root)
     return core, _factor_arrays(group_flip_units(pairing).units), pairing.scale
 
 

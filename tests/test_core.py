@@ -24,7 +24,7 @@ from autophase2d import (
 from autophase2d import core
 from autophase2d.core import dft_matrix
 from autophase2d.oracle import exhaustive_integer_search
-from autophase2d.polyfactor import Candidates, Polynomial, ZeroPairing
+from autophase2d.polyfactor import Candidates, ZeroPairing
 from autophase2d.solver import CensusData, solve_2d
 from conftest import autocorr_1d_oracle, autocorr_2d_oracle
 
@@ -283,7 +283,6 @@ def test_trivially_equivalent_2d(golden_matrix):
         lambda: Autocorr1D(2, [1.0, 5.0, 1.0]),
         lambda: Autocorr2D(2, np.ones((3, 3))),
         lambda: MagnitudeGrid(3, 2, np.ones((3, 3))),
-        lambda: Polynomial([1.0, 2.0, 1.0]),
         lambda: ZeroPairing(np.array([2.0, 3.0 + 1j]), np.zeros(2), 1.0),
         lambda: CensusData(np.array([0.5, 1.0]), [float(np.log(0.5))], 2),
         lambda: Candidates([0, 2], [[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]], [0.0, 0.0]),
@@ -291,7 +290,7 @@ def test_trivially_equivalent_2d(golden_matrix):
         lambda: exhaustive_integer_search(autocorr_2d(Matrix2D(2, [1.0, 0.0, 1.0, -1.0])), 1),
     ],
     ids=["Matrix2D", "Signal1D", "Autocorr1D", "Autocorr2D", "MagnitudeGrid",
-         "Polynomial", "ZeroPairing", "CensusData", "Candidates", "SolveReport", "OracleResult"],
+         "ZeroPairing", "CensusData", "Candidates", "SolveReport", "OracleResult"],
 )
 def test_array_containers_compare_and_hash_by_identity(make):
     a, b = make(), make()

@@ -253,6 +253,14 @@ def test_candidate_table_refuses_nonfinite_values(field):
         dumps({"candidates": Candidates(**parts)})
 
 
+# rows of no values would be 2 cells each (mask, residual): below and above KERNEL_CELLS
+@pytest.mark.parametrize("k", [1, 300], ids=["template", "kernel"])
+def test_candidate_table_refuses_rows_of_no_values(k):
+    assert (2 * k < KERNEL_CELLS) == (k == 1)
+    with pytest.raises(ValueError, match=rf"at least one value, got shape \({k}, 0\)$"):
+        Candidates(np.zeros(k, int), np.zeros((k, 0)), np.zeros(k))
+
+
 @pytest.mark.parametrize("rows", [5, KERNEL_CELLS // 3 + 1], ids=["5", "kernel"])  # 3 cells a row
 def test_census_csv_bytes(rows):
     rng = np.random.default_rng(rows)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from autophase2d import (
     Candidates,
     ConjugatePair,
     FlipUnits,
+    AutophaseError,
     NonRealResult,
-    Polynomial,
     RealZero,
     RootFindingFailed,
     Signal1D,
@@ -57,26 +58,63 @@ def golden_pairing(golden_r):
 # --- polynomial construction ----------------------------------------------------
 
 
-def test_polynomial_trims_trailing_zeros():
-    p = Polynomial([1.0, 2.0, 0.0, 0.0])
-    assert p.degree == 1
-    assert np.array_equal(p.coeffs, [1.0, 2.0])
-    assert Polynomial([0.0]).degree == 0
-    with pytest.raises(ValueError):
-        Polynomial([])
-    with pytest.raises(ValueError):
-        Polynomial([np.inf])
-
-
 def test_associated_polynomial_golden(golden_r):
-    p = associated_polynomial(golden_r)
-    assert p.degree == 6
-    assert np.array_equal(p.coeffs, golden_r.values)
+    assert associated_polynomial(golden_r) is golden_r  # full support: r itself, degree 6
 
 
 def test_associated_polynomial_zero_endpoint():
-    with pytest.raises(ZeroEndpoint):
-        associated_polynomial(Autocorr1D.from_nonneg([5.0, 1.0, 0.0]))
+    # vanishing extreme lags are trimmed; only an all-zero sequence is refused
+    trimmed = associated_polynomial(Autocorr1D.from_nonneg([5.0, 1.0, 0.0, -0.0]))
+    assert trimmed.m == 2 and trimmed.values.tolist() == [1.0, 5.0, 1.0]
+    assert trimmed.max_abs == 5.0
+    with pytest.raises(ZeroEndpoint, match="every lag vanishes"):
+        associated_polynomial(Autocorr1D.from_nonneg([0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_endpoint_cut_is_endpoint_rtol(sign):
+    cut = polyfactor.ENDPOINT_RTOL * 5.0
+    at_cut = Autocorr1D.from_nonneg([5.0, 1.0, sign * cut])
+    assert associated_polynomial(at_cut).m == 2
+    above = Autocorr1D.from_nonneg([5.0, 1.0, sign * np.nextafter(cut, np.inf)])
+    assert associated_polynomial(above) is above
+    assert find_zero_pairs(above).zeros.size == 2
+
+
+def test_find_zero_pairs_refuses_untrimmed_lags():
+    cut = polyfactor.ENDPOINT_RTOL * 5.0
+    # the last two would overflow the colleague matrix (1e300 / 1e-320) if factored
+    for untrimmed in ([5.0, 1.0, 0.0], [5.0, 1.0, cut], [0.0, 0.0], [1e300, 0.0, 1e-320],
+                      [1e300, 1e-320]):
+        with pytest.raises(ZeroEndpoint, match="associated_polynomial trims it"):
+            find_zero_pairs(Autocorr1D.from_nonneg(untrimmed))
+    empty = find_zero_pairs(Autocorr1D.from_nonneg([7.0]))  # degree 0: no zeros
+    assert empty.zeros.size == 0 and empty.scale == 7.0
+
+
+@pytest.mark.parametrize("scale", [np.finfo(float).max, 1.0, 1e-300, 1e-310, 5e-320])
+def test_smallest_kept_endpoint_factors_without_warnings(scale):
+    # the extreme lag one float above the cut, under interior lags at +-max|r| (the
+    # largest colleague-matrix column the cut admits) or of a Gaussian signal
+    outcomes = set()
+    for m in range(2, 10):  # degrees 2..16
+        honest = autocorr_1d(Signal1D(np.random.default_rng(m).standard_normal(m))).nonneg
+        signs = np.random.default_rng(m).choice([-1.0, 1.0], m)
+        for half in (honest / np.abs(honest).max() * scale, signs * scale):
+            half[0] = scale
+            half[-1] = np.nextafter(polyfactor.ENDPOINT_RTOL * scale, np.inf)
+            r = Autocorr1D.from_nonneg(half)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert associated_polynomial(r) is r
+                try:
+                    zp = find_zero_pairs(r)
+                except AutophaseError as err:  # a typed refusal
+                    outcomes.add(type(err).__name__)
+                    continue
+            assert zp.zeros.size == m - 1 and np.all(zp.root_residuals <= 1e-8)
+            outcomes.add("pairs")
+    assert "pairs" in outcomes
 
 
 # --- zero pairing ---------------------------------------------------------------
@@ -100,32 +138,23 @@ def test_zero_pairs_lie_outside_circle(seed):
     assert np.all(np.abs(zp.zeros) > 1.0)
 
 
-def test_find_zero_pairs_validates_shape():
-    with pytest.raises(ValueError):
-        find_zero_pairs(Polynomial([1.0, 2.0, 3.0]))  # not palindromic
-    with pytest.raises(ValueError):
-        find_zero_pairs(Polynomial([1.0, 2.0, 2.0, 1.0]))  # odd degree
-    empty = find_zero_pairs(Polynomial([7.0]))
-    assert empty.zeros.size == 0 and empty.scale == 7.0
-
-
 def test_unit_circle_zero_detected():
     # autocorrelation of [1, 1]: both zeros sit at -1
     with pytest.raises(UnitCircleZero):
-        find_zero_pairs(Polynomial([1.0, 2.0, 1.0]))
+        find_zero_pairs(Autocorr1D.from_nonneg([2.0, 1.0]))
 
 
 @pytest.mark.parametrize("coeffs", [[1, 2, 1], [1, -2, 1], [1, 0, -2, 0, 1], [1, -4, 6, -4, 1]])
 def test_unit_circle_at_x_plus_minus_one_is_quiet(coeffs):
     # x = (z + 1/z)/2 = +-1 exactly; sqrt, branch choice and residual must not trap
     with np.errstate(all="raise"), pytest.raises(UnitCircleZero):
-        find_zero_pairs(Polynomial(coeffs))
+        find_zero_pairs(Autocorr1D(len(coeffs) // 2 + 1, coeffs))
 
 
 def test_degree_two_root_is_direct():
     # 2 + 5z + 2z^2 = (2z + 1)(z + 2): x = -5/4 maps to z = -2 exactly
     with np.errstate(all="raise"):
-        zp = find_zero_pairs(Polynomial([2.0, 5.0, 2.0]))
+        zp = find_zero_pairs(Autocorr1D.from_nonneg([5.0, 2.0]))
     assert zp.zeros.tolist() == [-2.0]
 
 
@@ -171,15 +200,6 @@ def test_eigenvalue_nonconvergence_is_root_finding_failed(lapack_not_converging,
         find_zero_pairs(associated_polynomial(golden_r))
 
 
-@pytest.mark.parametrize("coeffs", [
-    [1e-320, 0.0, 1e300, 0.0, 1e-320],  # 1e300 / 2e-320 overflows the last column
-    [1e-320, 1e300, 1e-320],  # and the d = 1 root
-], ids=["degree-4", "degree-2"])
-def test_nonfinite_colleague_matrix_is_a_typed_refusal(coeffs):
-    with pytest.raises(RootFindingFailed, match="colleague matrix overflows"):
-        find_zero_pairs(Polynomial(coeffs))
-
-
 def nearest_match_error(ours, reference):
     """Worst relative distance when each zero takes its nearest unused reference zero."""
     left = list(reference)
@@ -194,7 +214,7 @@ def nearest_match_error(ours, reference):
 def test_zero_pairs_match_np_roots(m, seed):
     r, zp, fu = seeded_units(m, seed)
     reflected = np.concatenate([zp.zeros, 1 / np.conj(zp.zeros)])
-    reference = np.roots(associated_polynomial(r).coeffs[::-1])
+    reference = np.roots(associated_polynomial(r).values[::-1])
     assert reflected.size == reference.size == 2 * m - 2
     assert nearest_match_error(reflected, reference) <= 1e-9
     for unit in fu.units:
@@ -213,7 +233,7 @@ def test_root_residuals_at_n7(seed):
 def test_root_residuals_match_horner(m, seed):
     # the gate's one Vandermonde product against Horner's method, at the members inside
     r, zp, _ = seeded_units(m, seed)
-    c = associated_polynomial(r).coeffs
+    c = associated_polynomial(r).values
     horner = np.abs(np.polyval(c / np.max(np.abs(c)), 1.0 / zp.zeros))
     assert zp.root_residuals.shape == horner.shape
     assert np.max(np.abs(zp.root_residuals - horner)) <= 1e-14

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 import tracemalloc
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import autophase2d as ap
 from autophase2d import (
     Autocorr1D,
     Autocorr2D,
@@ -30,6 +32,7 @@ from autophase2d import (
     AutophaseError,
     ResidualExceeded,
     SearchSpaceTooLarge,
+    jsonio,
     polyfactor,
     reduction,
     solver,
@@ -642,3 +645,31 @@ def test_infinite_tol_match_keeps_every_candidate_past_the_crossover():
     assert report.candidates_total == len(candidates)
     assert_same_table(report.matches, candidates)
     assert report.residuals == candidates.autocorr_residuals.tolist()
+
+
+def test_benchmark_traced_call_chain():
+    # perfbench/traced.py times these public calls, in this order; a change that
+    # breaks one breaks the benchmark's traced run
+    n = 3
+    X = planted(n, 0)
+    Y = np.abs(np.fft.fft2(X.values, s=(2 * n, 2 * n))) ** 2
+    R = ap.measurements_to_autocorr_2d(ap.MagnitudeGrid(2 * n, n, Y))
+    loaded = jsonio.load_autocorr2d(json.loads(json.dumps({"n": n, "values": R.values.tolist()})))
+    assert loaded.n == n
+    c = ap.key_constraint(R)
+    r = ap.reduce_2d_to_1d(R)
+    P = ap.associated_polynomial(r)
+    zp = ap.find_zero_pairs(P)
+    fu = ap.group_flip_units(zp)
+    conjugate = sum(isinstance(u, ap.ConjugatePair) for u in fu.units)
+    cands = ap.enumerate_candidates(r)
+    report = ap.solve_2d(R)
+    tol = report.tolerances
+    matches = ap.filter_by_constraint(cands, c, n, tol["tol_match"], tol["scale_floor"])
+    text = jsonio.dumps(report.to_dict())
+
+    assert P is r and 0 <= conjugate <= fu.unit_count == len(solver._factor(r, SolverOptions())[1])
+    assert len(cands) == report.candidates_total == 1 << (fu.unit_count - 1)
+    assert_same_table(matches, report.matches)
+    assert report.unique and trivially_equivalent_2d(report.solution, X, 1e-6)
+    assert json.loads(text)["unique"] is True
