@@ -229,14 +229,9 @@ def autocorr_2d(X: Matrix2D) -> Autocorr2D:
     out = np.zeros((side, side))
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check refuses overflow
         for i in range(n):
-            jlo = 0 if i == 0 else -(n - 1)  # row i=0 gets only j>=0, the rest by mirror
-            for j in range(jlo, n):
-                if j >= 0:
-                    s = (a[: n - i, : n - j] * a[i:, j:]).sum()
-                else:
-                    s = (a[: n - i, -j:] * a[i:, : n + j]).sum()
-                out[n - 1 + i, n - 1 + j] = s
-                out[n - 1 - i, n - 1 - j] = s
+            for j in range(1 - n if i else 0, n):  # row i=0 gets only j>=0, the rest by mirror
+                s = (a[:n - i, max(0, -j):n - max(0, j)] * a[i:, max(0, j):n + min(0, j)]).sum()
+                out[n - 1 + i, n - 1 + j] = out[n - 1 - i, n - 1 - j] = s
     return Autocorr2D(n, out)
 
 

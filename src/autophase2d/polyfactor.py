@@ -369,10 +369,6 @@ class Candidates:
     def __len__(self) -> int:
         return self.flips.size
 
-    def take(self, keep) -> "Candidates":
-        """The rows that `keep` (a boolean mask or an index array) selects, in its order."""
-        return Candidates(self.flips[keep], self.values[keep], self.autocorr_residuals[keep])
-
 
 def reconstruct_candidate(
     fu: FlipUnits,

@@ -24,6 +24,7 @@ from .polyfactor import (
     find_zero_pairs,
     group_flip_units,
     _autocorr_rows,
+    _constraint_products,
     _expand_zero_products,
     _factor_arrays,
     _residual_rows,
@@ -101,10 +102,9 @@ def _residual_error(count: int, worst: float, masks) -> ResidualExceeded:
     )
 
 
-def _gated_table(masks: np.ndarray, coeffs: np.ndarray, factors, m: int,
-                 tol_resid: float) -> Candidates:
-    """Candidates of the monic products `coeffs`, one row per mask: scaled, signed,
-    gated against the trimmed autocorrelation, padded with trailing zeros to m."""
+def _gated_table(masks: np.ndarray, coeffs: np.ndarray, factors, m: int, tol_resid: float):
+    """(masks, signals, residuals) of the monic products `coeffs`, one row per mask:
+    scaled, signed, gated against the trimmed autocorrelation, zero-padded to m."""
     core, _, scale = factors
     vals = _scale_rows(coeffs, scale)
     residuals = _residual_rows(vals, core)
@@ -113,13 +113,13 @@ def _gated_table(masks: np.ndarray, coeffs: np.ndarray, factors, m: int,
         raise _residual_error(int(over.sum()), float(residuals.max()), masks[over].tolist())
     if vals.shape[1] < m:
         vals = np.hstack([vals, np.zeros((masks.size, m - vals.shape[1]))])
-    return Candidates(masks, vals, residuals)
+    return masks, vals, residuals
 
 
-def _full_table(r: Autocorr1D, factors, tol_resid: float) -> Candidates:
-    """Every candidate, from one full table."""
+def _full_table(r: Autocorr1D, factors, tol_resid: float):
+    """(masks, signals, residuals) of every candidate, from one full table."""
     if factors is None:
-        return Candidates(np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1))
+        return np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1)
     count = 1 << max(len(factors[1]) - 1, 0)
     _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
     masks = np.arange(count, dtype=np.int64) << 1
@@ -210,7 +210,7 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Ca
     solved, and candidates are padded back with trailing zeros.
     """
     opts = opts or SolverOptions()
-    return _full_table(r, _factor(r, opts), opts.tol_resid)
+    return Candidates(*_full_table(r, _factor(r, opts), opts.tol_resid))
 
 
 def _matches_constraint(products: np.ndarray, c: float, tol_match: float,
@@ -232,7 +232,9 @@ def filter_by_constraint(
     m = candidates.values.shape[1]
     if m != n * n or candidates.f_values is None:
         raise ValueError(f"candidate length {m} is not {n}x{n} with n >= 2")
-    return candidates.take(_matches_constraint(candidates.f_values, c, tol_match, scale_floor))
+    keep = _matches_constraint(candidates.f_values, c, tol_match, scale_floor)
+    return Candidates(candidates.flips[keep], candidates.values[keep],
+                      candidates.autocorr_residuals[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,14 +261,14 @@ class SolveReport:
         }
 
 
-def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float,
-               opts: SolverOptions):
-    """Candidate count, then the table of the candidates whose constraint
-    product lies within tol of c (see _matches_constraint)."""
+def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float, opts: SolverOptions):
+    """Candidate count, then (masks, signals, residuals) of the candidates whose
+    constraint product lies within tol of c (see _matches_constraint)."""
     factors = _factor(r, opts)
     if not _split(factors):
-        table = _full_table(r, factors, opts.tol_resid)
-        return len(table), table.take(_matches_constraint(table.f_values, c, tol, floor))
+        masks, vals, residuals = _full_table(r, factors, opts.tol_resid)
+        keep = _matches_constraint(_constraint_products(vals), c, tol, floor)
+        return masks.size, (masks[keep], vals[keep], residuals[keep])
 
     halves = _Halves(factors, opts.tol_resid)
     rows_a = halves.A.shape[0]
@@ -297,8 +299,9 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     c = key_constraint(R)  # refuses n < 2 and an asymmetric grid
     r = _reduce_unchecked(R)
     floor = 1e-9 * r.max_abs
-    total, survivors = _survivors(r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
-    matches = survivors.take(_matches_constraint(survivors.f_values, c, opts.tol_match, floor))
+    total, (masks, vals, resid) = _survivors(r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
+    keep = _matches_constraint(_constraint_products(vals), c, opts.tol_match, floor)
+    matches = Candidates(masks[keep], vals[keep], resid[keep])
     tolerances = opts.to_dict()
     tolerances["scale_floor"] = floor
     report = SolveReport(
@@ -307,7 +310,7 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
         matches=matches,
         solution=Matrix2D(n, matches.values[0]) if matches else None,
         unique=len(matches) == 1,
-        residuals=survivors.autocorr_residuals.tolist(),
+        residuals=resid.tolist(),
         key_constraint_value=c,
         tolerances=tolerances,
     )
@@ -351,7 +354,8 @@ def ambiguity_census(r: Autocorr1D, n: int, opts: SolverOptions | None = None) -
     opts = opts or SolverOptions()
     factors = _factor(r, opts)
     if not _split(factors):
-        return _census_from_products(_full_table(r, factors, opts.tol_resid).f_values, n)
+        _, vals, _ = _full_table(r, factors, opts.tol_resid)
+        return _census_from_products(_constraint_products(vals), n)
     halves = _Halves(factors, opts.tol_resid)
     # one value per candidate, then a CSV line each: the budget of enumerate
     _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")

@@ -228,6 +228,13 @@ def test_other_sequences_serialize_as_before():
         dumps(np.array([1 + 2j]))
 
 
+def test_booleans_and_object_keys():
+    assert dumps(False) == "false" and dumps(True) == "true"
+    assert dumps({"a": False}) == '{"a": false}'
+    with pytest.raises(TypeError, match="^JSON object keys must be strings$"):
+        dumps({1: 0.5})
+
+
 # k rows of m + 2 or m + 3 cells: below and above KERNEL_CELLS
 @pytest.mark.parametrize("m, k", [(4, 8), (5, 8), (4, KERNEL_CELLS // 4), (5, KERNEL_CELLS // 4)],
                          ids=["4", "5", "4-kernel", "5-kernel"])
@@ -241,7 +248,7 @@ def test_candidate_table_bytes_match_per_entry(m, k):
                + "}" for row, mask, residual, fv in zip(values, table.flips.tolist(),
                                                           table.autocorr_residuals.tolist(), f)]
     assert dumps(table) == "[" + ", ".join(entries) + "]"
-    assert dumps(table.take(np.zeros(k, dtype=bool))) == "[]"
+    assert dumps(Candidates(table.flips[:0], values[:0], table.autocorr_residuals[:0])) == "[]"
 
 
 @pytest.mark.parametrize("field", ["values", "autocorr_residuals"])

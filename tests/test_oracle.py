@@ -5,6 +5,7 @@ import pytest
 
 from autophase2d import (
     Autocorr2D,
+    Candidates,
     Matrix2D,
     NoMatch,
     SearchSpaceTooLarge,
@@ -112,7 +113,9 @@ def test_roundtrip_scores_every_outcome(monkeypatch, golden_grid):
 
     def two_matches(R):
         report = real(R)
-        return dataclasses.replace(report, matches=report.matches.take([0, 0]), unique=False)
+        m, twice = report.matches, [0, 0]
+        matches = Candidates(m.flips[twice], m.values[twice], m.autocorr_residuals[twice])
+        return dataclasses.replace(report, matches=matches, unique=False)
 
     def wrong(R):
         report = real(R)

@@ -391,7 +391,9 @@ def test_reconstruct_reproduces_enumeration_rows(m, seed):
     assert len(candidates) == 1 << (fu.unit_count - 1)
     for i, flips in enumerate(candidates.flips.tolist()):
         single = reconstruct_candidate(fu, flips, zp.scale, target=r)
-        assert_same_table(single, candidates.take([i]))
+        row = slice(i, i + 1)
+        assert_same_table(single, Candidates(candidates.flips[row], candidates.values[row],
+                                             candidates.autocorr_residuals[row]))
 
 
 # --- the candidate table ----------------------------------------------------------
@@ -403,25 +405,14 @@ def test_candidate_table_arrays_are_read_only(golden_r):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
-    for a in (table.take([1, 2]).values, table.take(np.ones(4, dtype=bool)).flips):
-        assert not a.flags.writeable
-
-
-def test_candidate_table_take_keeps_mask_order(golden_r):
-    table = enumerate_candidates(golden_r)
-    kept = table.take(np.array([True, False, True, True]))
-    assert kept.flips.tolist() == [0, 4, 6]
-    assert np.array_equal(kept.values, table.values[[0, 2, 3]])
-    assert np.array_equal(kept.autocorr_residuals, table.autocorr_residuals[[0, 2, 3]])
-    assert np.array_equal(kept.f_values, table.f_values[[0, 2, 3]])
 
 
 def test_candidate_table_with_zero_rows(golden_r):
-    empty = enumerate_candidates(golden_r).take(np.zeros(4, dtype=bool))
+    table = enumerate_candidates(golden_r)
+    empty = Candidates(table.flips[:0], table.values[:0], table.autocorr_residuals[:0])
     assert len(empty) == 0 and not empty
     assert empty.values.shape == (0, 4)
     assert empty.f_values.shape == empty.autocorr_residuals.shape == empty.flips.shape == (0,)
-    assert len(empty.take(np.zeros(0, dtype=bool))) == 0
     assert_same_table(Candidates([], np.zeros((0, 4)), []), empty)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,7 +165,8 @@ def test_filter_golden(golden_r):
     assert filter_by_constraint(candidates, -570.0, 2).flips[0] == 2
     assert len(filter_by_constraint(candidates, 1e9, 2)) == 0
     assert_same_table(filter_by_constraint(candidates, -234.0, 2, tol_match=math.inf), candidates)
-    empty = candidates.take(np.zeros(len(candidates), dtype=bool))
+    empty = Candidates(candidates.flips[:0], candidates.values[:0],
+                       candidates.autocorr_residuals[:0])
     assert_same_table(filter_by_constraint(empty, -234.0, 2), empty)
     assert filter_by_constraint(empty, -234.0, 2).values.shape == (0, 4)
 
@@ -503,6 +505,56 @@ def test_solve_at_the_top_of_the_float_range_scales_exactly(n, kind):
             assert big.solution is None
         else:
             assert np.array_equal(big.solution.values, np.ldexp(report.solution.values, k))
+
+
+@pytest.mark.parametrize("X", [positive(3, 3), planted(3, 0), planted(4, 0)],
+                         ids=["positive-3", "gauss-3", "gauss-4"])
+def test_subnormal_grids_answer_refuse_or_vanish(X):
+    """Scaled by 2^j into the subnormal range, a grid is answered with 2^(j/2) X,
+    refused by type, or, once every lag has underflowed, answered with zero.
+
+    No rescale can make solve(2^j R) = 2^(j/2) solve(R) here: below 2^-1022
+    the scaled lags are already rounded, so the input is not 2^j R."""
+    R = autocorr_2d(X)
+    tol = 1e-6 * np.abs(X.values).max()
+    for j in range(-1040, -1091, -10):
+        scaled = Autocorr2D(X.n, np.ldexp(R.values, j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = solve_2d(scaled)
+            except AutophaseError:
+                assert j < -1040  # the largest scale is answered
+                continue
+        assert report.unique
+        if scaled.values.any():
+            unscaled = Matrix2D(X.n, np.ldexp(report.solution.values, -j // 2))
+            assert trivially_equivalent_2d(unscaled, X, tol)
+        else:
+            assert not report.solution.values.any()
+
+
+def test_each_result_builds_one_candidate_table(monkeypatch, golden_grid):
+    """A solve in either table regime builds one Candidates (its matches), a NoMatch
+    solve one (its empty matches), enumerate one, and a full-table census none."""
+    built = []
+    init = polyfactor.Candidates.__post_init__
+    monkeypatch.setattr(polyfactor.Candidates, "__post_init__",
+                        lambda table: built.append(table) or init(table))
+    full, half = autocorr_2d(planted(3, 0)), autocorr_2d(planted(4, 0))
+    assert (unit_count(full), unit_count(half)) == (5, 9)
+    assert unit_count(full) <= solver.CROSSOVER_UNITS < unit_count(half)
+    refused = nomatch_grid(golden_grid)
+    r = reduce_2d_to_1d(full)
+    for call, count in [(lambda: solve_2d(full), 1), (lambda: solve_2d(half), 1),
+                        (lambda: solve_outcome(refused), 1),
+                        (lambda: enumerate_candidates(r), 1),
+                        (lambda: ambiguity_census(r, 3), 0)]:
+        built.clear()
+        call()
+        assert len(built) == count
+    with pytest.raises(NoMatch):
+        solve_2d(refused)
 
 
 def test_integer_corpus_covers_a_zero_corner():
