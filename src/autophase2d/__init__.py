@@ -48,7 +48,6 @@ from .polyfactor import (
     ZeroPairing,
     associated_polynomial,
     elementary_symmetric,
-    f_direct,
     f_vieta,
     find_zero_pairs,
     group_flip_units,

@@ -301,16 +301,16 @@ def dumps(obj) -> str:
 
 
 def census_csv(census) -> str:
-    """CSV with columns index, d, log_gap; an undefined log gap is left empty."""
+    """CSV with columns index, d, log_gap; a nan log gap, and the last row's, is left empty."""
     d = np.asarray(census.d, dtype=float)
     require_finite(d)
-    gaps = list(census.v[: d.size]) + [None] * (d.size - len(census.v))
-    g = np.array([0.0 if gap is None else gap for gap in gaps], dtype=float)
-    require_finite(g)
     if not d.size:
         return "index,d,log_gap\n"
+    g = np.append(np.asarray(census.v, dtype=float), math.nan)
     blank = np.zeros((d.size, 3), dtype=bool)
-    blank[:, 2] = [gap is None for gap in gaps]
+    blank[:, 2] = np.isnan(g)
+    g[blank[:, 2]] = 0.0
+    require_finite(g)
     return _text(np.column_stack([np.arange(d.size), d, g]), [",", ",", "\n"],
                  "index,d,log_gap\n", "\n", blank)
 

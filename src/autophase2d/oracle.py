@@ -16,11 +16,11 @@ from .errors import (
     NoMatch,
     SearchSpaceTooLarge,
 )
+from .polyfactor import CHUNK_PRODUCTS
 from .solver import SolverOptions, solve_2d
 
 SEARCH_BUDGET = 10**8
 EXACT_LIMIT = 2**53
-_CHUNK = 1 << 18
 # A unique match counts as the planted signal within this many times max|X|.
 EQUIV_RTOL = 1e-6
 
@@ -73,8 +73,9 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
     solutions: list[Matrix2D] = []
     if energy >= 0:
         powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        for start in range(0, size, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
+        step = max(1, CHUNK_PRODUCTS // k)  # points of k digits each
+        for start in range(0, size, step):
+            idx = np.arange(start, min(start + step, size), dtype=np.int64)
             digits = (idx[:, None] // powers[None, :]) % base - bound
             keep = (digits * digits).sum(axis=1) == energy
             keep &= digits[:, 0] * digits[:, -1] == corner

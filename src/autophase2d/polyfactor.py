@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import SYMMETRY_RTOL, Autocorr1D, Signal1D, _freeze
+from .core import SYMMETRY_RTOL, Autocorr1D, _freeze
 from .errors import (
     NonRealResult,
     RootFindingFailed,
@@ -32,8 +32,8 @@ DEFAULT_TOL_PAIR = 1e-6
 
 # _chebyshev_roots keeps the colleague-matrix bases of this many degrees.
 CACHED_DEGREES = 16
-# Entries per chunk: of the zero-padded rows in _autocorr_rows, and of the
-# constraint products in the solver's half-table path.
+# Entries per chunk of every chunked loop: padded rows (_autocorr_rows), the
+# solver's half-table products, the oracle's search points, jsonio's cells.
 CHUNK_PRODUCTS = 1 << 20
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -407,23 +407,11 @@ def elementary_symmetric(values, k: int) -> complex:
     return complex(c[k])
 
 
-def f_direct(y: Signal1D, n: int) -> float:
-    """Product of entries n-1 and n*n-n of a flattened n-by-n candidate.
-
-    Invariant under global sign change and reversal, and equal to the corner
-    grid entry used by key_constraint for any true preimage.
-    """
-    f = _constraint_products(y.values) if y.values.size == n * n else None
-    if f is None:
-        raise ValueError(f"candidate length {y.values.size} is not {n}x{n} with n >= 2")
-    return float(f)
-
-
 def f_vieta(fu: FlipUnits, flips: int, r_peak: float, n: int) -> float:
     """Constraint product evaluated from the zero multiset alone.
 
     |r_peak| times the (n-1)-th elementary symmetric functions of the selected
-    zeros and of their conjugate reciprocals. Matches f_direct of the
+    zeros and of their conjugate reciprocals. Matches the f_values entry of the
     reconstructed candidate up to the global sign convention.
     """
     betas = fu.betas(flips)

@@ -271,16 +271,13 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float, opts: 
         return masks.size, (masks[keep], vals[keep], residuals[keep])
 
     halves = _Halves(factors, opts.tol_resid)
-    rows_a = halves.A.shape[0]
     hits, count = [], 0
-    for j0, f in halves.products(n):
-        hit = np.flatnonzero(_matches_constraint(f, c, tol, floor))
-        count += hit.size
+    for j0, f in halves.products(n):  # every chunk's hits are counted before any is expanded
+        j, i = np.nonzero(_matches_constraint(f, c, tol, floor))
+        count += i.size
         _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
-        hits.append(hit + j0 * rows_a)
-    idx = np.concatenate(hits)
-    i = idx % rows_a
-    masks = halves.masks(idx // rows_a, i)
+        hits.append((halves.masks(j + j0, i), i))
+    masks, i = (np.concatenate(a) for a in zip(*hits))
     return halves.total, _gated_table(masks, halves.rows(masks, i), factors, r.m, opts.tol_resid)
 
 
@@ -327,7 +324,7 @@ class CensusData:
     """Sorted normalized constraint products of every candidate, with log gaps."""
 
     d: np.ndarray
-    v: list  # log of consecutive gaps; None marks a gap of zero (or below)
+    v: np.ndarray  # log of consecutive gaps; nan marks a gap of zero (or below)
     n: int
 
 
@@ -337,7 +334,8 @@ def _census_from_products(products: np.ndarray, n: int) -> CensusData:
     if top != 0.0:
         d = d / top
     gaps = np.diff(d)
-    v = [math.log(g) if g > 0 else None for g in gaps.tolist()]
+    # math.log, since np.log differs from it in the last bit on some values
+    v = np.array([math.log(g) if g > 0 else math.nan for g in gaps.tolist()])
     return CensusData(d=d, v=v, n=n)
 
 

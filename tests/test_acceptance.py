@@ -4,7 +4,6 @@ Run with plain pytest; verdict lines bypass capture so every criterion
 prints PASS or FAIL with its runtime even in quiet mode.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,7 +17,6 @@ from autophase2d import (
     asymptotic_probe,
     enumerate_candidates,
     exhaustive_integer_search,
-    f_direct,
     f_vieta,
     filter_by_constraint,
     planted_roundtrip,
@@ -203,8 +201,7 @@ def test_5_constraint_product_cross_check(capsys):
                 continue
             fu = group_flip_units(pairing)
             candidates = enumerate_candidates(r)
-            for flips, row in zip(candidates.flips.tolist(), candidates.values):
-                direct = f_direct(Signal1D(row), n)
+            for flips, direct in zip(candidates.flips.tolist(), candidates.f_values.tolist()):
                 vieta = f_vieta(fu, flips, pairing.scale, n)
                 rel = abs(abs(vieta) - abs(direct)) / max(abs(direct), 1e-300)
                 worst = max(worst, rel)
@@ -234,7 +231,7 @@ def test_6_census_properties(capsys):
     gaps = np.diff(census.d)
     if not np.all(gaps > 0):
         failures.append("products are not strictly increasing")
-    if any(v is None or not math.isfinite(v) for v in census.v):
+    if not np.isfinite(census.v).all():
         failures.append("some log gaps are undefined")
     if gaps.size and float(np.min(gaps)) <= 10 * TOL_MATCH:
         failures.append(f"min gap {float(np.min(gaps)):.3e} within 10x match tolerance")

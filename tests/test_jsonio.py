@@ -286,11 +286,13 @@ def test_census_csv_bytes(rows):
     assert census_csv(CensusData(d=np.array([0.5]), v=[], n=2)) == "index,d,log_gap\n0,0.5,\n"
     all_zero = CensusData(d=np.array([1.0, 1.0, 1.0]), v=[None, None], n=2)
     assert census_csv(all_zero) == "index,d,log_gap\n0,1,\n1,1,\n2,1,\n"
-    # a non-finite log gap is refused, and named, as a non-finite d is
-    for bad, name in [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]:
+    # an infinite log gap is refused, and named, as a non-finite d is; a nan one is blank
+    for bad, name in [(math.inf, "inf"), (-math.inf, "-inf")]:
         census = CensusData(d=np.array([0.25, 0.5, 1.0]), v=[-1.5, bad], n=2)
         with pytest.raises(ValueError, match=f"non-finite value {name}$"):
             census_csv(census)
+    census = CensusData(d=np.array([0.25, 0.5, 1.0]), v=np.array([-1.5, math.nan]), n=2)
+    assert census_csv(census) == "index,d,log_gap\n0,0.25,-1.5\n1,0.5,\n2,1,\n"
     with pytest.raises(ValueError, match="value inf$"):
         census_csv(CensusData(d=np.array([0.25, 0.5, 1.0]), v=[None, math.inf], n=2))
 

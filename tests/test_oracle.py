@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ def test_search_empty_when_bound_too_small(golden_grid):
     assert result.classes == []
 
 
+def test_search_chunks_join_seamlessly(monkeypatch):
+    """A search cut into many chunks of points finds what one chunk finds."""
+    R = autocorr_2d(Matrix2D.from_rows([[2.0, -1.0], [3.0, 1.0]]))
+    whole = exhaustive_integer_search(R, 3).to_dict()
+    assert len(whole["solutions"]) == 4
+    starts = []
+
+    class CountingNumpy:  # oracle's numpy, noting the start of every chunk of points
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, start, *args, **kwargs):
+            starts.append(start)
+            return np.arange(start, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "np", CountingNumpy())
+    monkeypatch.setattr(oracle, "CHUNK_PRODUCTS", 4 * 240)  # 240 points of 4 digits
+    assert exhaustive_integer_search(R, 3).to_dict() == whole
+    assert starts[1:] == list(range(0, 7**4, 240))  # 11 chunks, after the digit powers
+
+
 def test_roundtrip_scoring():
     record = planted_roundtrip(2, 6, seed=7)
     assert record["n"] == 2
@@ -130,3 +152,29 @@ def test_roundtrip_scores_every_outcome(monkeypatch, golden_grid):
     assert [(f["trial"], f["kind"]) for f in record["flagged"]] == [
         (1, "no_match"), (2, "UnitCircleZero"), (3, "multiple_matches"), (4, "silent_wrong")]
     assert record["max_residual"] == 0.5  # the NoMatch report's worst residual
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2026])
+def test_roundtrip_n5_is_always_right(seed):
+    record = planted_roundtrip(5, 200, seed)
+    assert record["successes"] == 200
+    assert record["silent_wrong"] == 0
+    assert not [f for f in record["flagged"] if f["kind"] == "multiple_matches"]
+
+
+@functools.cache
+def roundtrip_n6(seed):
+    return planted_roundtrip(6, 200, seed)
+
+
+@pytest.mark.parametrize("seed", [5, 2026])
+def test_roundtrip_n6_is_never_silently_wrong(seed):
+    assert roundtrip_n6(seed)["silent_wrong"] == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at n = 6 the corner product alone "
+                   "leaves several candidates on some inputs; the whole grid decides them")
+@pytest.mark.parametrize("seed", [5, 2026])
+def test_roundtrip_n6_has_one_match(seed):
+    flagged = roundtrip_n6(seed)["flagged"]
+    assert not [f for f in flagged if f["kind"] == "multiple_matches"]

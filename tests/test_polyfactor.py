@@ -25,7 +25,6 @@ from autophase2d import (
     autocorr_1d,
     elementary_symmetric,
     enumerate_candidates,
-    f_direct,
     f_vieta,
     find_zero_pairs,
     group_flip_units,
@@ -465,24 +464,21 @@ def test_elementary_symmetric_matches_oracle(values, data):
     assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
-def test_f_direct_invariances():
-    y = Signal1D([3.0, -1.0, 4.0, 2.0])
-    assert f_direct(y, 2) == -4.0  # entries 1 and 2
-    assert f_direct(Signal1D(-y.values), 2) == -4.0
-    assert f_direct(Signal1D(y.values[::-1]), 2) == -4.0
-    with pytest.raises(ValueError):
-        f_direct(Signal1D([1.0, 2.0, 3.0]), 2)
-    with pytest.raises(ValueError):
-        f_direct(Signal1D([1.0]), 1)
+def test_f_values_invariances():
+    # a row, its negative and its reversal share a constraint product; rows that are
+    # not n*n with n >= 2 have none (test_candidate_table_has_no_f_values_unless_m_is_a_square)
+    y = np.array([3.0, -1.0, 4.0, 2.0])
+    table = Candidates([0, 2, 4], [y, -y, y[::-1]], [0.0, 0.0, 0.0])
+    assert table.f_values.tolist() == [-4.0, -4.0, -4.0]  # entries 1 and 2
 
 
-def test_f_vieta_matches_f_direct_golden(golden_r):
+def test_f_vieta_matches_f_values_golden(golden_r):
     zp = golden_pairing(golden_r)
     fu = group_flip_units(zp)
     for flips in range(8):
         y = reconstruct_candidate(fu, flips, zp.scale, target=golden_r)
         fv = f_vieta(fu, flips, zp.scale, 2)
-        assert abs(fv) == pytest.approx(abs(f_direct(Signal1D(y.values[0]), 2)), rel=1e-10)
+        assert abs(fv) == pytest.approx(abs(y.f_values[0]), rel=1e-10)
 
 
 def test_f_vieta_validates_count(golden_r):

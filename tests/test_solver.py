@@ -311,7 +311,7 @@ def test_census_golden_all_negative_products(golden_r):
     assert census.d == pytest.approx(
         [609.0 / 234.0, 570.0 / 234.0, 465.0 / 234.0, 1.0], abs=1e-9
     )
-    assert census.v == [None, None, None]  # gaps are negative, logs undefined
+    assert census.v.shape == (3,) and np.isnan(census.v).all()  # gaps are negative, logs undefined
     assert census.n == 2
 
 
@@ -321,8 +321,7 @@ def test_census_seeded_instance():
     census = ambiguity_census(r, 3)
     assert len(census.d) == 16
     assert np.all(np.diff(census.d) > 0)
-    assert all(v is not None for v in census.v)
-    assert census.v == pytest.approx([math.log(g) for g in np.diff(census.d)])
+    assert census.v.tolist() == [math.log(g) for g in np.diff(census.d).tolist()]
 
 
 def test_census_rejects_length_mismatch(golden_r):
@@ -680,6 +679,45 @@ def test_n7_enumeration_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_loose_n7_solve_counts_every_chunk_before_expanding():
+    # the survivor count is refused before any hit is expanded to a row; expanding each
+    # chunk's hits as they come would hold rows for every chunk before the refusal
+    R = autocorr_2d(planted(7, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match="survivor entries"):
+            solve_2d(R, SolverOptions(tol_match=1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_half_table_chunks_join_seamlessly(monkeypatch):
+    """A solve and a census cut into many chunks of half-table products give the
+    bytes of the default chunking (n = 5, u = 13: 64 B rows by 64 A rows)."""
+    R = autocorr_2d(planted(5, 50000))
+    r = reduce_2d_to_1d(R)
+    assert unit_count(R) == 13
+
+    def outputs():
+        return jsonio.dumps(solve_2d(R).to_dict()), jsonio.census_csv(ambiguity_census(r, 5))
+
+    whole = outputs()
+    chunks = []
+    products = solver._Halves.products
+
+    def counted(halves, n):
+        for j0, f in products(halves, n):
+            chunks.append(j0)
+            yield j0, f
+
+    monkeypatch.setattr(solver._Halves, "products", counted)
+    monkeypatch.setattr(solver, "CHUNK_PRODUCTS", 1 << 8)  # 4 B rows a chunk
+    assert outputs() == whole
+    assert chunks == 2 * list(range(0, 64, 4))  # 16 chunks each
 
 
 def test_n6_enumeration_fits_the_budget():

@@ -1,5 +1,6 @@
 """The scripts under tools/ run against this tree and report what they claim."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -33,7 +34,26 @@ def test_compare_outputs_names_the_first_record_that_differs(tmp_path):
                       encoding="utf-8")
     done = run_tool("compare_outputs.py", str(SRC), str(changed))
     assert done.returncode == 1, done.stderr
-    assert done.stdout.splitlines()[-1].startswith("record 2 differs: 'gauss-n2-s20000 solve'")
+    named = [line for line in done.stdout.splitlines() if line.startswith("record ")]
+    assert named[0].startswith("record 2 differs: 'gauss-n2-s20000 solve'")
+    assert len(named) > 1  # every solve report lists tol_match
+
+
+def test_compare_outputs_names_every_record_that_differs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = [(f"record-{k}", f"{k:016x}") for k in range(5)]
+    new = [old[0], ("record-1", "a" * 16), *old[2:4], ("record-4", "b" * 16)]
+    monkeypatch.setattr(tool, "records", lambda src: old if src.name == "old" else new)
+    assert tool.main(["old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines()[5:] == [
+        "record 1 differs: 'record-1' 0000000000000001 -> 'record-1' aaaaaaaaaaaaaaaa",
+        "record 4 differs: 'record-4' 0000000000000004 -> 'record-4' bbbbbbbbbbbbbbbb",
+    ]
+    assert tool.main(["old", "old"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "5 records identical"
 
 
 def test_regime_timing_reports_identical_solves():

@@ -30,9 +30,9 @@ empty working directory, over the same fixed corpus:
 
 A CLI record holds the exit status, standard output, standard error and the
 file the command wrote. The script prints one line per record, its name and
-the digest of its output under NEW_SRC, then the record count. It exits 1
-naming the first record whose output differs, and 0 when every record is
-identical.
+the digest of its output under NEW_SRC. It then names every record whose
+output differs and exits 1, or prints the record count and exits 0 when every
+record is identical.
 """
 
 from __future__ import annotations
@@ -199,12 +199,13 @@ def main(argv=None) -> int:
     new = records(args.new_src.resolve())
     for name, digest in new:
         print(f"{digest}  {name}")
-    for k, (before, after) in enumerate(zip(old, new)):
-        if before != after:
-            print(f"record {k} differs: {before[0]!r} {before[1]} -> {after[0]!r} {after[1]}")
-            return 1
+    lines = [f"record {k} differs: {before[0]!r} {before[1]} -> {after[0]!r} {after[1]}"
+             for k, (before, after) in enumerate(zip(old, new)) if before != after]
     if len(old) != len(new):
-        print(f"record counts differ: {len(old)} -> {len(new)}")
+        lines.append(f"record counts differ: {len(old)} -> {len(new)}")
+    for line in lines:
+        print(line)
+    if lines:
         return 1
     print(f"{len(new)} records identical")
     return 0

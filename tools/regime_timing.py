@@ -30,7 +30,6 @@ status 1 if not).
 from __future__ import annotations
 
 import argparse
-import math
 import statistics
 import sys
 import time
@@ -81,12 +80,9 @@ def draw_tables(cells: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     k = max(1, cells // 19)
     table = Candidates(np.arange(k) << 1, rng.standard_normal((k, 16)), 1e-15 * rng.random(k))
-    d = np.sort(rng.standard_normal(max(1, cells // 3)))
-    d = d / d[-1]
-    census = solver.CensusData(d=d, v=[math.log(g) if g > 0 else None
-                                       for g in np.diff(d).tolist()], n=4)
+    census = solver._census_from_products(rng.standard_normal(max(1, cells // 3)), n=4)
     return [(f"candidates {table.values.shape[0] * 19}", lambda: jsonio.dumps(table)),
-            (f"census {d.size * 3}", lambda: jsonio.census_csv(census))]
+            (f"census {census.d.size * 3}", lambda: jsonio.census_csv(census))]
 
 
 def cell_sizes(text: str) -> list[int]:
