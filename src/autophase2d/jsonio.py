@@ -22,7 +22,7 @@ from .polyfactor import CHUNK_PRODUCTS, Candidates
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
 # Tables of at least this many floats are written by the kernel, smaller ones
 # by one "%" over a template (tools/regime_timing.py --writer times both).
-KERNEL_CELLS = 512
+KERNEL_CELLS = 352
 
 
 def format_float(x: float) -> str:
@@ -41,8 +41,9 @@ def require_finite(a: np.ndarray) -> None:
 # A cell's text fills four little-endian uint64 words, NUL wherever a
 # character is absent. Word 0 holds the sign, the prefix "0.000" and T[0:2];
 # words 1 and 2 hold T[2:18]; word 3 holds "e+XX" in its low four bytes and,
-# in its high four, the start of what follows the cell. T is the 17 digits
-# with the point inserted after one of them, cut after the last digit kept.
+# in its high four, what follows the cell or a mark for it (see _text). T is
+# the 17 digits with the point inserted after one of them, cut after the last
+# digit kept.
 _SLOT_WORDS = 3  # the words that are the cell's alone
 _EXP_BYTES = np.uint64(0xFFFF_FFFF)  # the part of word 3 that is the cell's
 _E0 = 30  # tables are indexed by the decimal exponent plus _E0, for -30..17
@@ -219,39 +220,53 @@ def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
     and a cell that `blank` marks is written as nothing.
 
     Below KERNEL_CELLS cells one "%" fills a template of the layout. From
-    KERNEL_CELLS on, cells and separators go to one buffer per chunk of at
-    most CHUNK_PRODUCTS cells (whole rows), from which translate drops every
-    NUL; head goes before the first."""
+    KERNEL_CELLS on, each cell takes _SLOT_WORDS + 1 words of one buffer per
+    chunk of at most CHUNK_PRODUCTS cells (whole rows); head goes before the
+    first. A separator of at most four bytes fills the high half of the
+    cell's word 3; a longer one, or a longer last, leaves there a mark, a
+    control byte (1, 2, ...) that no text of a layout holds. translate drops
+    every NUL, then replace puts each separator in place of its mark."""
     if cells.size < KERNEL_CELLS:
         pieces = [FLOAT + sep for sep in seps] * len(cells)
         for k in [] if blank is None else np.flatnonzero(blank).tolist():
             pieces[k] = "%.0s" + seps[k % len(seps)]  # takes the cell's value, writes nothing
         text = head + "".join(pieces)
         return (text[:len(text) - len(seps[-1])] + last) % tuple(cells.ravel().tolist())
-    # the separators, then last, as rows of words after four NUL bytes, the exponent's
-    pads = _words([b"\0" * 4 + sep.encode() for sep in seps + [last]])
-    width = _SLOT_WORDS + pads.shape[-1]
+    # word 3 of each column's cells, then of the final cell: four NUL bytes,
+    # the exponent's, then the separator or its mark
+    ends, marks = [], {}
+    for sep in map(str.encode, seps + [last]):
+        if len(sep) > 4:
+            sep = marks.setdefault(sep, bytes([len(marks) + 1]))
+        ends.append(b"\0" * 4 + sep)
+    ends = _words(ends)[:, 0]
     step = max(1, CHUNK_PRODUCTS // len(seps))
-    parts = []
+    text = ""
     for start in range(0, len(cells), step):
         chunk = cells[start:start + step]
         lead = b"" if start else head.encode()
         skip = -(-len(lead) // 8) * 8  # whole words
-        data = bytearray(skip + 8 * width * chunk.size)
+        data = bytearray(skip + 8 * (_SLOT_WORDS + 1) * chunk.size)
         data[:len(lead)] = lead
-        flat = np.frombuffer(data, "<u8", offset=skip).reshape(-1, width)
-        flat.reshape(chunk.shape + (width,))[..., _SLOT_WORDS:] = pads[:-1]
+        flat = np.frombuffer(data, "<u8", offset=skip).reshape(-1, _SLOT_WORDS + 1)
+        flat.reshape(chunk.shape + (_SLOT_WORDS + 1,))[..., _SLOT_WORDS] = ends[:-1]
         if start + step >= len(cells):
-            flat[-1, _SLOT_WORDS:] = pads[-1]
-        _format_into(flat[:, :_SLOT_WORDS + 1], chunk.ravel())
+            flat[-1, _SLOT_WORDS] = ends[-1]
+        _format_into(flat, chunk.ravel())
         if blank is not None:
             rows = blank[start:start + step].ravel()
             flat[rows, :_SLOT_WORDS] = 0
             flat[rows, _SLOT_WORDS] &= ~_EXP_BYTES
         del flat  # a view of data
-        parts.append(data.translate(None, b"\0").decode("ascii"))
+        part = data.translate(None, b"\0")
         del data
-    return parts[0] if len(parts) == 1 else "".join(parts)
+        for sep, mark in marks.items():
+            part = part.replace(mark, sep)
+        # CPython grows a str that only this name holds in place, so no chunk's
+        # text is kept apart and no join copies them all
+        text += part.decode("ascii")
+        del part
+    return text
 
 
 def _candidates(table: Candidates) -> str:

@@ -190,6 +190,55 @@ def test_one_layout_two_fillers(monkeypatch, name):
     assert texts[0] == texts[1]
 
 
+def test_no_layout_holds_a_mark_byte(monkeypatch):
+    """The kernel marks a separator longer than four bytes by a control byte
+    1, 2, ..., one per distinct separator; no layout may hold one itself."""
+    layouts = []
+    text = jsonio._text
+
+    def spy(cells, seps, head, last, blank=None):
+        layouts.append((seps, head, last))
+        return text(cells, seps, head, last, blank)
+
+    monkeypatch.setattr(jsonio, "_text", spy)
+    for obj in LAYOUT_CASES.values():
+        census_csv(obj) if isinstance(obj, CensusData) else dumps(obj)
+    assert {len(seps) for seps, _, _ in layouts} == {1, 3, 7, 12}  # every writer's layout
+    for seps, head, last in layouts:
+        marks = {chr(k) for k in range(1, len(seps) + 2)}
+        assert not marks & set(head + "".join(seps) + last)
+
+
+# cells that the kernel leaves to format(): zero, beyond its range, a tie
+FALLBACKS = [0.0, 1e17, 1e-30, 1e15 + 0.25, -0.0, -1e17]
+
+
+@pytest.mark.parametrize("m", [9, 5], ids=["f-value", "f-null"])
+def test_fallback_cells_before_marked_separators(monkeypatch, m):
+    """Each long separator, and the long last of the null f_value layout,
+    follows a cell that format() writes, in one chunk and in chunks of three
+    rows; the kernel's bytes are the template's."""
+    k = 20
+    cycle = np.resize(FALLBACKS, k)
+    values = np.tile(np.linspace(0.5, 1.5, m), (k, 1))
+    values[:, -1] = cycle  # before '], "flips": '
+    if m == 9:  # f_value = values[:, 2] * values[:, 6], before the row's end
+        values[:, 2], values[:, 6] = cycle[::-1], 1.0
+    flips = np.resize([0, 10**17, 2**60, 6], k)  # before ', "autocorr_residual": '
+    table = Candidates(flips, values, np.roll(cycle, 1))  # before ', "f_value": ' or the end
+    assert table.autocorr_residuals[-1] in FALLBACKS and (m == 9) == (table.f_values is not None)
+    if m == 9:
+        assert set(table.f_values.tolist()) == set(FALLBACKS)
+    texts = []
+    for chunk_rows in (k, 3):
+        monkeypatch.setattr(jsonio, "CHUNK_PRODUCTS", chunk_rows * (m + 2 + (m == 9)))
+        for cells in (0, 1 << 62):
+            monkeypatch.setattr(jsonio, "KERNEL_CELLS", cells)
+            texts.append(dumps(table))
+    assert len(set(texts)) == 1
+    assert texts[0].endswith(', "f_value": null}]' if m == 5 else "}]")
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [0, 5, -1])
 def test_nonfinite_values_are_refused_alike(bad, where):

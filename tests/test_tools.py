@@ -65,4 +65,11 @@ def test_regime_timing_reports_identical_solves():
 def test_regime_timing_writer_reports_identical_texts():
     done = run_tool("regime_timing.py", "--writer", "--cells", "64-128", "--rounds", "2")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "texts identical: True"
+    _, header, *rows, verdict = done.stdout.splitlines()
+    assert header.split() == ["table", "template", "faults", "kernel", "faults"]
+    assert [row.split()[:2] for row in rows] == [["candidates", "57"], ["census", "63"],
+                                                 ["candidates", "114"], ["census", "126"]]
+    for row in rows:  # time and minor page faults a write, for each writer
+        template, template_faults, kernel, kernel_faults = map(float, row.split()[2:6])
+        assert min(template, kernel) > 0 and min(template_faults, kernel_faults) >= 0
+    assert verdict == "texts identical: True"

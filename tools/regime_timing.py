@@ -22,14 +22,17 @@ forces the vectorized kernel, and set above every size the one-"%"
 template. The tables are candidate tables of n = 4 signals (19 cells a row),
 as `enumerate` writes them, and census CSVs (3 cells a row) of sorted
 products. Each round times every table once in each way, alternating which
-goes first. The script prints the median over rounds of each table's time
-in microseconds, and whether every text was identical in the two ways (exit
-status 1 if not).
+goes first. Blocks of 1 MiB or more are their own mappings, as perfbench sets
+glibc's malloc. The script prints the median over rounds of each table's time
+in microseconds, the mean number of minor page faults (`ru_minflt`) a write
+takes, and whether every text was identical in the two ways (exit status 1
+if not).
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -43,6 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from autophase2d import Autocorr2D, jsonio, solve_2d, solver  # noqa: E402
 from autophase2d.polyfactor import Candidates  # noqa: E402
+from harness import M_MMAP_THRESHOLD, MALLOPT, MMAP_THRESHOLD_BYTES  # noqa: E402
 from workloads import WORKLOADS, lag_grid, make_instance  # noqa: E402
 
 REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
@@ -93,16 +97,24 @@ def cell_sizes(text: str) -> list[int]:
     return sizes
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def writer_main(args) -> int:
+    if MALLOPT is not None:
+        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     tables = [t for k, cells in enumerate(args.cells) for t in draw_tables(cells, k)]
     default = jsonio.KERNEL_CELLS
     times = {(name, w): [] for name, _ in tables for w in WRITERS}
+    faults = {(name, w): [] for name, _ in tables for w in WRITERS}
     texts = {w: [] for w in WRITERS}
     for rnd in range(args.rounds + 1):  # round 0 warms up and keeps the texts
         order = list(WRITERS) if rnd % 2 == 0 else list(WRITERS)[::-1]
         for name, write in tables:
             for w in order:
                 jsonio.KERNEL_CELLS = WRITERS[w]
+                f0 = minor_faults()
                 t0 = time.perf_counter_ns()
                 text = write()
                 elapsed = time.perf_counter_ns() - t0
@@ -110,13 +122,17 @@ def writer_main(args) -> int:
                     texts[w].append(text)
                 else:
                     times[name, w].append(elapsed / 1e3)
+                    faults[name, w].append(minor_faults() - f0)
     jsonio.KERNEL_CELLS = default
 
-    print(f"{len(tables)} tables, {args.rounds} rounds; us a table (median over rounds)")
-    print(f"{'table':>18} {'template':>9} {'kernel':>9}")
+    print(f"{len(tables)} tables, {args.rounds} rounds; us a table (median over rounds), "
+          f"minor faults a write (mean)")
+    print(f"{'table':>18} {'template':>9} {'faults':>7} {'kernel':>9} {'faults':>7}")
     for name, _ in tables:
         template, kernel = (statistics.median(times[name, w]) for w in WRITERS)
-        print(f"{name:>18} {template:9.0f} {kernel:9.0f}  ({(kernel / template - 1) * 100:+.0f}%)")
+        t_faults, k_faults = (statistics.mean(faults[name, w]) for w in WRITERS)
+        print(f"{name:>18} {template:9.0f} {t_faults:7.1f} {kernel:9.0f} {k_faults:7.1f}"
+              f"  ({(kernel / template - 1) * 100:+.0f}%)")
     same = texts["template"] == texts["kernel"]
     print(f"texts identical: {same}")
     return 0 if same else 1
