@@ -179,12 +179,13 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *texts: str) -> None:
+    """Write the texts one after another, without joining them."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _dispatch(cfg: argparse.Namespace):
@@ -232,8 +233,8 @@ def run(config: argparse.Namespace) -> int:
     """Execute one command; exceptions are folded into the exit-code contract."""
     try:
         payload = _dispatch(config)
-        text = payload if isinstance(payload, str) else jsonio.dumps(payload) + "\n"
-        _write_text(config.output, text)
+        texts = (payload,) if isinstance(payload, str) else (jsonio.dumps(payload), "\n")
+        _write_text(config.output, *texts)
     except AutophaseError as err:
         _emit_error(type(err).__name__, str(err))
         return 1

@@ -305,7 +305,8 @@ def dumps(obj) -> str:
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("JSON object keys must be strings")
-        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
+        parts = [s for k, v in obj.items() for s in (", ", json.dumps(k), ": ", dumps(v))]
+        return "".join(["{", *parts[1:], "}"])  # one copy of a large value's text
     if isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj):
         a = np.array(obj)
         require_finite(a)

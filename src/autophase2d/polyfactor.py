@@ -47,10 +47,13 @@ def associated_polynomial(r: Autocorr1D) -> Autocorr1D:
     divides out a zero at 0 and one at infinity: the signal has shorter support.
     Returns r itself at full support; raises ZeroEndpoint when every lag vanishes.
     """
-    live = np.flatnonzero(np.abs(r.nonneg) > ENDPOINT_RTOL * r.max_abs)
-    if not live.size:
+    floor = ENDPOINT_RTOL * r.max_abs
+    lags = r.nonneg.tolist()
+    support = r.m
+    while support and not abs(lags[support - 1]) > floor:
+        support -= 1
+    if not support:
         raise ZeroEndpoint(f"every lag vanishes (scale {r.max_abs:.3e})")
-    support = int(live[-1]) + 1
     return r if support == r.m else Autocorr1D.from_nonneg(r.nonneg[:support])
 
 
@@ -139,26 +142,28 @@ def find_zero_pairs(
     x = _chebyshev_roots(np.concatenate([c[d:d + 1] / 2, c[d + 1:]]))
     s = np.sqrt((x - 1.0) * (x + 1.0))
     # |x + s| * |x - s| = 1; the sign with Re(x conj(s)) >= 0 picks |z| >= 1.
-    z = x + np.where(x.real * s.real + x.imag * s.imag < 0, -s, s)
-    both = np.concatenate([z, 1.0 / z])
+    z = [a - b if a.real * b.real + a.imag * b.imag < 0 else a + b
+         for a, b in zip(x.tolist(), s.tolist())]
+    z_arr = np.array(z)
+    inside = 1.0 / z_arr
 
     # Residual of the max-normalized polynomial, deflated by max(1,|z|)^deg. For a
     # palindromic P, |P(z)| / |z|^deg = |P(1/z)|, so one evaluation inside the
     # circle serves both members of a pair. There |w| <= 1, so the powers in one
     # Vandermonde product cannot overflow; c read descending is c itself.
-    residuals = np.abs(np.vander(both[d:], deg + 1) @ (c / P.max_abs))
+    residuals = np.abs(np.vander(inside, deg + 1) @ (c / P.max_abs))
     if not (residuals <= tol_root).all():  # a nan residual fails too
         raise RootFindingFailed(
             f"scaled root residual {float(residuals.max()):.3e} exceeds {tol_root:.1e}"
         )
 
-    on_circle = ~(np.abs(np.abs(both) - 1.0) > tol_pair)
-    if on_circle.any():
-        raise UnitCircleZero(
-            f"zero {both[on_circle][0]:.6g} lies within {tol_pair:.1e} of the unit circle; "
-            "flipping is ill-defined there"
-        )
-    return ZeroPairing(z, residuals, float(c[-1]))
+    for w in z + inside.tolist():
+        if not abs(abs(w) - 1.0) > tol_pair:
+            raise UnitCircleZero(
+                f"zero {w:.6g} lies within {tol_pair:.1e} of the unit circle; "
+                "flipping is ill-defined there"
+            )
+    return ZeroPairing(z_arr, residuals, float(c[-1]))
 
 
 @dataclass(frozen=True)
@@ -220,18 +225,23 @@ def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     represented by its member with positive imaginary part. Units are
     ordered by descending modulus, then real part, then imaginary part.
     """
-    zs = zp.zeros
-    upper, lower = np.sort(zs[zs.imag > 0]), np.sort(zs[zs.imag < 0].conj())
-    if upper.shape != lower.shape or not (upper == lower).all():
+    zs = zp.zeros.tolist()
+    upper = sorted((z for z in zs if z.imag > 0), key=_unit_order)
+    lower = sorted((z.conjugate() for z in zs if z.imag < 0), key=_unit_order)
+    if upper != lower:
         raise UnpairedComplexZero(
-            f"complex zeros {zs[zs.imag != 0]} are not closed under conjugation"
+            f"complex zeros {zp.zeros[zp.zeros.imag != 0]} are not closed under conjugation"
         )
-    zs = zs[zs.imag >= 0]
-    zs = zs[np.lexsort((zs.imag, zs.real, -np.abs(zs)))]
     # A list, not a generator: in a solve loop the generator form kept peak RSS higher.
     return FlipUnits(tuple([
-        RealZero(z.real) if z.imag == 0 else ConjugatePair(z) for z in zs.tolist()
+        RealZero(z.real) if z.imag == 0 else ConjugatePair(z)
+        for z in sorted((z for z in zs if z.imag >= 0), key=_unit_order)
     ]))
+
+
+def _unit_order(z: complex) -> tuple[float, float, float]:
+    """Descending modulus, then ascending real part, then ascending imaginary part."""
+    return -abs(z), z.real, z.imag
 
 
 # --- shared expansion kernel -------------------------------------------------

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D, _asymmetry
+from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
 from .core import autocorr_1d, autocorr_2d, vectorize_rowwise
 from .errors import AsymmetricInput, DegenerateSize
 
 
 def _check_symmetry(R: Autocorr2D) -> None:
-    asym = _asymmetry(R.values)
-    if not asym <= SYMMETRY_RTOL * np.abs(R.values).max():  # a nan asymmetry fails too
+    flat = R.values.ravel().tolist()
+    # the grid is finite, so a difference that overflows is inf, never nan
+    asym = max(abs(a - b) for a, b in zip(flat, reversed(flat)))
+    if not asym <= SYMMETRY_RTOL * max(map(abs, flat)):
         raise AsymmetricInput(f"lag grid asymmetry {asym:.3e} exceeds tolerance")
 
 
@@ -29,8 +31,8 @@ def reduce_2d_to_1d(R: Autocorr2D) -> Autocorr1D:
       ell > n*(n-1)     -> R(n-1, j)
       otherwise         -> R(i, j) + R(i+1, j-n)
 
-    Negative lags follow by symmetry. Row i, column j of `half` in
-    _reduce_unchecked is lag ell = i*n + j; grid entry R(i, j) sits at v[i + n-1, j + n-1].
+    Negative lags follow by symmetry. Entry ell of `half` in _reduce_unchecked
+    is lag ell; grid entry R(i, j) sits at v[i + n-1][j + n-1].
     """
     _check_symmetry(R)
     return _reduce_unchecked(R)
@@ -39,13 +41,15 @@ def reduce_2d_to_1d(R: Autocorr2D) -> Autocorr1D:
 def _reduce_unchecked(R: Autocorr2D) -> Autocorr1D:
     """reduce_2d_to_1d of a grid whose symmetry the caller has checked."""
     n = R.n
-    v = R.values
-    half = np.empty((n, n))
-    half[:, 0] = v[n - 1:, n - 1]
-    with np.errstate(over="ignore"):  # Autocorr1D refuses an overflowing sum
-        half[:-1, 1:] = v[n - 1:-1, n:] + v[n:, :n - 1]
-    half[-1, 1:] = v[-1, n:]
-    return Autocorr1D.from_nonneg(half.reshape(-1))
+    v = R.values.tolist()
+    half = []
+    for i in range(n - 1, 2 * n - 2):
+        row, below = v[i], v[i + 1]
+        half.append(row[n - 1])
+        # a sum that overflows is inf, which Autocorr1D refuses
+        half.extend(a + b for a, b in zip(row[n:], below))
+    half.extend(v[-1][n - 1:])
+    return Autocorr1D.from_nonneg(half)
 
 
 def key_constraint(R: Autocorr2D) -> float:

@@ -42,7 +42,8 @@ CROSSOVER_UNITS = 8
 CANDIDATE_BUDGET = 1 << 27
 # Largest candidate count times candidate length that enumerate, census or the
 # survivors of a solve may reach: each entry costs about 58 bytes on the way to
-# the CLI's text (measured at n = 6, README), so this caps a run at about 1 GB.
+# the CLI's text, which `dumps` holds twice at its peak, the table's and the
+# payload's (measured at n = 6, README), so this caps a run at about 1 GB.
 MATERIALIZE_BUDGET = 1 << 24
 # solve_2d expands the candidates within this many times tol_match of c.
 PREFILTER_SLACK = 1000.0

@@ -50,6 +50,25 @@ def test_search_budget():
         exhaustive_integer_search(R, 4)  # 9^9 grid points
 
 
+def test_n4_search_at_bound_1_is_refused_before_any_point(monkeypatch):
+    """3^16 points at about 10 us each would run for minutes."""
+    R = autocorr_2d(Matrix2D(4, np.random.default_rng(0).integers(-1, 2, (4, 4)).astype(float)))
+    calls = []
+
+    class CountingNumpy:  # oracle's numpy, noting every arange (digit powers, chunks of points)
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            calls.append(args)
+            return np.arange(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "np", CountingNumpy())
+    with pytest.raises(SearchSpaceTooLarge, match="3\\^16 = 43046721 points exceeds budget"):
+        exhaustive_integer_search(R, 1)
+    assert calls == []
+
+
 def test_search_validates_input(golden_grid):
     with pytest.raises(ValueError):
         exhaustive_integer_search(golden_grid, -1)

@@ -57,6 +57,34 @@ def golden_pairing(golden_r):
 # --- polynomial construction ----------------------------------------------------
 
 
+def numpy_support(r):
+    """The support associated_polynomial trims r to, in numpy."""
+    live = np.flatnonzero(np.abs(r.nonneg) > polyfactor.ENDPOINT_RTOL * r.max_abs)
+    return int(live[-1]) + 1
+
+
+def trimmed_sequences():
+    """Lag sequences whose last 0..3 lags vanish, exactly or within ENDPOINT_RTOL."""
+    rng = np.random.default_rng(23)
+    cut = polyfactor.ENDPOINT_RTOL
+    for m in (2, 3, 5, 9):
+        for tail in ([], [0.0], [-0.0, 0.0], [cut, -cut, 0.5 * cut], [2 * cut, cut]):
+            head = rng.standard_normal(m)
+            head[0] = np.abs(head).max() + 1.0  # the zero lag is the largest
+            yield np.concatenate([head, np.array(tail) * head[0]])
+    yield np.array([5.0, 0.0, 1.0, 0.0])  # an inner zero lag is kept
+    yield np.array([5.0, 1.0, 2.0 * cut * 5.0, 0.0])  # a tiny lag above the cut is kept
+
+
+@pytest.mark.parametrize("half", list(trimmed_sequences()))
+def test_endpoint_trim_is_numpys_last_live_lag(half):
+    r = Autocorr1D.from_nonneg(half)
+    trimmed = associated_polynomial(r)
+    assert trimmed.m == numpy_support(r)
+    assert trimmed.nonneg.tolist() == r.nonneg[:trimmed.m].tolist()
+    assert (trimmed is r) == (trimmed.m == r.m)
+
+
 def test_associated_polynomial_golden(golden_r):
     assert associated_polynomial(golden_r) is golden_r  # full support: r itself, degree 6
 
@@ -171,6 +199,23 @@ def test_unit_circle_band_is_tol_pair(golden_r):
         find_zero_pairs(P, tol_pair=0.6)
 
 
+@pytest.mark.parametrize("half, tol_pair, named", [
+    ([2.0, 1.0], 1e-6, "-1+0j"),  # a double zero at -1
+    ([-2.0, 1.0], 1e-6, "1+0j"),
+    ([2.0, 0.0, 1.0], 1e-6, "8.86028e-09+1j"),  # (z^2 + 1)^2: the first of +-i
+    ([3.0, -1.0, 1.0, 1.0], 1e-6, "0.136945+0.990579j"),
+    ([1334.0, -867.0, 242.0, -24.0], 0.6, "0.5+0j"),  # golden zeros 2, 3, 4: an inside member
+    ([1334.0, -867.0, 242.0, -24.0], 0.7, "0.333333+0j"),
+    ([1334.0, -867.0, 242.0, -24.0], 0.8, "0.25+0j"),
+])
+def test_unit_circle_zero_names_the_first_zero_in_the_band(half, tol_pair, named):
+    # the representatives first, then their reciprocals, each in eigenvalue order
+    with pytest.raises(UnitCircleZero) as caught:
+        find_zero_pairs(Autocorr1D.from_nonneg(half), tol_pair=tol_pair)
+    assert str(caught.value) == (f"zero {named} lies within {tol_pair:.1e} of the unit circle; "
+                                 "flipping is ill-defined there")
+
+
 def test_root_tolerance_is_enforced(golden_r):
     with pytest.raises(RootFindingFailed):
         find_zero_pairs(associated_polynomial(golden_r), tol_root=1e-300)
@@ -265,6 +310,51 @@ def test_group_flip_units_conjugate_pairs():
     assert plain[0] == np.conj(plain[1])
     flipped = unit.members(True)
     assert flipped[0] == pytest.approx(1 / np.conj(plain[0]))
+
+
+def numpy_unit_order(zeros):
+    """The unit values group_flip_units orders, in numpy: np.lexsort is stable."""
+    zs = zeros[zeros.imag >= 0]
+    return zs[np.lexsort((zs.imag, zs.real, -np.abs(zs)))].tolist()
+
+
+TIED_ZEROS = [
+    [2.0, -2.0],  # zeros +-a
+    [-2.0, 2.0, 3.0, -3.0],
+    [5.0, 3 + 4j, 3 - 4j],  # a real zero and a conjugate pair of equal modulus
+    [3 - 4j, -5.0, 3 + 4j, 5.0],
+    [4 - 3j, 3 + 4j, -4 + 3j, 5.0, -3 - 4j, 4 + 3j, -4 - 3j, 3 - 4j, -3 + 4j, -5.0],  # |z| = 5
+    [2.0, complex(2.0, -0.0), -2.0],  # a real zero with imaginary part -0.0
+    [1.5, 1.5, -1.5, 2 + 1j, 2 - 1j, 2 + 1j, 2 - 1j],  # repeated zeros
+    [1e10 + 2j, 1e10 - 2j, 1e10 + 1j, 1e10 - 1j],  # the computed moduli and real parts tie
+]
+
+
+@pytest.mark.parametrize("zeros", TIED_ZEROS)
+def test_unit_order_is_numpys_lexsort_on_ties(zeros):
+    zeros = np.array(zeros, dtype=complex)
+    fu = group_flip_units(ZeroPairing(zeros, np.zeros(zeros.size), 1.0))
+    assert [complex(u.value) for u in fu.units] == numpy_unit_order(zeros)
+    assert [type(u) for u in fu.units] == [RealZero if z.imag == 0 else ConjugatePair
+                                           for z in numpy_unit_order(zeros)]
+
+
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES + [(25, 1), (36, 1), (49, 1)])
+def test_unit_order_is_numpys_lexsort(m, seed):
+    _, zp, fu = seeded_units(m, seed)
+    assert [complex(u.value) for u in fu.units] == numpy_unit_order(zp.zeros)
+
+
+@pytest.mark.parametrize("zeros, named", [
+    ([2 + 1j, 1.5], "[2.+1.j]"),
+    ([2 + 1j, 1.5, 2 - 1j, 3 + 2j], "[2.+1.j 2.-1.j 3.+2.j]"),
+    ([-3 - 4j, 5.0, 3 + 4j], "[-3.-4.j  3.+4.j]"),
+    ([2 + 1j, 2 - 1.5j], "[2.+1.j  2.-1.5j]"),
+])
+def test_unpaired_complex_zero_names_every_complex_zero(zeros, named):
+    with pytest.raises(UnpairedComplexZero) as caught:
+        group_flip_units(ZeroPairing(np.array(zeros, dtype=complex), np.zeros(len(zeros)), 1.0))
+    assert str(caught.value) == f"complex zeros {named} are not closed under conjugation"
 
 
 def test_unpaired_complex_zero_rejected():

@@ -73,3 +73,15 @@ def test_regime_timing_writer_reports_identical_texts():
         template, template_faults, kernel, kernel_faults = map(float, row.split()[2:6])
         assert min(template, kernel) > 0 and min(template_faults, kernel_faults) >= 0
     assert verdict == "texts identical: True"
+
+
+def test_regime_timing_against_a_tree_reports_identical_solves():
+    done = run_tool("regime_timing.py", "--against", str(SRC), "--seeds", "100", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    title, *sizes, verdict = done.stdout.splitlines()
+    assert title.startswith("8 inputs, 2 rounds")
+    assert [line.split(":")[0] for line in sizes] == ["n = 3", "n = 4"]
+    for line in sizes:  # the ratio in each tree and the change for this one
+        assert min(float(line.split()[4].rstrip(",")), float(line.split()[7])) > 0
+        assert line.endswith("%)")
+    assert verdict == "reports identical: True"

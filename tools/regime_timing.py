@@ -1,10 +1,12 @@
 """Time `solve_2d` with the full candidate table against the half tables, or
-(with --writer) the two writers of large float tables.
+(with --writer) the two writers of large float tables, or (with --against)
+the solves of this tree against those of another.
 
 Run from the root of a checkout:
 
     python3 tools/regime_timing.py --n 4 --seeds 100-109 --rounds 200
     python3 tools/regime_timing.py --writer --cells 64-8192 --rounds 200
+    python3 tools/regime_timing.py --against OLD_SRC --seeds 100-109 --rounds 200
 
 The inputs are the n-by-n entries of perfbench's `small-n34` pool (n = 3 has
 u = 5 flip units, n = 4 has u = 9), drawn for every seed of the range, as the
@@ -27,11 +29,24 @@ glibc's malloc. The script prints the median over rounds of each table's time
 in microseconds, the mean number of minor page faults (`ru_minflt`) a write
 takes, and whether every text was identical in the two ways (exit status 1
 if not).
+
+With --against, OLD_SRC is a directory holding an `autophase2d` package (the
+`src/` of another checkout). Both trees are loaded in this process, OLD_SRC's
+under the package name `autophase2d_against`, and solve every input of the
+`small-n34` pool (both sizes; --n is ignored) for every seed of the range, as
+perfbench's library loop does: from the squared magnitudes to the report, with
+`harness.Reference` run after each solve. Each round solves every input once
+in each tree, alternating which tree goes first from one round to the next.
+The script prints, per n, the mean over inputs of each input's median solve
+time over the reference time after it (perfbench's `instance_ref_ratio`) in
+both trees and the change for this tree, and whether every report was
+byte-identical in the two trees (exit status 1 if not).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import resource
 import statistics
 import sys
@@ -46,7 +61,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from autophase2d import Autocorr2D, jsonio, solve_2d, solver  # noqa: E402
 from autophase2d.polyfactor import Candidates  # noqa: E402
-from harness import M_MMAP_THRESHOLD, MALLOPT, MMAP_THRESHOLD_BYTES  # noqa: E402
+import autophase2d  # noqa: E402
+from harness import M_MMAP_THRESHOLD, MALLOPT, MMAP_THRESHOLD_BYTES, Reference  # noqa: E402
 from workloads import WORKLOADS, lag_grid, make_instance  # noqa: E402
 
 REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
@@ -138,6 +154,59 @@ def writer_main(args) -> int:
     return 0 if same else 1
 
 
+def load_tree(src: Path, name: str):
+    """The `autophase2d` package under `src`, imported as `name` next to this tree's."""
+    init = src / "autophase2d" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def solve_timed(package, inst, ref: Reference) -> tuple[float, str]:
+    """(solve time over the reference time after it, report text) of one input."""
+    t0 = time.perf_counter()
+    report = package.solve_2d(package.measurements_to_autocorr_2d(
+        package.MagnitudeGrid(2 * inst.n, inst.n, inst.Y)))
+    ratio = (time.perf_counter() - t0) / ref.run()
+    return ratio, importlib.import_module(f"{package.__name__}.jsonio").dumps(report.to_dict())
+
+
+def against_main(args) -> int:
+    if MALLOPT is not None:
+        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    trees = {"against": load_tree(args.against.resolve(), "autophase2d_against"),
+             "this tree": autophase2d}
+    workload = WORKLOADS["small-n34"]
+    pool = [make_instance(workload, seed, i)
+            for seed in args.seeds for i in range(len(workload.pool))]
+    ref = Reference()
+    ratios = {tree: [[] for _ in pool] for tree in trees}
+    reports = {tree: [] for tree in trees}
+    for rnd in range(args.rounds + 1):  # round 0 warms up and keeps the reports
+        order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
+        for k, inst in enumerate(pool):
+            for tree in order:
+                ratio, text = solve_timed(trees[tree], inst, ref)
+                if rnd == 0:
+                    reports[tree].append(text)
+                else:
+                    ratios[tree][k].append(ratio)
+
+    print(f"{len(pool)} inputs, {args.rounds} rounds; solve time over the reference after it, "
+          f"mean over inputs of the median over rounds")
+    for n in sorted({inst.n for inst in pool}):
+        old, new = (statistics.fmean(statistics.median(ratios[tree][k])
+                                     for k, inst in enumerate(pool) if inst.n == n)
+                    for tree in trees)
+        print(f"n = {n}: against {old:.4f}, this tree {new:.4f} ({(new / old - 1) * 100:+.2f}%)")
+    same = reports["against"] == reports["this tree"]
+    print(f"reports identical: {same}")
+    return 0 if same else 1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, default=4, help="side of the inputs (3 or 4)")
@@ -148,9 +217,13 @@ def main(argv=None) -> int:
                     help="time the two writers of float tables instead of the solve regimes")
     ap.add_argument("--cells", type=cell_sizes, default=cell_sizes("64-8192"),
                     help="table sizes for --writer, FIRST-LAST, doubling (default 64-8192)")
+    ap.add_argument("--against", type=Path, metavar="OLD_SRC",
+                    help="time this tree's small-n34 solves against those of OLD_SRC")
     args = ap.parse_args(argv)
     if args.writer:
         return writer_main(args)
+    if args.against:
+        return against_main(args)
 
     grids = draw_inputs(args.n, args.seeds)
     default = solver.CROSSOVER_UNITS
