@@ -49,11 +49,32 @@ def _class_representative(flat: tuple) -> tuple:
     return min(flat, neg, flat[::-1], neg[::-1])
 
 
+def _matches_grid(digits: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row of `digits`, a row-flattened n-by-n integer matrix, has
+    the lag grid `target` (int64, laid out as Autocorr2D.values).
+
+    Each lag is summed over column slices of every row at once, by the slice rule
+    of autocorr_2d, and compared with both of its mirrored grid entries. The sums
+    are exact in int64: a search admits only entries so small that no lag comes
+    near 2**63.
+    """
+    X = digits.reshape(-1, n, n)
+    match = np.ones(X.shape[0], dtype=bool)
+    for i in range(n):
+        for j in range(1 - n if i else 0, n):
+            lag = (X[:, :n - i, max(0, -j):n - max(0, j)]
+                   * X[:, i:, max(0, j):n + min(0, j)]).sum(axis=(1, 2))
+            match &= lag == target[n - 1 + i, n - 1 + j]
+            match &= lag == target[n - 1 - i, n - 1 - j]
+    return match
+
+
 def exhaustive_integer_search(R, bound: int) -> OracleResult:
     """Every integer matrix with entries in [-bound, bound] matching R exactly.
 
     Enumeration is pruned by the total-energy lag R(0, 0) and the corner
-    product R(n-1, n-1); survivors are checked with exact integer arithmetic.
+    product R(n-1, n-1); the survivors of each chunk of points are checked
+    against the whole grid at once, in exact integer arithmetic.
     Raises SearchSpaceTooLarge when the grid has more than SEARCH_BUDGET points, and
     ValueError when a lag value is not an integer of magnitude at most 2**53.
     """
@@ -83,10 +104,9 @@ def exhaustive_integer_search(R, bound: int) -> OracleResult:
             digits = (idx[:, None] // powers[None, :]) % base - bound
             keep = (digits * digits).sum(axis=1) == energy
             keep &= digits[:, 0] * digits[:, -1] == corner
-            for row in digits[keep]:
-                X = Matrix2D(n, row.astype(float))
-                if np.array_equal(autocorr_2d(X).values, Rv):
-                    solutions.append(X)
+            survivors = digits[keep]
+            for row in survivors[_matches_grid(survivors, target, n)]:
+                solutions.append(Matrix2D(n, row.astype(float)))
 
     reps = sorted({
         _class_representative(tuple(int(v) for v in s.values.reshape(-1)))

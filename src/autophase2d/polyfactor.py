@@ -139,7 +139,9 @@ def find_zero_pairs(
     if deg == 0:
         return ZeroPairing(np.empty(0, complex), np.empty(0), float(c[-1]))
     d = deg // 2
-    x = _chebyshev_roots(np.concatenate([c[d:d + 1] / 2, c[d + 1:]]))
+    series = c[d:].copy()
+    series[0] /= 2
+    x = _chebyshev_roots(series)
     s = np.sqrt((x - 1.0) * (x + 1.0))
     # |x + s| * |x - s| = 1; the sign with Re(x conj(s)) >= 0 picks |z| >= 1.
     z = [a - b if a.real * b.real + a.imag * b.imag < 0 else a + b
@@ -150,9 +152,15 @@ def find_zero_pairs(
     # Residual of the max-normalized polynomial, deflated by max(1,|z|)^deg. For a
     # palindromic P, |P(z)| / |z|^deg = |P(1/z)|, so one evaluation inside the
     # circle serves both members of a pair. There |w| <= 1, so the powers in one
-    # Vandermonde product cannot overflow; c read descending is c itself.
-    residuals = np.abs(np.vander(inside, deg + 1) @ (c / P.max_abs))
-    if not (residuals <= tol_root).all():  # a nan residual fails too
+    # Vandermonde product cannot overflow; c read descending is c itself. The
+    # matrix is built as np.vander builds it, powers descending along each row.
+    vander = np.empty((d, deg + 1), complex)
+    powers = vander[:, ::-1]
+    powers[:, 0] = 1
+    powers[:, 1:] = inside[:, None]
+    np.multiply.accumulate(powers[:, 1:], out=powers[:, 1:], axis=1)
+    residuals = np.abs(vander @ (c / P.max_abs))
+    if not all(v <= tol_root for v in residuals.tolist()):  # a nan residual fails too
         raise RootFindingFailed(
             f"scaled root residual {float(residuals.max()):.3e} exceeds {tol_root:.1e}"
         )
@@ -226,17 +234,16 @@ def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     ordered by descending modulus, then real part, then imaginary part.
     """
     zs = zp.zeros.tolist()
-    upper = sorted((z for z in zs if z.imag > 0), key=_unit_order)
+    kept = sorted((z for z in zs if z.imag >= 0), key=_unit_order)
+    # the sort is stable, so the upper members keep the order a sort of them alone gives
     lower = sorted((z.conjugate() for z in zs if z.imag < 0), key=_unit_order)
-    if upper != lower:
+    if [z for z in kept if z.imag > 0] != lower:
         raise UnpairedComplexZero(
             f"complex zeros {zp.zeros[zp.zeros.imag != 0]} are not closed under conjugation"
         )
     # A list, not a generator: in a solve loop the generator form kept peak RSS higher.
-    return FlipUnits(tuple([
-        RealZero(z.real) if z.imag == 0 else ConjugatePair(z)
-        for z in sorted((z for z in zs if z.imag >= 0), key=_unit_order)
-    ]))
+    return FlipUnits(tuple([RealZero(z.real) if z.imag == 0 else ConjugatePair(z)
+                            for z in kept]))
 
 
 def _unit_order(z: complex) -> tuple[float, float, float]:
@@ -267,8 +274,18 @@ def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def _factor_arrays(units) -> list[np.ndarray]:
-    """Per flip unit, its factor's lower coefficients unflipped (row 0) and flipped (row 1)."""
-    return [np.array([unit.factor(False), unit.factor(True)]) for unit in units]
+    """Per flip unit, its factor's lower coefficients unflipped (row 0) and flipped (row 1).
+
+    Each is a view of one two-row array: every unit's unflipped coefficients, in
+    unit order, then every unit's flipped ones.
+    """
+    rows = [[unit.factor(flipped) for unit in units] for flipped in (False, True)]
+    table = np.array([sum(row, ()) for row in rows])
+    views, k = [], 0
+    for factor in rows[0]:
+        views.append(table[:, k:k + len(factor)])
+        k += len(factor)
+    return views
 
 
 def _expand_zero_products(factors, masks: np.ndarray, first: int = 0,
@@ -322,17 +339,23 @@ def _autocorr_rows(vals: np.ndarray) -> np.ndarray:
     so a row's lags do not depend on the layout, batch or chunk it came in.
     """
     rows, w = vals.shape
-    out = np.empty((rows, w))
     step = max(1, CHUNK_PRODUCTS // (2 * w - 1))
+    if rows <= step:
+        return _autocorr_chunk(vals)
+    out = np.empty((rows, w))
     for r0 in range(0, rows, step):
-        chunk = vals[r0:r0 + step]
-        padded = np.zeros((chunk.shape[0], 2 * w - 1))
-        padded[:, :w] = chunk
-        row, col = padded.strides
-        shifted = np.ndarray((chunk.shape[0], w, w), buffer=padded, strides=(row, col, col))
-        # shifted[r, l, t] = padded[r, l + t]: entry l + t of the row, or 0 past its end
-        np.einsum("rt,rlt->rl", padded[:, :w], shifted, out=out[r0:r0 + step])
+        _autocorr_chunk(vals[r0:r0 + step], out[r0:r0 + step])
     return out
+
+
+def _autocorr_chunk(chunk: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    rows, w = chunk.shape
+    padded = np.zeros((rows, 2 * w - 1))
+    padded[:, :w] = chunk
+    row, col = padded.strides
+    shifted = np.ndarray((rows, w, w), buffer=padded, strides=(row, col, col))
+    # shifted[r, l, t] = padded[r, l + t]: entry l + t of the row, or 0 past its end
+    return np.einsum("rt,rlt->rl", padded[:, :w], shifted, out=out)
 
 
 def _residual_rows(vals: np.ndarray, r: Autocorr1D) -> np.ndarray:

@@ -16,8 +16,9 @@ from .errors import AsymmetricInput, DegenerateSize
 
 def _check_symmetry(R: Autocorr2D) -> None:
     flat = R.values.ravel().tolist()
-    # the grid is finite, so a difference that overflows is inf, never nan
-    asym = max(abs(a - b) for a, b in zip(flat, reversed(flat)))
+    # the grid is finite, so a difference that overflows is inf, never nan; each
+    # mirrored pair is compared once, and the centre entry with itself gives 0.0
+    asym = max((abs(a - b) for a, b in zip(flat[:len(flat) // 2], reversed(flat))), default=0.0)
     if not asym <= SYMMETRY_RTOL * max(map(abs, flat)):
         raise AsymmetricInput(f"lag grid asymmetry {asym:.3e} exceeds tolerance")
 

@@ -109,8 +109,8 @@ def _gated_table(masks: np.ndarray, coeffs: np.ndarray, factors, m: int, tol_res
     core, _, scale = factors
     vals = _scale_rows(coeffs, scale)
     residuals = _residual_rows(vals, core)
-    over = ~(residuals <= tol_resid)  # a nan residual fails too
-    if over.any():
+    if not (residuals <= tol_resid).all():  # a nan residual fails too
+        over = ~(residuals <= tol_resid)
         raise _residual_error(int(over.sum()), float(residuals.max()), masks[over].tolist())
     if vals.shape[1] < m:
         vals = np.hstack([vals, np.zeros((masks.size, m - vals.shape[1]))])
@@ -162,15 +162,18 @@ class _Halves:
     def _gate(self, core: Autocorr1D, tol: float) -> None:
         with np.errstate(all="ignore"):  # inf and nan rows fail below
             norm = [_autocorr_rows(T) / np.abs(T[:, :1]) for T in (self.A, self.B)]
-            gaps = [np.abs(h - h[0]).max(axis=1) / np.abs(h[0]).max() for h in norm]
+            (dev_a, peak_a), (dev_b, peak_b) = ((np.abs(h - h[0]), np.abs(h[0]).max())
+                                                for h in norm)
             sides = [np.concatenate([h[0, :0:-1], h[0]]) for h in norm]
             full = abs(self.scale) * np.convolve(*sides)[core.m - 1:]
             gap = np.abs(full - core.nonneg).max() / core.max_abs
+            # division by a peak is monotone, so a row's gap passes when the largest does
+            if gap <= tol >= dev_a.max() / peak_a and dev_b.max() / peak_b <= tol:
+                return
+            gaps = [dev_a.max(axis=1) / peak_a, dev_b.max(axis=1) / peak_b]
         bad_a, bad_b = (~(g <= tol) for g in gaps)
         if not gap <= tol:
             bad_a[:] = True
-        if not (bad_a.any() or bad_b.any()):
-            return
         ia = np.nonzero(bad_a)[0]
         count = int(bad_b.sum()) * bad_a.size + int((~bad_b).sum()) * ia.size
         all_i = np.arange(bad_a.size)
@@ -184,8 +187,8 @@ class _Halves:
         wa, wb = A.shape[1], B.shape[1]
         corners = []  # coefficient k = sum over t of B[:, k - t] A[:, t]
         for k in (n - 1, n * n - n):
-            ts = np.arange(max(0, k - wb + 1), min(k, wa - 1) + 1)
-            corners.append((k - ts, np.ascontiguousarray(A[:, ts].T)))
+            lo, hi = max(0, k - wb + 1), min(k, wa - 1) + 1  # t runs over lo..hi-1
+            corners.append((np.arange(k - lo, k - hi, -1), np.ascontiguousarray(A[:, lo:hi].T)))
         (b1, a1), (b2, a2) = corners
         inv_a = abs(self.scale) / np.abs(A[:, 0])
         step = max(1, CHUNK_PRODUCTS >> self.a)
@@ -278,7 +281,7 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float, opts: 
         count += i.size
         _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
         hits.append((halves.masks(j + j0, i), i))
-    masks, i = (np.concatenate(a) for a in zip(*hits))
+    masks, i = hits[0] if len(hits) == 1 else (np.concatenate(a) for a in zip(*hits))
     return halves.total, _gated_table(masks, halves.rows(masks, i), factors, r.m, opts.tol_resid)
 
 

@@ -117,6 +117,30 @@ def test_search_chunks_join_seamlessly(monkeypatch):
     assert starts[1:] == list(range(0, 7**4, 240))  # 11 chunks, after the digit powers
 
 
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
+def test_grid_check_agrees_with_autocorr_2d(n, seed):
+    """The one-pass integer check keeps exactly the rows whose autocorr_2d is the grid."""
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(-3, 4, n * n)
+    R = autocorr_2d(Matrix2D(n, flat.astype(float)))
+    rows = [flat, -flat, flat[::-1], -flat[::-1]]  # preimages
+    for _ in range(200):  # inner entries shuffled and signs flipped: most miss the grid
+        row = flat.copy()
+        row[1:-1] = row[1:-1][rng.permutation(n * n - 2)] * rng.choice([-1, 1], n * n - 2)
+        rows.append(row)
+    digits = np.array(rows, dtype=np.int64)
+    # every row passes the search's energy and corner filters
+    assert ((digits * digits).sum(axis=1) == R.at(0, 0)).all()
+    assert (digits[:, 0] * digits[:, -1] == R.at(n - 1, n - 1)).all()
+    grids = [autocorr_2d(Matrix2D(n, row.astype(float))).values for row in digits]
+    want = [np.array_equal(g, R.values) for g in grids]
+    assert 4 <= sum(want) < len(want)
+    assert oracle._matches_grid(digits, R.values.astype(np.int64), n).tolist() == want
+    broken = R.values.copy()
+    broken[0, 1] += 1.0  # no longer point symmetric, so no row matches
+    assert not oracle._matches_grid(digits, broken.astype(np.int64), n).any()
+
+
 def test_roundtrip_scoring():
     record = planted_roundtrip(2, 6, seed=7)
     assert record["n"] == 2

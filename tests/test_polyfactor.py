@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 import warnings
@@ -430,6 +431,22 @@ def test_factor_arrays_hold_each_units_factors(m, seed):
         assert choices.shape == (2, 1 if isinstance(unit, RealZero) else 2)
         assert choices[0].tolist() == list(unit.factor(False))
         assert choices[1].tolist() == list(unit.factor(True))
+
+
+@pytest.mark.parametrize("case", [*MIXED_UNIT_CASES, "signed zeros"])
+def test_factor_arrays_keep_every_bit(case):
+    if case == "signed zeros":  # ConjugatePair(2j) has the lower coefficient -0.0
+        units = (ConjugatePair(2j), RealZero(-0.5), ConjugatePair(complex(-0.0, 3.0)),
+                 RealZero(4.0), ConjugatePair(complex(1e-300, 1e150)))
+    else:
+        units = seeded_units(*case)[2].units
+    arrays = _factor_arrays(units)
+    assert len(arrays) == len(units)
+    for unit, choices in zip(units, arrays):
+        for flipped in (False, True):
+            want = unit.factor(flipped)
+            assert choices.shape == (2, len(want))
+            assert choices[int(flipped)].tobytes() == struct.pack(f"{len(want)}d", *want)
 
 
 def autocorr_rows_per_lag(vals):

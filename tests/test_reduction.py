@@ -73,6 +73,22 @@ def test_reduce_rejects_asymmetric_grid(golden_grid):
         key_constraint(Autocorr2D(2, bad))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_asymmetry_message_is_numpys_largest_mirror_gap(n):
+    rng = np.random.default_rng(n)
+    R = autocorr_2d(Matrix2D(n, rng.standard_normal((n, n))))
+    perturbed = R.values + 1e-3 * rng.standard_normal(R.values.shape)
+    ends = R.values.copy()  # only the first and the last entry differ from their mirrors
+    ends[0, 0] += 0.25
+    ends[-1, -1] -= 0.5
+    for v in (perturbed, ends):
+        want = np.abs(v - v[::-1, ::-1]).max()
+        for refuse in (reduce_2d_to_1d, key_constraint):
+            with pytest.raises(AsymmetricInput) as info:
+                refuse(Autocorr2D(n, v))
+            assert str(info.value) == f"lag grid asymmetry {want:.3e} exceeds tolerance"
+
+
 @given(st.integers(min_value=1, max_value=5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_verify_reduction_identity(n, data):

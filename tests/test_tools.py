@@ -80,8 +80,15 @@ def test_regime_timing_against_a_tree_reports_identical_solves():
     assert done.returncode == 0, done.stderr
     title, *sizes, verdict = done.stdout.splitlines()
     assert title.startswith("8 inputs, 2 rounds")
-    assert [line.split(":")[0] for line in sizes] == ["n = 3", "n = 4"]
+    assert [line.split(":")[0] for line in sizes] == ["n = 3", "n = 4", "pool"]
+    ratios = []
     for line in sizes:  # the ratio in each tree and the change for this one
-        assert min(float(line.split()[4].rstrip(",")), float(line.split()[7])) > 0
+        _, rest = line.split(": against ")
+        old, new = float(rest.split(",")[0]), float(rest.split("this tree ")[1].split()[0])
+        assert min(old, new) > 0
         assert line.endswith("%)")
+        ratios.append((old, new))
+    # the pool holds as many n = 3 inputs as n = 4 ones, so its mean is theirs
+    for tree in (0, 1):
+        assert abs(ratios[2][tree] - (ratios[0][tree] + ratios[1][tree]) / 2) <= 1.5e-4  # rounding
     assert verdict == "reports identical: True"

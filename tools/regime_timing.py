@@ -37,9 +37,10 @@ under the package name `autophase2d_against`, and solve every input of the
 perfbench's library loop does: from the squared magnitudes to the report, with
 `harness.Reference` run after each solve. Each round solves every input once
 in each tree, alternating which tree goes first from one round to the next.
-The script prints, per n, the mean over inputs of each input's median solve
-time over the reference time after it (perfbench's `instance_ref_ratio`) in
-both trees and the change for this tree, and whether every report was
+The script prints, per n and then over the whole pool, the mean over inputs of
+each input's median solve time over the reference time after it in both trees
+and the change for this tree; the pool line, where each input weighs the same,
+is perfbench's `instance_ref_ratio`. Last it prints whether every report was
 byte-identical in the two trees (exit status 1 if not).
 """
 
@@ -197,11 +198,12 @@ def against_main(args) -> int:
 
     print(f"{len(pool)} inputs, {args.rounds} rounds; solve time over the reference after it, "
           f"mean over inputs of the median over rounds")
-    for n in sorted({inst.n for inst in pool}):
+    for label, sizes in [*((f"n = {n}", {n}) for n in sorted({inst.n for inst in pool})),
+                         ("pool", {inst.n for inst in pool})]:
         old, new = (statistics.fmean(statistics.median(ratios[tree][k])
-                                     for k, inst in enumerate(pool) if inst.n == n)
+                                     for k, inst in enumerate(pool) if inst.n in sizes)
                     for tree in trees)
-        print(f"n = {n}: against {old:.4f}, this tree {new:.4f} ({(new / old - 1) * 100:+.2f}%)")
+        print(f"{label}: against {old:.4f}, this tree {new:.4f} ({(new / old - 1) * 100:+.2f}%)")
     same = reports["against"] == reports["this tree"]
     print(f"reports identical: {same}")
     return 0 if same else 1
