@@ -19,10 +19,9 @@ from .errors import (
 from .polyfactor import CHUNK_PRODUCTS
 from .solver import SolverOptions, solve_2d
 
-# Grid points a search may hold. Points cost 0.08 us (n = 2) to 1.5 us (n = 3,
-# bound 2) and about 10 us at n = 4, bound 1, where more of them pass the energy
-# and corner filters to the exact check (README): 4 * 10**7 points at the n <= 3
-# rates end within a minute, and the n = 4, bound 1 grid (3^16 points) is refused.
+# Grid points a search may hold. Points cost about 0.1 us (n = 2) to 0.5 us
+# (n = 3, bound 1) and 0.4 us at n = 4, bound 1 (README), so 4 * 10**7 points end
+# within about 20 s; the n = 4, bound 1 grid (3^16 points) is still refused.
 SEARCH_BUDGET = 4 * 10**7
 EXACT_LIMIT = 2**53
 # A unique match counts as the planted signal within this many times max|X|.
