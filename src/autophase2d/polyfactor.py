@@ -311,10 +311,16 @@ def _zero_product_table(factors, pinned: bool) -> np.ndarray:
     0..k-1, the unflipped product on top. With `pinned` the first unit stays
     unflipped, which halves the table.
     """
-    table = np.ones((1, 1))
-    for k, choices in enumerate(factors):
-        lower = choices[:1 if pinned and k == 0 else 2, None]
-        table = _multiply_factor_rows(table, lower).reshape(-1, table.shape[1] + lower.shape[-1])
+    if not factors:
+        return np.ones((1, 1))
+    first = factors[0][:1 if pinned else 2]
+    # unit 0 applied to the empty product 1, as a doubling step computes it:
+    # 0.0 + beta * 1.0, which is beta with a -0.0 turned into 0.0
+    table = np.ones((first.shape[0], first.shape[1] + 1))
+    np.add(first, 0.0, out=table[:, :-1])
+    for choices in factors[1:]:
+        table = _multiply_factor_rows(table, choices[:, None]).reshape(
+            -1, table.shape[1] + choices.shape[1])
     return table
 
 

@@ -393,22 +393,30 @@ def unit_count(R):
     return len(solver._factor(reduce_2d_to_1d(R), SolverOptions())[1])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "trimmed"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "trimmed", "signed-1", "signed-3"])
 def test_doubling_table_matches_per_mask_expansion(n):
     if n == "trimmed":  # the vanishing extreme lag is trimmed before factoring
         x = np.random.default_rng(3).standard_normal(16)
         x[-3:] = 0.0
         core, units, _ = factors_of(x)
         assert core.m == 13
+    elif n in ("signed-1", "signed-3"):  # units whose lower coefficients hold -0.0, unit 0's too
+        signed = (polyfactor.ConjugatePair(2j), polyfactor.RealZero(-0.5), polyfactor.ConjugatePair(3j))
+        units = polyfactor._factor_arrays(signed[:int(n[-1])])
+        assert np.signbit(units[0][0, 1])
     else:
         _, units, _ = factors_of(planted(n, 0).values.reshape(-1))
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
     masks = np.arange(1 << (len(units) - 1), dtype=np.int64) << 1
-    assert np.array_equal(solver._zero_product_table(units, pinned=True),
-                          solver._expand_zero_products(units, masks))
+    assert same_bits(solver._zero_product_table(units, pinned=True),
+                     solver._expand_zero_products(units, masks))
     if len(units) <= 12:
         every = np.arange(1 << len(units), dtype=np.int64)
-        assert np.array_equal(solver._zero_product_table(units, pinned=False),
-                              solver._expand_zero_products(units, every))
+        assert same_bits(solver._zero_product_table(units, pinned=False),
+                         solver._expand_zero_products(units, every))
 
 
 def solve_outcome(R):
