@@ -422,31 +422,26 @@ def test_real_expansion_matches_np_poly(m, seed):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
-def test_factor_arrays_hold_each_units_factors(m, seed):
-    _, _, fu = seeded_units(m, seed)
-    arrays = _factor_arrays(fu.units)
-    assert len(arrays) == fu.unit_count
-    for unit, choices in zip(fu.units, arrays):
-        assert choices.shape == (2, 1 if isinstance(unit, RealZero) else 2)
-        assert choices[0].tolist() == list(unit.factor(False))
-        assert choices[1].tolist() == list(unit.factor(True))
-
-
-@pytest.mark.parametrize("case", [*MIXED_UNIT_CASES, "signed zeros"])
-def test_factor_arrays_keep_every_bit(case):
-    if case == "signed zeros":  # ConjugatePair(2j) has the lower coefficient -0.0
-        units = (ConjugatePair(2j), RealZero(-0.5), ConjugatePair(complex(-0.0, 3.0)),
-                 RealZero(4.0), ConjugatePair(complex(1e-300, 1e150)))
-    else:
-        units = seeded_units(*case)[2].units
+def assert_factor_rows(units):
+    """_factor_arrays holds each unit's factor(False) and factor(True), bit for bit."""
     arrays = _factor_arrays(units)
     assert len(arrays) == len(units)
     for unit, choices in zip(units, arrays):
+        assert choices.shape == (2, 1 if isinstance(unit, RealZero) else 2)
         for flipped in (False, True):
             want = unit.factor(flipped)
-            assert choices.shape == (2, len(want))
             assert choices[int(flipped)].tobytes() == struct.pack(f"{len(want)}d", *want)
+
+
+@pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
+def test_factor_arrays_hold_each_units_factors(m, seed):
+    assert_factor_rows(seeded_units(m, seed)[2].units)
+
+
+def test_factor_arrays_keep_signed_zeros():
+    # ConjugatePair(2j) has the lower coefficient -0.0, which tolist() == cannot tell from 0.0
+    assert_factor_rows((ConjugatePair(2j), RealZero(-0.5), ConjugatePair(complex(-0.0, 3.0)),
+                        RealZero(4.0), ConjugatePair(complex(1e-300, 1e150))))
 
 
 def autocorr_rows_per_lag(vals):
