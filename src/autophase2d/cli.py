@@ -53,6 +53,8 @@ _SETTINGS = {
     "bound": (int, "entry bound for exhaustive search"),
     "trials": (int, "number of roundtrip trials"),
 }
+# tolerance: default, one per field of SolverOptions
+_TOLERANCES = {f.name: f.default for f in fields(SolverOptions)}
 
 
 class ConfigError(Exception):
@@ -89,10 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with defaults for any flag")
     for key, (kind, help_text) in _SETTINGS.items():
         parser.add_argument(f"--{key}", type=kind, help=help_text)
-    for f in fields(SolverOptions):
+    for name, default in _TOLERANCES.items():
         parser.add_argument(
-            "--" + f.name.replace("_", "-"), type=float, dest=f.name,
-            help=f"positive finite tolerance (default {f.default:g})",
+            "--" + name.replace("_", "-"), type=float, dest=name,
+            help=f"positive finite tolerance (default {default:g})",
         )
     return parser
 
@@ -129,7 +131,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"config file is not valid JSON: {err}") from err
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {*_SETTINGS, *(f.name for f in fields(SolverOptions))}
+        known = {*_SETTINGS, *_TOLERANCES}
         unknown = [key for key in file_values if key not in known]
         if unknown:
             raise ConfigError(f"config file has unknown keys: {', '.join(map(repr, unknown))}")
@@ -142,14 +144,14 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if settings["output"] is None:
         settings["output"] = "-"
     tolerances = {}
-    for f in fields(SolverOptions):
-        value = pick(f.name, float)
-        value = f.default if value is None else value
+    for name, default in _TOLERANCES.items():
+        value = pick(name, float)
+        value = default if value is None else value
         if not value > 0:  # nan fails too
-            raise ConfigError(f"{f.name} must be positive, got {value}")
+            raise ConfigError(f"{name} must be positive, got {value}")
         if value == math.inf:
-            raise ConfigError(f"{f.name} must be positive and finite, got {value}")
-        tolerances[f.name] = value
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+        tolerances[name] = value
     cfg = argparse.Namespace(command=args.command, options=SolverOptions(**tolerances), **settings)
     _validate(cfg)
     return cfg
@@ -172,8 +174,13 @@ def _validate(cfg: argparse.Namespace) -> None:
 
 
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """The JSON object in the file, decoded as text mode would: UTF-8, with
+    every CRLF and CR read as LF, which the positions of syntax errors count."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data

@@ -13,6 +13,7 @@ or more elements.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +41,12 @@ def _finite_float_array(values, name: str) -> np.ndarray:
     return a
 
 
-def _asymmetry(a: np.ndarray) -> float:
-    """max |a - np.flip(a)|, inf or nan (never a numpy warning) when it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.abs(a - np.flip(a)).max())
+def _finite_numbers(values: list) -> bool:
+    """Whether a list holds finite numbers only; False for nested lists and other entries."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):  # a list, a string, None, an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +76,7 @@ class Matrix2D:
         return cls(a.shape[0], a)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "rows": [[float(v) for v in row] for row in self.values]}
+        return {"n": self.n, "rows": self.values.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +127,25 @@ class Autocorr1D:
 
         The mirror is finite, of length 2m-1 and symmetric by construction, so
         __post_init__ does not check it again; max |mirror| is max |half| exactly.
+        A nonempty list of finite numbers, as the reduction and the JSON loader
+        give, is checked and mirrored as Python numbers, without an array for
+        the half; anything else, and every refusal, goes through the array.
         """
-        h = _finite_float_array(half, "autocorrelation half")
-        if h.ndim != 1 or h.size < 1:
-            raise ValueError(f"expected a nonempty half spectrum, got shape {h.shape}")
+        if type(half) is list and half and _finite_numbers(half):
+            m = len(half)
+            values = np.array(half[:0:-1] + half, dtype=float)
+            max_abs = float(max(map(abs, half)))
+        else:
+            h = _finite_float_array(half, "autocorrelation half")
+            if h.ndim != 1 or h.size < 1:
+                raise ValueError(f"expected a nonempty half spectrum, got shape {h.shape}")
+            m = h.size
+            values = np.concatenate([h[:0:-1], h])
+            max_abs = float(np.abs(h).max())
         out = object.__new__(cls)
-        object.__setattr__(out, "m", h.size)
-        object.__setattr__(out, "values", _freeze(np.concatenate([h[:0:-1], h])))
-        object.__setattr__(out, "max_abs", float(np.abs(h).max()))
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "values", _freeze(values))
+        object.__setattr__(out, "max_abs", max_abs)
         return out
 
     def lag(self, ell: int) -> float:
@@ -143,7 +157,7 @@ class Autocorr1D:
         return self.values[self.m - 1:]
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "values": [float(v) for v in self.values]}
+        return {"m": self.m, "values": self.values.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +187,7 @@ class Autocorr2D:
         return float(self.values[i + self.n - 1, j + self.n - 1])
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "values": [[float(v) for v in row] for row in self.values]}
+        return {"n": self.n, "values": self.values.tolist()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
-from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D, _asymmetry
+from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
 from .polyfactor import CHUNK_PRODUCTS, Candidates
 
 
@@ -36,6 +37,13 @@ def require_finite(a: np.ndarray) -> None:
     finite = np.isfinite(a)
     if not finite.all():
         format_float(float(a[~finite][0]))
+
+
+def _require_finite_floats(values) -> None:
+    """require_finite for an iterable of Python floats, without an array."""
+    values = list(values)
+    if not all(map(math.isfinite, values)):
+        format_float(next(v for v in values if not math.isfinite(v)))
 
 
 # A cell's text fills four little-endian uint64 words, NUL wherever a
@@ -213,25 +221,30 @@ def _format_into(out: np.ndarray, x: np.ndarray) -> None:
         out[rest, _SLOT_WORDS] &= ~_EXP_BYTES
 
 
-def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
+def _text(cells: np.ndarray | list, seps: list[str], head: str, last: str,
           blank: np.ndarray | None = None) -> str:
-    """head, then the text of each float of the 2-d table `cells` followed by its
+    """head, then the text of each float of the table `cells` followed by its
     column's separator from `seps`; the final separator is replaced by `last`,
-    and a cell that `blank` marks is written as nothing.
+    and a cell that `blank` marks is written as nothing. `cells` is a 2-d
+    array or, below KERNEL_CELLS cells, the table's Python numbers as one flat
+    sequence in row order.
 
-    Below KERNEL_CELLS cells one "%" fills a template of the layout. From
+    Below KERNEL_CELLS cells one "%" fills a template of the layout, from
+    Python numbers ("%.17g" of an int is that of the int as a float). From
     KERNEL_CELLS on, each cell takes _SLOT_WORDS + 1 words of one buffer per
     chunk of at most CHUNK_PRODUCTS cells (whole rows); head goes before the
     first. A separator of at most four bytes fills the high half of the
     cell's word 3; a longer one, or a longer last, leaves there a mark, a
     control byte (1, 2, ...) that no text of a layout holds. translate drops
     every NUL, then replace puts each separator in place of its mark."""
-    if cells.size < KERNEL_CELLS:
-        pieces = [FLOAT + sep for sep in seps] * len(cells)
+    if not isinstance(cells, np.ndarray) or cells.size < KERNEL_CELLS:
+        if isinstance(cells, np.ndarray):
+            cells = cells.ravel().tolist()
+        pieces = [FLOAT + sep for sep in seps] * (len(cells) // len(seps))
         for k in [] if blank is None else np.flatnonzero(blank).tolist():
             pieces[k] = "%.0s" + seps[k % len(seps)]  # takes the cell's value, writes nothing
         text = head + "".join(pieces)
-        return (text[:len(text) - len(seps[-1])] + last) % tuple(cells.ravel().tolist())
+        return (text[:len(text) - len(seps[-1])] + last) % tuple(cells)
     # word 3 of each column's cells, then of the final cell: four NUL bytes,
     # the exponent's, then the separator or its mark
     ends, marks = [], {}
@@ -272,22 +285,47 @@ def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
 def _candidates(table: Candidates) -> str:
     """JSON array of one candidate object per row. Masks pass through floats:
     exact below 2^53 (the solver's are below 2^28), where "%.17g" writes them
-    as %d does."""
+    as %d does. A table of fewer than KERNEL_CELLS cells goes to _text as the
+    Python numbers of its rows, without an array of its own."""
     f = table.f_values
     tail = [table.autocorr_residuals] if f is None else [table.autocorr_residuals, f]
-    for a in [table.values, *tail]:
-        require_finite(a)
-    if not len(table):
-        return "[]"
     end = ', "f_value": null}' if f is None else "}"
     seps = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
             + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
-    cells = np.column_stack([table.values, table.flips, *tail])
+    if len(table) * len(seps) < KERNEL_CELLS or not len(table):
+        rows, *columns = (a.tolist() for a in [table.values, *tail])
+        for floats in [chain.from_iterable(rows), *columns]:
+            _require_finite_floats(floats)
+        if not rows:
+            return "[]"
+        cells = [v for row, *rest in zip(rows, table.flips.tolist(), *columns) for v in (*row, *rest)]
+    else:
+        for a in [table.values, *tail]:
+            require_finite(a)
+        cells = np.column_stack([table.values, table.flips, *tail])
     return _text(cells, seps, '[{"values": [', end + "]")
 
 
 def dumps(obj) -> str:
     """Single-line JSON with deterministic float formatting."""
+    # the types of a report first; no two tests below take the same object,
+    # since a bool is taken as True or False before the ints
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be strings")
+        parts = [s for k, v in obj.items() for s in (", ", json.dumps(k), ": ", dumps(v))]
+        return "".join(["{", *parts[1:], "}"])  # one copy of a large value's text
+    if isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj):
+        if len(obj) < KERNEL_CELLS:  # a float table of one column, from its Python floats
+            _require_finite_floats(obj)
+            return _text(obj, [", "], "[", "]")
+        a = np.array(obj)[:, None]
+        require_finite(a)
+        return _text(a, [", "], "[", "]")
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -298,21 +336,8 @@ def dumps(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, Candidates):
         return _candidates(obj)
-    if isinstance(obj, dict):
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("JSON object keys must be strings")
-        parts = [s for k, v in obj.items() for s in (", ", json.dumps(k), ": ", dumps(v))]
-        return "".join(["{", *parts[1:], "}"])  # one copy of a large value's text
-    if isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj):
-        a = np.array(obj)
-        require_finite(a)
-        return _text(a[:, None], [", "], "[", "]")
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -322,19 +347,27 @@ def census_csv(census) -> str:
     require_finite(d)
     if not d.size:
         return "index,d,log_gap\n"
-    g = np.append(np.asarray(census.v, dtype=float), math.nan)
-    blank = np.zeros((d.size, 3), dtype=bool)
+    cells = np.empty((d.size, 3))
+    cells[:, 0] = np.arange(d.size)
+    cells[:, 1] = d
+    g = cells[:, 2]
+    g[:-1] = census.v  # a None gap becomes nan
+    g[-1] = math.nan
+    blank = np.zeros(cells.shape, dtype=bool)
     blank[:, 2] = np.isnan(g)
     g[blank[:, 2]] = 0.0
     require_finite(g)
-    return _text(np.column_stack([np.arange(d.size), d, g]), [",", ",", "\n"],
-                 "index,d,log_gap\n", "\n", blank)
+    return _text(cells, [",", ",", "\n"], "index,d,log_gap\n", "\n", blank)
 
 
 def _strays(value: list) -> bool:
     """Whether nested lists hold a null, a string or a boolean, which numpy reads as numbers."""
-    return any(_strays(v) if isinstance(v, list) else v is None or isinstance(v, (str, bool))
-               for v in value)
+    for v in value:
+        if type(v) is float or type(v) is int:  # nearly every entry
+            continue
+        if _strays(v) if isinstance(v, list) else v is None or isinstance(v, (str, bool)):
+            return True
+    return False
 
 
 def _require(mapping: dict, key: str, kind, context: str):
@@ -373,7 +406,12 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     values = _require(data, "values", list, "lag sequence")
     if values.shape != (2 * m - 1,):
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")
-    asym = _asymmetry(values)
-    if not asym <= SYMMETRY_RTOL * np.abs(values).max():  # a nan asymmetry fails too
+    values = values.tolist()  # Python floats, whose arithmetic is numpy's to the bit
+    # each mirrored pair once; a difference that overflows is inf, and one of
+    # infinite lags inf or nan, as numpy's would be; a nan gap makes the
+    # largest nan as numpy's max does, where Python's max would keep or drop it
+    gaps = [abs(a - b) for a, b in zip(values[:m], reversed(values))]
+    asym = math.nan if any(map(math.isnan, gaps)) else max(gaps)
+    if not asym <= SYMMETRY_RTOL * max(map(abs, values)):  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")
-    return Autocorr1D.from_nonneg(values[m - 1:] / 2 + values[m - 1::-1] / 2)
+    return Autocorr1D.from_nonneg([a / 2 + b / 2 for a, b in zip(values[m - 1:], values[m - 1::-1])])

@@ -17,6 +17,7 @@ from autophase2d import (
     autocorr_2d,
     trivially_equivalent_2d,
 )
+from autophase2d import cli
 from autophase2d.cli import main
 from autophase2d.jsonio import census_csv, dumps
 from autophase2d.oracle import exhaustive_integer_search, planted_roundtrip
@@ -584,6 +585,54 @@ def test_enumerate_overflowing_lag_sequence_is_one_error_line(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"m": 2, "values": [1e308, 1.5e308, 1e308]}))
     assert_single_error_line(run_module("enumerate", "--input", str(path)), "UnitCircleZero", 1)
+
+
+def test_enumerate_infinite_lags_of_opposite_signs_is_one_error_line(tmp_path):
+    # the mirror gap inf is within 1e-8 * max |r| = inf, and the halved sum is nan
+    path = tmp_path / "r.json"
+    path.write_text('{"m": 2, "values": [Infinity, 2.5, -Infinity]}')
+    proc = run_module("enumerate", "--input", str(path))
+    assert_single_error_line(proc, "InputError")
+    assert json.loads(proc.stderr)["detail"] == "autocorrelation half must contain only finite values"
+
+
+def read_in_text_mode(path):
+    """The reading that _read_json replaces: text mode, whose universal newlines
+    turn CRLF and CR into LF before the parser counts lines and columns."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("data", [
+    b'{"m": 2, "values": [1, 2.5, 1]}\n',
+    b'{"m": 2,\r\n "values": [1, 2.5, 1]}\r\n',
+    b'{"m": 2,\r "values":\r\n\n[1, 2.5, 1]}',
+    b'{"m": 2,\n "values": [1, 2.5 1]}\n',
+    b'{"m": 2,\r\n "values": [1, 2.5 1]}\r\n',
+    b'{"m": 2,\r "values": [1, 2.5 1]}\r',
+    b'{"m": 2,\r\n "a\rb": 1}',
+    b'{"m": 2, "values": [1, \xff]}',
+    b'{"m": 2, "values": [1]} \xe2\x82',
+    b'{"m": 2,\r\n "\xc3\xa9": [1, \x80]}',
+    b'\xef\xbb\xbf{"m": 2, "values": [1, 2.5, 1]}',
+    b'\xef\xbb\xbf\r\n{}',
+    b"",
+    b"[1, 2]",
+], ids=["lf", "crlf", "cr-mixed", "syntax-lf", "syntax-crlf", "syntax-cr", "control-crlf",
+        "invalid-utf8", "truncated-utf8", "invalid-utf8-crlf", "bom", "bom-crlf", "empty", "list"])
+def test_input_is_read_as_text_mode_reads_it(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    outcomes = []
+    for read in (read_in_text_mode, cli._read_json):
+        try:
+            outcomes.append(read(str(path)))
+        except ValueError as err:
+            outcomes.append((type(err), str(err)))
+    if isinstance(outcomes[0], list):  # _read_json goes on to refuse what is not an object
+        assert outcomes[1] == (ValueError, f"{path}: expected a JSON object")
+    else:
+        assert outcomes[1] == outcomes[0]
 
 
 def test_enumerate_answers_a_sequence_in_the_top_octave(tmp_path):

@@ -87,6 +87,49 @@ def test_from_nonneg_refuses_what_the_constructor_refuses():
             Autocorr1D.from_nonneg(bad)
 
 
+def seeded_halves(count=200):
+    """Half-sequences of 1 to 40 lags, from default_rng(seed) for seed = 0..count-1:
+    every float64 bit pattern that is finite, subnormals and -0.0 included."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=int(rng.integers(1, 41)), dtype=np.uint64)
+        half = bits.view(np.float64)
+        half[~np.isfinite(half)] = -0.0
+        yield half.tolist()
+
+
+def test_from_nonneg_list_path_is_the_array_path_bit_for_bit(monkeypatch):
+    """A list of floats is mirrored as Python floats, with the same values and
+    max |r| as the array it would have been."""
+    expected = []
+    for half in seeded_halves():
+        r = Autocorr1D.from_nonneg(np.array(half))
+        expected.append((r.m, r.values.tobytes(), r.max_abs))
+    checks = []
+    monkeypatch.setattr(core, "_finite_float_array",
+                        lambda *args: checks.append(args) or pytest.fail("array path taken"))
+    for half, (m, values, max_abs) in zip(seeded_halves(), expected):
+        r = Autocorr1D.from_nonneg(half)
+        assert (r.m, r.values.tobytes()) == (m, values)
+        assert np.float64(r.max_abs).tobytes() == np.float64(max_abs).tobytes()
+        assert type(r.max_abs) is float and not r.values.flags.writeable
+    assert not checks
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([1.0, np.inf], "autocorrelation half must contain only finite values"),
+    ([-np.inf], "autocorrelation half must contain only finite values"),
+    ([np.nan, 2.0], "autocorrelation half must contain only finite values"),
+    ([], "expected a nonempty half spectrum, got shape (0,)"),
+    ([[1.0, 2.0], [3.0, 4.0]], "expected a nonempty half spectrum, got shape (2, 2)"),
+], ids=["inf", "-inf", "nan", "empty", "2-D"])
+def test_from_nonneg_refuses_a_list_as_the_array_path(bad, message):
+    for half in (bad, np.array(bad)):
+        with pytest.raises(ValueError) as info:
+            Autocorr1D.from_nonneg(half)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("half", [[2.0], [5.0, -7.5, 0.1 + 0.2], [-3.0, 1.0, 0.0, -0.0]])
 def test_from_nonneg_equals_the_checked_constructor(half):
     h = np.asarray(half)

@@ -383,3 +383,91 @@ def test_census_csv_bytes(rows):
 def test_loaders_refuse_malformed_input(load, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load(data)
+
+
+# Values next to the template's decisions: signed zeros, subnormals, the float
+# range's ends, and the 1e16 and 1e17 edges of "%.17g"'s exponent notation.
+SMALL_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e16, -1e16, 1e17, -1e17, 9999999999999998.0,
+               10000000000000002.0, 99999999999999984.0, 100000000000000020.0]
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(SMALL_EDGES)),
+                min_size=1, max_size=KERNEL_CELLS - 1))
+def test_short_float_lists_are_written_from_python_floats(values):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jsonio, "require_finite", lambda a: pytest.fail("an array was checked"))
+        with kernel_spy() as calls:
+            assert dumps(values) == "[" + ", ".join(map(format_float, values)) + "]"
+    assert not calls
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=KERNEL_CELLS - 4),
+       st.lists(st.tuples(st.integers(0, KERNEL_CELLS), st.sampled_from([np.inf, -np.inf, np.nan])),
+                min_size=1, max_size=3))
+def test_short_float_lists_name_their_first_nonfinite_value(values, bad):
+    for k, v in bad:
+        values.insert(k % (len(values) + 1), v)
+    with pytest.raises(ValueError) as info:
+        format_float(next(v for v in values if not math.isfinite(v)))
+    with pytest.raises(ValueError) as listed:
+        dumps(values)
+    assert str(listed.value) == str(info.value)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("m", [9, 5], ids=["f-value", "f-null"])
+def test_short_candidate_tables_give_the_kernels_text(monkeypatch, rows, m):
+    values = random_finite(rows * m, seed=rows)[:rows * m].reshape(rows, m) * 1e-160
+    values[0, :3] = [-0.0, 5e-324, 1e16]
+    flips = [2**60, 2**53 + 1, 6][:rows]  # masks beyond 2^53 are written as floats
+    table = Candidates(flips, values, np.abs(random_finite(rows, seed=7)[:rows]))
+    assert (table.f_values is None) == (m == 5)
+    assert rows * (m + 2 + (m == 9)) < KERNEL_CELLS
+    with kernel_spy() as calls:
+        text = dumps(table)
+    assert not calls
+    monkeypatch.setattr(jsonio, "KERNEL_CELLS", 0)
+    with kernel_spy() as calls:
+        assert dumps(table) == text
+    assert calls
+    assert '"flips": 1.152921504606847e+18, ' in text
+
+
+def numpys_asymmetry(values) -> float:
+    """The largest mirror gap as numpy gives it, inf or nan where it overflows."""
+    a = np.array(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(a - a[::-1]).max())
+
+
+def asymmetric_sequences():
+    rng = np.random.default_rng(25)
+    seeded = []
+    for m in (2, 5, 16):
+        half = rng.standard_normal(m)
+        values = np.concatenate([half[:0:-1], half]) + 1e-3 * rng.standard_normal(2 * m - 1)
+        seeded.append(values.tolist())
+    return seeded + [[1.0, 2.5, 1.5], [1e308, 1.0, -1e308], [-1.7e308, 0.0, 1.7e308],
+                     [np.inf, 1.0, np.inf], [np.nan, 2.5, 1.0], [1.0, np.nan, 1.0], [np.nan],
+                     [np.inf], [1.0, 2.0, np.nan, 2.0, 1.0]]
+
+
+@pytest.mark.parametrize("values", asymmetric_sequences())
+def test_lag_sequence_asymmetry_is_numpys_largest_mirror_gap(values):
+    data = {"m": (len(values) + 1) // 2, "values": values}
+    message = f"lag sequence: asymmetry {numpys_asymmetry(values):.3e} exceeds tolerance"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_autocorr1d(data)
+
+
+@pytest.mark.parametrize("values", [[4.0, 10.0, 4.0], [1e308, 1.7e308, 1e308 * (1 + 1e-12)],
+                                    [-0.0, 3.0, 0.0], [1, 5, 2, 5, 1]])
+def test_lag_sequence_lags_are_the_halved_mirror_sums(values):
+    m = (len(values) + 1) // 2
+    a = np.array(values, dtype=float)
+    half = a[m - 1:] / 2 + a[m - 1::-1] / 2
+    r = load_autocorr1d({"m": m, "values": values})
+    assert r.nonneg.tobytes() == half.tobytes()
+    assert r.values.tobytes() == np.concatenate([half[:0:-1], half]).tobytes()

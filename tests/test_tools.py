@@ -21,7 +21,10 @@ def test_compare_outputs_passes_a_tree_against_itself():
     *digests, summary = done.stdout.splitlines()
     assert summary == f"{len(digests)} records identical"
     assert len(digests) >= 400
-    assert len({line.split("  ", 1)[1] for line in digests}) == len(digests)  # names are unique
+    names = [line.split("  ", 1)[1] for line in digests]
+    assert len(set(names)) == len(digests)  # names are unique
+    malformed = [name.split()[-1] for name in names if name.startswith("malformed ")]
+    assert {"solve", "enumerate", "census"} <= set(malformed) and len(malformed) >= 100
 
 
 def test_compare_outputs_names_the_first_record_that_differs(tmp_path):
@@ -92,3 +95,24 @@ def test_regime_timing_against_a_tree_reports_identical_solves():
     for tree in (0, 1):
         assert abs(ratios[2][tree] - (ratios[0][tree] + ratios[1][tree]) / 2) <= 1.5e-4  # rounding
     assert verdict == "reports identical: True"
+
+
+def test_regime_timing_against_a_tree_times_the_cli_commands():
+    done = run_tool("regime_timing.py", "--against", str(SRC), "--cli", "--seeds", "100",
+                    "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    title, *lines, verdict = done.stdout.splitlines()
+    assert title.startswith("4 inputs, 2 rounds")
+    assert [line.split(":")[0] for line in lines] == ["solve", "enumerate", "census", "instance"]
+    ratios = []
+    for line in lines:  # the ratio in each tree and the change for this one
+        _, rest = line.split(": against ")
+        old, new = float(rest.split(",")[0]), float(rest.split("this tree ")[1].split()[0])
+        assert min(old, new) > 0
+        assert line.endswith("%)")
+        ratios.append((old, new))
+    # an input's instance ratio is the sum of its commands' medians, so the pool's
+    # mean of it is the sum of the commands' pool means
+    for tree in (0, 1):
+        assert abs(ratios[3][tree] - sum(r[tree] for r in ratios[:3])) <= 2e-4  # rounding
+    assert verdict == "outputs identical: True"

@@ -20,6 +20,11 @@ empty working directory, over the same fixed corpus:
   kernel;
 - `census --seed`, `roundtrip`, `probe`, `--help`, a missing input file and
   `probe --n 1`;
+- `solve`, `enumerate` and `census` on input files that the loaders refuse
+  or take at the edge of the float range (`MALFORMED`): JSON that is not an
+  object, missing or non-integer sizes, strings, booleans, nulls and objects
+  among the lags, wrong lengths, asymmetric lags, lags near 1.7e308, syntax
+  errors in LF and CRLF files, invalid UTF-8 and a UTF-8 BOM;
 - `jsonio.dumps(solve_2d(autocorr_2d(X)).to_dict())`, or the error it
   raises, for the same kinds of input with n = 2..5;
 - `find_zero_pairs(associated_polynomial(r))` of the same inputs: the bytes
@@ -58,6 +63,79 @@ LARGE_TABLES = (("gauss", 50000), ("int", 50001))
 LONG_LAGS = (("gauss", 170000), ("int", 170001))
 # (n, default_rng seed) of the integer inputs the corner constraint answers wrongly.
 SILENT_WRONG = ((4, 40099), (4, 4075), (5, 50127), (5, 50243), (5, 50269))
+
+
+
+def _grid(values) -> bytes:
+    return json.dumps({"n": 2, "values": values}).encode()
+
+
+def _seq(values, m: int = 2) -> bytes:
+    return json.dumps({"m": m, "values": values}).encode()
+
+
+GRID = [[1.0, 2.0, 3.0], [4.0, 30.0, 4.0], [3.0, 2.0, 1.0]]  # a symmetric n = 2 lag grid
+SEQ = [1.0, 2.5, 1.0]  # a symmetric m = 2 lag sequence
+BOTH, GRID_ONLY, SEQ_ONLY = ("solve", "enumerate", "census"), ("solve",), ("enumerate", "census")
+# (name, commands, file bytes): `solve` reads a lag grid, `enumerate` and `census` a sequence
+MALFORMED = (
+    ("list", BOTH, b"[1, 2, 3]"),
+    ("number", BOTH, b"3"),
+    ("null", BOTH, b"null"),
+    ("empty", BOTH, b""),
+    ("syntax-lf", BOTH, b'{"n": 2,\n "m": 2,\n "values": [1, 2 3]}\n'),
+    ("syntax-crlf", BOTH, b'{"n": 2,\r\n "m": 2,\r\n "values": [1, 2 3]}\r\n'),
+    ("syntax-cr", BOTH, b'{"n": 2,\r "m": 2,\r "values": [1, 2 3]}\r'),
+    ("control-in-string-crlf", BOTH, b'{"n": 2,\r\n "a\rb": 1}'),
+    ("invalid-utf8", BOTH, b'{"n": 2, "values": [1, \xff]}'),
+    ("truncated-utf8", BOTH, b'{"n": 2, "values": [1]} \xe2\x82'),
+    ("bom", BOTH, b"\xef\xbb\xbf" + _grid(GRID)),
+    ("bom-sequence", SEQ_ONLY, b"\xef\xbb\xbf" + _seq(SEQ)),
+    ("crlf-grid", GRID_ONLY, _grid(GRID).replace(b", ", b",\r\n")),
+    ("crlf-sequence", SEQ_ONLY, _seq(SEQ).replace(b", ", b",\r\n")),
+    ("missing-n", GRID_ONLY, json.dumps({"values": GRID}).encode()),
+    ("missing-m", SEQ_ONLY, json.dumps({"values": SEQ}).encode()),
+    ("missing-values", BOTH, b'{"n": 2, "m": 2}'),
+    *((f"size-{label}", BOTH, b'{"n": %s, "m": %s, "values": [[1.0]]}' % (v, v))
+      for label, v in (("float", b"2.0"), ("fraction", b"2.5"), ("string", b'"2"'),
+                       ("true", b"true"), ("null", b"null"), ("list", b"[2]"), ("zero", b"0"),
+                       ("negative", b"-1"))),
+    *((f"grid-{label}", GRID_ONLY, _grid(values)) for label, values in (
+        ("object", {"a": 1}), ("string", "1, 2"), ("flat", [1.0] * 9),
+        ("string-entry", [[1.0, 2.0, 3.0], [4.0, "30", 4.0], [3.0, 2.0, 1.0]]),
+        ("bool-entry", [[1.0, 2.0, 3.0], [4.0, True, 4.0], [3.0, 2.0, 1.0]]),
+        ("null-entry", [[1.0, 2.0, 3.0], [4.0, None, 4.0], [3.0, 2.0, 1.0]]),
+        ("object-entry", [[1.0, 2.0, 3.0], [4.0, {"a": 1}, 4.0], [3.0, 2.0, 1.0]]),
+        ("string-row", [[1.0, 2.0, 3.0], "4, 30, 4", [3.0, 2.0, 1.0]]),
+        ("null-row", [[1.0, 2.0, 3.0], None, [3.0, 2.0, 1.0]]),
+        ("ragged", [[1.0, 2.0, 3.0], [4.0, 30.0], [3.0, 2.0, 1.0]]),
+        ("deep", [[[1.0]] * 3] * 3), ("short", [[1.0, 2.0], [2.0, 1.0]]),
+        ("asymmetric", [[1.0, 2.0, 3.0], [4.0, 30.0, 4.0], [3.0, 2.0, 1.5]]),
+        ("asymmetry-inf", [[1e308, 0, -1e308], [0, 1, 0], [1e308, 0, -1e308]]),
+        ("sum-inf", [[0, 0, 1e308], [1e308, 1, 1e308], [1e308, 0, 0]]),
+        ("near-max", [[1.7e308, 0, 1.7e308], [0, 1.7e308, 0], [1.7e308, 0, 1.7e308]]),
+        ("integers", [[1, 2, 3], [4, 30, 4], [3, 2, 1]]))),
+    ("grid-nan", GRID_ONLY, b'{"n": 2, "values": [[1, 2, 3], [4, NaN, 4], [3, 2, 1]]}'),
+    ("grid-infinity", GRID_ONLY, b'{"n": 2, "values": [[Infinity, 2, 3], [4, 30, 4], [3, 2, 1]]}'),
+    ("grid-overflow", GRID_ONLY, b'{"n": 2, "values": [[1e400, 2, 3], [4, 30, 4], [3, 2, 1e400]]}'),
+    *((f"sequence-{label}", SEQ_ONLY, _seq(values)) for label, values in (
+        ("object", {"a": 1}), ("string", "1"), ("nested", [SEQ]), ("nested-rows", [[1.0]] * 3),
+        ("string-entry", [1.0, "2.5", 1.0]), ("bool-entry", [True, 2.5, True]),
+        ("null-entry", [1.0, None, 1.0]), ("object-entry", [1.0, {"a": 2}, 1.0]),
+        ("list-entry", [1.0, [2.5], 1.0]), ("null-in-nested", [[1.0, None, 1.0]]),
+        ("long", SEQ + [0.0]), ("short", SEQ[:2]), ("empty", []),
+        ("asymmetric", [1.0, 2.5, 1.5]), ("within-tolerance", [1.0, 2.5, 1.0 + 1e-12]),
+        ("asymmetry-inf", [1e308, 1.0, -1e308]), ("top-octave", [1.7e308, 1.0, 1.7e308]),
+        ("integers", [1, 3, 1]),
+        ("negative-zero", [-0.0, 1.0, 0.0]), ("zero", [0.0, 0.0, 0.0]))),
+    ("sequence-near-max", SEQ_ONLY, _seq([8e307, 0, 1.7e308, 0, 8e307], m=3)),
+    ("sequence-nan", SEQ_ONLY, b'{"m": 2, "values": [1, NaN, 1]}'),
+    ("sequence-nan-ends", SEQ_ONLY, b'{"m": 2, "values": [NaN, 2.5, 1]}'),
+    ("sequence-infinity-pair", SEQ_ONLY, b'{"m": 2, "values": [Infinity, 2.5, Infinity]}'),
+    ("sequence-infinity-centre", SEQ_ONLY, b'{"m": 2, "values": [1, Infinity, 1]}'),
+    ("sequence-infinity-one", SEQ_ONLY, b'{"m": 2, "values": [Infinity, 2.5, 1]}'),
+    ("sequence-overflow", SEQ_ONLY, b'{"m": 2, "values": [1e400, 2.5, 1e400]}'),
+)
 
 
 def draw(kind: str, n: int, seed: int) -> np.ndarray:
@@ -144,6 +222,12 @@ def corpus():
             yield f"probe --n {n} --alpha {alpha}", cli_record(
                 ["probe", "--n", str(n), "--alpha", alpha])
     yield "probe --n 1", cli_record(["probe", "--n", "1", "--alpha", "100"])
+    for name, commands, data in MALFORMED:
+        path = f"malformed-{name}.json"
+        Path(path).write_bytes(data)
+        for command in commands:
+            yield f"malformed {name} {command}", cli_record(
+                [command, "--input", path, *(["--n", "2"] if command == "census" else [])])
     yield "solve missing input", cli_record(["solve", "--input", "missing.json"])
     yield "--help", cli_record(["--help"])
     for kind in ("gauss", "int"):

@@ -1,12 +1,14 @@
 """Time `solve_2d` with the full candidate table against the half tables, or
 (with --writer) the two writers of large float tables, or (with --against)
-the solves of this tree against those of another.
+the solves, or (with --against and --cli) the CLI commands, of this tree
+against those of another.
 
 Run from the root of a checkout:
 
     python3 tools/regime_timing.py --n 4 --seeds 100-109 --rounds 200
     python3 tools/regime_timing.py --writer --cells 64-8192 --rounds 200
     python3 tools/regime_timing.py --against OLD_SRC --seeds 100-109 --rounds 200
+    python3 tools/regime_timing.py --against OLD_SRC --cli --seeds 7 --rounds 100
 
 The inputs are the n-by-n entries of perfbench's `small-n34` pool (n = 3 has
 u = 5 flip units, n = 4 has u = 9), drawn for every seed of the range, as the
@@ -42,15 +44,28 @@ each input's median solve time over the reference time after it in both trees
 and the change for this tree; the pool line, where each input weighs the same,
 is perfbench's `instance_ref_ratio`. Last it prints whether every report was
 byte-identical in the two trees (exit status 1 if not).
+
+With --against and --cli, both trees run the `solve`, `enumerate` and
+`census` commands of the `cli-n4` pool through their `cli.main` in this
+process, as perfbench's `cli-n4` loop does: stdout and stderr captured, and
+`harness.Reference` run after each command. Each round runs every input's
+three commands once in each tree, alternating which tree goes first. The
+script prints, per command, the mean over inputs of each input's median
+command time over the reference time after it, then the instance line: per
+input the sum of its commands' medians, averaged over the pool, which is
+perfbench's `instance_ref_ratio`. Last it prints whether every exit status,
+stdout and stderr was byte-identical in the two trees (exit status 1 if not).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import resource
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -64,7 +79,9 @@ from autophase2d import Autocorr2D, jsonio, solve_2d, solver  # noqa: E402
 from autophase2d.polyfactor import Candidates  # noqa: E402
 import autophase2d  # noqa: E402
 from harness import M_MMAP_THRESHOLD, MALLOPT, MMAP_THRESHOLD_BYTES, Reference  # noqa: E402
-from workloads import WORKLOADS, lag_grid, make_instance  # noqa: E402
+from harness import run_in_process  # noqa: E402
+from run import CLI_COMMANDS, cli_argv  # noqa: E402
+from workloads import WORKLOADS, lag_grid, make_instance, write_cli_inputs  # noqa: E402
 
 REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
 WRITERS = {"template": 1 << 62, "kernel": 0}  # KERNEL_CELLS of each writer
@@ -175,37 +192,84 @@ def solve_timed(package, inst, ref: Reference) -> tuple[float, str]:
     return ratio, importlib.import_module(f"{package.__name__}.jsonio").dumps(report.to_dict())
 
 
+def command_timed(cli_main, argv: list, ref: Reference) -> tuple[float, tuple]:
+    """(command time over the reference time after it, (exit status, stdout, stderr))."""
+    t0 = time.perf_counter()
+    done = run_in_process(cli_main, argv)
+    ratio = (time.perf_counter() - t0) / ref.run()
+    return ratio, (done.returncode, done.stdout, done.stderr)
+
+
+def interleaved(trees: dict, pool: list, ops: dict, rounds: int) -> tuple[dict, dict]:
+    """Each round runs every op of every input once in each tree, alternating which
+    tree goes first; an op is (tree, input, reference) -> (ratio, output). Returns
+    the ratios of rounds 1.., by tree, input and op, and the outputs of round 0,
+    by tree, which warms up."""
+    ref = Reference()
+    ratios = {tree: [{op: [] for op in ops} for _ in pool] for tree in trees}
+    outputs = {tree: [] for tree in trees}
+    for rnd in range(rounds + 1):
+        order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
+        for k, inst in enumerate(pool):
+            for tree in order:
+                for op, run in ops.items():
+                    ratio, output = run(tree, inst, ref)
+                    if rnd == 0:
+                        outputs[tree].append(output)
+                    else:
+                        ratios[tree][k][op].append(ratio)
+    return ratios, outputs
+
+
+def print_ratios(trees: dict, ratios: dict, lines: list) -> None:
+    """One line per (label, inputs, ops): the mean over those inputs of the sum
+    over the ops of each one's median ratio, in both trees."""
+    for label, inputs, ops in lines:
+        old, new = (statistics.fmean(sum(statistics.median(ratios[tree][k][op]) for op in ops)
+                                     for k in inputs)
+                    for tree in trees)
+        print(f"{label}: against {old:.4f}, this tree {new:.4f} ({(new / old - 1) * 100:+.2f}%)")
+
+
 def against_main(args) -> int:
     if MALLOPT is not None:
         MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     trees = {"against": load_tree(args.against.resolve(), "autophase2d_against"),
              "this tree": autophase2d}
-    workload = WORKLOADS["small-n34"]
+    workload = WORKLOADS["cli-n4" if args.cli else "small-n34"]
     pool = [make_instance(workload, seed, i)
             for seed in args.seeds for i in range(len(workload.pool))]
-    ref = Reference()
-    ratios = {tree: [[] for _ in pool] for tree in trees}
-    reports = {tree: [] for tree in trees}
-    for rnd in range(args.rounds + 1):  # round 0 warms up and keeps the reports
-        order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
-        for k, inst in enumerate(pool):
-            for tree in order:
-                ratio, text = solve_timed(trees[tree], inst, ref)
-                if rnd == 0:
-                    reports[tree].append(text)
-                else:
-                    ratios[tree][k].append(ratio)
-
+    if args.cli:
+        return cli_against(args, trees, pool)
+    ops = {"solve": lambda tree, inst, ref: solve_timed(trees[tree], inst, ref)}
+    ratios, reports = interleaved(trees, pool, ops, args.rounds)
     print(f"{len(pool)} inputs, {args.rounds} rounds; solve time over the reference after it, "
           f"mean over inputs of the median over rounds")
-    for label, sizes in [*((f"n = {n}", {n}) for n in sorted({inst.n for inst in pool})),
-                         ("pool", {inst.n for inst in pool})]:
-        old, new = (statistics.fmean(statistics.median(ratios[tree][k])
-                                     for k, inst in enumerate(pool) if inst.n in sizes)
-                    for tree in trees)
-        print(f"{label}: against {old:.4f}, this tree {new:.4f} ({(new / old - 1) * 100:+.2f}%)")
+    sizes = sorted({inst.n for inst in pool})
+    print_ratios(trees, ratios, [
+        *((f"n = {n}", [k for k, inst in enumerate(pool) if inst.n == n], ops) for n in sizes),
+        ("pool", range(len(pool)), ops)])
     same = reports["against"] == reports["this tree"]
     print(f"reports identical: {same}")
+    return 0 if same else 1
+
+
+def cli_against(args, trees: dict, pool: list) -> int:
+    mains = {tree: importlib.import_module(f"{package.__name__}.cli").main
+             for tree, package in trees.items()}
+    ops = {cmd: lambda tree, inst, ref, cmd=cmd: command_timed(mains[tree], cli_argv(inst, cmd), ref)
+           for cmd in CLI_COMMANDS}
+    with tempfile.TemporaryDirectory() as work:
+        for inst in pool:
+            write_cli_inputs(inst, Path(work))
+        ratios, outputs = interleaved(trees, pool, ops, args.rounds)
+    print(f"{len(pool)} inputs, {args.rounds} rounds; command time over the reference after it, "
+          f"mean over inputs of the median over rounds")
+    inputs = range(len(pool))
+    print_ratios(trees, ratios, [*((cmd, inputs, [cmd]) for cmd in CLI_COMMANDS),
+                                 ("instance", inputs, CLI_COMMANDS)])
+    same = outputs["against"] == outputs["this tree"]
+    print(f"outputs identical: {same}")
     return 0 if same else 1
 
 
@@ -221,7 +285,11 @@ def main(argv=None) -> int:
                     help="table sizes for --writer, FIRST-LAST, doubling (default 64-8192)")
     ap.add_argument("--against", type=Path, metavar="OLD_SRC",
                     help="time this tree's small-n34 solves against those of OLD_SRC")
+    ap.add_argument("--cli", action="store_true",
+                    help="with --against, time the cli-n4 commands instead of the solves")
     args = ap.parse_args(argv)
+    if args.cli and not args.against:
+        ap.error("--cli needs --against")
     if args.writer:
         return writer_main(args)
     if args.against:
