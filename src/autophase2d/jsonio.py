@@ -221,7 +221,7 @@ def _format_into(out: np.ndarray, x: np.ndarray) -> None:
         out[rest, _SLOT_WORDS] &= ~_EXP_BYTES
 
 
-def _text(cells: np.ndarray | list, seps: list[str], head: str, last: str,
+def _text(cells: np.ndarray | list | tuple, seps: list[str], head: str, last: str,
           blank: np.ndarray | None = None) -> str:
     """head, then the text of each float of the table `cells` followed by its
     column's separator from `seps`; the final separator is replaced by `last`,
@@ -292,7 +292,7 @@ def _candidates(table: Candidates) -> str:
     end = ', "f_value": null}' if f is None else "}"
     seps = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
             + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
-    if len(table) * len(seps) < KERNEL_CELLS or not len(table):
+    if len(table) * len(seps) < KERNEL_CELLS or not len(table):  # an empty table is "[]"
         rows, *columns = (a.tolist() for a in [table.values, *tail])
         for floats in [chain.from_iterable(rows), *columns]:
             _require_finite_floats(floats)
