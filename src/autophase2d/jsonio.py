@@ -298,7 +298,8 @@ def _candidates(table: Candidates) -> str:
             _require_finite_floats(floats)
         if not rows:
             return "[]"
-        cells = [v for row, *rest in zip(rows, table.flips.tolist(), *columns) for v in (*row, *rest)]
+        cells = [v for row, *rest in zip(rows, table.flips.tolist(), *columns)
+                 for v in (*row, *rest)]
     else:
         for a in [table.values, *tail]:
             require_finite(a)
@@ -414,4 +415,5 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     asym = math.nan if any(map(math.isnan, gaps)) else max(gaps)
     if not asym <= SYMMETRY_RTOL * max(map(abs, values)):  # a nan asymmetry fails too
         raise ValueError(f"lag sequence: asymmetry {asym:.3e} exceeds tolerance")
-    return Autocorr1D.from_nonneg([a / 2 + b / 2 for a, b in zip(values[m - 1:], values[m - 1::-1])])
+    return Autocorr1D.from_nonneg([a / 2 + b / 2
+                                   for a, b in zip(values[m - 1:], values[m - 1::-1])])

@@ -593,7 +593,8 @@ def test_enumerate_infinite_lags_of_opposite_signs_is_one_error_line(tmp_path):
     path.write_text('{"m": 2, "values": [Infinity, 2.5, -Infinity]}')
     proc = run_module("enumerate", "--input", str(path))
     assert_single_error_line(proc, "InputError")
-    assert json.loads(proc.stderr)["detail"] == "autocorrelation half must contain only finite values"
+    detail = json.loads(proc.stderr)["detail"]
+    assert detail == "autocorrelation half must contain only finite values"
 
 
 def read_in_text_mode(path):

@@ -257,8 +257,8 @@ def against_main(args) -> int:
 def cli_against(args, trees: dict, pool: list) -> int:
     mains = {tree: importlib.import_module(f"{package.__name__}.cli").main
              for tree, package in trees.items()}
-    ops = {cmd: lambda tree, inst, ref, cmd=cmd: command_timed(mains[tree], cli_argv(inst, cmd), ref)
-           for cmd in CLI_COMMANDS}
+    ops = {cmd: (lambda tree, inst, ref, cmd=cmd:
+                 command_timed(mains[tree], cli_argv(inst, cmd), ref)) for cmd in CLI_COMMANDS}
     with tempfile.TemporaryDirectory() as work:
         for inst in pool:
             write_cli_inputs(inst, Path(work))
