@@ -387,6 +387,12 @@ def _require(mapping: dict, key: str, kind, context: str):
             return np.asarray(value, dtype=float)
         except TypeError as err:  # an entry that is an object
             raise ValueError(f"{context}: field {key!r}: {err}") from err
+        except ValueError:  # lists of unequal lengths, or a list beside a number
+            raise ValueError(f"{context}: field {key!r} is not a rectangular list of numbers"
+                             ) from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{context}: field {key!r} holds an integer beyond the float range"
+                             ) from None
     return value
 
 
@@ -405,7 +411,9 @@ def load_autocorr1d(data: dict) -> Autocorr1D:
     if m < 1:
         raise ValueError(f"lag sequence: m must be positive, got {m}")
     values = _require(data, "values", list, "lag sequence")
-    if values.shape != (2 * m - 1,):
+    if values.ndim != 1:
+        raise ValueError("lag sequence: field 'values' must be a flat list of numbers")
+    if values.size != 2 * m - 1:
         raise ValueError(f"lag sequence: expected {2 * m - 1} values, got {values.size}")
     values = values.tolist()  # Python floats, whose arithmetic is numpy's to the bit
     # each mirrored pair once; a difference that overflows is inf, and one of

@@ -99,11 +99,18 @@ def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
     base, ratio = _colleague_base(d)
     mat = base.copy()
     mat[:, -1] -= (a[:-1] / a[-1]) * ratio * 0.5
+    return _eigvals(mat[::-1, ::-1], "colleague")
+
+
+def _eigvals(mat: np.ndarray, name: str) -> np.ndarray:
+    """Eigenvalues of a finite real matrix, conjugate pairs adjacent (positive
+    imaginary part first), as LAPACK returns them; RootFindingFailed when they
+    do not converge."""
     try:
         with np.errstate(all="ignore", invalid="raise"):
-            return _umath_linalg.eigvals(mat[::-1, ::-1], signature="d->D")
+            return _umath_linalg.eigvals(mat, signature="d->D")
     except FloatingPointError:
-        raise RootFindingFailed("eigenvalues of the colleague matrix did not converge") from None
+        raise RootFindingFailed(f"eigenvalues of the {name} matrix did not converge") from None
 
 
 def find_zero_pairs(

@@ -6,15 +6,18 @@ u units yield 2^(u-1) candidates, one per nontrivial equivalence class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Autocorr1D, Autocorr2D, Matrix2D
+from .core import Autocorr1D, Autocorr2D, Matrix2D, _freeze
 from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
 from .polyfactor import (
+    CACHED_DEGREES,
     CHUNK_PRODUCTS,
     DEFAULT_TOL_PAIR,
     DEFAULT_TOL_ROOT,
@@ -25,6 +28,7 @@ from .polyfactor import (
     group_flip_units,
     _autocorr_rows,
     _constraint_products,
+    _eigvals,
     _expand_zero_products,
     _factor_arrays,
     _residual_rows,
@@ -45,8 +49,23 @@ CANDIDATE_BUDGET = 1 << 27
 # the CLI's text, which `dumps` holds twice at its peak, the table's and the
 # payload's (measured at n = 6, README), so this caps a run at about 1 GB.
 MATERIALIZE_BUDGET = 1 << 24
-# solve_2d expands the candidates within this many times tol_match of c.
+# A solve below the crossover, or of a trimmed support, expands the candidates
+# within this many times tol_match of c.
 PREFILTER_SLACK = 1000.0
+# Past the crossover, a solve of a full support expands the candidates whose
+# edge-row keys (see _joined) match a split of the edge zeros: each key p_k
+# within JOIN_RTOL times the largest |p_k| a candidate can reach.
+JOIN_RTOL = 1e-9
+# Largest (rows of the larger half table) x (edge splits) the join takes on, and
+# largest (pairs it checks) x (flip units) x (keys), the Python terms of the checks.
+JOIN_BUDGET = 1 << 25
+# Edge zeros this close to one another, relative to max(1, |z|), are one double
+# zero: it comes back from the eigenvalues as two reals or a conjugate pair
+# about 1e-8 apart, and each member is replaced by their mean (real for a pair).
+EDGE_DOUBLE_RTOL = 1e-6
+# A survivor fits the lag grid when each entry is within GRID_RTOL * max|r|
+# (max|r| = R(0,0) = max|R| for an autocorrelation).
+GRID_RTOL = 1e-8
 # A ResidualExceeded lists at most this many flip masks.
 MAX_LISTED_MASKS = 1 << 16
 
@@ -62,15 +81,27 @@ class SolverOptions:
         return self.__dict__.copy()
 
 
-def _factor(r: Autocorr1D, opts: SolverOptions):
-    """(autocorrelation trimmed to its support, the flip units' _factor_arrays,
-    extreme lag); None if r == 0."""
+def _units(r: Autocorr1D, opts: SolverOptions, join: bool = False):
+    """(autocorrelation trimmed to its support, its flip units, extreme lag);
+    None if r == 0. With `join`, a full support is checked against the join's
+    budget instead of the candidates'."""
     if r.max_abs == 0.0:
         return None
     core = associated_polynomial(r)
-    check_support_budget(core.m)
+    check_support_budget(core.m, join and core is r)
     pairing = find_zero_pairs(core, opts.tol_pair, opts.tol_root)
-    return core, _factor_arrays(group_flip_units(pairing).units), pairing.scale
+    return core, group_flip_units(pairing).units, pairing.scale
+
+
+def _arrays(found):
+    """_units' result with the flip units as their _factor_arrays."""
+    return found and (found[0], _factor_arrays(found[1]), found[2])
+
+
+def _factor(r: Autocorr1D, opts: SolverOptions):
+    """(autocorrelation trimmed to its support, the flip units' _factor_arrays,
+    extreme lag); None if r == 0."""
+    return _arrays(_units(r, opts))
 
 
 def _refuse_beyond(count: int, budget: int, what: str) -> None:
@@ -78,19 +109,22 @@ def _refuse_beyond(count: int, budget: int, what: str) -> None:
         raise SearchSpaceTooLarge(f"{count} {what} exceed the budget of {budget}")
 
 
-def check_support_budget(length: int) -> None:
+def check_support_budget(length: int, join: bool = False) -> None:
     """Raise SearchSpaceTooLarge for `length` nonnegative lags whose candidates
-    must exceed CANDIDATE_BUDGET, before any root finding.
+    must exceed CANDIDATE_BUDGET, or with `join` whose join must exceed
+    JOIN_BUDGET, before any root finding.
 
     They hold d = length - 1 reflected zero pairs, and a flip unit holds at
-    most two, so there are at least ceil(d/2) units and 2^(ceil(d/2) - 1)
-    candidates. Compared by exponent: the count can be astronomically large.
+    most two, so there are at least u = ceil(d/2) units, 2^(u - 1) candidates,
+    and 2^(u // 2) rows in the larger half table times at least one split.
+    Compared by exponent: the count can be astronomically large.
     """
-    least = length // 2 - 1  # ceil(d/2) - 1
-    if least >= CANDIDATE_BUDGET.bit_length():
+    units = length // 2  # ceil(d/2)
+    least, what, budget = ((units // 2, "rows in a half table", JOIN_BUDGET) if join
+                           else (units - 1, "candidates", CANDIDATE_BUDGET))
+    if least >= budget.bit_length():
         raise SearchSpaceTooLarge(
-            f"{length} lags give at least 2^{least} candidates, "
-            f"beyond the budget of {CANDIDATE_BUDGET}"
+            f"{length} lags give at least 2^{least} {what}, beyond the budget of {budget}"
         )
 
 
@@ -204,6 +238,218 @@ class _Halves:
         return _expand_zero_products(self.unit_factors, masks, self.a + 1, self.A[i])
 
 
+# --- the edge-row join ------------------------------------------------------------
+# The grid's last lag row R(n-1, j) is the cross-correlation of X's last row
+# with its first: sum_j R(n-1, j) z^(j+n-1) = X_{n-1}(z) z^(n-1) X_0(1/z). Its
+# 2n-2 zeros are the last row's zeros and the reciprocals of the first row's.
+# A "split" picks n-1 of them, conjugates together, as the last row's. The
+# last row is the top n coefficients of the flattened signal, so by Newton's
+# identities the split fixes the power sums p_k, k = 1..n-1, of the signal's
+# zeros. Power sums add over flip units: a candidate's key is the sum of its
+# units' keys. Flipping a unit swaps its b^k and b^-k terms, so p_k(1/beta) is
+# the same total minus p_k(beta) for every candidate, and the other half of
+# the edge row adds nothing.
+
+
+@functools.lru_cache(maxsize=CACHED_DEGREES)
+def _split_members(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every choice of n-1 of the 2n-2 edge zeros, in lexicographic order: as 0/1
+    rows, and as bitmasks (bit k for zero k)."""
+    chosen = np.array(list(itertools.combinations(range(2 * n - 2), n - 1)))
+    members = np.zeros((chosen.shape[0], 2 * n - 2))
+    np.put_along_axis(members, chosen, 1.0, axis=1)
+    return _freeze(members), _freeze(np.bitwise_or.reduce(1 << chosen, axis=1))
+
+
+def _edge_zeros(R: Autocorr2D) -> list[complex]:
+    """Zeros of the edge polynomial, conjugate pairs adjacent, each replaced by
+    the mean of the zeros within EDGE_DOUBLE_RTOL of it (exact conjugates stay
+    exact conjugates). Its leading coefficient R(n-1, n-1) = X(0,0) X(n-1,n-1)
+    is nonzero at full support."""
+    edge = R.values[-1]
+    companion = np.eye(edge.size - 1, k=-1)
+    companion[0] = -edge[-2::-1] / edge[-1]
+    zs = _eigvals(companion, "companion").tolist()
+    tols = [EDGE_DOUBLE_RTOL * max(1.0, abs(z)) for z in zs]
+    if all(abs(w - z) > tol for k, (z, tol) in enumerate(zip(zs, tols)) for w in zs[k + 1:]):
+        return zs
+    near = [[w for w in zs if abs(w - z) <= tol] for z, tol in zip(zs, tols)]
+    return [sum(group) / len(group) for group in near]
+
+
+def _edge_targets(R: Autocorr2D) -> np.ndarray:
+    """p_1..p_{n-1} of every conjugate-closed split of the edge zeros, one row each."""
+    zs = _edge_zeros(R)
+    # each pair comes as zeros k, k+1 = z, conj(z): a split holds both or neither
+    pairs = sum(1 << k for k, z in enumerate(zs) if z.imag > 0)
+    members, bits = _split_members(R.n)
+    closed = members[(bits ^ bits >> 1) & pairs == 0]
+    powers = []
+    for z in zs:
+        power, row = z, []
+        for _ in range(R.n - 1):
+            row.append(power.real)
+            power *= z
+        powers.append(row)
+    return closed @ np.array(powers)
+
+
+def _lowers(units) -> list[tuple[tuple, tuple]]:
+    """Per flip unit, its factor's lower coefficients unflipped and flipped: the
+    floats _factor_arrays holds."""
+    return [(unit.factor(False), unit.factor(True)) for unit in units]
+
+
+def _mask_key(lowers, mask: int, k: int) -> list[float]:
+    """p_1..p_k of the zeros of candidate `mask`: over its units, Newton's
+    identities on the chosen factor, z + c0 (p_j = (-c0)^j) or z^2 + c1 z + c0
+    (p_j = -c1 p_{j-1} - c0 p_{j-2}, p_0 = 2)."""
+    key = [0.0] * k
+    for unit, choices in enumerate(lowers):
+        lower = choices[mask >> unit & 1]
+        if len(lower) == 1:
+            z, power = -lower[0], 1.0
+            for j in range(k):
+                power *= z
+                key[j] += power
+        else:
+            c0, c1 = lower
+            prev, cur = 2.0, -c1
+            for j in range(k):
+                key[j] += cur
+                prev, cur = cur, -c1 * cur - c0 * prev
+    return key
+
+
+def _reach(lowers, k: int) -> list[float]:
+    """The largest |p_j| a candidate can have, j = 1..k: over units, the number
+    of zeros times (the modulus of the unflipped ones, outside the circle)^j."""
+    reach = [0.0] * k
+    for unflipped, _ in lowers:
+        d = len(unflipped)
+        modulus = abs(unflipped[0]) if d == 1 else math.sqrt(unflipped[0])
+        power = 1.0
+        for j in range(k):
+            power *= modulus
+            reach[j] += d * power
+    return reach
+
+
+def _sum_table(sums: np.ndarray, pinned: bool) -> np.ndarray:
+    """Per mask over the units of `sums` (p_1 unflipped and flipped, one column a
+    unit), the sum of the chosen p_1, in _zero_product_table's row order."""
+    table = sums[:1, 0] if pinned else sums[:, 0]
+    for choices in sums.T[1:]:
+        table = (choices[:, None] + table).ravel()
+    return table
+
+
+def _join(lowers, a: int, targets: np.ndarray, tol: list[float]) -> list[int]:
+    """Ascending masks of the candidates whose key is within tol of a split's
+    target in every coordinate.
+
+    The half tables hold p_1 only: one search of target - A row on the sorted
+    B rows, CHUNK_PRODUCTS queries at a time, finds the pairs within tol of a
+    target there, and each pair's whole key is checked on Python floats.
+    """
+    k = targets.shape[1]
+    sums = np.array([[-x[-1] for x, _ in lowers], [-y[-1] for _, y in lowers]])
+    key_a, key_b = _sum_table(sums[:, :a + 1], pinned=True), _sum_table(sums[:, a + 1:], False)
+    order = np.argsort(key_b)
+    b = key_b[order]
+    step = max(1, CHUNK_PRODUCTS // key_a.size)
+    wanted, found, pairs = targets.tolist(), set(), 0
+    for s0 in range(0, len(wanted), step):
+        query = (targets[s0:s0 + step, :1] - key_a).ravel()
+        lo = b.searchsorted(query - tol[0])
+        count = b.searchsorted(query + tol[0], "right") - lo
+        hit = np.flatnonzero(count)
+        pairs += int(count.sum())
+        _refuse_beyond(pairs * len(lowers) * k, JOIN_BUDGET, "terms of join pairs")
+        for q, first, last in zip(hit.tolist(), lo[hit].tolist(), (lo + count)[hit].tolist()):
+            s, i = divmod(q, key_a.size)
+            for j in order[first:last].tolist():
+                mask = j << (a + 1) | i << 1
+                key = _mask_key(lowers, mask, k)
+                if all(abs(p - t) <= e for p, t, e in zip(key, wanted[s0 + s], tol)):
+                    found.add(mask)
+    return sorted(found)
+
+
+def _expand_masks(lowers, masks: list[int]) -> list[list[float]]:
+    """_expand_zero_products of each mask, bit for bit, on Python floats: each
+    unit's factor is applied as _multiply_factor_rows applies it."""
+    rows = []
+    for mask in masks:
+        c = [1.0]
+        for k, choices in enumerate(lowers):
+            lower = choices[mask >> k & 1]
+            # c shifted up by d, plus lower[j] * c shifted up by j for j = 0..d-1 in turn
+            shifted = [0.0] * len(lower) + c
+            out = [o + lower[0] * x for o, x in zip(shifted, c)] + shifted[len(c):]
+            if len(lower) == 2:
+                out[1:-1] = [o + lower[1] * x for o, x in zip(out[1:], c)]
+            c = out
+        rows.append(c)
+    return rows
+
+
+def _joined(R: Autocorr2D, found, tol_resid: float):
+    """Candidate count, then (masks, signals, residuals) of the candidates whose
+    keys match a split of the edge zeros, in ascending mask order. Past the
+    crossover at full support only (`found` as _units gives it); the units are
+    split into halves as _Halves splits them."""
+    core, units, _ = found
+    u, k = len(units), R.n - 1
+    a = (u - 1) // 2
+    targets = _edge_targets(R)
+    _refuse_beyond((1 << (u - 1 - a)) * len(targets), JOIN_BUDGET,
+                   "half-table rows times edge splits")
+    lowers = _lowers(units)
+    masks = _join(lowers, a, targets, [JOIN_RTOL * v for v in _reach(lowers, k)])
+    _refuse_beyond(len(masks) * core.m, MATERIALIZE_BUDGET, "survivor entries")
+    rows = np.array(_expand_masks(lowers, masks)).reshape(len(masks), core.m)
+    return 1 << (u - 1), _gated_table(np.array(masks, dtype=np.int64), rows, found,
+                                      core.m, tol_resid)
+
+
+@functools.lru_cache(maxsize=CACHED_DEGREES)
+def _grid_terms(n: int) -> tuple:
+    """(first, second, spans): grid entry R(i, j), i = 1..n-1 and j = -(n-1)..-1 in
+    row-major order, of a flattened n-by-n signal y is the sum of the products
+    first(y)[t] * second(y)[t] over t in its span."""
+    first, second, spans = [], [], []
+    for i in range(1, n):
+        for j in range(1 - n, 0):
+            start = len(first)
+            for p in range(n - i):
+                for q in range(-j, n):
+                    first.append(p * n + q)
+                    second.append((p + i) * n + q + j)
+            spans.append((start, len(first)))
+    # a spare product past the last span keeps the getters' results tuples when n = 2
+    return operator.itemgetter(*first, 0), operator.itemgetter(*second, 0), tuple(spans)
+
+
+def _grid_fits(vals: np.ndarray, R: Autocorr2D, scale: float) -> np.ndarray:
+    """Mask of the rows (flattened n-by-n signals) whose 2D autocorrelation fits R.
+
+    Every row reproduces r, so R is fixed by the (n-1)^2 entries that the
+    reduction sums away, R(i, j) with i >= 1 and j <= -1, the corner among
+    them: R.values[n:, :n-1]. A row fits when each, summed on Python floats, is
+    within GRID_RTOL * scale; scale is max|r|, which is R(0,0) = max|R| for an
+    autocorrelation. A nan fails.
+    """
+    first, second, spans = _grid_terms(R.n)
+    want = R.values[R.n:, :R.n - 1].ravel().tolist()
+    bound = GRID_RTOL * scale
+    fits = []
+    for y in vals.tolist():
+        products = list(map(operator.mul, first(y), second(y)))
+        fits.append(all(abs(sum(products[a:b]) - w) <= bound for (a, b), w in zip(spans, want)))
+    return np.array(fits, dtype=bool)
+
+
 def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Candidates:
     """All candidate signals with autocorrelation r, one per equivalence class.
 
@@ -265,10 +511,16 @@ class SolveReport:
         }
 
 
-def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float, opts: SolverOptions):
-    """Candidate count, then (masks, signals, residuals) of the candidates whose
-    constraint product lies within tol of c (see _matches_constraint)."""
-    factors = _factor(r, opts)
+def _survivors(R: Autocorr2D, r: Autocorr1D, c: float, floor: float, opts: SolverOptions):
+    """Candidate count, then (masks, signals, residuals) of the candidates the grid
+    decides among: the join's hits past the crossover at full support, else those
+    whose constraint product lies within PREFILTER_SLACK * tol_match of c (see
+    _matches_constraint)."""
+    n, tol = R.n, PREFILTER_SLACK * opts.tol_match
+    found = _units(r, opts, join=True)
+    if _split(found) and found[0] is r:
+        return _joined(R, found, opts.tol_resid)
+    factors = _arrays(found)
     if not _split(factors):
         masks, vals, residuals = _full_table(r, factors, opts.tol_resid)
         keep = _matches_constraint(_constraint_products(vals), c, tol, floor)
@@ -288,23 +540,25 @@ def _survivors(r: Autocorr1D, n: int, c: float, tol: float, floor: float, opts: 
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     """Recover an n-by-n signal from its autocorrelation grid.
 
-    Reduces the grid to the 1D problem and keeps the candidates matching the
-    corner constraint. A prefilter PREFILTER_SLACK times looser than the match
-    test picks the survivors; only they are expanded to rows, and the match
-    test runs on their rows. Exactly one match means the signal is determined
-    up to sign and half-turn rotation. No match raises NoMatch carrying the
-    report.
+    Reduces the grid to the 1D problem and picks the survivors: past
+    CROSSOVER_UNITS flip units at full support, the candidates whose keys
+    match a split of the edge row's zeros (see _joined); otherwise those whose
+    corner product lies within PREFILTER_SLACK * tol_match of c. Only they are
+    expanded to rows, and the whole grid decides among them: the matches are
+    the survivors that fit R within GRID_RTOL. Exactly one match means the
+    signal is determined up to sign and half-turn rotation; several are
+    reported as ambiguous. No match raises NoMatch carrying the report.
     """
     opts = opts or SolverOptions()
     n = R.n
     c = key_constraint(R)  # refuses n < 2 and an asymmetric grid
     r = _reduce_unchecked(R)
     floor = 1e-9 * r.max_abs
-    total, (masks, vals, resid) = _survivors(r, n, c, PREFILTER_SLACK * opts.tol_match, floor, opts)
-    keep = _matches_constraint(_constraint_products(vals), c, opts.tol_match, floor)
-    matches = Candidates(masks[keep], vals[keep], resid[keep])
+    total, (masks, vals, resid) = _survivors(R, r, c, floor, opts)
+    fit = _grid_fits(vals, R, r.max_abs)
+    matches = Candidates(masks[fit], vals[fit], resid[fit])
     tolerances = opts.to_dict()
-    tolerances["scale_floor"] = floor
+    tolerances.update(scale_floor=floor, join_rtol=JOIN_RTOL, grid_rtol=GRID_RTOL)
     report = SolveReport(
         n=n,
         candidates_total=total,
@@ -317,7 +571,7 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     )
     if not matches:
         raise NoMatch(
-            f"none of {total} candidates matches the corner constraint {c:.6g}",
+            f"none of {total} candidates fits the lag grid within {GRID_RTOL:.0e}",
             report=report,
         )
     return report

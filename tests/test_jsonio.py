@@ -376,10 +376,23 @@ def test_census_csv_bytes(rows):
     (load_matrix2d, {"n": 2, "rows": [[1.0, 2.0], [3.0, "4"]]},
      "matrix: field 'rows' must hold numbers only"),
     (load_autocorr2d, {"n": 1, "values": [[False]]}, "lag grid: field 'values' must hold numbers"),
+    (load_autocorr2d, {"n": 2, "values": [[1, 2, 3], [4, 30], [3, 2, 1]]},
+     "lag grid: field 'values' is not a rectangular list of numbers"),
+    (load_matrix2d, {"n": 2, "rows": [[1.0, 2.0], 3.0]},
+     "matrix: field 'rows' is not a rectangular list of numbers"),
+    (load_autocorr1d, {"m": 2, "values": [1.0, [2.5], 1.0]},
+     "lag sequence: field 'values' is not a rectangular list of numbers"),
+    (load_autocorr1d, {"m": 2, "values": [[1.0, 2.5, 1.0]]},
+     "lag sequence: field 'values' must be a flat list of numbers"),
+    (load_autocorr1d, {"m": 2, "values": [[1.0]] * 3},
+     "lag sequence: field 'values' must be a flat list of numbers"),
+    (load_autocorr2d, {"n": 1, "values": [[10 ** 400]]},
+     "lag grid: field 'values' holds an integer beyond the float range"),
 ], ids=["missing-n", "missing-values", "float-n", "bool-n", "string-m", "wrong-length",
         "asymmetric", "zero-m", "negative-m", "object-rows", "object-values", "object-lags",
         "object-lag", "object-entry", "string-lags", "bool-lags", "null-lag", "string-entry",
-        "bool-entry"])
+        "bool-entry", "ragged-grid", "ragged-matrix", "list-among-lags", "nested-lags",
+        "nested-lag-rows", "huge-integer"])
 def test_loaders_refuse_malformed_input(load, data, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load(data)

@@ -215,9 +215,15 @@ def test_roundtrip_n6_is_never_silently_wrong(seed):
     assert roundtrip_n6(seed)["silent_wrong"] == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at n = 6 the corner product alone "
-                   "leaves several candidates on some inputs; the whole grid decides them")
 @pytest.mark.parametrize("seed", [5, 2026])
 def test_roundtrip_n6_has_one_match(seed):
     flagged = roundtrip_n6(seed)["flagged"]
     assert not [f for f in flagged if f["kind"] == "multiple_matches"]
+
+
+def test_roundtrip_n7_is_always_right():
+    # the corner alone left several matches on 54 of these 60 and refused 2 more
+    record = planted_roundtrip(7, 60, 2026)
+    assert record["silent_wrong"] == 0
+    assert not [f for f in record["flagged"] if f["kind"] == "multiple_matches"]
+    assert record["successes"] == 60

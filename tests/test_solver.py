@@ -231,8 +231,9 @@ def test_solve_respects_options(golden_grid):
     report = solve_2d(golden_grid, SolverOptions(tol_match=1e-3))
     assert report.unique
     wide = solve_2d(golden_grid, SolverOptions(tol_match=math.inf))
-    assert not wide.unique
-    assert len(wide.matches) == 4
+    assert len(wide.residuals) == 4  # every candidate survives the corner window
+    assert wide.unique  # and the grid decides among them
+    assert_same_table(wide.matches, report.matches)
 
 
 def test_solve_no_match_carries_report(golden_grid, golden_r):
@@ -274,23 +275,15 @@ def test_solve_agrees_with_enumerate_then_filter(n, seed):
     kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
                                 tol["scale_floor"])
     assert report.candidates_total == len(candidates)
-    assert report.residuals == prefilter_survivors(candidates, report).autocorr_residuals.tolist()
+    # the corner alone decides these inputs; past the crossover the join's one hit is the match
+    survivors = report.matches if joins(R) else prefilter_survivors(candidates, report)
+    assert report.residuals == survivors.autocorr_residuals.tolist()
     assert_same_table(report.matches, kept)
 
 
-_GRID_DECIDES = "ROADMAP item 1: only the corner entry decides, and it picks a wrong match"
-_ZERO_CORNER = "ROADMAP item 2: X(0,0) = 0, so the truth is enumerated only as a shift"
-
-
-def _silent_wrong(n, seed, reason):
-    return pytest.param(n, seed, marks=pytest.mark.xfail(strict=True, reason=reason))
-
-
-# Integer inputs that solve_2d answers as unique today with a grid 13-45% off the input's.
-@pytest.mark.parametrize("n,seed", [
-    _silent_wrong(4, 40099, _GRID_DECIDES), _silent_wrong(5, 50127, _GRID_DECIDES),
-    _silent_wrong(5, 50243, _GRID_DECIDES), _silent_wrong(5, 50269, _GRID_DECIDES),
-    _silent_wrong(4, 4075, _ZERO_CORNER)])
+# Integer inputs that the corner alone answered as unique with a grid 13-45% off the
+# input's. Each has a zero endpoint, and no candidate fits the grid: NoMatch.
+@pytest.mark.parametrize("n,seed", [(4, 40099), (5, 50127), (5, 50243), (5, 50269), (4, 4075)])
 def test_no_silent_wrong_answer(n, seed):
     R = autocorr_2d(Matrix2D(n, np.random.default_rng(seed).integers(-3, 4, (n, n)).astype(float)))
     try:
@@ -393,6 +386,24 @@ def unit_count(R):
     return len(solver._factor(reduce_2d_to_1d(R), SolverOptions())[1])
 
 
+def joins(R):
+    """Whether solve_2d takes its survivors from the edge-row join: past the
+    crossover, at full support."""
+    core, units, _ = solver._factor(reduce_2d_to_1d(R), SolverOptions())
+    return len(units) > solver.CROSSOVER_UNITS and core.m == R.n * R.n
+
+
+def grid_fits(candidates, R):
+    """The candidates whose 2D autocorrelation, by FFT, is within GRID_RTOL * max|R| of R."""
+    n = R.n
+    spectrum = np.fft.fft2(candidates.values.reshape(-1, n, n), s=(2 * n - 1, 2 * n - 1))
+    grids = np.roll(np.fft.ifft2(np.abs(spectrum) ** 2).real, (n - 1, n - 1), axis=(1, 2))
+    keep = np.abs(grids - R.values).max(axis=(1, 2), initial=0.0) <= (
+        solver.GRID_RTOL * np.abs(R.values).max())
+    return Candidates(candidates.flips[keep], candidates.values[keep],
+                      candidates.autocorr_residuals[keep])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "trimmed", "signed-1", "signed-3"])
 def test_doubling_table_matches_per_mask_expansion(n):
     if n == "trimmed":  # the vanishing extreme lag is trimmed before factoring
@@ -413,15 +424,20 @@ def test_doubling_table_matches_per_mask_expansion(n):
     masks = np.arange(1 << (len(units) - 1), dtype=np.int64) << 1
     assert same_bits(solver._zero_product_table(units, pinned=True),
                      solver._expand_zero_products(units, masks))
+    # the join expands its hits on Python floats
+    some = masks[:64]
+    lowers = [(tuple(f[0].tolist()), tuple(f[1].tolist())) for f in units]
+    assert same_bits(np.array(solver._expand_masks(lowers, some.tolist())),
+                     solver._expand_zero_products(units, some))
     if len(units) <= 12:
         every = np.arange(1 << len(units), dtype=np.int64)
         assert same_bits(solver._zero_product_table(units, pinned=False),
                          solver._expand_zero_products(units, every))
 
 
-def solve_outcome(R):
+def solve_outcome(R, opts=None):
     try:
-        return solve_2d(R)
+        return solve_2d(R, opts)
     except NoMatch as err:
         return err.report
 
@@ -440,11 +456,13 @@ def test_solve_matches_enumerate_then_filter_in_both_regimes(n, kind):
                 solve_2d(R)
             continue
         report = solve_outcome(R)
-        tol = report.tolerances
-        kept = filter_by_constraint(candidates, key_constraint(R), n, tol["tol_match"],
-                                    tol["scale_floor"])
-        assert_same_table(report.matches, kept)
-        assert report.residuals == prefilter_survivors(candidates, report).autocorr_residuals.tolist()
+        if joins(R):  # the join finds every candidate that fits the grid
+            assert_same_table(report.matches, grid_fits(candidates, R))
+            assert len(report.residuals) >= len(report.matches)
+        else:  # the grid decides among the corner window's survivors
+            survivors = prefilter_survivors(candidates, report)
+            assert_same_table(report.matches, grid_fits(survivors, R))
+            assert report.residuals == survivors.autocorr_residuals.tolist()
         regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
     if n >= 4:
         assert True in regimes
@@ -465,13 +483,15 @@ def test_every_candidate_and_match_starts_positive(n, kind, zero):
             X[zero, zero] = 0.0
         R = autocorr_2d(Matrix2D(n, X))
         try:
-            tables = [enumerate_candidates(reduce_2d_to_1d(R)), solve_outcome(R).matches,
-                      solve_2d(R, SolverOptions(tol_match=math.inf)).matches]
+            candidates = enumerate_candidates(reduce_2d_to_1d(R))
+            wide = solve_outcome(R, SolverOptions(tol_match=math.inf))
+            tables = [candidates, solve_outcome(R).matches, wide.matches]
         except AutophaseError:
             continue
         for table in tables:
             assert (table.values[:, 0] > 0).all()
-        assert len(tables[2]) == len(tables[0])
+        if not joins(R):  # the infinite corner window lets every candidate through
+            assert len(wide.residuals) == len(candidates)
         regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
     assert regimes == {2: {False}, 3: {False}, 4: {False, True}, 5: {True}}[n]
 
@@ -571,26 +591,27 @@ def test_integer_corpus_covers_a_zero_corner():
 
 
 def test_n6_solve_expands_only_the_survivors(monkeypatch):
+    # the join's half tables hold keys, never coefficients; only its hits are expanded
     X = planted(6, 0)
     tables, expanded = [], []
-    table, expand = solver._zero_product_table, solver._expand_zero_products
+    table, expand = solver._zero_product_table, solver._expand_masks
 
     def spy_table(units, pinned):
         out = table(units, pinned)
         tables.append(out.shape[0])
         return out
 
-    def spy_expand(units, masks, first=0, coeffs=None):
-        expanded.append(masks.size)
-        return expand(units, masks, first, coeffs)
+    def spy_expand(lowers, masks):
+        expanded.append(len(masks))
+        return expand(lowers, masks)
 
     monkeypatch.setattr(solver, "_zero_product_table", spy_table)
-    monkeypatch.setattr(solver, "_expand_zero_products", spy_expand)
+    monkeypatch.setattr(solver, "_expand_masks", spy_expand)
     report = solve_2d(autocorr_2d(X))
     assert report.unique
     assert trivially_equivalent_2d(report.solution, X, 1e-6 * float(np.max(np.abs(X.values))))
     assert report.candidates_total == 1 << 18
-    assert len(tables) == 2 and tables[0] * tables[1] == report.candidates_total
+    assert tables == []
     assert expanded == [len(report.residuals)]
     assert 1 <= len(report.residuals) < 1000
 
@@ -617,12 +638,21 @@ def nan_half_row(monkeypatch, which, row, value):
     monkeypatch.setattr(solver, "_zero_product_table", poisoned)
 
 
+def zero_first(n, seed):
+    """A planted signal with X(0,0) = 0: its trimmed support takes the corner scan."""
+    X = planted(n, seed).values.copy()
+    X[0, 0] = 0.0
+    return Matrix2D(n, X)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("which", ["A", "B"])
 @pytest.mark.parametrize("call", ["solve_2d", "ambiguity_census"])
 def test_bad_half_row_fails_the_residual_gate(monkeypatch, call, which, value):
-    R = autocorr_2d(planted(4, 0))
+    # a solve of a full support joins on keys, so the solve's input has X(0,0) = 0
+    R = autocorr_2d(zero_first(4, 0) if call == "solve_2d" else planted(4, 0))
     u = unit_count(R)
+    assert u > solver.CROSSOVER_UNITS and not (call == "solve_2d" and joins(R))
     a = (u - 1) // 2
     nan_half_row(monkeypatch, which, 1, value)
     with pytest.raises(ResidualExceeded) as info:
@@ -668,9 +698,15 @@ def test_oversized_support_is_refused_before_root_finding(monkeypatch):
     solver.check_support_budget(57)  # 28 units at least: 2^27 candidates fit the budget
     with pytest.raises(SearchSpaceTooLarge, match=r"2\^28 candidates"):
         solver.check_support_budget(58)
+    solver.check_support_budget(103, join=True)  # 51 units: half tables of 2^25 rows fit
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^26 rows in a half table"):
+        solver.check_support_budget(104, join=True)
     monkeypatch.setattr(polyfactor, "_chebyshev_roots", refuse)
-    with pytest.raises(SearchSpaceTooLarge, match=r"64 lags give at least 2\^31 candidates"):
-        solve_2d(autocorr_2d(planted(8, 0)))
+    # a trimmed support takes the corner scan, a full one the join
+    with pytest.raises(SearchSpaceTooLarge, match=r"63 lags give at least 2\^30 candidates"):
+        solve_2d(autocorr_2d(zero_first(8, 0)))
+    with pytest.raises(SearchSpaceTooLarge, match=r"121 lags give at least 2\^30 rows"):
+        solve_2d(autocorr_2d(planted(11, 0)))
 
 
 def test_n7_enumeration_is_refused_before_allocating():
@@ -681,8 +717,8 @@ def test_n7_enumeration_is_refused_before_allocating():
             enumerate_candidates(r)
         with pytest.raises(SearchSpaceTooLarge):
             ambiguity_census(r, 7)
-        with pytest.raises(SearchSpaceTooLarge):
-            solve_2d(autocorr_2d(planted(7, 0)), SolverOptions(tol_match=math.inf))
+        with pytest.raises(SearchSpaceTooLarge):  # the corner scan of a trimmed support
+            solve_2d(autocorr_2d(zero_first(7, 0)), SolverOptions(tol_match=math.inf))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,8 +727,9 @@ def test_n7_enumeration_is_refused_before_allocating():
 
 def test_loose_n7_solve_counts_every_chunk_before_expanding():
     # the survivor count is refused before any hit is expanded to a row; expanding each
-    # chunk's hits as they come would hold rows for every chunk before the refusal
-    R = autocorr_2d(planted(7, 0))
+    # chunk's hits as they come would hold rows for every chunk before the refusal.
+    # X(0,0) = 0: a full support would take the join, which has no corner window
+    R = autocorr_2d(zero_first(7, 0))
     tracemalloc.start()
     try:
         with pytest.raises(SearchSpaceTooLarge, match="survivor entries"):
@@ -704,8 +741,9 @@ def test_loose_n7_solve_counts_every_chunk_before_expanding():
 
 
 def test_half_table_chunks_join_seamlessly(monkeypatch):
-    """A solve and a census cut into many chunks of half-table products give the
-    bytes of the default chunking (n = 5, u = 13: 64 B rows by 64 A rows)."""
+    """A census cut into many chunks of half-table products, and a solve whose join
+    runs a few splits at a time, give the bytes of the default chunking (n = 5,
+    u = 13: 64 B rows by 64 A rows, 4 splits a chunk)."""
     R = autocorr_2d(planted(5, 50000))
     r = reduce_2d_to_1d(R)
     assert unit_count(R) == 13
@@ -723,9 +761,10 @@ def test_half_table_chunks_join_seamlessly(monkeypatch):
             yield j0, f
 
     monkeypatch.setattr(solver._Halves, "products", counted)
-    monkeypatch.setattr(solver, "CHUNK_PRODUCTS", 1 << 8)  # 4 B rows a chunk
+    monkeypatch.setattr(solver, "CHUNK_PRODUCTS", 1 << 8)  # 4 B rows, or 4 splits, a chunk
+    assert len(solver._edge_targets(R)) > 4
     assert outputs() == whole
-    assert chunks == 2 * list(range(0, 64, 4))  # 16 chunks each
+    assert chunks == list(range(0, 64, 4))  # the census's 16; the solve joins
 
 
 def test_n6_enumeration_fits_the_budget():
@@ -734,14 +773,15 @@ def test_n6_enumeration_fits_the_budget():
 
 
 def test_infinite_tol_match_keeps_every_candidate_past_the_crossover():
-    # the prefilter of the half tables admits every product; the budget allows n = 4
-    R = autocorr_2d(planted(4, 0))
-    assert unit_count(R) > solver.CROSSOVER_UNITS
+    # the prefilter of the half tables admits every product, and the grid decides
+    # among them; the budget allows n = 4. X(0,0) = 0, so the corner scan runs
+    R = autocorr_2d(zero_first(4, 0))
+    assert unit_count(R) > solver.CROSSOVER_UNITS and not joins(R)
     report = solve_2d(R, SolverOptions(tol_match=math.inf))
     candidates = enumerate_candidates(reduce_2d_to_1d(R))
-    assert not report.unique
+    assert report.unique
     assert report.candidates_total == len(candidates)
-    assert_same_table(report.matches, candidates)
+    assert_same_table(report.matches, grid_fits(candidates, R))
     assert report.residuals == candidates.autocorr_residuals.tolist()
 
 
@@ -771,3 +811,89 @@ def test_benchmark_traced_call_chain():
     assert_same_table(matches, report.matches)
     assert report.unique and trivially_equivalent_2d(report.solution, X, 1e-6)
     assert json.loads(text)["unique"] is True
+
+
+# --- the edge-row join and the grid verdict ----------------------------------------
+
+
+def true_mask(X):
+    """Flip mask of the candidate equivalent to X: unit k is flipped when its unflipped
+    zeros are not zeros of the flattened signal, read so that unit 0 is unflipped
+    (X or its half-turn, whose flattened signal is reversed)."""
+    units = group_flip_units(find_zero_pairs(reduce_2d_to_1d(autocorr_2d(X)))).units
+
+    def is_zero(x, z):
+        return abs(np.polyval(x[::-1], z)) <= 1e-8 * np.polyval(np.abs(x[::-1]), abs(z))
+
+    x = X.values.reshape(-1)
+    if not is_zero(x, units[0].members(False)[0]):
+        x = x[::-1]
+    assert is_zero(x, units[0].members(False)[0])
+    return sum(1 << k for k, unit in enumerate(units) if not is_zero(x, unit.members(False)[0]))
+
+
+@pytest.mark.parametrize("n,seed", [(4, 0), (4, 3), (5, 0), (5, 1), (6, 0), (6, 1)])
+def test_true_key_meets_a_split_target(n, seed):
+    X = planted(n, seed)
+    R = autocorr_2d(X)
+    lowers = solver._lowers(solver._units(reduce_2d_to_1d(R), SolverOptions())[1])
+    key = solver._mask_key(lowers, true_mask(X), n - 1)
+    gaps = np.abs(solver._edge_targets(R) - key) / solver._reach(lowers, n - 1)
+    assert gaps.max(axis=1).min() <= solver.JOIN_RTOL
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 0), (5, 1), (6, 0)])
+def test_both_members_of_every_unit_give_the_edge_zeros_power_sums(n, seed):
+    """p_k(beta) + p_k(1/beta) is the sum over units of both members' p_k, the same
+    for every candidate, and equals p_k of all 2n-2 edge zeros: n-1 keys say it all."""
+    R = autocorr_2d(planted(n, seed))
+    lowers = solver._lowers(solver._units(reduce_2d_to_1d(R), SolverOptions())[1])
+    every = (1 << len(lowers)) - 1
+    rng = np.random.default_rng(seed)
+    z = np.roots(R.values[-1][::-1])
+    total = np.array([(z ** k).sum().real for k in range(1, n)])
+    for mask in rng.integers(0, every, 4).tolist():
+        both = np.add(solver._mask_key(lowers, mask, n - 1),
+                      solver._mask_key(lowers, every ^ mask, n - 1))
+        assert np.abs(both - total).max() <= 1e-12 * max(solver._reach(lowers, n - 1))
+
+
+@pytest.mark.parametrize("seed", [40078, 40242])
+def test_double_edge_zero_inputs_get_one_grid_fit(seed):
+    # the edge polynomial has a double zero at +-1, found as two zeros about 1e-8 apart
+    X = integer_planted(4, seed)
+    R = autocorr_2d(X)
+    z = np.roots(R.values[-1][::-1])
+    assert min(abs(a - b) for i, a in enumerate(z) for b in z[i + 1:]) < 1e-6
+    scale = 1e-9 * float(np.max(np.abs(X.values)))
+    report = solve_2d(R)
+    assert report.unique and trivially_equivalent_2d(report.solution, X, scale)
+    # the join finds it as well, whichever path the solve takes
+    found = solver._units(reduce_2d_to_1d(R), SolverOptions())
+    _, (_, vals, _) = solver._joined(R, found, 1e-6)
+    fits = vals[solver._grid_fits(vals, R, reduce_2d_to_1d(R).max_abs)]
+    assert len(fits) == 1 and trivially_equivalent_2d(Matrix2D(4, fits[0]), X, scale)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_n8_solves_by_default(seed):
+    X = planted(8, seed)
+    report = solve_2d(autocorr_2d(X))
+    assert report.candidates_total >= 1 << 31
+    assert report.unique
+    assert trivially_equivalent_2d(report.solution, X, 1e-6 * float(np.max(np.abs(X.values))))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_separable_signal_is_reported_ambiguous(n):
+    # a b^T shares every grid entry with a' b'^T for every a', b' of the autocorrelations
+    # of a and b, a rev(b)^T among them: genuine ambiguity, each fit reported
+    a, b = np.random.default_rng(n).standard_normal((2, n))
+    R = autocorr_2d(Matrix2D(n, np.outer(a, b)))
+    report = solve_2d(R)
+    assert not report.unique and len(report.matches) >= 2
+    assert_same_table(grid_fits(report.matches, R), report.matches)
+    for X in (np.outer(a, b), np.outer(a, b[::-1])):
+        assert any(trivially_equivalent_2d(Matrix2D(n, row), Matrix2D(n, X), 1e-9)
+                   for row in report.matches.values)
+    assert report.to_dict()["unique"] is False

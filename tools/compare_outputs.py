@@ -31,7 +31,11 @@ empty working directory, over the same fixed corpus:
   of its zeros, root residuals and scale, or the error it raises. An
   integer input whose extreme lag vanishes is factored on its trimmed
   support; answering zero endpoints and zeros on the unit circle changes
-  these records on purpose.
+  these records on purpose;
+- last, so that the records before them keep their places: the library
+  solve of Gaussian n = 6 and n = 7 inputs (`JOINED`), whose survivors the
+  edge-row join finds, and the CLI commands on a lag list holding an integer
+  beyond the float range.
 
 A CLI record holds the exit status, standard output, standard error and the
 file the command wrote. The script prints one line per record, its name and
@@ -61,8 +65,10 @@ SOLVE_SEEDS = range(16)  # library solves per (kind, n)
 LARGE_TABLES = (("gauss", 50000), ("int", 50001))
 # (kind, default_rng seed) of n = 17 inputs: lag sequences of 2 * 17^2 - 1 = 577 floats
 LONG_LAGS = (("gauss", 170000), ("int", 170001))
-# (n, default_rng seed) of the integer inputs the corner constraint answers wrongly.
+# (n, default_rng seed) of the integer inputs the corner constraint answered wrongly.
 SILENT_WRONG = ((4, 40099), (4, 4075), (5, 50127), (5, 50243), (5, 50269))
+# (n, default_rng seed) of Gaussian inputs with u = 17..26 flip units, solved by the join.
+JOINED = ((6, 60000), (6, 60001), (7, 70000), (7, 70001))
 
 
 
@@ -136,6 +142,8 @@ MALFORMED = (
     ("sequence-infinity-one", SEQ_ONLY, b'{"m": 2, "values": [Infinity, 2.5, 1]}'),
     ("sequence-overflow", SEQ_ONLY, b'{"m": 2, "values": [1e400, 2.5, 1e400]}'),
 )
+BEYOND_FLOAT = (("integer-beyond-float", BOTH,
+                 b'{"n": 2, "m": 2, "values": [1, 1%s, 1]}' % (b"0" * 400)),)
 
 
 def draw(kind: str, n: int, seed: int) -> np.ndarray:
@@ -222,12 +230,7 @@ def corpus():
             yield f"probe --n {n} --alpha {alpha}", cli_record(
                 ["probe", "--n", str(n), "--alpha", alpha])
     yield "probe --n 1", cli_record(["probe", "--n", "1", "--alpha", "100"])
-    for name, commands, data in MALFORMED:
-        path = f"malformed-{name}.json"
-        Path(path).write_bytes(data)
-        for command in commands:
-            yield f"malformed {name} {command}", cli_record(
-                [command, "--input", path, *(["--n", "2"] if command == "census" else [])])
+    yield from malformed_records(MALFORMED)
     yield "solve missing input", cli_record(["solve", "--input", "missing.json"])
     yield "--help", cli_record(["--help"])
     for kind in ("gauss", "int"):
@@ -242,6 +245,19 @@ def corpus():
             for s in SOLVE_SEEDS:
                 seed = 10000 * n + s
                 yield f"zero pairs {kind}-n{n}-s{seed}", pairing_record(draw(kind, n, seed))
+    for n, seed in JOINED:
+        yield f"library solve gauss-n{n}-s{seed}", solve_record(draw("gauss", n, seed))
+    yield from malformed_records(BEYOND_FLOAT)
+
+
+def malformed_records(entries):
+    """The CLI records of input files that the loaders refuse or take at the edge."""
+    for name, commands, data in entries:
+        path = f"malformed-{name}.json"
+        Path(path).write_bytes(data)
+        for command in commands:
+            yield f"malformed {name} {command}", cli_record(
+                [command, "--input", path, *(["--n", "2"] if command == "census" else [])])
 
 
 def emit(src: str) -> None:
