@@ -261,6 +261,15 @@ def _split_members(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(members), _freeze(np.bitwise_or.reduce(1 << chosen, axis=1))
 
 
+# the conjugate patterns of n <= 5: at most 13 of 6 edge zeros and 34 of 8
+@functools.lru_cache(maxsize=64)
+def _closed_splits(n: int, pairs: int) -> np.ndarray:
+    """The 0/1 rows of _split_members(n) that hold both or neither of zeros k and
+    k+1 for every bit k of `pairs`."""
+    members, bits = _split_members(n)
+    return _freeze(members[(bits ^ bits >> 1) & pairs == 0])
+
+
 def _edge_zeros(R: Autocorr2D) -> list[complex]:
     """Zeros of the edge polynomial, conjugate pairs adjacent, each replaced by
     the mean of the zeros within EDGE_DOUBLE_RTOL of it (exact conjugates stay
@@ -280,10 +289,8 @@ def _edge_zeros(R: Autocorr2D) -> list[complex]:
 def _edge_targets(R: Autocorr2D) -> np.ndarray:
     """p_1..p_{n-1} of every conjugate-closed split of the edge zeros, one row each."""
     zs = _edge_zeros(R)
-    # each pair comes as zeros k, k+1 = z, conj(z): a split holds both or neither
-    pairs = sum(1 << k for k, z in enumerate(zs) if z.imag > 0)
-    members, bits = _split_members(R.n)
-    closed = members[(bits ^ bits >> 1) & pairs == 0]
+    # each pair comes as zeros k, k+1 = z, conj(z)
+    closed = _closed_splits(R.n, sum(1 << k for k, z in enumerate(zs) if z.imag > 0))
     powers = []
     for z in zs:
         power, row = z, []
@@ -383,13 +390,16 @@ def _expand_masks(lowers, masks: list[int]) -> list[list[float]]:
     for mask in masks:
         c = [1.0]
         for k, choices in enumerate(lowers):
-            lower = choices[mask >> k & 1]
-            # c shifted up by d, plus lower[j] * c shifted up by j for j = 0..d-1 in turn
-            shifted = [0.0] * len(lower) + c
-            out = [o + lower[0] * x for o, x in zip(shifted, c)] + shifted[len(c):]
-            if len(lower) == 2:
-                out[1:-1] = [o + lower[1] * x for o, x in zip(out[1:], c)]
-            c = out
+            # c shifted up by d, plus lower[0] * c, then plus lower[1] * c shifted up by 1
+            if len(choices[0]) == 1:
+                (c0,) = choices[mask >> k & 1]
+                c = [o + c0 * x for o, x in zip([0.0] + c, c)] + c[-1:]
+            else:
+                c0, c1 = choices[mask >> k & 1]
+                base = [0.0, 0.0] + c
+                c = ([base[0] + c0 * c[0]]
+                     + [(b + c0 * x) + c1 * y for b, x, y in zip(base[1:], c[1:], c)]
+                     + [base[-2] + c1 * c[-1], base[-1]])
         rows.append(c)
     return rows
 
