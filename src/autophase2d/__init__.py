@@ -1,9 +1,11 @@
 """Recovery of a real square signal from its 2D autocorrelation.
 
 The 2D problem is reduced to the 1D autocorrelation of the row-flattened
-signal, every 1D candidate is enumerated by flipping polynomial zero pairs,
-and a single corner entry of the 2D grid picks out the true signal up to
-sign and half-turn rotation.
+signal, whose candidates differ by flipping polynomial zero pairs. The
+grid's corner entry, or past eight flip units its last lag row, picks out
+the few candidates worth expanding, and the grid entries that the reduction
+sums away decide among them: the true signal, up to sign and half-turn
+rotation.
 """
 
 import types

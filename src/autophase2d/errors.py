@@ -60,7 +60,7 @@ class ResidualExceeded(AutophaseError):
 
 
 class NoMatch(AutophaseError):
-    """No candidate satisfies the disambiguating constraint.
+    """No surviving candidate reproduces the lag grid.
 
     Carries the full report (with an empty match list) so callers can inspect
     the rejected candidates and tolerances.

@@ -151,7 +151,7 @@ def planted_roundtrip(
             flagged.append({
                 "trial": trial,
                 "kind": "multiple_matches",
-                "detail": f"{len(report.matches)} candidates match the constraint",
+                "detail": f"{len(report.matches)} candidates fit the lag grid",
             })
             continue
         scale = float(np.abs(X.values).max())

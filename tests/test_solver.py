@@ -691,6 +691,15 @@ def test_n9_is_refused_by_type_quickly(seed):
     assert time.perf_counter() - start < 1.0
 
 
+def test_join_counts_its_pairs_before_checking_them(monkeypatch):
+    # at a loose join tolerance p_1 alone admits millions of pairs at n = 7; their
+    # count is refused before any is checked on Python floats
+    monkeypatch.setattr(solver, "JOIN_RTOL", 1e-3)
+    monkeypatch.setattr(solver, "_mask_key", lambda *args: pytest.fail("a pair was checked"))
+    with pytest.raises(SearchSpaceTooLarge, match="terms of join pairs exceed the budget"):
+        solve_2d(autocorr_2d(planted(7, 0)))
+
+
 def test_oversized_support_is_refused_before_root_finding(monkeypatch):
     def refuse(a):
         raise AssertionError("root finding ran")
