@@ -20,9 +20,9 @@ from .polyfactor import CHUNK_PRODUCTS
 from .solver import SolverOptions, solve_2d
 
 # Grid points a search may hold. Points cost about 0.1 us (n = 2) to 0.5 us
-# (n = 3, bound 1) and 0.4 us at n = 4, bound 1 (README), so 4 * 10**7 points end
-# within about 20 s; the n = 4, bound 1 grid (3^16 points) is still refused.
-SEARCH_BUDGET = 4 * 10**7
+# (n = 3, bound 1) and 0.4 us at n = 4, bound 1 (README), so 5 * 10**7 points end
+# within about 20 s; n = 4 at bound 1 (3^16 points) fits, n = 2 at bound 42 does not.
+SEARCH_BUDGET = 5 * 10**7
 EXACT_LIMIT = 2**53
 # A unique match counts as the planted signal within this many times max|X|.
 EQUIV_RTOL = 1e-6

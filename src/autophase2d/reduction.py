@@ -54,7 +54,7 @@ def _reduce_unchecked(R: Autocorr2D) -> Autocorr1D:
 
 
 def key_constraint(R: Autocorr2D) -> float:
-    """The corner entry R(n-1, -(n-1)), around which solve_2d's corner window lies.
+    """The corner entry R(n-1, -(n-1)), around which solve_2d's corner band lies.
 
     Equals X(0, n-1) * X(n-1, 0) for any preimage X, and therefore equals the
     product of the flattened signal's entries at n-1 and n*n - n.

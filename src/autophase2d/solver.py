@@ -49,9 +49,6 @@ CANDIDATE_BUDGET = 1 << 27
 # the CLI's text, which `dumps` holds twice at its peak, the table's and the
 # payload's (measured at n = 6, README), so this caps a run at about 1 GB.
 MATERIALIZE_BUDGET = 1 << 24
-# A solve below the crossover, or of a trimmed support, expands the candidates
-# within this many times tol_match of c.
-PREFILTER_SLACK = 1000.0
 # Past the crossover, a solve of a full support expands the candidates whose
 # edge-row keys (see _joined) match a split of the edge zeros: each key p_k
 # within JOIN_RTOL times the largest |p_k| a candidate can reach.
@@ -75,7 +72,6 @@ class SolverOptions:
     tol_root: float = DEFAULT_TOL_ROOT
     tol_pair: float = DEFAULT_TOL_PAIR
     tol_resid: float = DEFAULT_TOL_RESID
-    tol_match: float = DEFAULT_TOL_MATCH
 
     def to_dict(self) -> dict:
         return self.__dict__.copy()
@@ -174,21 +170,20 @@ class _Halves:
     A holds units 0..a (unit 0 unflipped) and B units a+1..u-1, with
     a = (u-1)//2; candidate (i, j) is A row i times B row j, its mask is
     (j << (a+1)) | (i << 1), and row-major order over (j, i) is ascending mask
-    order. Construction checks every candidate's autocorrelation at the cost
-    of the halves: flipping zeros only rescales a row's autocorrelation by
-    the same factor as its constant coefficient, so each normalized half row
-    must equal row 0's, and row 0 times row 0 must reproduce r.
+    order. `_gate` checks every candidate's autocorrelation at the cost of the
+    halves: flipping zeros only rescales a row's autocorrelation by the same
+    factor as its constant coefficient, so each normalized half row must equal
+    row 0's, and row 0 times row 0 must reproduce r.
     """
 
-    def __init__(self, factors, tol_resid: float):
-        core, self.unit_factors, self.scale = factors
+    def __init__(self, factors):
+        _, self.unit_factors, self.scale = factors
         u = len(self.unit_factors)
         self.total = 1 << (u - 1)
         _refuse_beyond(self.total, CANDIDATE_BUDGET, "candidates")
         self.a = (u - 1) // 2
         self.A = _zero_product_table(self.unit_factors[:self.a + 1], pinned=True)
         self.B = _zero_product_table(self.unit_factors[self.a + 1:], pinned=False)
-        self._gate(core, tol_resid)
 
     def masks(self, j: np.ndarray, i: np.ndarray) -> np.ndarray:
         return (j << (self.a + 1)) | (i << 1)
@@ -473,14 +468,6 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Ca
     return Candidates(*_full_table(r, _factor(r, opts), opts.tol_resid))
 
 
-def _matches_constraint(products: np.ndarray, c: float, tol_match: float,
-                        scale_floor: float) -> np.ndarray:
-    """Mask of products within tol_match * max(|c|, scale_floor) of c; all when infinite."""
-    if math.isinf(tol_match):
-        return np.ones(products.shape, dtype=bool)
-    return np.abs(products - c) <= tol_match * max(abs(c), scale_floor)
-
-
 def filter_by_constraint(
     candidates: Candidates,
     c: float,
@@ -488,11 +475,13 @@ def filter_by_constraint(
     tol_match: float = DEFAULT_TOL_MATCH,
     scale_floor: float = 0.0,
 ) -> Candidates:
-    """Candidates whose constraint product matches c, in the original order."""
+    """Candidates whose constraint product lies within tol_match * max(|c|,
+    scale_floor) of c (all when tol_match is infinite), in the original order."""
     m = candidates.values.shape[1]
     if m != n * n or candidates.f_values is None:
         raise ValueError(f"candidate length {m} is not {n}x{n} with n >= 2")
-    keep = _matches_constraint(candidates.f_values, c, tol_match, scale_floor)
+    keep = (np.ones(len(candidates), dtype=bool) if math.isinf(tol_match) else
+            np.abs(candidates.f_values - c) <= tol_match * max(abs(c), scale_floor))
     return Candidates(candidates.flips[keep], candidates.values[keep],
                       candidates.autocorr_residuals[keep])
 
@@ -521,28 +510,33 @@ class SolveReport:
         }
 
 
-def _survivors(R: Autocorr2D, r: Autocorr1D, c: float, floor: float, opts: SolverOptions):
+def _survivors(R: Autocorr2D, r: Autocorr1D, c: float, opts: SolverOptions):
     """Candidate count, then (masks, signals, residuals) of the candidates the grid
     decides among: the join's hits past the crossover at full support, else those
-    whose constraint product lies within PREFILTER_SLACK * tol_match of c (see
-    _matches_constraint)."""
-    n, tol = R.n, PREFILTER_SLACK * opts.tol_match
+    whose corner product lies within the grid's bound on the corner entry,
+    GRID_RTOL * max|r| of c (see _grid_fits)."""
     found = _units(r, opts, join=True)
     if _split(found) and found[0] is r:
         return _joined(R, found, opts.tol_resid)
     factors = _arrays(found)
+    bound = GRID_RTOL * r.max_abs
     if not _split(factors):
         masks, vals, residuals = _full_table(r, factors, opts.tol_resid)
-        keep = _matches_constraint(_constraint_products(vals), c, tol, floor)
+        # the same float product and test as the grid's on its corner: no fit is dropped
+        keep = np.abs(_constraint_products(vals) - c) <= bound
         return masks.size, (masks[keep], vals[keep], residuals[keep])
 
-    halves = _Halves(factors, opts.tol_resid)
+    # Half-table products differ from the rows' by rounding, within 2.3e-13 * max|r|
+    # (README), far inside the band. Only the rows expanded are checked against r, as
+    # the join checks its hits.
+    halves = _Halves(factors)
     hits, count = [], 0
-    for j0, f in halves.products(n):  # every chunk's hits are counted before any is expanded
-        j, i = np.nonzero(_matches_constraint(f, c, tol, floor))
-        count += i.size
-        _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
-        hits.append((halves.masks(j + j0, i), i))
+    with np.errstate(invalid="ignore"):  # the products of an inf or nan row lie in no band
+        for j0, f in halves.products(R.n):  # every chunk's hits are counted before any expansion
+            j, i = np.nonzero(np.abs(f - c) <= bound)
+            count += i.size
+            _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
+            hits.append((halves.masks(j + j0, i), i))
     masks, i = hits[0] if len(hits) == 1 else (np.concatenate(a) for a in zip(*hits))
     return halves.total, _gated_table(masks, halves.rows(masks, i), factors, r.m, opts.tol_resid)
 
@@ -553,22 +547,23 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     Reduces the grid to the 1D problem and picks the survivors: past
     CROSSOVER_UNITS flip units at full support, the candidates whose keys
     match a split of the edge row's zeros (see _joined); otherwise those whose
-    corner product lies within PREFILTER_SLACK * tol_match of c. Only they are
-    expanded to rows, and the whole grid decides among them: the matches are
-    the survivors that fit R within GRID_RTOL. Exactly one match means the
-    signal is determined up to sign and half-turn rotation; several are
-    reported as ambiguous. No match raises NoMatch carrying the report.
+    corner product lies within the grid's bound on the corner, GRID_RTOL *
+    max|r| of c. Only they are expanded to rows, and the whole grid decides
+    among them: the matches are the survivors that fit R within GRID_RTOL.
+    Exactly one match means the signal is determined up to sign and half-turn
+    rotation; several are reported as ambiguous. No match raises NoMatch
+    carrying the report. The solve does not read the tol_match and
+    scale_floor that `tolerances` lists (see filter_by_constraint).
     """
     opts = opts or SolverOptions()
     n = R.n
     c = key_constraint(R)  # refuses n < 2 and an asymmetric grid
     r = _reduce_unchecked(R)
-    floor = 1e-9 * r.max_abs
-    total, (masks, vals, resid) = _survivors(R, r, c, floor, opts)
+    total, (masks, vals, resid) = _survivors(R, r, c, opts)
     fit = _grid_fits(vals, R, r.max_abs)
     matches = Candidates(masks[fit], vals[fit], resid[fit])
-    tolerances = opts.to_dict()
-    tolerances.update(scale_floor=floor, join_rtol=JOIN_RTOL, grid_rtol=GRID_RTOL)
+    tolerances = dict(opts.to_dict(), tol_match=DEFAULT_TOL_MATCH, scale_floor=1e-9 * r.max_abs,
+                      join_rtol=JOIN_RTOL, grid_rtol=GRID_RTOL)
     report = SolveReport(
         n=n,
         candidates_total=total,
@@ -622,7 +617,8 @@ def ambiguity_census(r: Autocorr1D, n: int, opts: SolverOptions | None = None) -
     if not _split(factors):
         _, vals, _ = _full_table(r, factors, opts.tol_resid)
         return _census_from_products(_constraint_products(vals), n)
-    halves = _Halves(factors, opts.tol_resid)
+    halves = _Halves(factors)
+    halves._gate(factors[0], opts.tol_resid)
     # one value per candidate, then a CSV line each: the budget of enumerate
     _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")
     products = np.empty(halves.total)

@@ -355,22 +355,24 @@ def test_probe_overflowing_alpha_exits_2(capsys, alpha):
 
 
 def test_nonpositive_tolerance_rejected(capsys):
-    code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000", "--tol-match", "0")
+    code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000", "--tol-resid", "0")
     assert code == 2
     assert error_payload(err)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("argv, config", [
-    (("solve", "--input", "R.json", "--tol-match", "inf"), None),
-    (("solve", "--input", "R.json", "--tol-root", "inf"), None),
-    (("enumerate", "--input", "r.json", "--tol-resid", "inf"), None),
-    (("solve", "--input", "R.json", "--tol-pair", "nan"), None),
-    (("solve", "--input", "R.json"), '{"tol_match": 1e400}'),
-    (("enumerate", "--input", "r.json"), '{"tol_resid": Infinity}'),
+@pytest.mark.parametrize("argv, config, detail", [
+    # the corner band is the grid's bound, so --tol-match is no flag at all
+    (("solve", "--input", "R.json", "--tol-match", "inf"), None,
+     "unrecognized arguments: --tol-match inf"),
+    (("solve", "--input", "R.json", "--tol-root", "inf"), None, "must be positive"),
+    (("enumerate", "--input", "r.json", "--tol-resid", "inf"), None, "must be positive"),
+    (("solve", "--input", "R.json", "--tol-pair", "nan"), None, "must be positive"),
+    (("solve", "--input", "R.json"), '{"tol_pair": 1e400}', "must be positive"),
+    (("enumerate", "--input", "r.json"), '{"tol_resid": Infinity}', "must be positive"),
 ], ids=["tol-match-inf", "tol-root-inf", "tol-resid-inf", "tol-pair-nan", "config-1e400",
          "config-Infinity"])
 def test_nonfinite_tolerance_is_refused_before_any_work(
-    golden_files, capsys, tmp_path, monkeypatch, argv, config
+    golden_files, capsys, tmp_path, monkeypatch, argv, config, detail
 ):
     (tmp_path / "r.json").write_text(dumps({"m": 4, "values": GOLDEN_R1D}) + "\n")
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -387,15 +389,34 @@ def test_nonfinite_tolerance_is_refused_before_any_work(
     assert out == ""
     payload = error_payload(err)
     assert payload["error"] == "ConfigError"
-    assert "must be positive" in payload["detail"]
+    assert detail in payload["detail"]
+
+
+@pytest.mark.parametrize("flags, config", [
+    (("--tol-match", "1e-2"), None),
+    ((), '{"tol_match": 1e-3}'),
+], ids=["flag", "config"])
+def test_tol_match_is_refused(golden_files, capsys, tmp_path, flags, config):
+    # solve's corner band is the grid's own bound on the corner; no setting widens it
+    _, r_path = golden_files
+    argv = ["solve", "--input", str(r_path), *flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    payload = error_payload(err)
+    assert payload["error"] == "ConfigError"
+    assert "tol-match" in payload["detail"] or "'tol_match'" in payload["detail"]
 
 
 @pytest.mark.parametrize("config, argv, detail", [
     (None, ("probe", "--n", "3", "--alpha", "1000"), "cannot read config file"),
     ("{not json", ("probe", "--n", "3", "--alpha", "1000"), "config file is not valid JSON"),
     ("[1, 2]", ("probe", "--n", "3", "--alpha", "1000"), "config file must hold a JSON object"),
-    ('{"tol_mtch": 1e-3, "tol_match": 1e-3, "tol-match": 1e-3}',
-     ("probe", "--n", "3", "--alpha", "1000"), "config file has unknown keys: 'tol_mtch', 'tol-match'"),
+    ('{"tol_rsid": 1e-3, "tol_resid": 1e-3, "tol-resid": 1e-3}',
+     ("probe", "--n", "3", "--alpha", "1000"), "config file has unknown keys: 'tol_rsid', 'tol-resid'"),
     ("{}", ("census", "--n", "3"), "census requires --seed when no --input is given"),
     ("{}", ("probe", "--n", "3", "--alpha", "1000", "--output", ""),
      "output path must be nonempty"),
@@ -528,12 +549,13 @@ def test_flags_may_precede_the_command(capsys):
 
 def test_every_tolerance_flag_reaches_the_solver(golden_files, capsys):
     _, r_path = golden_files
-    tols = {"tol_root": 1e-7, "tol_pair": 1e-5, "tol_resid": 1e-4, "tol_match": 1e-3}
+    tols = {"tol_root": 1e-7, "tol_pair": 1e-5, "tol_resid": 1e-4}
     flags = [a for k, v in tols.items() for a in ("--" + k.replace("_", "-"), repr(v))]
     code, out, _ = run_cli(capsys, "solve", "--input", str(r_path), *flags)
     assert code == 0
     reported = json.loads(out)["tolerances"]
     assert {k: reported[k] for k in tols} == tols
+    assert reported["tol_match"] == 1e-6  # reported for filter_by_constraint, not read
 
 
 @pytest.mark.parametrize("values, argv", [
@@ -541,7 +563,8 @@ def test_every_tolerance_flag_reaches_the_solver(golden_files, capsys):
     ({"input": 1}, ("solve",)),
     ({"input": 0}, ("solve",)),
     ({"output": 5}, ("probe", "--n", "3", "--alpha", "1000")),
-    ({"tol_match": True}, ("probe", "--n", "3", "--alpha", "1000")),
+    ({"tol_match": True}, ("probe", "--n", "3", "--alpha", "1000")),  # unknown key
+    ({"tol_pair": True}, ("probe", "--n", "3", "--alpha", "1000")),
     ({"tol_root": "1e-6"}, ("probe", "--n", "3", "--alpha", "1000")),
     ({"alpha": True}, ("probe", "--n", "3")),
     ({"alpha": "1000"}, ("probe", "--n", "3")),

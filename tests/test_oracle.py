@@ -50,9 +50,11 @@ def test_search_budget():
         exhaustive_integer_search(R, 4)  # 9^9 grid points
 
 
-def test_n4_search_at_bound_1_is_refused_before_any_point(monkeypatch):
-    """3^16 points at about 10 us each would run for minutes."""
-    R = autocorr_2d(Matrix2D(4, np.random.default_rng(0).integers(-1, 2, (4, 4)).astype(float)))
+def test_n2_search_at_bound_42_is_refused_before_any_point(monkeypatch):
+    """85^4 points, the smallest grid beyond the budget: n = 3 at bound 3 (7^9) and
+    n = 4 at bound 1 (3^16) fit it, and n = 2 at bound 41 is 83^4."""
+    assert 7**9 < 3**16 < 83**4 <= oracle.SEARCH_BUDGET < 85**4
+    R = autocorr_2d(Matrix2D(2, np.random.default_rng(0).integers(-42, 43, (2, 2)).astype(float)))
     calls = []
 
     class CountingNumpy:  # oracle's numpy, noting every arange (digit powers, chunks of points)
@@ -64,8 +66,8 @@ def test_n4_search_at_bound_1_is_refused_before_any_point(monkeypatch):
             return np.arange(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "np", CountingNumpy())
-    with pytest.raises(SearchSpaceTooLarge, match="3\\^16 = 43046721 points exceeds budget"):
-        exhaustive_integer_search(R, 1)
+    with pytest.raises(SearchSpaceTooLarge, match="85\\^4 = 52200625 points exceeds budget"):
+        exhaustive_integer_search(R, 42)
     assert calls == []
 
 

@@ -65,7 +65,6 @@ def test_solver_options_defaults():
     assert opts.tol_root == 1e-8
     assert opts.tol_pair == 1e-6
     assert opts.tol_resid == 1e-6
-    assert opts.tol_match == 1e-6
     assert list(opts.to_dict().items()) == [
         (f.name, getattr(opts, f.name)) for f in dataclasses.fields(SolverOptions)]
 
@@ -193,11 +192,11 @@ def test_filter_rejects_candidates_of_the_wrong_length(golden_r):
 # --- end-to-end solve -----------------------------------------------------------
 
 
-def prefilter_survivors(candidates, report):
-    """The candidates a solve expands: within PREFILTER_SLACK * tol_match of c."""
-    tol = report.tolerances
-    return filter_by_constraint(candidates, report.key_constraint_value, report.n,
-                                solver.PREFILTER_SLACK * tol["tol_match"], tol["scale_floor"])
+def corner_band(candidates, R):
+    """The candidates a corner scan expands: within GRID_RTOL * max|r| of c, the
+    grid's own bound on its corner entry."""
+    return filter_by_constraint(candidates, key_constraint(R), R.n, solver.GRID_RTOL,
+                                reduce_2d_to_1d(R).max_abs)
 
 
 def test_solve_checks_grid_symmetry_once(golden_grid, monkeypatch):
@@ -215,25 +214,31 @@ def test_solve_golden(golden_grid, golden_matrix):
     assert report.candidates_total == 4
     assert len(report.matches) == 1
     assert report.key_constraint_value == -234.0
-    survivors = prefilter_survivors(enumerate_candidates(reduce_2d_to_1d(golden_grid)),
-                                    report)
+    survivors = corner_band(enumerate_candidates(reduce_2d_to_1d(golden_grid)), golden_grid)
     assert survivors.flips.tolist() == [0]
     assert report.residuals == survivors.autocorr_residuals.tolist()
     assert trivially_equivalent_2d(report.solution, golden_matrix, 1e-6)
-    assert report.tolerances["tol_match"] == 1e-6
-    assert report.tolerances["scale_floor"] == pytest.approx(1e-9 * 1334.0)
+    # tol_match and scale_floor are reported, for filter_by_constraint, but not read
+    assert list(report.tolerances.items()) == [
+        ("tol_root", 1e-8), ("tol_pair", 1e-6), ("tol_resid", 1e-6), ("tol_match", 1e-6),
+        ("scale_floor", 1e-9 * 1334.0), ("join_rtol", solver.JOIN_RTOL),
+        ("grid_rtol", solver.GRID_RTOL)]
     d = report.to_dict()
     assert d["unique"] is True
     assert d["solution"]["n"] == 2
 
 
 def test_solve_respects_options(golden_grid):
-    report = solve_2d(golden_grid, SolverOptions(tol_match=1e-3))
+    opts = SolverOptions(tol_root=1e-7, tol_pair=1e-5, tol_resid=1e-4)
+    report = solve_2d(golden_grid, opts)
     assert report.unique
-    wide = solve_2d(golden_grid, SolverOptions(tol_match=math.inf))
-    assert len(wide.residuals) == 4  # every candidate survives the corner window
-    assert wide.unique  # and the grid decides among them
-    assert_same_table(wide.matches, report.matches)
+    assert_same_table(report.matches, solve_2d(golden_grid).matches)
+    assert {k: report.tolerances[k] for k in opts.to_dict()} == opts.to_dict()
+    # a residual gate tighter than the survivor's roundoff refuses it
+    X = planted(3, 0)
+    tight = solve_2d(autocorr_2d(X)).residuals[0] / 2
+    with pytest.raises(ResidualExceeded):
+        solve_2d(autocorr_2d(X), SolverOptions(tol_resid=tight))
 
 
 def test_solve_no_match_carries_report(golden_grid, golden_r):
@@ -245,7 +250,7 @@ def test_solve_no_match_carries_report(golden_grid, golden_r):
     assert report.solution is None
     assert not report.unique
     assert report.candidates_total == 4
-    survivors = prefilter_survivors(enumerate_candidates(golden_r), report)
+    survivors = corner_band(enumerate_candidates(golden_r), nomatch_grid(golden_grid))
     assert report.residuals == survivors.autocorr_residuals.tolist()
 
 
@@ -276,7 +281,7 @@ def test_solve_agrees_with_enumerate_then_filter(n, seed):
                                 tol["scale_floor"])
     assert report.candidates_total == len(candidates)
     # the corner alone decides these inputs; past the crossover the join's one hit is the match
-    survivors = report.matches if joins(R) else prefilter_survivors(candidates, report)
+    survivors = report.matches if joins(R) else corner_band(candidates, R)
     assert report.residuals == survivors.autocorr_residuals.tolist()
     assert_same_table(report.matches, kept)
 
@@ -456,13 +461,12 @@ def test_solve_matches_enumerate_then_filter_in_both_regimes(n, kind):
                 solve_2d(R)
             continue
         report = solve_outcome(R)
-        if joins(R):  # the join finds every candidate that fits the grid
-            assert_same_table(report.matches, grid_fits(candidates, R))
+        # the join and the corner band each keep every candidate that fits the grid
+        assert_same_table(report.matches, grid_fits(candidates, R))
+        if joins(R):
             assert len(report.residuals) >= len(report.matches)
-        else:  # the grid decides among the corner window's survivors
-            survivors = prefilter_survivors(candidates, report)
-            assert_same_table(report.matches, grid_fits(survivors, R))
-            assert report.residuals == survivors.autocorr_residuals.tolist()
+        else:  # the grid decides among the corner band's survivors
+            assert report.residuals == corner_band(candidates, R).autocorr_residuals.tolist()
         regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
     if n >= 4:
         assert True in regimes
@@ -473,7 +477,7 @@ def test_solve_matches_enumerate_then_filter_in_both_regimes(n, kind):
 @pytest.mark.parametrize("zero", [None, 0, -1], ids=["full", "zero-first", "zero-last"])
 @pytest.mark.parametrize("kind", [planted, integer_planted])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_every_candidate_and_match_starts_positive(n, kind, zero):
+def test_every_candidate_and_match_starts_positive(monkeypatch, n, kind, zero):
     """Rows are signed by their constant coefficient, which never vanishes; with a
     zero X(0,0) or X(n-1,n-1) the trimmed support's rows start the padded row."""
     regimes = set()
@@ -484,14 +488,16 @@ def test_every_candidate_and_match_starts_positive(n, kind, zero):
         R = autocorr_2d(Matrix2D(n, X))
         try:
             candidates = enumerate_candidates(reduce_2d_to_1d(R))
-            wide = solve_outcome(R, SolverOptions(tol_match=math.inf))
-            tables = [candidates, solve_outcome(R).matches, wide.matches]
+            tables = [candidates, solve_outcome(R).matches]
+            with monkeypatch.context() as loose:  # every survivor fits an infinite bound
+                loose.setattr(solver, "GRID_RTOL", math.inf)
+                tables.append(solve_outcome(R).matches)
         except AutophaseError:
             continue
         for table in tables:
             assert (table.values[:, 0] > 0).all()
-        if not joins(R):  # the infinite corner window lets every candidate through
-            assert len(wide.residuals) == len(candidates)
+        if not joins(R):  # the infinite corner band lets every candidate through
+            assert len(tables[-1]) == len(candidates)
         regimes.add(unit_count(R) > solver.CROSSOVER_UNITS)
     assert regimes == {2: {False}, 3: {False}, 4: {False, True}, 5: {True}}[n]
 
@@ -638,33 +644,83 @@ def nan_half_row(monkeypatch, which, row, value):
     monkeypatch.setattr(solver, "_zero_product_table", poisoned)
 
 
-def zero_first(n, seed):
-    """A planted signal with X(0,0) = 0: its trimmed support takes the corner scan."""
+def zero_endpoint(n, seed, k=0):
+    """A planted signal with X(k,k) = 0, k = 0 or n-1: its trimmed support takes the
+    corner scan."""
     X = planted(n, seed).values.copy()
-    X[0, 0] = 0.0
+    X[k, k] = 0.0
     return Matrix2D(n, X)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("which", ["A", "B"])
-@pytest.mark.parametrize("call", ["solve_2d", "ambiguity_census"])
+@pytest.mark.parametrize("call", ["ambiguity_census"])  # the one caller of the gate
 def test_bad_half_row_fails_the_residual_gate(monkeypatch, call, which, value):
-    # a solve of a full support joins on keys, so the solve's input has X(0,0) = 0
-    R = autocorr_2d(zero_first(4, 0) if call == "solve_2d" else planted(4, 0))
+    # census reports every candidate, so its half tables are gated whole
+    R = autocorr_2d(planted(4, 0))
     u = unit_count(R)
-    assert u > solver.CROSSOVER_UNITS and not (call == "solve_2d" and joins(R))
+    assert u > solver.CROSSOVER_UNITS
     a = (u - 1) // 2
     nan_half_row(monkeypatch, which, 1, value)
     with pytest.raises(ResidualExceeded) as info:
-        if call == "solve_2d":
-            solve_2d(R)
-        else:
-            ambiguity_census(reduce_2d_to_1d(R), 4)
+        ambiguity_census(reduce_2d_to_1d(R), 4)
     if which == "A":  # A row 1 is unit 1 flipped, in every B row
         want = [(j << (a + 1)) | 2 for j in range(1 << (u - 1 - a))]
     else:  # B row 1 is unit a+1 flipped, with every A row
         want = [(1 << (a + 1)) | (i << 1) for i in range(1 << a)]
     assert info.value.bitmasks == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_bad_half_row_stays_out_of_the_corner_band(monkeypatch, which, value):
+    """A solve's corner scan gates only the rows it expands: a nan or inf half row
+    gives nan or inf products, which no band holds, and the answer stands."""
+    # a solve of a full support joins on keys, so the input has X(0,0) = 0
+    R = autocorr_2d(zero_endpoint(4, 0))
+    assert unit_count(R) > solver.CROSSOVER_UNITS and not joins(R)
+    clean = solve_2d(R)
+    a = (unit_count(R) - 1) // 2
+    assert clean.unique and (clean.matches.flips[0] >> 1) % (1 << a) != 1  # not A row 1
+    assert clean.matches.flips[0] >> (a + 1) != 1  # nor B row 1
+    nan_half_row(monkeypatch, which, 1, value)
+    assert jsonio.dumps(solve_2d(R).to_dict()) == jsonio.dumps(clean.to_dict())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_half_table_band_keeps_every_grid_fit_of_zero_endpoints(n):
+    """The half tables' corner products differ from the expanded rows' by rounding,
+    far inside the band: every candidate that fits the grid is matched."""
+    halves = 0
+    for seed in range(500, 506):
+        for k in (0, n - 1):
+            R = autocorr_2d(zero_endpoint(n, seed, k))
+            assert not joins(R)
+            halves += unit_count(R) > solver.CROSSOVER_UNITS
+            candidates = enumerate_candidates(reduce_2d_to_1d(R))
+            assert_same_table(solve_outcome(R).matches, grid_fits(candidates, R))
+    assert halves >= 3
+
+
+def test_n6_zero_endpoint_is_answered_by_its_one_survivor():
+    # gating all 262144 candidates refuses this input (worst residual 1.1e-5); the
+    # corner band keeps one survivor, and it fits r and the grid
+    X = zero_endpoint(6, 504, 5)
+    R = autocorr_2d(X)
+    assert not joins(R)
+    report = solve_2d(R)
+    assert report.unique and len(report.residuals) == 1
+    assert trivially_equivalent_2d(report.solution, X, 1e-6 * float(np.max(np.abs(X.values))))
+
+
+def test_triple_zero_at_one_is_answered():
+    # int-n2-s20012 of the outputs corpus: the flattened signal is (z - 1)^3, whose
+    # triple zero comes back about 3e-3 off; u <= 8, so the full table serves it
+    X = integer_planted(2, 20012)
+    assert X.values.tolist() == [[1.0, -3.0], [3.0, -1.0]]
+    report = solve_2d(autocorr_2d(X))
+    assert report.unique
+    assert trivially_equivalent_2d(report.solution, X, 1e-6 * 3)
 
 
 def test_half_rows_that_miss_r_fail_every_candidate():
@@ -674,7 +730,7 @@ def test_half_rows_that_miss_r_fail_every_candidate():
     assert len(units) > solver.CROSSOVER_UNITS
     wrong = Autocorr1D.from_nonneg(core.nonneg * (1 + 1e-3))
     with pytest.raises(ResidualExceeded) as info:
-        solver._Halves((wrong, units, scale), 1e-6)
+        solver._Halves((core, units, scale))._gate(wrong, 1e-6)
     assert info.value.bitmasks == [mask << 1 for mask in range(1 << (len(units) - 1))]
 
 
@@ -713,12 +769,12 @@ def test_oversized_support_is_refused_before_root_finding(monkeypatch):
     monkeypatch.setattr(polyfactor, "_chebyshev_roots", refuse)
     # a trimmed support takes the corner scan, a full one the join
     with pytest.raises(SearchSpaceTooLarge, match=r"63 lags give at least 2\^30 candidates"):
-        solve_2d(autocorr_2d(zero_first(8, 0)))
+        solve_2d(autocorr_2d(zero_endpoint(8, 0)))
     with pytest.raises(SearchSpaceTooLarge, match=r"121 lags give at least 2\^30 rows"):
         solve_2d(autocorr_2d(planted(11, 0)))
 
 
-def test_n7_enumeration_is_refused_before_allocating():
+def test_n7_enumeration_is_refused_before_allocating(monkeypatch):
     r = reduce_2d_to_1d(autocorr_2d(planted(7, 0)))
     tracemalloc.start()
     try:
@@ -726,23 +782,29 @@ def test_n7_enumeration_is_refused_before_allocating():
             enumerate_candidates(r)
         with pytest.raises(SearchSpaceTooLarge):
             ambiguity_census(r, 7)
-        with pytest.raises(SearchSpaceTooLarge):  # the corner scan of a trimmed support
-            solve_2d(autocorr_2d(zero_first(7, 0)), SolverOptions(tol_match=math.inf))
+        # the corner scan of a trimmed support, its band widened to every candidate;
+        # the budget refuses the survivors before the grid gives its verdict
+        monkeypatch.setattr(solver, "GRID_RTOL", math.inf)
+        with pytest.raises(SearchSpaceTooLarge):
+            solve_2d(autocorr_2d(zero_endpoint(7, 0)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
 
 
-def test_loose_n7_solve_counts_every_chunk_before_expanding():
+def test_loose_n7_solve_counts_every_chunk_before_expanding(monkeypatch):
     # the survivor count is refused before any hit is expanded to a row; expanding each
     # chunk's hits as they come would hold rows for every chunk before the refusal.
-    # X(0,0) = 0: a full support would take the join, which has no corner window
-    R = autocorr_2d(zero_first(7, 0))
+    # X(0,0) = 0: a full support would take the join, which has no corner band
+    R = autocorr_2d(zero_endpoint(7, 0))
+    # a band of 5e-3 max|r| admits 905k of the 2^25 candidates, 30k at most a chunk;
+    # their count passes the budget in chunk 12 of 32
+    monkeypatch.setattr(solver, "GRID_RTOL", 5e-3)
     tracemalloc.start()
     try:
         with pytest.raises(SearchSpaceTooLarge, match="survivor entries"):
-            solve_2d(R, SolverOptions(tol_match=1e-4))
+            solve_2d(R)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -781,17 +843,20 @@ def test_n6_enumeration_fits_the_budget():
     assert (1 << (len(units) - 1)) * 36 <= solver.MATERIALIZE_BUDGET
 
 
-def test_infinite_tol_match_keeps_every_candidate_past_the_crossover():
-    # the prefilter of the half tables admits every product, and the grid decides
-    # among them; the budget allows n = 4. X(0,0) = 0, so the corner scan runs
-    R = autocorr_2d(zero_first(4, 0))
+def test_corner_band_keeps_every_grid_fit_past_the_crossover(monkeypatch):
+    # X(0,0) = 0, so the corner scan of the half tables runs; the band is the grid's
+    # bound on its corner, and the grid decides among the survivors
+    R = autocorr_2d(zero_endpoint(4, 0))
     assert unit_count(R) > solver.CROSSOVER_UNITS and not joins(R)
-    report = solve_2d(R, SolverOptions(tol_match=math.inf))
+    report = solve_2d(R)
     candidates = enumerate_candidates(reduce_2d_to_1d(R))
     assert report.unique
     assert report.candidates_total == len(candidates)
     assert_same_table(report.matches, grid_fits(candidates, R))
-    assert report.residuals == candidates.autocorr_residuals.tolist()
+    assert report.residuals == corner_band(candidates, R).autocorr_residuals.tolist()
+    # an infinite band lets every candidate through; the budget allows n = 4
+    monkeypatch.setattr(solver, "GRID_RTOL", math.inf)
+    assert solve_2d(R).residuals == candidates.autocorr_residuals.tolist()
 
 
 def test_benchmark_traced_call_chain():

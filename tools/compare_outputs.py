@@ -10,8 +10,8 @@ empty working directory, over the same fixed corpus:
 
 - every CLI command, run in-process through `autophase2d.cli.main`, on
   Gaussian and integer inputs (entries in -3..3) with n = 2..4, drawn from
-  `default_rng(10000 n + s)`: autocorr, reduce, solve (also with
-  `--tol-match 1e-2`), enumerate, census of a sequence, and oracle at n = 2;
+  `default_rng(10000 n + s)`: autocorr, reduce, solve, enumerate, census of
+  a sequence, and oracle at n = 2;
 - the same chain on one Gaussian and one integer n = 5 input, whose
   sequences have 4096 candidates each, so that enumerate and census write
   tables far larger than `jsonio.KERNEL_CELLS`;
@@ -34,8 +34,10 @@ empty working directory, over the same fixed corpus:
   these records on purpose;
 - last, so that the records before them keep their places: the library
   solve of Gaussian n = 6 and n = 7 inputs (`JOINED`), whose survivors the
-  edge-row join finds, and the CLI commands on a lag list holding an integer
-  beyond the float range.
+  edge-row join finds, the CLI commands on a lag list holding an integer
+  beyond the float range, and the library solve of Gaussian n = 6 inputs
+  with X(5,5) = 0 (`ZERO_ENDPOINT`), whose survivors the corner scan of the
+  half tables finds.
 
 A CLI record holds the exit status, standard output, standard error and the
 file the command wrote. The script prints one line per record, its name and
@@ -69,6 +71,9 @@ LONG_LAGS = (("gauss", 170000), ("int", 170001))
 SILENT_WRONG = ((4, 40099), (4, 4075), (5, 50127), (5, 50243), (5, 50269))
 # (n, default_rng seed) of Gaussian inputs with u = 17..26 flip units, solved by the join.
 JOINED = ((6, 60000), (6, 60001), (7, 70000), (7, 70001))
+# default_rng seeds of Gaussian n = 6 inputs with X(5,5) = 0: their trimmed support
+# takes the corner scan of the half tables.
+ZERO_ENDPOINT = range(500, 506)
 
 
 
@@ -199,7 +204,6 @@ def cli_records(kind: str, n: int, seed: int, commands: int | None = None):
         ("autocorr", ["--input", f"{name}.X.json"], f"{name}.R.json"),
         ("reduce", ["--input", f"{name}.R.json"], f"{name}.r.json"),
         ("solve", ["--input", f"{name}.R.json"], f"{name}.solve.json"),
-        ("solve", ["--input", f"{name}.R.json", "--tol-match", "1e-2"], f"{name}.loose.json"),
         ("enumerate", ["--input", f"{name}.r.json"], f"{name}.candidates.json"),
         ("census", ["--input", f"{name}.r.json", "--n", str(n)], f"{name}.census.csv"),
     ]
@@ -248,6 +252,10 @@ def corpus():
     for n, seed in JOINED:
         yield f"library solve gauss-n{n}-s{seed}", solve_record(draw("gauss", n, seed))
     yield from malformed_records(BEYOND_FLOAT)
+    for seed in ZERO_ENDPOINT:
+        X = draw("gauss", 6, seed)
+        X[5, 5] = 0.0
+        yield f"library solve gauss-n6-s{seed} X(5,5) = 0", solve_record(X)
 
 
 def malformed_records(entries):
