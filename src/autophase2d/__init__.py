@@ -32,7 +32,6 @@ from .errors import (
     InvalidOversampling,
     LengthMismatch,
     NoMatch,
-    NonRealResult,
     NotAnAutocorrelation,
     ResidualExceeded,
     RootFindingFailed,
@@ -50,10 +49,8 @@ from .polyfactor import (
     ZeroPairing,
     associated_polynomial,
     elementary_symmetric,
-    f_vieta,
     find_zero_pairs,
     group_flip_units,
-    reconstruct_candidate,
 )
 from .reduction import key_constraint, reduce_2d_to_1d, verify_reduction
 from .solver import (

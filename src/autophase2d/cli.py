@@ -53,8 +53,12 @@ _SETTINGS = {
     "bound": (int, "entry bound for exhaustive search"),
     "trials": (int, "number of roundtrip trials"),
 }
-# tolerance: default, one per field of SolverOptions
-_TOLERANCES = {f.name: f.default for f in fields(SolverOptions)}
+# tolerance: (default, what it bounds), one per field of SolverOptions
+_TOLERANCES = {f.name: (f.default, {
+    "tol_root": "largest scaled residual of a polynomial root",
+    "tol_pair": "width of the band around the unit circle in which a zero is refused",
+    "tol_resid": "largest autocorrelation residual of a candidate, relative to max|r|",
+}[f.name]) for f in fields(SolverOptions)}
 
 
 class ConfigError(Exception):
@@ -91,10 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with defaults for any flag")
     for key, (kind, help_text) in _SETTINGS.items():
         parser.add_argument(f"--{key}", type=kind, help=help_text)
-    for name, default in _TOLERANCES.items():
+    for name, (default, bounds) in _TOLERANCES.items():
         parser.add_argument(
             "--" + name.replace("_", "-"), type=float, dest=name,
-            help=f"positive finite tolerance (default {default:g})",
+            help=f"{bounds}; positive and finite (default {default:g})",
         )
     return parser
 
@@ -144,7 +148,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if settings["output"] is None:
         settings["output"] = "-"
     tolerances = {}
-    for name, default in _TOLERANCES.items():
+    for name, (default, _) in _TOLERANCES.items():
         value = pick(name, float)
         value = default if value is None else value
         if not value > 0:  # nan fails too

@@ -47,10 +47,6 @@ class UnpairedComplexZero(AutophaseError):
     """A complex zero has no conjugate partner, so real candidates cannot be built."""
 
 
-class NonRealResult(AutophaseError):
-    """Constraint product came out complex beyond roundoff."""
-
-
 class ResidualExceeded(AutophaseError):
     """At least one reconstructed candidate fails to reproduce the autocorrelation."""
 

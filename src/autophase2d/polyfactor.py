@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import SYMMETRY_RTOL, Autocorr1D, _freeze
-from .errors import (
-    NonRealResult,
-    RootFindingFailed,
-    UnitCircleZero,
-    UnpairedComplexZero,
-    ZeroEndpoint,
-)
+from .core import Autocorr1D, _freeze
+from .errors import RootFindingFailed, UnitCircleZero, UnpairedComplexZero, ZeroEndpoint
 
 ENDPOINT_RTOL = 1e-12  # lags at or below this times max|r| count as zero
 
@@ -187,9 +181,6 @@ class RealZero:
 
     value: float
 
-    def members(self, flipped: bool) -> tuple[complex, ...]:
-        return (complex(1.0 / self.value if flipped else self.value),)
-
     def factor(self, flipped: bool) -> tuple[float, ...]:
         """Lower coefficients, ascending, of the monic factor z - beta."""
         return (-(1.0 / self.value if flipped else self.value),)
@@ -200,10 +191,6 @@ class ConjugatePair:
     """Flip unit holding a complex zero and its conjugate, flipped jointly."""
 
     value: complex  # representative with positive imaginary part
-
-    def members(self, flipped: bool) -> tuple[complex, ...]:
-        z = 1.0 / self.value.conjugate() if flipped else self.value
-        return (z, z.conjugate())
 
     def factor(self, flipped: bool) -> tuple[float, ...]:
         """Lower coefficients, ascending, of z^2 - 2 Re(b) z + |b|^2 for both members b."""
@@ -220,15 +207,6 @@ class FlipUnits:
     @property
     def unit_count(self) -> int:
         return len(self.units)
-
-    def betas(self, flips: int) -> tuple[complex, ...]:
-        """Zero multiset selected by the mask, in unit order."""
-        if not 0 <= flips < (1 << self.unit_count):
-            raise ValueError(f"flip mask {flips} out of range for {self.unit_count} units")
-        out = []
-        for k, unit in enumerate(self.units):
-            out.extend(unit.members(bool((flips >> k) & 1)))
-        return tuple(out)
 
 
 def group_flip_units(zp: ZeroPairing) -> FlipUnits:
@@ -260,8 +238,8 @@ def _unit_order(z: complex) -> tuple[float, float, float]:
 
 # --- shared expansion kernel -------------------------------------------------
 # Every path applies the units' factors in unit order with the same elementwise
-# expressions, so a row built alone, from a half table, or in the doubling
-# table is the same row bit for bit.
+# expressions, so a row of the doubling table, of a half table, or expanded alone
+# on Python floats (solver._expand_masks) is the same row bit for bit.
 
 
 def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -295,24 +273,10 @@ def _factor_arrays(units) -> list[np.ndarray]:
     return views
 
 
-def _expand_zero_products(factors, masks: np.ndarray, first: int = 0,
-                          coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Ascending coefficients of prod (z - beta) per mask, in real arithmetic.
-
-    `factors` are the units' _factor_arrays. `coeffs`, one row per mask, holds
-    the product over units[:first] (the empty product when omitted); bit k of a
-    mask flips unit k.
-    """
-    if coeffs is None:
-        coeffs = np.ones((masks.size, 1))
-    for k in range(first, len(factors)):
-        coeffs = _multiply_factor_rows(coeffs, factors[k][(masks >> k) & 1])
-    return coeffs
-
-
 def _zero_product_table(factors, pinned: bool) -> np.ndarray:
-    """_expand_zero_products of every mask over the units of `factors`, in ascending
-    mask order.
+    """Ascending coefficients of prod (z - beta), in real arithmetic, of every mask
+    over the units whose _factor_arrays are `factors`, in ascending mask order
+    (bit k of a mask flips unit k).
 
     Built by doubling: unit k's two factors are applied to the table of units
     0..k-1, the unflipped product on top. With `pinned` the first unit stays
@@ -416,31 +380,6 @@ class Candidates:
         return self.flips.size
 
 
-def reconstruct_candidate(
-    fu: FlipUnits,
-    flips: int,
-    r_peak: float,
-    target: Autocorr1D,
-) -> Candidates:
-    """The one-row table of the signal selected by a flip mask.
-
-    The polynomial prod (z - beta) is expanded one real factor per flip unit,
-    scaled by sqrt(|r_peak| * prod 1/|beta|) and signed so that entry 0 (never
-    zero) is positive. The autocorrelation residual is measured against ``target``.
-    """
-    if r_peak == 0:
-        raise ValueError("extreme lag must be nonzero")
-    if not 0 <= flips < (1 << fu.unit_count):
-        raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
-    masks = np.array([flips], dtype=np.int64)
-    vals = _scale_rows(_expand_zero_products(_factor_arrays(fu.units), masks), r_peak)
-    if target.m != vals.shape[1]:
-        raise ValueError(
-            f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"
-        )
-    return Candidates(masks, vals, _residual_rows(vals, target))
-
-
 def elementary_symmetric(values, k: int) -> complex:
     """k-th elementary symmetric function, by incremental product expansion."""
     vals = list(values)
@@ -452,20 +391,3 @@ def elementary_symmetric(values, k: int) -> complex:
         c[1:] = c[1:] + v * c[:-1]
     return complex(c[k])
 
-
-def f_vieta(fu: FlipUnits, flips: int, r_peak: float, n: int) -> float:
-    """Constraint product evaluated from the zero multiset alone.
-
-    |r_peak| times the (n-1)-th elementary symmetric functions of the selected
-    zeros and of their conjugate reciprocals. Matches the f_values entry of the
-    reconstructed candidate up to the global sign convention.
-    """
-    betas = fu.betas(flips)
-    if len(betas) != n * n - 1:
-        raise ValueError(f"{len(betas)} zeros cannot come from an {n}x{n} signal")
-    e_low = elementary_symmetric(betas, n - 1)
-    e_high = elementary_symmetric([1.0 / np.conj(b) for b in betas], n - 1)
-    out = abs(r_peak) * e_low * e_high
-    if not abs(out.imag) <= SYMMETRY_RTOL * max(abs(out), abs(r_peak)):  # nan fails too
-        raise NonRealResult(f"constraint product {out:.6g} has a non-real residue")
-    return float(out.real)

@@ -29,7 +29,6 @@ from .polyfactor import (
     _autocorr_rows,
     _constraint_products,
     _eigvals,
-    _expand_zero_products,
     _factor_arrays,
     _residual_rows,
     _scale_rows,
@@ -173,17 +172,17 @@ class _Halves:
     order. `_gate` checks every candidate's autocorrelation at the cost of the
     halves: flipping zeros only rescales a row's autocorrelation by the same
     factor as its constant coefficient, so each normalized half row must equal
-    row 0's, and row 0 times row 0 must reproduce r.
+    row 0's, and candidate 0, A row 0 times B row 0, must reproduce r.
     """
 
     def __init__(self, factors):
-        _, self.unit_factors, self.scale = factors
-        u = len(self.unit_factors)
+        _, units, self.scale = factors
+        u = len(units)
         self.total = 1 << (u - 1)
         _refuse_beyond(self.total, CANDIDATE_BUDGET, "candidates")
         self.a = (u - 1) // 2
-        self.A = _zero_product_table(self.unit_factors[:self.a + 1], pinned=True)
-        self.B = _zero_product_table(self.unit_factors[self.a + 1:], pinned=False)
+        self.A = _zero_product_table(units[:self.a + 1], pinned=True)
+        self.B = _zero_product_table(units[self.a + 1:], pinned=False)
 
     def masks(self, j: np.ndarray, i: np.ndarray) -> np.ndarray:
         return (j << (self.a + 1)) | (i << 1)
@@ -193,9 +192,8 @@ class _Halves:
             norm = [_autocorr_rows(T) / np.abs(T[:, :1]) for T in (self.A, self.B)]
             (dev_a, peak_a), (dev_b, peak_b) = ((np.abs(h - h[0]), np.abs(h[0]).max())
                                                 for h in norm)
-            sides = [np.concatenate([h[0, :0:-1], h[0]]) for h in norm]
-            full = abs(self.scale) * np.convolve(*sides)[core.m - 1:]
-            gap = np.abs(full - core.nonneg).max() / core.max_abs
+            first = _scale_rows(np.convolve(self.A[0], self.B[0])[None], self.scale)
+            gap = _residual_rows(first, core)[0]
             # division by a peak is monotone, so a row's gap passes when the largest does
             if gap <= tol >= dev_a.max() / peak_a and dev_b.max() / peak_b <= tol:
                 return
@@ -227,10 +225,6 @@ class _Halves:
             f *= inv_a
             f /= np.abs(chunk[:, :1])
             yield j0, f
-
-    def rows(self, masks: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Monic products of candidates (masks, A rows i), expanded as the full table would."""
-        return _expand_zero_products(self.unit_factors, masks, self.a + 1, self.A[i])
 
 
 # --- the edge-row join ------------------------------------------------------------
@@ -379,7 +373,7 @@ def _join(lowers, a: int, targets: np.ndarray, tol: list[float]) -> list[int]:
 
 
 def _expand_masks(lowers, masks: list[int]) -> list[list[float]]:
-    """_expand_zero_products of each mask, bit for bit, on Python floats: each
+    """Each mask's row of _zero_product_table, bit for bit, on Python floats: each
     unit's factor is applied as _multiply_factor_rows applies it."""
     rows = []
     for mask in masks:
@@ -399,6 +393,13 @@ def _expand_masks(lowers, masks: list[int]) -> list[list[float]]:
     return rows
 
 
+def _expanded(masks: list[int], lowers, found, m: int, tol_resid: float):
+    """(masks, signals, residuals) of the candidates `masks`, ascending, of _units'
+    `found`: expanded by _expand_masks with _lowers' `lowers`, then _gated_table."""
+    rows = np.array(_expand_masks(lowers, masks)).reshape(len(masks), found[0].m)
+    return _gated_table(np.array(masks, dtype=np.int64), rows, found, m, tol_resid)
+
+
 def _joined(R: Autocorr2D, found, tol_resid: float):
     """Candidate count, then (masks, signals, residuals) of the candidates whose
     keys match a split of the edge zeros, in ascending mask order. Past the
@@ -413,9 +414,7 @@ def _joined(R: Autocorr2D, found, tol_resid: float):
     lowers = _lowers(units)
     masks = _join(lowers, a, targets, [JOIN_RTOL * v for v in _reach(lowers, k)])
     _refuse_beyond(len(masks) * core.m, MATERIALIZE_BUDGET, "survivor entries")
-    rows = np.array(_expand_masks(lowers, masks)).reshape(len(masks), core.m)
-    return 1 << (u - 1), _gated_table(np.array(masks, dtype=np.int64), rows, found,
-                                      core.m, tol_resid)
+    return 1 << (u - 1), _expanded(masks, lowers, found, core.m, tol_resid)
 
 
 @functools.lru_cache(maxsize=CACHED_DEGREES)
@@ -528,17 +527,15 @@ def _survivors(R: Autocorr2D, r: Autocorr1D, c: float, opts: SolverOptions):
 
     # Half-table products differ from the rows' by rounding, within 2.3e-13 * max|r|
     # (README), far inside the band. Only the rows expanded are checked against r, as
-    # the join checks its hits.
+    # the join checks its hits, and they are expanded as the join expands them.
     halves = _Halves(factors)
-    hits, count = [], 0
+    masks = []
     with np.errstate(invalid="ignore"):  # the products of an inf or nan row lie in no band
         for j0, f in halves.products(R.n):  # every chunk's hits are counted before any expansion
             j, i = np.nonzero(np.abs(f - c) <= bound)
-            count += i.size
-            _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "survivor entries")
-            hits.append((halves.masks(j + j0, i), i))
-    masks, i = hits[0] if len(hits) == 1 else (np.concatenate(a) for a in zip(*hits))
-    return halves.total, _gated_table(masks, halves.rows(masks, i), factors, r.m, opts.tol_resid)
+            _refuse_beyond((len(masks) + i.size) * r.m, MATERIALIZE_BUDGET, "survivor entries")
+            masks += halves.masks(j + j0, i).tolist()
+    return halves.total, _expanded(masks, _lowers(found[1]), found, r.m, opts.tol_resid)
 
 
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:

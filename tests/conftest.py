@@ -2,12 +2,26 @@
 
 The worked instance is small enough that every expected value below was
 computed by hand or by the oracle helpers here, never by the code under test.
+The reference layer below also computes each candidate from its zero multiset:
+its zeros (`members`, `betas`), its one-row table (`reconstruct_candidate`) and
+the paper's Vieta form of its constraint product (`f_vieta`). No solve runs them.
 """
 
 import numpy as np
 import pytest
 
-from autophase2d import Autocorr1D, Autocorr2D, Matrix2D
+from autophase2d import (
+    Autocorr1D,
+    Autocorr2D,
+    AutophaseError,
+    Candidates,
+    ConjugatePair,
+    Matrix2D,
+    elementary_symmetric,
+)
+from autophase2d.core import SYMMETRY_RTOL
+from autophase2d.polyfactor import _residual_rows, _scale_rows
+from autophase2d.solver import _expand_masks, _lowers
 
 # 2x2 instance with three real zero pairs and four candidate classes.
 GOLDEN_X_ROWS = [[-24.0, 26.0], [-9.0, 1.0]]
@@ -92,3 +106,66 @@ def assert_same_table(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         assert x is None or (x.shape == y.shape and np.array_equal(x, y)), name
+
+
+# --- the reference layer: candidates from their zero multisets ----------------------
+
+
+class NonRealResult(AutophaseError):
+    """Constraint product came out complex beyond roundoff."""
+
+
+def members(unit, flipped: bool) -> tuple[complex, ...]:
+    """The zeros of a flip unit: its value, or its reflection when flipped, and for a
+    ConjugatePair that zero's conjugate as well."""
+    if isinstance(unit, ConjugatePair):
+        z = 1.0 / unit.value.conjugate() if flipped else unit.value
+        return (z, z.conjugate())
+    return (complex(1.0 / unit.value if flipped else unit.value),)
+
+
+def betas(fu, flips: int) -> tuple[complex, ...]:
+    """Zero multiset selected by the mask, in unit order."""
+    if not 0 <= flips < (1 << fu.unit_count):
+        raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
+    out = []
+    for k, unit in enumerate(fu.units):
+        out.extend(members(unit, bool((flips >> k) & 1)))
+    return tuple(out)
+
+
+def reconstruct_candidate(fu, flips: int, r_peak: float, target: Autocorr1D) -> Candidates:
+    """The one-row table of the signal selected by a flip mask.
+
+    The polynomial prod (z - beta) is expanded one real factor per flip unit,
+    scaled by sqrt(|r_peak| * prod 1/|beta|) and signed so that entry 0 (never
+    zero) is positive. The autocorrelation residual is measured against ``target``.
+    """
+    if r_peak == 0:
+        raise ValueError("extreme lag must be nonzero")
+    if not 0 <= flips < (1 << fu.unit_count):
+        raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
+    vals = _scale_rows(np.array(_expand_masks(_lowers(fu.units), [flips])), r_peak)
+    if target.m != vals.shape[1]:
+        raise ValueError(
+            f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"
+        )
+    return Candidates([flips], vals, _residual_rows(vals, target))
+
+
+def f_vieta(fu, flips: int, r_peak: float, n: int) -> float:
+    """Constraint product evaluated from the zero multiset alone.
+
+    |r_peak| times the (n-1)-th elementary symmetric functions of the selected
+    zeros and of their conjugate reciprocals. Matches the f_values entry of the
+    reconstructed candidate up to the global sign convention.
+    """
+    zeros = betas(fu, flips)
+    if len(zeros) != n * n - 1:
+        raise ValueError(f"{len(zeros)} zeros cannot come from an {n}x{n} signal")
+    e_low = elementary_symmetric(zeros, n - 1)
+    e_high = elementary_symmetric([1.0 / np.conj(b) for b in zeros], n - 1)
+    out = abs(r_peak) * e_low * e_high
+    if not abs(out.imag) <= SYMMETRY_RTOL * max(abs(out), abs(r_peak)):  # nan fails too
+        raise NonRealResult(f"constraint product {out:.6g} has a non-real residue")
+    return float(out.real)

@@ -17,7 +17,6 @@ from autophase2d import (
     asymptotic_probe,
     enumerate_candidates,
     exhaustive_integer_search,
-    f_vieta,
     filter_by_constraint,
     planted_roundtrip,
     reduce_2d_to_1d,
@@ -30,7 +29,7 @@ from autophase2d import (
 from autophase2d.errors import UnitCircleZero
 from autophase2d.jsonio import census_csv
 from autophase2d.polyfactor import associated_polynomial, find_zero_pairs, group_flip_units
-from conftest import GOLDEN_CLASSES, GOLDEN_KEY
+from conftest import GOLDEN_CLASSES, GOLDEN_KEY, f_vieta
 
 TOL_MATCH = 1e-6
 

@@ -514,6 +514,20 @@ def test_help_lists_every_command(capsys):
         assert f"\n  {name} " in out
 
 
+def test_each_tolerance_flag_says_what_it_bounds(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    text = " ".join(out.split())  # the help as one line, whatever the terminal width
+    for flag, bounds, default in [
+        ("--tol-root TOL_ROOT", "largest scaled residual of a polynomial root", "1e-08"),
+        ("--tol-pair TOL_PAIR", "width of the band around the unit circle in which a zero is "
+         "refused", "1e-06"),
+        ("--tol-resid TOL_RESID", "largest autocorrelation residual of a candidate, relative to "
+         "max|r|", "1e-06"),
+    ]:
+        assert f"{flag} {bounds}; positive and finite (default {default})" in text
+
+
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     built = []
     init = autophase2d.cli._Parser.__init__

@@ -14,7 +14,6 @@ from autophase2d import (
     ConjugatePair,
     FlipUnits,
     AutophaseError,
-    NonRealResult,
     RealZero,
     RootFindingFailed,
     Signal1D,
@@ -26,20 +25,27 @@ from autophase2d import (
     autocorr_1d,
     elementary_symmetric,
     enumerate_candidates,
-    f_vieta,
     find_zero_pairs,
     group_flip_units,
-    reconstruct_candidate,
     trivially_equivalent_1d,
 )
 from autophase2d import polyfactor
 from autophase2d.polyfactor import (
     _autocorr_rows,
     _chebyshev_roots,
-    _expand_zero_products,
     _factor_arrays,
+    _zero_product_table,
 )
-from conftest import GOLDEN_ZEROS, assert_same_table, elementary_symmetric_oracle
+from conftest import (
+    GOLDEN_ZEROS,
+    NonRealResult,
+    assert_same_table,
+    betas,
+    elementary_symmetric_oracle,
+    f_vieta,
+    members,
+    reconstruct_candidate,
+)
 
 # Seeded signals whose zeros give both real and conjugate-pair flip units.
 MIXED_UNIT_CASES = [(4, 0), (9, 0), (9, 2), (16, 0), (16, 7)]
@@ -293,8 +299,8 @@ def test_group_flip_units_golden(golden_r):
     assert all(isinstance(u, RealZero) for u in fu.units)
     # ordered by descending modulus
     assert [round(u.value) for u in fu.units] == [4, 3, 2]
-    assert fu.betas(0) == pytest.approx([4.0, 3.0, 2.0], abs=1e-8)
-    flipped_first = fu.betas(1)
+    assert betas(fu, 0) == pytest.approx([4.0, 3.0, 2.0], abs=1e-8)
+    flipped_first = betas(fu, 1)
     assert flipped_first[0] == pytest.approx(0.25, abs=1e-8)
     assert flipped_first[1:] == pytest.approx([3.0, 2.0], abs=1e-8)
 
@@ -307,9 +313,9 @@ def test_group_flip_units_conjugate_pairs():
     unit = fu.units[0]
     assert isinstance(unit, ConjugatePair)
     assert unit.value.imag > 0
-    plain = unit.members(False)
+    plain = members(unit, False)
     assert plain[0] == np.conj(plain[1])
-    flipped = unit.members(True)
+    flipped = members(unit, True)
     assert flipped[0] == pytest.approx(1 / np.conj(plain[0]))
 
 
@@ -366,11 +372,11 @@ def test_unpaired_complex_zero_rejected():
 
 def test_flip_mask_range():
     fu = FlipUnits((RealZero(2.0), RealZero(3.0)))
-    assert fu.betas(3) == (0.5, 1 / 3)
+    assert betas(fu, 3) == (0.5, 1 / 3)
     with pytest.raises(ValueError):
-        fu.betas(4)
+        betas(fu, 4)
     with pytest.raises(ValueError):
-        fu.betas(-1)
+        betas(fu, -1)
 
 
 # --- reconstruction -------------------------------------------------------------
@@ -413,11 +419,10 @@ def test_real_expansion_matches_np_poly(m, seed):
     _, _, fu = seeded_units(m, seed)
     kinds = {type(u) for u in fu.units}
     assert kinds == {RealZero, ConjugatePair}
-    masks = np.arange(1 << fu.unit_count, dtype=np.int64)
-    got = _expand_zero_products(_factor_arrays(fu.units), masks)
-    assert got.dtype == np.float64
-    for mask, row in zip(masks, got):
-        want = np.poly(np.array(fu.betas(int(mask))))[::-1]
+    got = _zero_product_table(_factor_arrays(fu.units), pinned=False)  # every mask, ascending
+    assert got.dtype == np.float64 and got.shape[0] == 1 << fu.unit_count
+    for mask, row in enumerate(got):
+        want = np.poly(np.array(betas(fu, mask)))[::-1]
         assert np.isrealobj(want)  # np.poly returns real for conjugate-closed zeros
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -590,19 +595,11 @@ def test_f_vieta_validates_count(golden_r):
 
 
 def test_f_vieta_rejects_nonreal_combination():
-    # A hand-built unit set whose members are not conjugate-closed.
+    # A hand-built unit set whose members are not conjugate-closed: a RealZero
+    # holding a complex value stands for a single complex zero.
     fu = FlipUnits((RealZero(2.0), ConjugatePair(3.0 + 1.0j)))
+    lone = FlipUnits((RealZero(2.0 + 1.0j), RealZero(3.0 - 2.0j), RealZero(1.5 + 0.5j)))
     with pytest.raises(NonRealResult):
-        f_vieta(FlipUnits((_Lone(2.0 + 1.0j), _Lone(3.0 - 2.0j), _Lone(1.5 + 0.5j))), 0, 1.0, 2)
+        f_vieta(lone, 0, 1.0, 2)
     # sanity: a closed set stays real
     assert isinstance(f_vieta(fu, 0, 1.0, 2), float)
-
-
-class _Lone:
-    """Test double: a single complex zero, never conjugate-closed."""
-
-    def __init__(self, z):
-        self.z = complex(z)
-
-    def members(self, flipped):
-        return (1 / self.z.conjugate() if flipped else self.z,)

@@ -426,18 +426,18 @@ def test_doubling_table_matches_per_mask_expansion(n):
     def same_bits(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    masks = np.arange(1 << (len(units) - 1), dtype=np.int64) << 1
-    assert same_bits(solver._zero_product_table(units, pinned=True),
-                     solver._expand_zero_products(units, masks))
-    # the join expands its hits on Python floats
-    some = masks[:64]
+    # the join and the corner scan expand their survivors on Python floats
     lowers = [(tuple(f[0].tolist()), tuple(f[1].tolist())) for f in units]
-    assert same_bits(np.array(solver._expand_masks(lowers, some.tolist())),
-                     solver._expand_zero_products(units, some))
-    if len(units) <= 12:
-        every = np.arange(1 << len(units), dtype=np.int64)
-        assert same_bits(solver._zero_product_table(units, pinned=False),
-                         solver._expand_zero_products(units, every))
+    tables = [(True, solver._zero_product_table(units, pinned=True))]
+    if len(units) <= 12:  # every mask, unit 0 flipped as well
+        tables.append((False, solver._zero_product_table(units, pinned=False)))
+    for pinned, table in tables:
+        rows = np.arange(table.shape[0])
+        if len(units) > 12:  # the first and last 64 masks, and a seeded sample between them
+            sample = np.random.default_rng(len(units)).integers(64, rows.size - 64, 256)
+            rows = np.unique(np.concatenate([rows[:64], rows[-64:], sample]))
+        masks = (rows << int(pinned)).tolist()  # a pinned table's masks leave bit 0 clear
+        assert same_bits(table[rows], np.array(solver._expand_masks(lowers, masks)))
 
 
 def solve_outcome(R, opts=None):
@@ -702,14 +702,23 @@ def test_half_table_band_keeps_every_grid_fit_of_zero_endpoints(n):
     assert halves >= 3
 
 
-def test_n6_zero_endpoint_is_answered_by_its_one_survivor():
+def test_n6_zero_endpoint_is_answered_by_its_one_survivor(monkeypatch):
     # gating all 262144 candidates refuses this input (worst residual 1.1e-5); the
-    # corner band keeps one survivor, and it fits r and the grid
+    # corner band keeps one survivor, expanded in one call as the join expands its
+    # hits, and it fits r and the grid
     X = zero_endpoint(6, 504, 5)
     R = autocorr_2d(X)
     assert not joins(R)
+    expand, calls = solver._expand_masks, []
+
+    def spy(lowers, masks):
+        calls.append(list(masks))
+        return expand(lowers, masks)
+
+    monkeypatch.setattr(solver, "_expand_masks", spy)
     report = solve_2d(R)
     assert report.unique and len(report.residuals) == 1
+    assert calls == [report.matches.flips.tolist()]
     assert trivially_equivalent_2d(report.solution, X, 1e-6 * float(np.max(np.abs(X.values))))
 
 
@@ -721,6 +730,14 @@ def test_triple_zero_at_one_is_answered():
     report = solve_2d(autocorr_2d(X))
     assert report.unique
     assert trivially_equivalent_2d(report.solution, X, 1e-6 * 3)
+
+
+def test_census_answers_the_n6_zero_endpoint():
+    # the gate checks candidate 0 on its own row; the product of the two halves'
+    # normalized row-0 autocorrelations missed r by 1.1e-5 here
+    r = reduce_2d_to_1d(autocorr_2d(zero_endpoint(6, 504, 5)))
+    census = ambiguity_census(r, 6)
+    assert census.d.size == 1 << 18 and census.d[-1] == 1.0
 
 
 def test_half_rows_that_miss_r_fail_every_candidate():
@@ -900,10 +917,10 @@ def true_mask(X):
         return abs(np.polyval(x[::-1], z)) <= 1e-8 * np.polyval(np.abs(x[::-1]), abs(z))
 
     x = X.values.reshape(-1)
-    if not is_zero(x, units[0].members(False)[0]):
+    if not is_zero(x, units[0].value):
         x = x[::-1]
-    assert is_zero(x, units[0].members(False)[0])
-    return sum(1 << k for k, unit in enumerate(units) if not is_zero(x, unit.members(False)[0]))
+    assert is_zero(x, units[0].value)
+    return sum(1 << k for k, unit in enumerate(units) if not is_zero(x, unit.value))
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (4, 3), (5, 0), (5, 1), (6, 0), (6, 1)])

@@ -38,24 +38,48 @@ def test_compare_outputs_names_the_first_record_that_differs(tmp_path):
     done = run_tool("compare_outputs.py", str(SRC), str(changed))
     assert done.returncode == 1, done.stderr
     named = [line for line in done.stdout.splitlines() if line.startswith("record ")]
-    assert named[0].startswith("record 2 differs: 'gauss-n2-s20000 solve'")
+    assert named[0].startswith("record 'gauss-n2-s20000 solve' differs: ")
     assert len(named) > 1  # every solve report lists tol_match
 
 
-def test_compare_outputs_names_every_record_that_differs(monkeypatch, capsys):
+def compare_outputs_with(monkeypatch, old, new):
+    """The tool's module, comparing the records `old` (tree "old") with `new`."""
     spec = importlib.util.spec_from_file_location("compare_outputs",
                                                   ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    old = [(f"record-{k}", f"{k:016x}") for k in range(5)]
-    new = [old[0], ("record-1", "a" * 16), *old[2:4], ("record-4", "b" * 16)]
     monkeypatch.setattr(tool, "records", lambda src: old if src.name == "old" else new)
+    return tool
+
+
+OLD_RECORDS = [(f"record-{k}", f"{k:016x}") for k in range(5)]
+
+
+def test_compare_outputs_names_every_record_that_differs(monkeypatch, capsys):
+    old = OLD_RECORDS
+    new = [old[0], ("record-1", "a" * 16), *old[2:4], ("record-4", "b" * 16)]
+    tool = compare_outputs_with(monkeypatch, old, new)
     assert tool.main(["old", "new"]) == 1
     assert capsys.readouterr().out.splitlines()[5:] == [
-        "record 1 differs: 'record-1' 0000000000000001 -> 'record-1' aaaaaaaaaaaaaaaa",
-        "record 4 differs: 'record-4' 0000000000000004 -> 'record-4' bbbbbbbbbbbbbbbb",
+        "record 'record-1' differs: 0000000000000001 -> aaaaaaaaaaaaaaaa",
+        "record 'record-4' differs: 0000000000000004 -> bbbbbbbbbbbbbbbb",
     ]
     assert tool.main(["old", "old"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "5 records identical"
+
+
+def test_compare_outputs_pairs_records_by_name(monkeypatch, capsys):
+    # a record inserted mid-corpus is one added record, not a shift of every later one
+    old = OLD_RECORDS
+    new = [*old[:2], ("inserted", "c" * 16), old[2], *old[4:]]
+    tool = compare_outputs_with(monkeypatch, old, new)
+    assert tool.main(["old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines()[5:] == [
+        "record 'inserted' added: cccccccccccccccc",
+        "record 'record-3' removed: 0000000000000003",
+    ]
+    tool = compare_outputs_with(monkeypatch, old, [old[3], *old[:3], old[4]])
+    assert tool.main(["old", "new"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "5 records identical"
 
 

@@ -32,18 +32,19 @@ empty working directory, over the same fixed corpus:
   integer input whose extreme lag vanishes is factored on its trimmed
   support; answering zero endpoints and zeros on the unit circle changes
   these records on purpose;
-- last, so that the records before them keep their places: the library
-  solve of Gaussian n = 6 and n = 7 inputs (`JOINED`), whose survivors the
-  edge-row join finds, the CLI commands on a lag list holding an integer
-  beyond the float range, and the library solve of Gaussian n = 6 inputs
-  with X(5,5) = 0 (`ZERO_ENDPOINT`), whose survivors the corner scan of the
-  half tables finds.
+- the library solve of Gaussian n = 6 and n = 7 inputs (`JOINED`), whose
+  survivors the edge-row join finds, the CLI commands on a lag list holding
+  an integer beyond the float range, and the library solve of Gaussian
+  n = 6 inputs with X(5,5) = 0 (`ZERO_ENDPOINT`), whose survivors the
+  corner scan of the half tables finds.
 
 A CLI record holds the exit status, standard output, standard error and the
 file the command wrote. The script prints one line per record, its name and
-the digest of its output under NEW_SRC. It then names every record whose
-output differs and exits 1, or prints the record count and exits 0 when every
-record is identical.
+the digest of its output under NEW_SRC. It pairs the records of the two trees
+by name, whose order may change, and names every record whose output
+differs, every record only NEW_SRC has (added) and every record only OLD_SRC
+has (removed), and exits 1; or it prints the record count and exits 0 when
+every record is identical.
 """
 
 from __future__ import annotations
@@ -289,7 +290,10 @@ def records(src: Path) -> list[tuple[str, str]]:
                               cwd=work, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"corpus run on {src} failed:\n{done.stderr}")
-    return [tuple(line.split("\t")) for line in done.stdout.splitlines()]
+    found = [tuple(line.split("\t")) for line in done.stdout.splitlines()]
+    if len(dict(found)) != len(found):  # records are paired by name
+        raise SystemExit(f"record names repeat in the corpus run on {src}")
+    return found
 
 
 def main(argv=None) -> int:
@@ -303,14 +307,16 @@ def main(argv=None) -> int:
         return 0
     if args.new_src is None:
         ap.error("needs OLD_SRC and NEW_SRC")
-    old = records(args.old_src.resolve())
+    old = dict(records(args.old_src.resolve()))
     new = records(args.new_src.resolve())
     for name, digest in new:
         print(f"{digest}  {name}")
-    lines = [f"record {k} differs: {before[0]!r} {before[1]} -> {after[0]!r} {after[1]}"
-             for k, (before, after) in enumerate(zip(old, new)) if before != after]
-    if len(old) != len(new):
-        lines.append(f"record counts differ: {len(old)} -> {len(new)}")
+    lines = [f"record {name!r} added: {digest}" if name not in old else
+             f"record {name!r} differs: {old[name]} -> {digest}"
+             for name, digest in new if old.get(name) != digest]
+    kept = dict(new)
+    lines += [f"record {name!r} removed: {digest}" for name, digest in old.items()
+              if name not in kept]
     for line in lines:
         print(line)
     if lines:
