@@ -41,6 +41,12 @@ def _finite_float_array(values, name: str) -> np.ndarray:
     return a
 
 
+def _trusted(cls, *fields):
+    """An instance of `cls` whose fields are set by its `_fill` alone, without the
+    checks of its constructor: for values already checked where they entered."""
+    return object.__new__(cls)._fill(*fields)
+
+
 def _finite_numbers(values: list) -> bool:
     """Whether a list holds finite numbers only; False for nested lists and other entries."""
     try:
@@ -66,7 +72,13 @@ class Matrix2D:
             raise ValueError(
                 f"expected {self.n * self.n} entries for a {self.n}x{self.n} matrix, got {a.size}"
             ) from None
-        object.__setattr__(self, "values", _freeze(a))
+        self._fill(self.n, a)
+
+    def _fill(self, n: int, values: np.ndarray) -> "Matrix2D":
+        """Set the fields, from a finite (n, n) float array: the one place they are set."""
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", _freeze(values))
+        return self
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix2D":
@@ -118,15 +130,22 @@ class Autocorr1D:
             )
         if not (a == a[::-1]).all():
             raise ValueError("autocorrelation values must be symmetric in lag")
-        object.__setattr__(self, "values", _freeze(a))
-        object.__setattr__(self, "max_abs", float(np.abs(a).max()))
+        self._fill(self.m, a, float(np.abs(a).max()))
+
+    def _fill(self, m: int, values: np.ndarray, max_abs: float) -> "Autocorr1D":
+        """Set the fields, from finite, exactly symmetric lags: the one place they are set."""
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "max_abs", max_abs)
+        return self
 
     @classmethod
     def from_nonneg(cls, half) -> "Autocorr1D":
         """Build from lags 0..m-1, mirroring exactly onto the negative side.
 
         The mirror is finite, of length 2m-1 and symmetric by construction, so
-        __post_init__ does not check it again; max |mirror| is max |half| exactly.
+        it is set by _fill without __post_init__'s checks; max |mirror| is
+        max |half| exactly.
         A nonempty list of finite numbers, as the reduction and the JSON loader
         give, is checked and mirrored as Python numbers, without an array for
         the half; anything else, and every refusal, goes through the array.
@@ -142,11 +161,7 @@ class Autocorr1D:
             m = h.size
             values = np.concatenate([h[:0:-1], h])
             max_abs = float(np.abs(h).max())
-        out = object.__new__(cls)
-        object.__setattr__(out, "m", m)
-        object.__setattr__(out, "values", _freeze(values))
-        object.__setattr__(out, "max_abs", max_abs)
-        return out
+        return _trusted(cls, m, values, max_abs)
 
     def lag(self, ell: int) -> float:
         return float(self.values[ell + self.m - 1])
@@ -181,7 +196,13 @@ class Autocorr2D:
             raise ValueError(
                 f"expected a {side}x{side} lag grid for n={self.n}, got shape {a.shape}"
             )
-        object.__setattr__(self, "values", _freeze(a))
+        self._fill(self.n, a)
+
+    def _fill(self, n: int, values: np.ndarray) -> "Autocorr2D":
+        """Set the fields, from a finite (2n-1)-square float array: the one place they are set."""
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", _freeze(values))
+        return self
 
     def at(self, i: int, j: int) -> float:
         return float(self.values[i + self.n - 1, j + self.n - 1])
@@ -261,6 +282,14 @@ def _cached_inverse_dft(m: int) -> np.ndarray:
     return _freeze(np.conj(dft_matrix(m)))
 
 
+@functools.lru_cache(maxsize=CACHED_DFT_SIZES)
+def _fold_index(m: int, n: int) -> np.ndarray:
+    """Flat indices into an m-by-m cyclic grid of the lags (-(n-1)..n-1)^2, in the
+    (2n-1)-square layout of Autocorr2D."""
+    idx = np.arange(-(n - 1), n) % m
+    return _freeze(idx[:, None] * m + idx)
+
+
 def fourier_magnitude_2d(X: Matrix2D, m: int) -> MagnitudeGrid:
     """Squared magnitude of the zero-padded m-by-m Fourier transform of X."""
     F = dft_matrix(m, X.n)
@@ -274,18 +303,21 @@ def measurements_to_autocorr_2d(Y: MagnitudeGrid) -> Autocorr2D:
     With m >= 2n-1 the cyclic autocorrelation given by the inverse transform
     does not wrap, so folding indices back to (-(n-1)..n-1)^2 is exact.
     Raises NotAnAutocorrelation when the inverse transform has an imaginary
-    residue beyond roundoff scale. Its real part needs no check: the inverse
-    transform of any real grid has a point-symmetric real part, up to roundoff.
+    residue beyond roundoff scale. Its real part needs no symmetry check: the
+    inverse transform of any real grid has a point-symmetric real part, up to
+    roundoff. The folded grid is (2n-1)-square by construction, so only its
+    finiteness is checked; it is not validated again as an Autocorr2D.
     """
     m, n = Y.m, Y.n
     G = _cached_inverse_dft(m) if m <= CACHED_DFT_SIDE else np.conj(dft_matrix(m))
     grid = (G @ Y.values @ G.T) / (m * m)
     if np.abs(grid.imag).max() > SYMMETRY_RTOL * np.abs(grid.real).max():
         raise NotAnAutocorrelation("inverse transform has a non-real residue")
-    idx = np.arange(-(n - 1), n) % m
-    R = grid.real[idx[:, None], idx]
+    R = grid.real.take(_fold_index(m, n))
     R = (R + R[::-1, ::-1]) / 2  # exact symmetry for downstream consumers
-    return Autocorr2D(n, R)
+    if not np.isfinite(R).all():
+        raise ValueError("autocorrelation values must contain only finite values")
+    return _trusted(Autocorr2D, n, R)
 
 
 def trivially_equivalent_1d(x: Signal1D, y: Signal1D, tol: float) -> bool:

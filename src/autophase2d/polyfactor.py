@@ -307,6 +307,14 @@ def _scale_rows(coeffs: np.ndarray, r_peak: float) -> np.ndarray:
     return coeffs
 
 
+def _scale_row(row: list[float], r_peak: float) -> list[float]:
+    """_scale_rows of one monic product on Python floats, bit for bit: the division,
+    square root and products are numpy's correctly rounded ones, and a product by
+    sign(c0) = +-1 is the copied sign."""
+    factor = math.copysign(math.sqrt(abs(r_peak) / abs(row[0])), row[0])
+    return [x * factor for x in row]
+
+
 def _autocorr_rows(vals: np.ndarray) -> np.ndarray:
     """Nonnegative-lag autocorrelation of each row, in one einsum over shifted views.
 
@@ -362,19 +370,27 @@ class Candidates:
     f_values: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        flips = _freeze(np.asarray(self.flips, dtype=np.int64))
-        values = _freeze(np.asarray(self.values, dtype=float))
-        residuals = _freeze(np.asarray(self.autocorr_residuals, dtype=float))
+        flips = np.asarray(self.flips, dtype=np.int64)
+        values = np.asarray(self.values, dtype=float)
+        residuals = np.asarray(self.autocorr_residuals, dtype=float)
         if values.ndim != 2 or not flips.shape == residuals.shape == values.shape[:1]:
             raise ValueError(f"expected k masks, k rows and k residuals, got shapes "
                              f"{flips.shape}, {values.shape} and {residuals.shape}")
         if values.shape[1] == 0:
             raise ValueError(f"expected rows of at least one value, got shape {values.shape}")
+        self._fill(flips, values, residuals)
+
+    def _fill(self, flips: np.ndarray, values: np.ndarray,
+              residuals: np.ndarray) -> "Candidates":
+        """Set the fields, from k int64 masks, a (k, m) float table with m >= 1 and k
+        float residuals, and compute f_values: the one place they are set."""
+        values = _freeze(values)
         f = _constraint_products(values)
-        object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "flips", _freeze(flips))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "autocorr_residuals", residuals)
+        object.__setattr__(self, "autocorr_residuals", _freeze(residuals))
         object.__setattr__(self, "f_values", None if f is None else _freeze(f))
+        return self
 
     def __len__(self) -> int:
         return self.flips.size

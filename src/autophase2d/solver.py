@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Autocorr1D, Autocorr2D, Matrix2D, _freeze
+from .core import Autocorr1D, Autocorr2D, Matrix2D, _freeze, _trusted
 from .errors import NoMatch, ResidualExceeded, SearchSpaceTooLarge
 from .polyfactor import (
     CACHED_DEGREES,
@@ -31,10 +31,11 @@ from .polyfactor import (
     _eigvals,
     _factor_arrays,
     _residual_rows,
+    _scale_row,
     _scale_rows,
     _zero_product_table,
 )
-from .reduction import _reduce_unchecked, key_constraint
+from .reduction import _constraint_entries, _reduce_entries
 
 DEFAULT_TOL_RESID = 1e-6
 DEFAULT_TOL_MATCH = 1e-6
@@ -132,11 +133,10 @@ def _residual_error(count: int, worst: float, masks) -> ResidualExceeded:
     )
 
 
-def _gated_table(masks: np.ndarray, coeffs: np.ndarray, factors, m: int, tol_resid: float):
-    """(masks, signals, residuals) of the monic products `coeffs`, one row per mask:
-    scaled, signed, gated against the trimmed autocorrelation, zero-padded to m."""
-    core, _, scale = factors
-    vals = _scale_rows(coeffs, scale)
+def _gated_table(masks: np.ndarray, vals: np.ndarray, core: Autocorr1D, m: int,
+                 tol_resid: float):
+    """(masks, signals, residuals) of the scaled, signed candidate signals `vals`, one
+    row per mask: gated against the trimmed autocorrelation `core`, zero-padded to m."""
     residuals = _residual_rows(vals, core)
     if not (residuals <= tol_resid).all():  # a nan residual fails too
         over = ~(residuals <= tol_resid)
@@ -153,8 +153,8 @@ def _full_table(r: Autocorr1D, factors, tol_resid: float):
     count = 1 << max(len(factors[1]) - 1, 0)
     _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
     masks = np.arange(count, dtype=np.int64) << 1
-    table = _zero_product_table(factors[1], pinned=True)
-    return _gated_table(masks, table, factors, r.m, tol_resid)
+    table = _scale_rows(_zero_product_table(factors[1], pinned=True), factors[2])
+    return _gated_table(masks, table, factors[0], r.m, tol_resid)
 
 
 def _split(factors) -> bool:
@@ -259,13 +259,19 @@ def _closed_splits(n: int, pairs: int) -> np.ndarray:
     return _freeze(members[(bits ^ bits >> 1) & pairs == 0])
 
 
+@functools.lru_cache(maxsize=CACHED_DEGREES)
+def _companion_base(d: int) -> np.ndarray:
+    """The d-square companion matrix before its first row is set: ones below the diagonal."""
+    return _freeze(np.eye(d, k=-1))
+
+
 def _edge_zeros(R: Autocorr2D) -> list[complex]:
     """Zeros of the edge polynomial, conjugate pairs adjacent, each replaced by
     the mean of the zeros within EDGE_DOUBLE_RTOL of it (exact conjugates stay
     exact conjugates). Its leading coefficient R(n-1, n-1) = X(0,0) X(n-1,n-1)
     is nonzero at full support."""
     edge = R.values[-1]
-    companion = np.eye(edge.size - 1, k=-1)
+    companion = _companion_base(edge.size - 1).copy()
     companion[0] = -edge[-2::-1] / edge[-1]
     zs = _eigvals(companion, "companion").tolist()
     tols = [EDGE_DOUBLE_RTOL * max(1.0, abs(z)) for z in zs]
@@ -395,9 +401,12 @@ def _expand_masks(lowers, masks: list[int]) -> list[list[float]]:
 
 def _expanded(masks: list[int], lowers, found, m: int, tol_resid: float):
     """(masks, signals, residuals) of the candidates `masks`, ascending, of _units'
-    `found`: expanded by _expand_masks with _lowers' `lowers`, then _gated_table."""
-    rows = np.array(_expand_masks(lowers, masks)).reshape(len(masks), found[0].m)
-    return _gated_table(np.array(masks, dtype=np.int64), rows, found, m, tol_resid)
+    `found`: expanded by _expand_masks with _lowers' `lowers` and scaled by
+    _scale_row, on Python floats, then _gated_table."""
+    core, _, scale = found
+    rows = [_scale_row(row, scale) for row in _expand_masks(lowers, masks)]
+    vals = np.array(rows).reshape(len(masks), core.m)
+    return _gated_table(np.array(masks, dtype=np.int64), vals, core, m, tol_resid)
 
 
 def _joined(R: Autocorr2D, found, tol_resid: float):
@@ -435,17 +444,20 @@ def _grid_terms(n: int) -> tuple:
     return operator.itemgetter(*first, 0), operator.itemgetter(*second, 0), tuple(spans)
 
 
-def _grid_fits(vals: np.ndarray, R: Autocorr2D, scale: float) -> np.ndarray:
-    """Mask of the rows (flattened n-by-n signals) whose 2D autocorrelation fits R.
+def _grid_fits(vals: np.ndarray, flat: list[float], scale: float) -> np.ndarray:
+    """Mask of the rows of `vals` (flattened n-by-n signals) whose 2D autocorrelation
+    fits the lag grid whose entries, row by row as Python floats, are `flat`.
 
-    Every row reproduces r, so R is fixed by the (n-1)^2 entries that the
-    reduction sums away, R(i, j) with i >= 1 and j <= -1, the corner among
+    Every row reproduces r, so the grid is fixed by the (n-1)^2 entries that
+    the reduction sums away, R(i, j) with i >= 1 and j <= -1, the corner among
     them: R.values[n:, :n-1]. A row fits when each, summed on Python floats, is
     within GRID_RTOL * scale; scale is max|r|, which is R(0,0) = max|R| for an
     autocorrelation. A nan fails.
     """
-    first, second, spans = _grid_terms(R.n)
-    want = R.values[R.n:, :R.n - 1].ravel().tolist()
+    side = math.isqrt(len(flat))
+    n = (side + 1) // 2
+    first, second, spans = _grid_terms(n)
+    want = [w for start in range(n * side, side * side, side) for w in flat[start:start + n - 1]]
     bound = GRID_RTOL * scale
     fits = []
     for y in vals.tolist():
@@ -554,18 +566,20 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     """
     opts = opts or SolverOptions()
     n = R.n
-    c = key_constraint(R)  # refuses n < 2 and an asymmetric grid
-    r = _reduce_unchecked(R)
+    flat = _constraint_entries(R)  # refuses n < 2 and an asymmetric grid
+    c = flat[1 - 2 * n]
+    r = _reduce_entries(n, flat)
     total, (masks, vals, resid) = _survivors(R, r, c, opts)
-    fit = _grid_fits(vals, R, r.max_abs)
-    matches = Candidates(masks[fit], vals[fit], resid[fit])
+    fit = _grid_fits(vals, flat, r.max_abs)
+    # gated rows: int64 masks, finite signals that reproduce r, residuals within tol_resid
+    matches = _trusted(Candidates, masks[fit], vals[fit], resid[fit])
     tolerances = dict(opts.to_dict(), tol_match=DEFAULT_TOL_MATCH, scale_floor=1e-9 * r.max_abs,
                       join_rtol=JOIN_RTOL, grid_rtol=GRID_RTOL)
     report = SolveReport(
         n=n,
         candidates_total=total,
         matches=matches,
-        solution=Matrix2D(n, matches.values[0]) if matches else None,
+        solution=_trusted(Matrix2D, n, matches.values[0].reshape(n, n)) if matches else None,
         unique=len(matches) == 1,
         residuals=resid.tolist(),
         key_constraint_value=c,

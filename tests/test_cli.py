@@ -310,6 +310,16 @@ def test_asymmetric_grid_exits_1(capsys, tmp_path):
     assert error_payload(err)["error"] == "AsymmetricInput"
 
 
+def test_solve_of_an_overflowing_grid_names_the_lag_half(capsys, tmp_path):
+    # the grid is symmetric and finite; its reduction sums 1e308 + 1e308 to inf
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps({"n": 2, "values": [[1e308] * 3] * 3}))
+    code, out, err = run_cli(capsys, "solve", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert error_payload(err) == {"error": "InputError",
+                                  "detail": "autocorrelation half must contain only finite values"}
+
+
 def test_no_match_exits_1(golden_files, capsys, tmp_path):
     grid = np.array(GOLDEN_R_ROWS)
     shift = 1e6

@@ -260,6 +260,17 @@ def test_inverse_dft_cache_is_read_only_and_exact():
         assert G.tobytes() == np.conj(dft_matrix(m)).tobytes()
 
 
+def test_fold_index_cache_is_read_only_exact_and_bounded():
+    for n in (1, 2, 3):
+        for m in range(2 * n - 1, 2 * n + 6):
+            idx = np.arange(-(n - 1), n) % m
+            flat = core._fold_index(m, n)
+            assert not flat.flags.writeable
+            grid = np.arange(m * m, dtype=float).reshape(m, m)
+            assert grid.take(flat).tolist() == grid[idx[:, None], idx].tolist()
+    assert core._fold_index.cache_info().currsize <= core.CACHED_DFT_SIZES
+
+
 def test_front_end_gives_the_same_bits_twice():
     X = Matrix2D(3, np.random.default_rng(5).standard_normal((3, 3)))
     Y = fourier_magnitude_2d(X, 6)
@@ -278,6 +289,16 @@ def test_inverse_dft_cache_stays_bounded():
     core._cached_inverse_dft.cache_clear()
     measurements_to_autocorr_2d(fourier_magnitude_2d(X, big))
     assert core._cached_inverse_dft.cache_info().currsize == 0
+
+
+def test_measurements_whose_inverse_transform_overflows_are_refused():
+    # the folded, symmetrized grid is checked once, with the Autocorr2D refusal's text
+    for Y in (np.full((4, 4), 1e308), np.diag([1.7e308] * 4)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                measurements_to_autocorr_2d(MagnitudeGrid(4, 2, Y))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "autocorrelation values must contain only finite values"
 
 
 def test_measurements_reject_tampered_grid():

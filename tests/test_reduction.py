@@ -11,6 +11,7 @@ from autophase2d import (
     autocorr_2d,
     key_constraint,
     reduce_2d_to_1d,
+    solve_2d,
     verify_reduction,
 )
 from conftest import GOLDEN_KEY, GOLDEN_R1D
@@ -83,7 +84,7 @@ def test_asymmetry_message_is_numpys_largest_mirror_gap(n):
     ends[-1, -1] -= 0.5
     for v in (perturbed, ends):
         want = np.abs(v - v[::-1, ::-1]).max()
-        for refuse in (reduce_2d_to_1d, key_constraint):
+        for refuse in (reduce_2d_to_1d, key_constraint, solve_2d):  # solve checks it once
             with pytest.raises(AsymmetricInput) as info:
                 refuse(Autocorr2D(n, v))
             assert str(info.value) == f"lag grid asymmetry {want:.3e} exceeds tolerance"
@@ -112,5 +113,9 @@ def test_key_constraint_is_corner_product(n, data):
 
 
 def test_key_constraint_needs_n_at_least_2():
-    with pytest.raises(DegenerateSize):
-        key_constraint(Autocorr2D(1, np.array([[4.0]])))
+    single = Autocorr2D(1, np.array([[4.0]]))
+    for refuse in (key_constraint, solve_2d):
+        with pytest.raises(DegenerateSize) as info:
+            refuse(single)
+        assert str(info.value) == "constraint needs a matrix of side at least 2"
+    assert reduce_2d_to_1d(single).values.tolist() == [4.0]

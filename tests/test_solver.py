@@ -201,8 +201,8 @@ def corner_band(candidates, R):
 
 def test_solve_checks_grid_symmetry_once(golden_grid, monkeypatch):
     calls = []
-    check = reduction._check_symmetry
-    monkeypatch.setattr(reduction, "_check_symmetry", lambda R: calls.append(R) or check(R))
+    check = reduction._checked_entries
+    monkeypatch.setattr(reduction, "_checked_entries", lambda R: calls.append(R) or check(R))
     solve_2d(golden_grid)
     assert calls == [golden_grid]
 
@@ -440,6 +440,42 @@ def test_doubling_table_matches_per_mask_expansion(n):
         assert same_bits(table[rows], np.array(solver._expand_masks(lowers, masks)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, "trimmed", "signed-1", "signed-3"])
+def test_python_scaling_matches_scale_rows(n):
+    """_scale_row gives _scale_rows' bits on every row of the doubling table, both
+    tables, rows with a negative constant coefficient among them, and the survivors
+    that _expanded scales and gates are the full table's rows, padded alike."""
+    if n in ("signed-1", "signed-3"):  # rows holding -0.0; z - 2 makes half the constants negative
+        signed = (polyfactor.ConjugatePair(2j), polyfactor.RealZero(-0.5), polyfactor.ConjugatePair(3j))
+        units = polyfactor._factor_arrays(signed[:int(n[-1])] + (polyfactor.RealZero(2.0),))
+        scale, r = -2.5, None
+    else:
+        if n == "trimmed":  # the vanishing extreme lags are trimmed, and padded back
+            x = np.random.default_rng(3).standard_normal(16)
+            x[-3:] = 0.0
+        else:
+            x = planted(n, 0).values.reshape(-1)
+        r = autocorr_1d(Signal1D(x))
+        found = solver._units(r, SolverOptions())
+        assert found[0].m == (13 if n == "trimmed" else r.m)
+        units, scale = polyfactor._factor_arrays(found[1]), found[2]
+    assert len(units) <= 12
+    negative = 0
+    for pinned in (True, False):
+        table = solver._zero_product_table(units, pinned)
+        negative += int((table[:, 0] < 0).sum())
+        got = np.array([polyfactor._scale_row(row, scale) for row in table.tolist()])
+        want = polyfactor._scale_rows(table.copy(), scale)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert negative or n == 2  # planted(2, 0) has two units with positive constants
+    if r is not None:  # every candidate as survivors, against the numpy route
+        want = solver._full_table(r, solver._arrays(found), 1e-6)
+        got = solver._expanded(want[0].tolist(), solver._lowers(found[1]), found, r.m, 1e-6)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[1].shape[1] == r.m
+
+
 def solve_outcome(R, opts=None):
     try:
         return solve_2d(R, opts)
@@ -571,9 +607,9 @@ def test_each_result_builds_one_candidate_table(monkeypatch, golden_grid):
     """A solve in either table regime builds one Candidates (its matches), a NoMatch
     solve one (its empty matches), enumerate one, and a full-table census none."""
     built = []
-    init = polyfactor.Candidates.__post_init__
-    monkeypatch.setattr(polyfactor.Candidates, "__post_init__",
-                        lambda table: built.append(table) or init(table))
+    fill = polyfactor.Candidates._fill
+    monkeypatch.setattr(polyfactor.Candidates, "_fill",
+                        lambda table, *fields: built.append(table) or fill(table, *fields))
     full, half = autocorr_2d(planted(3, 0)), autocorr_2d(planted(4, 0))
     assert (unit_count(full), unit_count(half)) == (5, 9)
     assert unit_count(full) <= solver.CROSSOVER_UNITS < unit_count(half)
@@ -949,6 +985,13 @@ def test_both_members_of_every_unit_give_the_edge_zeros_power_sums(n, seed):
         assert np.abs(both - total).max() <= 1e-12 * max(solver._reach(lowers, n - 1))
 
 
+def test_companion_base_is_read_only_and_exact():
+    for d in range(1, 9):
+        base = solver._companion_base(d)
+        assert not base.flags.writeable
+        assert base.tobytes() == np.eye(d, k=-1).tobytes()
+
+
 @pytest.mark.parametrize("seed", [40078, 40242])
 def test_double_edge_zero_inputs_get_one_grid_fit(seed):
     # the edge polynomial has a double zero at +-1, found as two zeros about 1e-8 apart
@@ -962,7 +1005,7 @@ def test_double_edge_zero_inputs_get_one_grid_fit(seed):
     # the join finds it as well, whichever path the solve takes
     found = solver._units(reduce_2d_to_1d(R), SolverOptions())
     _, (_, vals, _) = solver._joined(R, found, 1e-6)
-    fits = vals[solver._grid_fits(vals, R, reduce_2d_to_1d(R).max_abs)]
+    fits = vals[solver._grid_fits(vals, R.values.ravel().tolist(), reduce_2d_to_1d(R).max_abs)]
     assert len(fits) == 1 and trivially_equivalent_2d(Matrix2D(4, fits[0]), X, scale)
 
 

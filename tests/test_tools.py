@@ -105,7 +105,7 @@ def test_regime_timing_writer_reports_identical_texts():
 def test_regime_timing_against_a_tree_reports_identical_solves():
     done = run_tool("regime_timing.py", "--against", str(SRC), "--seeds", "100", "--rounds", "2")
     assert done.returncode == 0, done.stderr
-    title, *sizes, verdict = done.stdout.splitlines()
+    title, *sizes, wins, verdict = done.stdout.splitlines()
     assert title.startswith("8 inputs, 2 rounds")
     assert [line.split(":")[0] for line in sizes] == ["n = 3", "n = 4", "pool"]
     ratios = []
@@ -118,6 +118,8 @@ def test_regime_timing_against_a_tree_reports_identical_solves():
     # the pool holds as many n = 3 inputs as n = 4 ones, so its mean is theirs
     for tree in (0, 1):
         assert abs(ratios[2][tree] - (ratios[0][tree] + ratios[1][tree]) / 2) <= 1.5e-4  # rounding
+    # the pair rule: in how many rounds this tree's pool mean was the lower
+    assert wins in [f"this tree lower in {k} of 2 rounds" for k in range(3)]
     assert verdict == "reports identical: True"
 
 
@@ -125,7 +127,7 @@ def test_regime_timing_against_a_tree_times_the_cli_commands():
     done = run_tool("regime_timing.py", "--against", str(SRC), "--cli", "--seeds", "100",
                     "--rounds", "2")
     assert done.returncode == 0, done.stderr
-    title, *lines, verdict = done.stdout.splitlines()
+    title, *lines, wins, verdict = done.stdout.splitlines()
     assert title.startswith("4 inputs, 2 rounds")
     assert [line.split(":")[0] for line in lines] == ["solve", "enumerate", "census", "instance"]
     ratios = []
@@ -139,4 +141,23 @@ def test_regime_timing_against_a_tree_times_the_cli_commands():
     # mean of it is the sum of the commands' pool means
     for tree in (0, 1):
         assert abs(ratios[3][tree] - sum(r[tree] for r in ratios[:3])) <= 2e-4  # rounding
+    assert wins in [f"this tree lower in {k} of 2 rounds" for k in range(3)]
     assert verdict == "outputs identical: True"
+
+
+def test_regime_timing_counts_the_rounds_this_tree_was_lower(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on it
+    spec = importlib.util.spec_from_file_location("regime_timing",
+                                                  ROOT / "tools" / "regime_timing.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    trees = {"against": None, "this tree": None}
+    # two inputs, two ops, three rounds: pool means 4, 4, 4 against 3, 4.5, 4 (a tie is no win)
+    ratios = {"against": [{"a": [1, 1, 1], "b": [2, 2, 2]}, {"a": [3, 3, 3], "b": [2, 2, 2]}],
+              "this tree": [{"a": [1, 2, 1], "b": [1, 1, 2]}, {"a": [2, 3, 3], "b": [2, 3, 2]}]}
+    tool.print_rounds_lower(trees, ratios, range(2), ["a", "b"], 3)
+    assert capsys.readouterr().out == "this tree lower in 1 of 3 rounds\n"
+    tool.print_rounds_lower(trees, ratios, [1], ["a"], 3)  # input 1, op a: 3 3 3 against 2 3 3
+    assert capsys.readouterr().out == "this tree lower in 1 of 3 rounds\n"
+    tool.print_rounds_lower(trees, ratios, [0], ["b"], 3)  # input 0, op b: 2 2 2 against 1 1 2
+    assert capsys.readouterr().out == "this tree lower in 2 of 3 rounds\n"

@@ -42,8 +42,10 @@ in each tree, alternating which tree goes first from one round to the next.
 The script prints, per n and then over the whole pool, the mean over inputs of
 each input's median solve time over the reference time after it in both trees
 and the change for this tree; the pool line, where each input weighs the same,
-is perfbench's `instance_ref_ratio`. Last it prints whether every report was
-byte-identical in the two trees (exit status 1 if not).
+is perfbench's `instance_ref_ratio`. Then it prints the number of rounds in
+which this tree's mean over the pool of that round's ratios was the lower,
+and last whether every report was byte-identical in the two trees (exit
+status 1 if not).
 
 With --against and --cli, both trees run the `solve`, `enumerate` and
 `census` commands of the `cli-n4` pool through their `cli.main` in this
@@ -53,8 +55,10 @@ three commands once in each tree, alternating which tree goes first. The
 script prints, per command, the mean over inputs of each input's median
 command time over the reference time after it, then the instance line: per
 input the sum of its commands' medians, averaged over the pool, which is
-perfbench's `instance_ref_ratio`. Last it prints whether every exit status,
-stdout and stderr was byte-identical in the two trees (exit status 1 if not).
+perfbench's `instance_ref_ratio`, and the number of rounds in which this
+tree's mean over the pool of that round's instance ratios was the lower. Last
+it prints whether every exit status, stdout and stderr was byte-identical in
+the two trees (exit status 1 if not).
 """
 
 from __future__ import annotations
@@ -231,6 +235,15 @@ def print_ratios(trees: dict, ratios: dict, lines: list) -> None:
         print(f"{label}: against {old:.4f}, this tree {new:.4f} ({(new / old - 1) * 100:+.2f}%)")
 
 
+def print_rounds_lower(trees: dict, ratios: dict, inputs, ops, rounds: int) -> None:
+    """The number of rounds in which this tree's mean over `inputs` of the sum over
+    `ops` of that round's ratios was lower than the other tree's."""
+    old, new = ([statistics.fmean(sum(ratios[tree][k][op][rnd] for op in ops) for k in inputs)
+                 for rnd in range(rounds)] for tree in trees)
+    wins = sum(b < a for a, b in zip(old, new))
+    print(f"this tree lower in {wins} of {rounds} rounds")
+
+
 def against_main(args) -> int:
     if MALLOPT is not None:
         MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
@@ -249,6 +262,7 @@ def against_main(args) -> int:
     print_ratios(trees, ratios, [
         *((f"n = {n}", [k for k, inst in enumerate(pool) if inst.n == n], ops) for n in sizes),
         ("pool", range(len(pool)), ops)])
+    print_rounds_lower(trees, ratios, range(len(pool)), ops, args.rounds)
     same = reports["against"] == reports["this tree"]
     print(f"reports identical: {same}")
     return 0 if same else 1
@@ -268,6 +282,7 @@ def cli_against(args, trees: dict, pool: list) -> int:
     inputs = range(len(pool))
     print_ratios(trees, ratios, [*((cmd, inputs, [cmd]) for cmd in CLI_COMMANDS),
                                  ("instance", inputs, CLI_COMMANDS)])
+    print_rounds_lower(trees, ratios, inputs, CLI_COMMANDS, args.rounds)
     same = outputs["against"] == outputs["this tree"]
     print(f"outputs identical: {same}")
     return 0 if same else 1
