@@ -103,6 +103,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# full flag: (dest, type) of every option _build_parser adds, in its order
+_FLAGS = {
+    "--config": ("config", str),
+    **{f"--{key}": (key, kind) for key, (kind, _) in _SETTINGS.items()},
+    **{"--" + name.replace("_", "-"): (name, float) for name in _TOLERANCES},
+}
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The Namespace parse_args gives `command --flag value ...`, every flag
+    spelled in full and no value starting with '-'; None for any other line,
+    which parse_args parses or reports."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    values = dict.fromkeys(dest for dest, _ in _FLAGS.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in _FLAGS or value.startswith("-"):
+            return None
+        dest, kind = _FLAGS[flag]
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _typed(key: str, value, kind):
     """A flag or config-file value as `kind`; None stays None (unset)."""
     if value is None or kind is str and isinstance(value, str):
@@ -171,6 +197,9 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise ConfigError("census requires --seed when no --input is given")
     if cfg.command == "roundtrip" and cfg.trials < 0:
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
+    seeded = cfg.command == "roundtrip" or cfg.command == "census" and cfg.input is None
+    if seeded and cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.command == "oracle" and cfg.bound < 0:
         raise ConfigError(f"bound must be nonnegative, got {cfg.bound}")
     if not cfg.output:
@@ -256,11 +285,12 @@ def run(config: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code or 0)
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as err:
+            return int(err.code or 0)
     try:
         cfg = _merge_config(args)
     except ConfigError as err:

@@ -676,7 +676,9 @@ def asymptotic_probe(n: int, alpha: float) -> ProbeResult:
         f1 = product(base) / scale
         f2 = product(moved) / scale
     if not all(math.isfinite(v) for v in (scale, f1, f2, f1 - f2)):
-        raise ValueError(f"probe alpha {alpha!r} is too large: the constraint products overflow")
+        raise ValueError(
+            f"probe alpha {alpha!r} is too large at n = {n}: the constraint products overflow"
+        )
 
     def binom(i):
         return math.comb(n * n - i, n - i) if n - i >= 0 else 0

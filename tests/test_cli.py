@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import autophase2d
 from autophase2d import (
@@ -364,6 +366,17 @@ def test_probe_overflowing_alpha_exits_2(capsys, alpha):
     assert error_payload(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("n, alpha", [(70, "10.5"), (3, "1e200")])
+def test_probe_overflow_names_n_and_alpha(capsys, n, alpha):
+    code, out, err = run_cli(capsys, "probe", "--n", str(n), "--alpha", alpha)
+    assert (code, out) == (2, "")
+    assert error_payload(err) == {
+        "error": "InputError",
+        "detail": f"probe alpha {float(alpha)!r} is too large at n = {n}: "
+                  "the constraint products overflow",
+    }
+
+
 def test_nonpositive_tolerance_rejected(capsys):
     code, _, err = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000", "--tol-resid", "0")
     assert code == 2
@@ -500,6 +513,25 @@ def test_n_below_2_rejected(capsys, argv):
     assert error_payload(err)["detail"] == f"{argv[0]} needs n >= 2, got 1"
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (("census", "--n", "3", "--seed", "-1"), -1),
+    (("roundtrip", "--n", "2", "--seed", "-5", "--trials", "1"), -5),
+])
+def test_negative_seed_rejected(capsys, argv, seed):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert error_payload(err) == {"error": "ConfigError",
+                                  "detail": f"seed must be nonnegative, got {seed}"}
+
+
+def test_census_of_an_input_ignores_the_seed(capsys, tmp_path):
+    r1d = tmp_path / "r1d.json"
+    r1d.write_text(dumps({"m": 4, "values": GOLDEN_R1D}) + "\n")
+    expected = run_cli(capsys, "census", "--input", str(r1d), "--n", "2")
+    assert expected[0] == 0
+    assert run_cli(capsys, "census", "--input", str(r1d), "--n", "2", "--seed", "-1") == expected
+
+
 def test_oracle_negative_bound_rejected(capsys, golden_files):
     code, out, err = run_cli(capsys, "oracle", "--input", str(golden_files[1]), "--bound", "-1")
     assert (code, out) == (2, "")
@@ -538,7 +570,7 @@ def test_each_tolerance_flag_says_what_it_bounds(capsys):
         assert f"{flag} {bounds}; positive and finite (default {default})" in text
 
 
-def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+def test_main_builds_one_parser_per_process(golden_files, tmp_path, capsys, monkeypatch):
     built = []
     init = autophase2d.cli._Parser.__init__
 
@@ -548,8 +580,16 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
 
     monkeypatch.setattr(autophase2d.cli._Parser, "__init__", spy)
     autophase2d.cli._build_parser.cache_clear()
+    # perfbench's cli-n4 lines are parsed directly
+    r1d = tmp_path / "r1d.json"
+    r1d.write_text(dumps({"m": 4, "values": GOLDEN_R1D}) + "\n")
+    for argv in (("solve", "--input", str(golden_files[1])), ("enumerate", "--input", str(r1d)),
+                 ("census", "--input", str(r1d), "--n", "2")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+    # only argparse takes --flag=value
     for _ in range(2):
-        assert run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")[0] == 0
+        assert run_cli(capsys, "probe", "--n=3", "--alpha=1000")[0] == 0
     assert len(built) == 1
 
 
@@ -565,10 +605,37 @@ def test_help_follows_the_terminal_width(capsys, monkeypatch):
 
 
 def test_flags_may_precede_the_command(capsys):
-    _, after, _ = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")
-    code, before, _ = run_cli(capsys, "--n", "3", "--alpha", "1000", "probe")
-    assert code == 0
-    assert before == after
+    plain = run_cli(capsys, "probe", "--n", "3", "--alpha", "1000")
+    assert plain[0] == 0
+    assert run_cli(capsys, "probe", "--n=3", "--alpha=1000") == plain
+    assert run_cli(capsys, "--n", "3", "--alpha", "1000", "probe") == plain
+
+
+def test_direct_parse_knows_every_option_of_the_parser():
+    options = [a for a in cli._build_parser()._actions if a.option_strings and a.dest != "help"]
+    assert {a.option_strings[0]: (a.dest, a.type or str) for a in options} == cli._FLAGS
+    assert [a.option_strings for a in options] == [[flag] for flag in cli._FLAGS]
+
+
+_VALUES = ("3", "-3", "3.0", "nan", "1e400", "", "-", "x.json", " 3", "3_0", "--", "=3")
+_ARGV_TOKENS = (*COMMANDS, "frobnicate", *cli._FLAGS, "--in", "--out", "--tol-r", "--tol",
+                "--se", "--help", "-h", "--", "--n=3", "--alpha=10", *_VALUES)
+_FLAG_PAIRS = st.tuples(
+    st.sampled_from((*cli._FLAGS, "--in", "--tol-re", "--n=3", "-h", "--")),
+    st.one_of(st.sampled_from(_VALUES), st.text(max_size=3)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(COMMANDS), st.lists(_FLAG_PAIRS, max_size=5)).map(
+        lambda drawn: [drawn[0], *(token for pair in drawn[1] for token in pair)]),
+    st.lists(st.sampled_from(_ARGV_TOKENS), max_size=7),
+))
+def test_direct_parse_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:  # repr, so that nan values compare equal
+        assert repr(cli._build_parser().parse_args(argv)) == repr(plain)
 
 
 def test_every_tolerance_flag_reaches_the_solver(golden_files, capsys):
