@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -284,8 +285,25 @@ def run(config: argparse.Namespace) -> int:
     return 0
 
 
+def _argv_strings(argv) -> list[str]:
+    """argv with every os.PathLike element as its os.fspath; ConfigError for any
+    element that is then not a string."""
+    out = []
+    for arg in argv:
+        text = os.fspath(arg) if isinstance(arg, os.PathLike) else arg
+        if not isinstance(text, str):
+            raise ConfigError(f"command-line arguments must be strings or paths, got {arg!r}")
+        out.append(text)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    try:
+        argv = _argv_strings(sys.argv[1:] if argv is None else argv)
+    except ConfigError as err:
+        _emit_error("ConfigError", str(err))
+        return 2
+    args = _plain_args(argv)
     if args is None:
         try:
             args = _build_parser().parse_args(argv)

@@ -370,9 +370,10 @@ class Candidates:
     f_values: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        flips = np.asarray(self.flips, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
-        residuals = np.asarray(self.autocorr_residuals, dtype=float)
+        # copies: the table never aliases, nor freezes, the caller's arrays
+        flips = np.array(self.flips, dtype=np.int64)
+        values = np.array(self.values, dtype=float)
+        residuals = np.array(self.autocorr_residuals, dtype=float)
         if values.ndim != 2 or not flips.shape == residuals.shape == values.shape[:1]:
             raise ValueError(f"expected k masks, k rows and k residuals, got shapes "
                              f"{flips.shape}, {values.shape} and {residuals.shape}")

@@ -476,7 +476,8 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Ca
     solved, and candidates are padded back with trailing zeros.
     """
     opts = opts or SolverOptions()
-    return Candidates(*_full_table(r, _factor(r, opts), opts.tol_resid))
+    # gated rows: int64 masks, a (k, m) float table with m >= 1, k float residuals
+    return _trusted(Candidates, *_full_table(r, _factor(r, opts), opts.tol_resid))
 
 
 def filter_by_constraint(
@@ -493,8 +494,9 @@ def filter_by_constraint(
         raise ValueError(f"candidate length {m} is not {n}x{n} with n >= 2")
     keep = (np.ones(len(candidates), dtype=bool) if math.isinf(tol_match) else
             np.abs(candidates.f_values - c) <= tol_match * max(abs(c), scale_floor))
-    return Candidates(candidates.flips[keep], candidates.values[keep],
-                      candidates.autocorr_residuals[keep])
+    # rows of a checked table, each a fresh copy by boolean indexing
+    return _trusted(Candidates, candidates.flips[keep], candidates.values[keep],
+                    candidates.autocorr_residuals[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,8 +573,10 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     r = _reduce_entries(n, flat)
     total, (masks, vals, resid) = _survivors(R, r, c, opts)
     fit = _grid_fits(vals, flat, r.max_abs)
+    # usually every survivor fits, and the table takes its arrays as they are
+    rows = (masks, vals, resid) if fit.all() else (masks[fit], vals[fit], resid[fit])
     # gated rows: int64 masks, finite signals that reproduce r, residuals within tol_resid
-    matches = _trusted(Candidates, masks[fit], vals[fit], resid[fit])
+    matches = _trusted(Candidates, *rows)
     tolerances = dict(opts.to_dict(), tol_match=DEFAULT_TOL_MATCH, scale_floor=1e-9 * r.max_abs,
                       join_rtol=JOIN_RTOL, grid_rtol=GRID_RTOL)
     report = SolveReport(

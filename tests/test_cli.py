@@ -611,6 +611,28 @@ def test_flags_may_precede_the_command(capsys):
     assert run_cli(capsys, "--n", "3", "--alpha", "1000", "probe") == plain
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--input", "{R}"),  # the direct parse
+    ("solve", "--input={R}"),  # argparse
+    ("solve", "--input", "{missing}"),  # a refusal
+])
+def test_a_path_in_argv_is_its_string(golden_files, tmp_path, capsys, argv):
+    spelled = [a.format(R=golden_files[1], missing=tmp_path / "missing.json") for a in argv]
+    as_path = [Path(a) if a.endswith(".json") else a for a in spelled]
+    assert any(isinstance(a, Path) for a in as_path)
+    assert run_cli(capsys, *as_path) == run_cli(capsys, *spelled)
+
+
+@pytest.mark.parametrize("bad", [3, None, b"x.json", 2.5])
+def test_an_argv_element_that_is_no_string_is_a_config_error(capsys, bad):
+    code, out, err = run_cli(capsys, "solve", "--input", bad)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ConfigError",
+        "detail": f"command-line arguments must be strings or paths, got {bad!r}"}
+
+
 def test_direct_parse_knows_every_option_of_the_parser():
     options = [a for a in cli._build_parser()._actions if a.option_strings and a.dest != "help"]
     assert {a.option_strings[0]: (a.dest, a.type or str) for a in options} == cli._FLAGS

@@ -163,6 +163,26 @@ def test_magnitude_grid_checks():
         MagnitudeGrid(3, 0, np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("values, message", [
+    (-np.ones((3, 3)), "squared magnitudes must be nonnegative"),
+    (np.diag([1.0, -0.0, -1e-300]), "squared magnitudes must be nonnegative"),
+    (np.ones((3, 4)), "expected a 3x3 grid, got shape (3, 4)"),
+    (-np.ones((3, 4)), "expected a 3x3 grid, got shape (3, 4)"),  # shape before sign
+    (np.diag([np.inf, 1.0, -1.0]), "magnitude values must contain only finite values"),
+    (np.diag([np.nan, 1.0, 1.0]), "magnitude values must contain only finite values"),
+    (np.full((2, 2), np.nan), "magnitude values must contain only finite values"),  # before shape
+    ([[1.0, 2.0, 3.0]] * 3, None),
+    ([[0.0] * 3] * 3, None),
+])
+def test_magnitude_grid_refuses_in_the_order_of_its_checks(values, message):
+    if message is None:
+        assert MagnitudeGrid(3, 2, values).values.tolist() == np.asarray(values).tolist()
+        return
+    with pytest.raises(ValueError) as info:
+        MagnitudeGrid(3, 2, values)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 # --- autocorrelation operators ------------------------------------------------
 
 
@@ -242,7 +262,10 @@ def test_fourier_magnitude_matches_fft(n, m):
     assert np.max(np.abs(Y.values - expected)) <= 1e-9 * np.max(expected)
 
 
-@pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (3, 5), (3, 7), (4, 12)])
+# (6, 11) takes the operator, (6, 12) and (6, 13) the complex product; m = 257 is
+# past CACHED_DFT_SIDE
+@pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (3, 5), (3, 7), (4, 12), (5, 10), (5, 11),
+                                 (6, 11), (6, 12), (6, 13), (2, 257)])
 def test_measurements_roundtrip(n, m):
     rng = np.random.default_rng(n * 10 + m)
     X = Matrix2D(n, rng.standard_normal((n, n)))
@@ -269,6 +292,61 @@ def test_fold_index_cache_is_read_only_exact_and_bounded():
             grid = np.arange(m * m, dtype=float).reshape(m, m)
             assert grid.take(flat).tolist() == grid[idx[:, None], idx].tolist()
     assert core._fold_index.cache_info().currsize <= core.CACHED_DFT_SIZES
+
+
+def test_lag_operator_cache_is_read_only_exact_and_bounded():
+    for n, m in [(1, 1), (2, 3), (2, 4), (3, 6), (4, 8), (5, 10)]:
+        K = core._lag_operator(m, n)
+        assert not K.flags.writeable
+        G = np.conj(dft_matrix(m))
+        full = np.kron(G, G)
+        want = np.concatenate([full.real[core._fold_index(m, n).ravel()], full.imag])
+        assert K.shape == ((2 * n - 1) ** 2 + m * m, m * m)
+        assert K.tobytes() == want.tobytes()
+    assert core._lag_operator.cache_info().currsize <= core.CACHED_DFT_SIZES
+
+
+def test_lag_operator_sizes_stop_at_the_cap():
+    def operator_path(n, m):
+        return ((2 * n - 1) ** 2 + m * m) * m * m <= core.LAG_OPERATOR_ENTRIES
+
+    assert all(operator_path(n, 2 * n) for n in range(1, 6))
+    assert operator_path(6, 11) and not operator_path(6, 12) and not operator_path(7, 13)
+    core._lag_operator.cache_clear()
+    X = Matrix2D(6, np.random.default_rng(6).standard_normal((6, 6)))
+    measurements_to_autocorr_2d(fourier_magnitude_2d(X, 12))
+    assert core._lag_operator.cache_info().currsize == 0  # past the cap no operator is built
+    measurements_to_autocorr_2d(fourier_magnitude_2d(Matrix2D(5, X.values[:5, :5]), 10))
+    assert core._lag_operator.cache_info().currsize == 1
+
+
+def noisy_magnitudes(n, m, seed, sigma):
+    """Squared magnitudes of a Gaussian signal plus Gaussian noise of sigma * max Y,
+    kept nonnegative."""
+    rng = np.random.default_rng(seed)
+    Y = np.abs(np.fft.fft2(rng.standard_normal((n, n)), s=(m, m))) ** 2
+    return MagnitudeGrid(m, n, np.abs(Y + sigma * Y.max() * rng.standard_normal((m, m))))
+
+
+def test_operator_refuses_what_the_complex_product_refuses(monkeypatch):
+    def decide(Y):
+        try:
+            return measurements_to_autocorr_2d(Y).values
+        except NotAnAutocorrelation:
+            return None
+
+    grids = [noisy_magnitudes(n, 2 * n, 31000 + 100 * n + s, 1e-8)
+             for n in (3, 4) for s in range(100)]
+    with_operator = [decide(Y) for Y in grids]
+    monkeypatch.setattr(core, "LAG_OPERATOR_ENTRIES", 0)  # every grid takes the complex product
+    with_product = [decide(Y) for Y in grids]
+    refused = [R is None for R in with_operator]
+    assert refused == [R is None for R in with_product]
+    assert 0 < sum(refused) < len(grids) / 2  # sigma = 1e-8 sits near the residue bound
+    for a, b in zip(with_operator, with_product):
+        if a is not None:
+            assert np.abs(a - b).max() <= 4e-15 * np.abs(b).max()
+            assert np.array_equal(a, a[::-1, ::-1])
 
 
 def test_front_end_gives_the_same_bits_twice():
@@ -337,6 +415,33 @@ def test_trivially_equivalent_2d(golden_matrix):
 
 
 # --- array containers ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, given", [
+    (lambda a: Matrix2D(2, a), np.arange(4.0).reshape(2, 2)),
+    (lambda a: Matrix2D(2, a), np.arange(4.0)),  # reshaped: a view of the caller's would alias
+    (lambda a: Signal1D(a), np.arange(3.0)),
+    (lambda a: Autocorr1D(2, a), np.array([1.0, 5.0, 1.0])),
+    (lambda a: Autocorr2D(2, a), np.ones((3, 3))),
+    (lambda a: MagnitudeGrid(4, 2, a), np.ones((4, 4))),
+], ids=["Matrix2D", "Matrix2D-flat", "Signal1D", "Autocorr1D", "Autocorr2D", "MagnitudeGrid"])
+def test_constructors_keep_a_read_only_copy(make, given):
+    before = given.copy()
+    held = make(given).values
+    assert given.flags.writeable  # the caller's array is not frozen
+    assert not held.flags.writeable
+    given.flat[0] = 7.0  # nor aliased
+    assert held.ravel().tolist() == before.ravel().tolist()
+
+
+def test_candidates_keep_read_only_copies():
+    flips, values, residuals = np.array([0, 2]), np.arange(8.0).reshape(2, 4), np.zeros(2)
+    table = Candidates(flips, values, residuals)
+    for given, held in ((flips, table.flips), (values, table.values),
+                        (residuals, table.autocorr_residuals)):
+        assert given.flags.writeable and not held.flags.writeable
+        given.flat[0] = 7
+        assert held.flat[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,10 @@ def test_compare_outputs_passes_a_tree_against_itself():
     assert len(set(names)) == len(digests)  # names are unique
     malformed = [name.split()[-1] for name in names if name.startswith("malformed ")]
     assert {"solve", "enumerate", "census"} <= set(malformed) and len(malformed) >= 100
+    # the magnitude front end: lags and solve of 4 sizes x 2 grid sizes x 4 seeds, and a refusal
+    magnitudes = [name for name in names if name.startswith("magnitudes ")]
+    assert len(magnitudes) == 65 and "magnitudes tampered grid" in magnitudes
+    assert "magnitudes lags gauss-n5-s50003 m10" in magnitudes
 
 
 def test_compare_outputs_names_the_first_record_that_differs(tmp_path):
@@ -100,6 +104,24 @@ def test_regime_timing_writer_reports_identical_texts():
         template, template_faults, kernel, kernel_faults = map(float, row.split()[2:6])
         assert min(template, kernel) > 0 and min(template_faults, kernel_faults) >= 0
     assert verdict == "texts identical: True"
+
+
+def test_regime_timing_times_both_ways_of_the_front_end():
+    done = run_tool("regime_timing.py", "--front-end", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    title, header, *rows, faster, slower, cap, agree = done.stdout.splitlines()
+    assert title.startswith("32 sizes, 2 rounds")
+    assert header.split() == ["n", "m", "entries", "operator", "product"]
+    sizes = [tuple(map(int, row.split()[:3])) for row in rows]
+    assert sizes == [(n, m, ((2 * n - 1) ** 2 + m * m) * m * m)
+                     for n in range(2, 10) for m in range(2 * n - 1, 2 * n + 3)]
+    for row in rows:
+        assert min(map(float, row.split()[3:5])) > 0 and row.endswith("%)")
+    assert faster.startswith("largest operator faster: ")  # n = 2 is far below the cap
+    assert slower.startswith("smallest operator not faster: ")  # n = 9 runs far past the cap
+    assert cap == "cap: LAG_OPERATOR_ENTRIES = 32768"
+    assert agree.startswith("largest difference over max|R|: ")
+    assert float(agree.split(": ")[1]) <= 1e-12
 
 
 def test_regime_timing_against_a_tree_reports_identical_solves():

@@ -36,7 +36,12 @@ empty working directory, over the same fixed corpus:
   survivors the edge-row join finds, the CLI commands on a lag list holding
   an integer beyond the float range, and the library solve of Gaussian
   n = 6 inputs with X(5,5) = 0 (`ZERO_ENDPOINT`), whose survivors the
-  corner scan of the half tables finds.
+  corner scan of the half tables finds;
+- the magnitude front end (`MAGNITUDES`): for Gaussian inputs with
+  n = 2..5 at m = 2n-1 and 2n, the bytes of the lag grid that
+  `measurements_to_autocorr_2d` makes of `fourier_magnitude_2d(X, m)` and
+  `jsonio.dumps` of the `solve_2d` report of that grid, and the refusal of
+  one grid whose symmetry is broken.
 
 A CLI record holds the exit status, standard output, standard error and the
 file the command wrote. The script prints one line per record, its name and
@@ -75,7 +80,8 @@ JOINED = ((6, 60000), (6, 60001), (7, 70000), (7, 70001))
 # default_rng seeds of Gaussian n = 6 inputs with X(5,5) = 0: their trimmed support
 # takes the corner scan of the half tables.
 ZERO_ENDPOINT = range(500, 506)
-
+# default_rng seeds, offset by 10000 n, of the Gaussian inputs of the magnitude front end
+MAGNITUDES = range(4)
 
 
 def _grid(values) -> bytes:
@@ -182,6 +188,37 @@ def solve_record(X) -> str:
         return f"{type(err).__name__}: {err}"
 
 
+def magnitude_records(X, m: int):
+    """(kind, output) of the lag grid made of X's squared magnitudes on an m-by-m grid
+    and of the solve of that grid, or of the error either raises."""
+    from autophase2d import Matrix2D, fourier_magnitude_2d, jsonio, measurements_to_autocorr_2d
+    from autophase2d import solve_2d
+
+    try:
+        R = measurements_to_autocorr_2d(fourier_magnitude_2d(Matrix2D(len(X), X), m))
+    except Exception as err:  # the error is the output
+        yield "lags", f"{type(err).__name__}: {err}"
+        return
+    yield "lags", R.values.tobytes().hex()
+    try:
+        yield "solve", jsonio.dumps(solve_2d(R).to_dict())
+    except Exception as err:  # the error is the output
+        yield "solve", f"{type(err).__name__}: {err}"
+
+
+def tampered_record() -> str:
+    """The refusal of a 5-by-5 grid of squared magnitudes with one entry raised by 1."""
+    from autophase2d import MagnitudeGrid, Matrix2D, fourier_magnitude_2d
+    from autophase2d import measurements_to_autocorr_2d
+
+    Y = fourier_magnitude_2d(Matrix2D(2, [[1.0, 2.0], [3.0, 4.0]]), 5).values.copy()
+    Y[0, 1] += 1.0
+    try:
+        return measurements_to_autocorr_2d(MagnitudeGrid(5, 2, Y)).values.tobytes().hex()
+    except Exception as err:  # the error is the output
+        return f"{type(err).__name__}: {err}"
+
+
 def pairing_record(X) -> str:
     from autophase2d import Matrix2D, autocorr_2d, reduce_2d_to_1d
     from autophase2d.polyfactor import associated_polynomial, find_zero_pairs
@@ -257,6 +294,13 @@ def corpus():
         X = draw("gauss", 6, seed)
         X[5, 5] = 0.0
         yield f"library solve gauss-n6-s{seed} X(5,5) = 0", solve_record(X)
+    for n in (2, 3, 4, 5):
+        for s in MAGNITUDES:
+            seed = 10000 * n + s
+            for m in (2 * n - 1, 2 * n):
+                for kind, text in magnitude_records(draw("gauss", n, seed), m):
+                    yield f"magnitudes {kind} gauss-n{n}-s{seed} m{m}", text
+    yield "magnitudes tampered grid", tampered_record()
 
 
 def malformed_records(entries):

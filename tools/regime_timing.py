@@ -1,12 +1,14 @@
 """Time `solve_2d` with the full candidate table against the half tables, or
-(with --writer) the two writers of large float tables, or (with --against)
-the solves, or (with --against and --cli) the CLI commands, of this tree
-against those of another.
+(with --writer) the two writers of large float tables, or (with --front-end)
+the two ways of the magnitude front end, or (with --against) the solves, or
+(with --against and --cli) the CLI commands, of this tree against those of
+another.
 
 Run from the root of a checkout:
 
     python3 tools/regime_timing.py --n 4 --seeds 100-109 --rounds 200
     python3 tools/regime_timing.py --writer --cells 64-8192 --rounds 200
+    python3 tools/regime_timing.py --front-end --rounds 200
     python3 tools/regime_timing.py --against OLD_SRC --seeds 100-109 --rounds 200
     python3 tools/regime_timing.py --against OLD_SRC --cli --seeds 7 --rounds 100
 
@@ -31,6 +33,20 @@ glibc's malloc. The script prints the median over rounds of each table's time
 in microseconds, the mean number of minor page faults (`ru_minflt`) a write
 takes, and whether every text was identical in the two ways (exit status 1
 if not).
+
+With --front-end, `measurements_to_autocorr_2d` turns the squared magnitudes of
+one Gaussian n-by-n signal into its lag grid in both ways, for n = 2..9 and
+m = 2n-1..2n+2: `core.LAG_OPERATOR_ENTRIES` set above every size forces the
+one real product with the cached operator, and set to 0 the complex product.
+Each size runs its rounds before the next size, so that both ways keep their
+cached matrices; each round times one call in each way, alternating which
+goes first, and each call runs right after `harness.Reference`, as a solve
+runs in perfbench's loop. The script prints, per size, the operator's entries
+((2n-1)^2 + m^2) * m^2 and the median over rounds of each way's time in
+microseconds; then the largest operator at which it was the faster way and
+the smallest at which it was not, the crossover `LAG_OPERATOR_ENTRIES` rests
+on; and last the largest difference between the two ways' lag grids,
+relative to max|R| (exit status 1 if above 1e-12).
 
 With --against, OLD_SRC is a directory holding an `autophase2d` package (the
 `src/` of another checkout). Both trees are loaded in this process, OLD_SRC's
@@ -79,7 +95,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from autophase2d import Autocorr2D, jsonio, solve_2d, solver  # noqa: E402
+from autophase2d import Autocorr2D, Matrix2D, core, jsonio, solve_2d, solver  # noqa: E402
 from autophase2d.polyfactor import Candidates  # noqa: E402
 import autophase2d  # noqa: E402
 from harness import M_MMAP_THRESHOLD, MALLOPT, MMAP_THRESHOLD_BYTES, Reference  # noqa: E402
@@ -89,6 +105,9 @@ from workloads import WORKLOADS, lag_grid, make_instance, write_cli_inputs  # no
 
 REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
 WRITERS = {"template": 1 << 62, "kernel": 0}  # KERNEL_CELLS of each writer
+FRONT_ENDS = {"operator": 1 << 62, "product": 0}  # LAG_OPERATOR_ENTRIES of each way
+FRONT_END_SIDES = range(2, 10)  # n of --front-end, each at m = 2n-1..2n+2
+FRONT_END_AGREE = 1e-12  # largest difference between the ways' lag grids, over max|R|
 
 
 def seed_range(text: str) -> range:
@@ -174,6 +193,52 @@ def writer_main(args) -> int:
     same = texts["template"] == texts["kernel"]
     print(f"texts identical: {same}")
     return 0 if same else 1
+
+
+def front_end_main(args) -> int:
+    if MALLOPT is not None:
+        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    ref = Reference()
+    default = core.LAG_OPERATOR_ENTRIES
+    rows, worst = [], 0.0
+    for n in FRONT_END_SIDES:
+        X = Matrix2D(n, np.random.default_rng(n).standard_normal((n, n)))
+        for m in range(2 * n - 1, 2 * n + 3):
+            Y = core.fourier_magnitude_2d(X, m)
+            times = {way: [] for way in FRONT_ENDS}
+            grids = {}
+            for rnd in range(args.rounds + 1):  # round 0 warms the caches and keeps the grids
+                for way in (list(FRONT_ENDS) if rnd % 2 == 0 else list(FRONT_ENDS)[::-1]):
+                    core.LAG_OPERATOR_ENTRIES = FRONT_ENDS[way]
+                    ref.run()
+                    t0 = time.perf_counter_ns()
+                    R = core.measurements_to_autocorr_2d(Y)
+                    elapsed = time.perf_counter_ns() - t0
+                    if rnd == 0:
+                        grids[way] = R.values
+                    else:
+                        times[way].append(elapsed / 1e3)
+            core.LAG_OPERATOR_ENTRIES = default
+            a, b = grids.values()
+            worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
+            rows.append((((2 * n - 1) ** 2 + m * m) * m * m, n, m,
+                         *(statistics.median(times[way]) for way in FRONT_ENDS)))
+
+    print(f"{len(rows)} sizes, {args.rounds} rounds; us a call right after the reference "
+          f"(median over rounds)")
+    print(f"{'n':>3} {'m':>3} {'entries':>8} {'operator':>9} {'product':>9}")
+    for entries, n, m, op, prod in rows:
+        print(f"{n:3d} {m:3d} {entries:8d} {op:9.1f} {prod:9.1f}  ({(op / prod - 1) * 100:+.0f}%)")
+    rows.sort()
+    wins = [row for row in rows if row[3] < row[4]]
+    losses = [row for row in rows if row[3] >= row[4]]
+    for label, picked in (("largest operator faster", wins[-1:]),
+                          ("smallest operator not faster", losses[:1])):
+        for entries, n, m, op, prod in picked:
+            print(f"{label}: {entries} entries (n = {n}, m = {m}: {op:.1f} against {prod:.1f} us)")
+    print(f"cap: LAG_OPERATOR_ENTRIES = {default}")
+    print(f"largest difference over max|R|: {worst:.1e}")
+    return 0 if worst <= FRONT_END_AGREE else 1
 
 
 def load_tree(src: Path, name: str):
@@ -296,6 +361,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=200, help="interleaved rounds")
     ap.add_argument("--writer", action="store_true",
                     help="time the two writers of float tables instead of the solve regimes")
+    ap.add_argument("--front-end", action="store_true",
+                    help="time the magnitude front end's operator against its complex product")
     ap.add_argument("--cells", type=cell_sizes, default=cell_sizes("64-8192"),
                     help="table sizes for --writer, FIRST-LAST, doubling (default 64-8192)")
     ap.add_argument("--against", type=Path, metavar="OLD_SRC",
@@ -307,6 +374,8 @@ def main(argv=None) -> int:
         ap.error("--cli needs --against")
     if args.writer:
         return writer_main(args)
+    if args.front_end:
+        return front_end_main(args)
     if args.against:
         return against_main(args)
 
