@@ -29,11 +29,14 @@ CACHED_DFT_SIDE = 256
 # measurements_to_autocorr_2d takes the lag grid from one real product with
 # _lag_operator(m, n) while the operator holds at most this many entries,
 # ((2n-1)^2 + m^2) * m^2 (n <= 5 at m = 2n, 0.26 MB at most), and from the
-# complex product with the inverse DFT matrix past it. Measured per call right
-# after other work (tools/regime_timing.py --front-end, 2 cores): the operator
-# wins at 38 160 entries (n = 6, m = 12: 43.8 against 46.6 us) and 49 010
-# (n = 6, m = 13: 53.3 against 54.4 us), and loses from 57 122 (n = 7, m = 13:
-# 37.3 against 34.2 us); the cap stays below the crossover.
+# complex product with the inverse DFT matrix past it. The cap rests on one
+# micro-timing, each call right after other work (tools/regime_timing.py
+# --front-end --rounds 300, 2 cores): the operator wins at 38 160 entries
+# (n = 6, m = 12: 43.8 against 46.6 us) and 49 010 (n = 6, m = 13: 53.3
+# against 54.4 us), and loses from 57 122 (n = 7, m = 13: 37.3 against
+# 34.2 us); the cap stays below the crossover. No perfbench workload solves
+# from magnitudes past the cap, so the product's side is not benchmarked end
+# to end; re-check the cap when one does.
 LAG_OPERATOR_ENTRIES = 1 << 15
 
 
@@ -238,14 +241,14 @@ class MagnitudeGrid:
                 f"{self.n}x{self.n} signal; need at least {2 * self.n - 1}"
             )
         a = np.array(self.values, dtype=float)
-        # one pass accepts a finite, nonnegative (m, m) grid (a nan fails both
-        # comparisons); anything else meets the checks one by one, for their texts
-        if not (a.shape == (self.m, self.m) and 0.0 <= a.min() and a.max() < math.inf):
-            a = _finite_float_array(a, "magnitude values")
-            if a.shape != (self.m, self.m):
-                raise ValueError(f"expected a {self.m}x{self.m} grid, got shape {a.shape}")
-            if (a < 0).any():
-                raise ValueError("squared magnitudes must be nonnegative")
+        # two reductions serve every check; a nan makes both comparisons false
+        lo, hi = (a.min(), a.max()) if a.size else (0.0, 0.0)
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValueError("magnitude values must contain only finite values")
+        if a.shape != (self.m, self.m):
+            raise ValueError(f"expected a {self.m}x{self.m} grid, got shape {a.shape}")
+        if lo < 0:
+            raise ValueError("squared magnitudes must be nonnegative")
         object.__setattr__(self, "values", _freeze(a))
 
 

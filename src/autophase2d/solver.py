@@ -573,10 +573,8 @@ def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
     r = _reduce_entries(n, flat)
     total, (masks, vals, resid) = _survivors(R, r, c, opts)
     fit = _grid_fits(vals, flat, r.max_abs)
-    # usually every survivor fits, and the table takes its arrays as they are
-    rows = (masks, vals, resid) if fit.all() else (masks[fit], vals[fit], resid[fit])
     # gated rows: int64 masks, finite signals that reproduce r, residuals within tol_resid
-    matches = _trusted(Candidates, *rows)
+    matches = _trusted(Candidates, masks[fit], vals[fit], resid[fit])
     tolerances = dict(opts.to_dict(), tol_match=DEFAULT_TOL_MATCH, scale_floor=1e-9 * r.max_abs,
                       join_rtol=JOIN_RTOL, grid_rtol=GRID_RTOL)
     report = SolveReport(
