@@ -274,7 +274,7 @@ def run(config: argparse.Namespace) -> int:
     """Execute one command; exceptions are folded into the exit-code contract."""
     try:
         payload = _dispatch(config)
-        texts = (payload,) if isinstance(payload, str) else (jsonio.dumps(payload), "\n")
+        texts = (payload,) if isinstance(payload, str) else (*jsonio.dump_pieces(payload), "\n")
         _write_text(config.output, *texts)
     except AutophaseError as err:
         _emit_error(type(err).__name__, str(err))

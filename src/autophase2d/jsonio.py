@@ -4,25 +4,29 @@ Floats are always written with 17 significant digits so identical runs
 produce identical bytes and values round-trip exactly. Each table of floats
 (a list of floats, a candidate table, a census) is checked for inf and nan
 once, then written from its layout: column separators, a head and a tail.
-_text fills a layout by one "%" over a template, or from KERNEL_CELLS floats
-on by a vectorized kernel that gives the same bytes.
+A document is walked once into one "%" template, which takes every float
+outside a table of KERNEL_CELLS floats or more; such a table is written by a
+vectorized kernel that gives the same bytes.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D
+from .core import SYMMETRY_RTOL, Autocorr1D, Autocorr2D, Matrix2D, _freeze
 from .polyfactor import CHUNK_PRODUCTS, Candidates
 
 
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
 # Tables of at least this many floats are written by the kernel, smaller ones
-# by one "%" over a template (tools/regime_timing.py --writer times both).
+# by one "%" over a template. `tools/regime_timing.py --writer --cells N
+# --rounds 150`, N = 256..448 by 32: the kernel is the faster from 247 cells of
+# a candidate table (-5%) and from 384 of a census (-6%; +4% at 351).
 KERNEL_CELLS = 352
 
 
@@ -137,14 +141,15 @@ def _scaled(a, p):
     return hi, lo
 
 
-def _format_into(out: np.ndarray, x: np.ndarray) -> None:
+def _format_into(out: np.ndarray, x: np.ndarray) -> int:
     """Write format(v, ".17g") of each finite v of x into its row of the
     (len(x), _SLOT_WORDS + 1) uint64 array out, NUL-padded; the high half of
-    word 3 is left as it is.
+    word 3 is left as it is. Returns the number of cells left to format().
 
     N = round(|v| 10^(16-E)) is the 17-digit significand, with E the decimal
     exponent. Zeros, |v| outside [1e-29, 1e17) (10^(16-E) not exact in two
-    doubles) and fractions within 1e-9 of a tie take format() itself.
+    doubles), scaled values next to 1e16 or 1e17 and fractions within 1e-9 of
+    a tie take format() itself.
 
     Operations work in place where they can: each fresh page of a temporary
     costs a fault, and the pages of the largest set alive at once count
@@ -156,14 +161,13 @@ def _format_into(out: np.ndarray, x: np.ndarray) -> None:
     p = np.floor(p, out=p).astype(np.int64)
     np.maximum(np.minimum(np.subtract(16, p, out=p), 45, out=p), 0, out=p)
     hi, lo = _scaled(a, p)
-    # log10 may miss the exponent by one next to a power of ten
-    shift = (((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64)
-             - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))))
-    if shift.any():
-        p += shift
-        ok &= (p >= 0) & (p <= 45)
-        np.maximum(np.minimum(p, 45, out=p), 0, out=p)
-        hi, lo = _scaled(a, p)
+    # The scaled value is hi + lo with |lo| <= ulp(hi)/2 + 2^-53 hi (the
+    # product's rounding, then _POW_LO's): under 2.2 next to 1e16, under 20 next
+    # to 1e17. Within these bounds it lies in [1e16, 1e17), so E is right and N
+    # has 17 digits; the rest, log10 misses next to a power of ten and exact
+    # powers such as 1.0 and 10.0, take format().
+    ok &= hi > 1e16 + 4
+    ok &= hi < 1e17 - 32
     whole = np.floor(lo)
     lo -= whole  # the fraction
     ok &= np.abs(lo - 0.5) >= 1e-9
@@ -172,10 +176,6 @@ def _format_into(out: np.ndarray, x: np.ndarray) -> None:
     n += whole.astype(np.int64)
     del a, hi, lo, whole
     e = np.subtract(_E0 + 16, p, out=p)  # the exponent plus _E0
-    carry = n == 10**17
-    if carry.any():
-        n[carry] = 10**16
-        e += carry
     np.putmask(n, ~ok, 10**16)
     # T's digits: 0-1 (pair), 2-9, and 10-16 with a 0 after them
     mid = n // 10**7
@@ -219,40 +219,43 @@ def _format_into(out: np.ndarray, x: np.ndarray) -> None:
         out[rest, :_SLOT_WORDS] = _words([format(v, ".17g").encode() for v in x[rest].tolist()],
                                         _SLOT_WORDS)
         out[rest, _SLOT_WORDS] &= ~_EXP_BYTES
+    return rest.size
 
 
-def _text(cells: np.ndarray | list | tuple, seps: list[str], head: str, last: str,
-          blank: np.ndarray | None = None) -> str:
-    """head, then the text of each float of the table `cells` followed by its
-    column's separator from `seps`; the final separator is replaced by `last`,
-    and a cell that `blank` marks is written as nothing. `cells` is a 2-d
-    array or, below KERNEL_CELLS cells, the table's Python numbers as one flat
-    sequence in row order.
-
-    Below KERNEL_CELLS cells one "%" fills a template of the layout, from
-    Python numbers ("%.17g" of an int is that of the int as a float). From
-    KERNEL_CELLS on, each cell takes _SLOT_WORDS + 1 words of one buffer per
-    chunk of at most CHUNK_PRODUCTS cells (whole rows); head goes before the
-    first. A separator of at most four bytes fills the high half of the
-    cell's word 3; a longer one, or a longer last, leaves there a mark, a
-    control byte (1, 2, ...) that no text of a layout holds. translate drops
-    every NUL, then replace puts each separator in place of its mark."""
-    if not isinstance(cells, np.ndarray) or cells.size < KERNEL_CELLS:
-        if isinstance(cells, np.ndarray):
-            cells = cells.ravel().tolist()
-        pieces = [FLOAT + sep for sep in seps] * (len(cells) // len(seps))
-        for k in [] if blank is None else np.flatnonzero(blank).tolist():
-            pieces[k] = "%.0s" + seps[k % len(seps)]  # takes the cell's value, writes nothing
-        text = head + "".join(pieces)
-        return (text[:len(text) - len(seps[-1])] + last) % tuple(cells)
-    # word 3 of each column's cells, then of the final cell: four NUL bytes,
-    # the exponent's, then the separator or its mark
+@functools.lru_cache(maxsize=64)
+def _layout(seps: tuple, last: str) -> tuple[np.ndarray, tuple]:
+    """The kernel's word 3 of each column's cells, then of the final cell (four
+    NUL bytes, the exponent's, then the separator or its mark), read-only; and
+    the (separator, mark) pairs. A separator of at most four bytes fills the
+    high half of the word; a longer one, or a longer last, leaves there a mark,
+    a control byte (1, 2, ...) that no text of a layout holds."""
     ends, marks = [], {}
-    for sep in map(str.encode, seps + [last]):
+    for sep in map(str.encode, seps + (last,)):
         if len(sep) > 4:
             sep = marks.setdefault(sep, bytes([len(marks) + 1]))
         ends.append(b"\0" * 4 + sep)
-    ends = _words(ends)[:, 0]
+    return _freeze(_words(ends)[:, 0]), tuple(marks.items())
+
+
+def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
+          blank: np.ndarray | None = None) -> str:
+    """head, then the text of each float of the 2-d table `cells` followed by
+    its column's separator from `seps`; the final separator is replaced by
+    `last`, and a cell that `blank` marks is written as nothing.
+
+    Below KERNEL_CELLS cells one "%" fills a template of the layout, from the
+    cells' Python floats. From KERNEL_CELLS on, each cell takes _SLOT_WORDS + 1
+    words of one buffer per chunk of at most CHUNK_PRODUCTS cells (whole rows);
+    head goes before the first. Word 3 of each cell ends with its separator or
+    its mark (see _layout); translate drops every NUL, then replace puts each
+    separator in place of its mark."""
+    if cells.size < KERNEL_CELLS:
+        pieces = [FLOAT + sep for sep in seps] * (cells.size // len(seps))
+        for k in [] if blank is None else np.flatnonzero(blank).tolist():
+            pieces[k] = "%.0s" + seps[k % len(seps)]  # takes the cell's value, writes nothing
+        text = head + "".join(pieces)
+        return (text[:len(text) - len(seps[-1])] + last) % tuple(cells.ravel().tolist())
+    ends, marks = _layout(tuple(seps), last)
     step = max(1, CHUNK_PRODUCTS // len(seps))
     text = ""
     for start in range(0, len(cells), step):
@@ -273,7 +276,7 @@ def _text(cells: np.ndarray | list | tuple, seps: list[str], head: str, last: st
         del flat  # a view of data
         part = data.translate(None, b"\0")
         del data
-        for sep, mark in marks.items():
+        for sep, mark in marks:
             part = part.replace(mark, sep)
         # CPython grows a str that only this name holds in place, so no chunk's
         # text is kept apart and no join copies them all
@@ -282,64 +285,142 @@ def _text(cells: np.ndarray | list | tuple, seps: list[str], head: str, last: st
     return text
 
 
-def _candidates(table: Candidates) -> str:
+# --- documents ------------------------------------------------------------------
+# dump_pieces walks a document once. Its text goes to a template, `fmt`, with a
+# FLOAT slot for each float, whose value goes to `args`, and every "%" of a key
+# or string doubled; a table of KERNEL_CELLS floats or more ends the stretch,
+# which one "%" fills into `pieces`, and adds the kernel's text after it. A
+# non-finite float raises format_float's ValueError where it is added, so the
+# first in document order is named.
+
+
+def _flush(fmt: list, args: list, pieces: list) -> None:
+    pieces.append("".join(fmt) % tuple(args))
+    fmt.clear()
+    args.clear()
+
+
+def _quoted(s: str) -> str:
+    """json.dumps of a string, "%" doubled for the template."""
+    return encode_basestring_ascii(s).replace("%", "%%")
+
+
+def _candidates(table: Candidates, fmt: list, args: list, pieces: list) -> None:
     """JSON array of one candidate object per row. Masks pass through floats:
     exact below 2^53 (the solver's are below 2^28), where "%.17g" writes them
-    as %d does. A table of fewer than KERNEL_CELLS cells goes to _text as the
-    Python numbers of its rows, without an array of its own."""
+    as %d does. A table of fewer than KERNEL_CELLS cells joins the template as
+    the Python numbers of its rows, without an array of its own; non-finite
+    values are named values first, then residuals, then f_values."""
     f = table.f_values
     tail = [table.autocorr_residuals] if f is None else [table.autocorr_residuals, f]
     end = ', "f_value": null}' if f is None else "}"
     seps = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
             + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
-    if len(table) * len(seps) < KERNEL_CELLS or not len(table):  # an empty table is "[]"
-        rows, *columns = (a.tolist() for a in [table.values, *tail])
-        for floats in [chain.from_iterable(rows), *columns]:
-            _require_finite_floats(floats)
-        if not rows:
-            return "[]"
-        cells = [v for row, *rest in zip(rows, table.flips.tolist(), *columns)
-                 for v in (*row, *rest)]
-    else:
+    head, last = '[{"values": [', end + "]"
+    if len(table) * len(seps) >= KERNEL_CELLS and len(table):
         for a in [table.values, *tail]:
             require_finite(a)
-        cells = np.column_stack([table.values, table.flips, *tail])
-    return _text(cells, seps, '[{"values": [', end + "]")
+        _flush(fmt, args, pieces)
+        pieces.append(_text(np.column_stack([table.values, table.flips, *tail]), seps, head, last))
+        return
+    rows, *columns = (a.tolist() for a in [table.values, *tail])
+    for floats in [chain.from_iterable(rows), *columns]:
+        _require_finite_floats(floats)
+    if not rows:  # an empty table is "[]"
+        fmt.append("[]")
+        return
+    text = head + "".join([FLOAT + sep for sep in seps]) * len(rows)
+    fmt.append(text[:len(text) - len(seps[-1])] + last)
+    args += [v for row, *rest in zip(rows, table.flips.tolist(), *columns) for v in (*row, *rest)]
+
+
+def _array(obj, fmt: list, args: list, pieces: list) -> None:
+    """A list or tuple; one of Python floats only is a float table of one column."""
+    if obj and all(type(v) is float for v in obj):
+        if len(obj) >= KERNEL_CELLS:
+            a = np.array(obj)[:, None]
+            require_finite(a)
+            _flush(fmt, args, pieces)
+            pieces.append(_text(a, [", "], "[", "]"))
+        else:
+            _require_finite_floats(obj)
+            fmt.append("[" + ", ".join([FLOAT] * len(obj)) + "]")
+            args += obj
+        return
+    _items(obj, fmt, args, pieces)
+
+
+def _items(obj, fmt: list, args: list, pieces: list) -> None:
+    fmt.append("[")
+    for k, v in enumerate(obj):
+        if k:
+            fmt.append(", ")
+        _walk(v, fmt, args, pieces)
+    fmt.append("]")
+
+
+def _object(obj: dict, fmt: list, args: list, pieces: list) -> None:
+    if not all(isinstance(k, str) for k in obj):
+        raise TypeError("JSON object keys must be strings")
+    sep = "{"
+    for k, v in obj.items():
+        fmt.append(sep + _quoted(k) + ": ")
+        _walk(v, fmt, args, pieces)
+        sep = ", "
+    fmt.append("}" if obj else "{}")
+
+
+def _walk(obj, fmt: list, args: list, pieces: list) -> None:
+    """Add obj to the document: the exact builtin types first, then by isinstance
+    in an order where no test takes another's object (a bool is True or False
+    before the ints)."""
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            format_float(obj)
+        fmt.append(FLOAT)
+        args.append(obj)
+    elif kind is dict:
+        _object(obj, fmt, args, pieces)
+    elif kind is list or kind is tuple:
+        _array(obj, fmt, args, pieces)
+    elif kind is int:
+        fmt.append(str(obj))
+    elif kind is str:
+        fmt.append(_quoted(obj))
+    elif obj is None:
+        fmt.append("null")
+    elif kind is bool:
+        fmt.append("true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        _walk(float(obj), fmt, args, pieces)
+    elif isinstance(obj, dict):
+        _object(obj, fmt, args, pieces)
+    elif isinstance(obj, (list, tuple)):
+        _array(obj, fmt, args, pieces)
+    elif isinstance(obj, np.ndarray):
+        _items(obj, fmt, args, pieces)
+    elif isinstance(obj, str):
+        fmt.append(_quoted(obj))
+    elif isinstance(obj, (int, np.integer)):
+        fmt.append(str(int(obj)))
+    elif isinstance(obj, Candidates):
+        _candidates(obj, fmt, args, pieces)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def dump_pieces(obj) -> list[str]:
+    """dumps' text as pieces to be written one after another, without a join."""
+    fmt, args, pieces = [], [], []
+    _walk(obj, fmt, args, pieces)
+    _flush(fmt, args, pieces)
+    return pieces
 
 
 def dumps(obj) -> str:
     """Single-line JSON with deterministic float formatting."""
-    # the types of a report first; no two tests below take the same object,
-    # since a bool is taken as True or False before the ints
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, dict):
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("JSON object keys must be strings")
-        parts = [s for k, v in obj.items() for s in (", ", json.dumps(k), ": ", dumps(v))]
-        return "".join(["{", *parts[1:], "}"])  # one copy of a large value's text
-    if isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj):
-        if len(obj) < KERNEL_CELLS:  # a float table of one column, from its Python floats
-            _require_finite_floats(obj)
-            return _text(obj, [", "], "[", "]")
-        a = np.array(obj)[:, None]
-        require_finite(a)
-        return _text(a, [", "], "[", "]")
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, Candidates):
-        return _candidates(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    return "".join(dump_pieces(obj))
 
 
 def census_csv(census) -> str:

@@ -218,17 +218,29 @@ def group_flip_units(zp: ZeroPairing) -> FlipUnits:
     represented by its member with positive imaginary part. Units are
     ordered by descending modulus, then real part, then imaginary part.
     """
+    # A list, not a generator: in a solve loop the generator form kept peak RSS higher.
+    return FlipUnits(tuple([RealZero(z.real) if z.imag == 0 else ConjugatePair(z)
+                            for z in _unit_zeros(zp)]))
+
+
+def _unit_zeros(zp: ZeroPairing) -> list[complex]:
+    """group_flip_units' representatives, in its order, after its closure check."""
     zs = zp.zeros.tolist()
     kept = sorted((z for z in zs if z.imag >= 0), key=_unit_order)
     # the sort is stable, so the upper members keep the order a sort of them alone gives
     lower = sorted((z.conjugate() for z in zs if z.imag < 0), key=_unit_order)
     if [z for z in kept if z.imag > 0] != lower:
-        raise UnpairedComplexZero(
-            f"complex zeros {zp.zeros[zp.zeros.imag != 0]} are not closed under conjugation"
-        )
-    # A list, not a generator: in a solve loop the generator form kept peak RSS higher.
-    return FlipUnits(tuple([RealZero(z.real) if z.imag == 0 else ConjugatePair(z)
-                            for z in kept]))
+        raise UnpairedComplexZero(f"complex zeros {zp.zeros[zp.zeros.imag != 0]} are not "
+                                  "closed under conjugation")
+    return kept
+
+
+def _unit_lowers(zp: ZeroPairing) -> list[tuple[tuple, tuple]]:
+    """(factor(False), factor(True)) of each of group_flip_units(zp), without the objects."""
+    return [((-z.real,), (-(1.0 / z.real),)) if z.imag == 0
+            else tuple((w.real * w.real + w.imag * w.imag, -2.0 * w.real)
+                       for w in (z, 1.0 / z.conjugate()))
+            for z in _unit_zeros(zp)]
 
 
 def _unit_order(z: complex) -> tuple[float, float, float]:
@@ -258,18 +270,15 @@ def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_arrays(units) -> list[np.ndarray]:
-    """Per flip unit, its factor's lower coefficients unflipped (row 0) and flipped (row 1).
-
-    Each is a view of one two-row array: every unit's unflipped coefficients, in
-    unit order, then every unit's flipped ones.
-    """
-    rows = [[unit.factor(flipped) for unit in units] for flipped in (False, True)]
-    table = np.array([sum(row, ()) for row in rows])
+def _factor_arrays(lowers) -> list[np.ndarray]:
+    """Per flip unit of _unit_lowers' pairs, its factor's lower coefficients unflipped
+    (row 0) and flipped (row 1): views of one two-row array, every unit's unflipped
+    coefficients in unit order, then every unit's flipped ones."""
+    table = np.array([sum((pair[flipped] for pair in lowers), ()) for flipped in (0, 1)])
     views, k = [], 0
-    for factor in rows[0]:
-        views.append(table[:, k:k + len(factor)])
-        k += len(factor)
+    for unflipped, _ in lowers:
+        views.append(table[:, k:k + len(unflipped)])
+        k += len(unflipped)
     return views
 
 

@@ -25,7 +25,6 @@ from .polyfactor import (
     associated_polynomial,
     elementary_symmetric,
     find_zero_pairs,
-    group_flip_units,
     _autocorr_rows,
     _constraint_products,
     _eigvals,
@@ -33,6 +32,7 @@ from .polyfactor import (
     _residual_rows,
     _scale_row,
     _scale_rows,
+    _unit_lowers,
     _zero_product_table,
 )
 from .reduction import _constraint_entries, _reduce_entries
@@ -78,15 +78,15 @@ class SolverOptions:
 
 
 def _units(r: Autocorr1D, opts: SolverOptions, join: bool = False):
-    """(autocorrelation trimmed to its support, its flip units, extreme lag);
-    None if r == 0. With `join`, a full support is checked against the join's
-    budget instead of the candidates'."""
+    """(autocorrelation trimmed to its support, its flip units as _unit_lowers'
+    coefficient pairs, extreme lag); None if r == 0. With `join`, a full
+    support is checked against the join's budget instead of the candidates'."""
     if r.max_abs == 0.0:
         return None
     core = associated_polynomial(r)
     check_support_budget(core.m, join and core is r)
     pairing = find_zero_pairs(core, opts.tol_pair, opts.tol_root)
-    return core, group_flip_units(pairing).units, pairing.scale
+    return core, _unit_lowers(pairing), pairing.scale
 
 
 def _arrays(found):
@@ -95,8 +95,7 @@ def _arrays(found):
 
 
 def _factor(r: Autocorr1D, opts: SolverOptions):
-    """(autocorrelation trimmed to its support, the flip units' _factor_arrays,
-    extreme lag); None if r == 0."""
+    """_arrays of _units(r, opts): None if r == 0."""
     return _arrays(_units(r, opts))
 
 
@@ -296,12 +295,6 @@ def _edge_targets(R: Autocorr2D) -> np.ndarray:
     return closed @ np.array(powers)
 
 
-def _lowers(units) -> list[tuple[tuple, tuple]]:
-    """Per flip unit, its factor's lower coefficients unflipped and flipped: the
-    floats _factor_arrays holds."""
-    return [(unit.factor(False), unit.factor(True)) for unit in units]
-
-
 def _mask_key(lowers, mask: int, k: int) -> list[float]:
     """p_1..p_k of the zeros of candidate `mask`: over its units, Newton's
     identities on the chosen factor, z + c0 (p_j = (-c0)^j) or z^2 + c1 z + c0
@@ -399,11 +392,10 @@ def _expand_masks(lowers, masks: list[int]) -> list[list[float]]:
     return rows
 
 
-def _expanded(masks: list[int], lowers, found, m: int, tol_resid: float):
+def _expanded(masks: list[int], found, m: int, tol_resid: float):
     """(masks, signals, residuals) of the candidates `masks`, ascending, of _units'
-    `found`: expanded by _expand_masks with _lowers' `lowers` and scaled by
-    _scale_row, on Python floats, then _gated_table."""
-    core, _, scale = found
+    `found`: expanded (_expand_masks) and scaled (_scale_row), then _gated_table."""
+    core, lowers, scale = found
     rows = [_scale_row(row, scale) for row in _expand_masks(lowers, masks)]
     vals = np.array(rows).reshape(len(masks), core.m)
     return _gated_table(np.array(masks, dtype=np.int64), vals, core, m, tol_resid)
@@ -414,16 +406,15 @@ def _joined(R: Autocorr2D, found, tol_resid: float):
     keys match a split of the edge zeros, in ascending mask order. Past the
     crossover at full support only (`found` as _units gives it); the units are
     split into halves as _Halves splits them."""
-    core, units, _ = found
-    u, k = len(units), R.n - 1
+    core, lowers, _ = found
+    u, k = len(lowers), R.n - 1
     a = (u - 1) // 2
     targets = _edge_targets(R)
     _refuse_beyond((1 << (u - 1 - a)) * len(targets), JOIN_BUDGET,
                    "half-table rows times edge splits")
-    lowers = _lowers(units)
     masks = _join(lowers, a, targets, [JOIN_RTOL * v for v in _reach(lowers, k)])
     _refuse_beyond(len(masks) * core.m, MATERIALIZE_BUDGET, "survivor entries")
-    return 1 << (u - 1), _expanded(masks, lowers, found, core.m, tol_resid)
+    return 1 << (u - 1), _expanded(masks, found, core.m, tol_resid)
 
 
 @functools.lru_cache(maxsize=CACHED_DEGREES)
@@ -549,7 +540,7 @@ def _survivors(R: Autocorr2D, r: Autocorr1D, c: float, opts: SolverOptions):
             j, i = np.nonzero(np.abs(f - c) <= bound)
             _refuse_beyond((len(masks) + i.size) * r.m, MATERIALIZE_BUDGET, "survivor entries")
             masks += halves.masks(j + j0, i).tolist()
-    return halves.total, _expanded(masks, _lowers(found[1]), found, r.m, opts.tol_resid)
+    return halves.total, _expanded(masks, found, r.m, opts.tol_resid)
 
 
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
@@ -606,12 +597,12 @@ class CensusData:
 
 def _census_from_products(products: np.ndarray, n: int) -> CensusData:
     d = np.sort(np.asarray(products, dtype=float))
-    top = d[-1]
-    if top != 0.0:
-        d = d / top
+    if d[-1] != 0.0:
+        d = d / d[-1]
     gaps = np.diff(d)
+    gaps[~(gaps > 0)] = math.nan  # whose math.log is nan
     # math.log, since np.log differs from it in the last bit on some values
-    v = np.array([math.log(g) if g > 0 else math.nan for g in gaps.tolist()])
+    v = np.fromiter(map(math.log, gaps.tolist()), float, gaps.size)
     return CensusData(d=d, v=v, n=n)
 
 

@@ -7,6 +7,9 @@ its zeros (`members`, `betas`), its one-row table (`reconstruct_candidate`) and
 the paper's Vieta form of its constraint product (`f_vieta`). No solve runs them.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from autophase2d import (
 )
 from autophase2d.core import SYMMETRY_RTOL
 from autophase2d.polyfactor import _residual_rows, _scale_rows
-from autophase2d.solver import _expand_masks, _lowers
+from autophase2d.solver import _expand_masks
 
 # 2x2 instance with three real zero pairs and four candidate classes.
 GOLDEN_X_ROWS = [[-24.0, 26.0], [-9.0, 1.0]]
@@ -108,6 +111,51 @@ def assert_same_table(a, b):
         assert x is None or (x.shape == y.shape and np.array_equal(x, y)), name
 
 
+# --- the reference writer ---------------------------------------------------------
+
+
+def reference_dumps(obj) -> str:
+    """jsonio.dumps spelled out, value by value: format(x, ".17g") for each float,
+    json.dumps for each string and key, str(int(x)) for each integer, and a
+    candidate table as its list of row objects, whose mask is written as a
+    float. A non-finite float raises format_float's ValueError, the first in
+    document order; a table checks its values, then its residuals, then its
+    f_values before writing a row."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite value {x!r}")
+        return format(x, ".17g")
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be strings")
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_dumps(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(reference_dumps(v) for v in obj) + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, Candidates):
+        f = obj.f_values
+        for column in (obj.values, obj.autocorr_residuals, [] if f is None else f):
+            for x in np.ravel(column).tolist():
+                reference_dumps(x)
+        rows = []
+        for k in range(len(obj)):
+            fv = "null" if f is None else reference_dumps(f[k])
+            rows.append(f'{{"values": {reference_dumps(obj.values[k])}, "flips": '
+                        f'{reference_dumps(float(obj.flips[k]))}, "autocorr_residual": '
+                        f'{reference_dumps(obj.autocorr_residuals[k])}, "f_value": {fv}}}')
+        return "[" + ", ".join(rows) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
 # --- the reference layer: candidates from their zero multisets ----------------------
 
 
@@ -134,6 +182,12 @@ def betas(fu, flips: int) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def factor_pairs(units) -> list[tuple[tuple, tuple]]:
+    """Per flip unit object, (factor(False), factor(True)): the coefficient pairs
+    that polyfactor._unit_lowers computes without the objects."""
+    return [(unit.factor(False), unit.factor(True)) for unit in units]
+
+
 def reconstruct_candidate(fu, flips: int, r_peak: float, target: Autocorr1D) -> Candidates:
     """The one-row table of the signal selected by a flip mask.
 
@@ -145,7 +199,7 @@ def reconstruct_candidate(fu, flips: int, r_peak: float, target: Autocorr1D) -> 
         raise ValueError("extreme lag must be nonzero")
     if not 0 <= flips < (1 << fu.unit_count):
         raise ValueError(f"flip mask {flips} out of range for {fu.unit_count} units")
-    vals = _scale_rows(np.array(_expand_masks(_lowers(fu.units), [flips])), r_peak)
+    vals = _scale_rows(np.array(_expand_masks(factor_pairs(fu.units), [flips])), r_peak)
     if target.m != vals.shape[1]:
         raise ValueError(
             f"target autocorrelation is for length {target.m}, candidate has length {vals.shape[1]}"

@@ -19,6 +19,7 @@ from autophase2d.jsonio import (
 )
 from autophase2d.polyfactor import Candidates
 from autophase2d.solver import CensusData
+from conftest import reference_dumps
 
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
             1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 0.1, 1 / 3]
@@ -137,6 +138,23 @@ def test_kernel_edges():
     assert calls == [x.size, x.size // 2, x.size // 2, len(ties)]
 
 
+def test_kernel_next_to_every_power_of_ten():
+    """The 60 doubles on each side of every power of ten the kernel scales: each
+    such value's scaled |v| 10^(16-E) lies next to 1e16 or 1e17, where its
+    rounding and 10^(16-E)'s decide whether E and N are right."""
+    walks = []
+    for e in range(-30, 18):
+        for toward in (0.0, math.inf):
+            x = 10.0**e
+            for _ in range(60):
+                walks.append(x)
+                x = math.nextafter(x, toward)
+    x = np.array(walks + [-v for v in walks])
+    with kernel_spy() as calls:
+        assert dumps(x.tolist()) == per_element(x)
+    assert calls == [x.size]
+
+
 def test_kernel_chunks_join_seamlessly(monkeypatch):
     """Tables cut into many chunks (the head before the first, the final separator
     after the last, a row longer than a chunk) give the bytes of one chunk."""
@@ -192,7 +210,8 @@ def test_one_layout_two_fillers(monkeypatch, name):
 
 def test_no_layout_holds_a_mark_byte(monkeypatch):
     """The kernel marks a separator longer than four bytes by a control byte
-    1, 2, ..., one per distinct separator; no layout may hold one itself."""
+    1, 2, ..., one per distinct separator; no layout may hold one itself.
+    With KERNEL_CELLS at 0 every table reaches _text's kernel."""
     layouts = []
     text = jsonio._text
 
@@ -201,6 +220,7 @@ def test_no_layout_holds_a_mark_byte(monkeypatch):
         return text(cells, seps, head, last, blank)
 
     monkeypatch.setattr(jsonio, "_text", spy)
+    monkeypatch.setattr(jsonio, "KERNEL_CELLS", 0)
     for obj in LAYOUT_CASES.values():
         census_csv(obj) if isinstance(obj, CensusData) else dumps(obj)
     assert {len(seps) for seps, _, _ in layouts} == {1, 3, 7, 12}  # every writer's layout
@@ -484,3 +504,111 @@ def test_lag_sequence_lags_are_the_halved_mirror_sums(values):
     r = load_autocorr1d({"m": m, "values": values})
     assert r.nonneg.tobytes() == half.tobytes()
     assert r.values.tobytes() == np.concatenate([half[:0:-1], half]).tobytes()
+
+
+# --- one walk per document, against the reference writer ----------------------------
+
+NONFINITE = [math.inf, -math.inf, math.nan]
+# text with "%" in every place the template could misread it, and JSON escapes
+TEXT = st.lists(st.sampled_from(["%", "%%", "%s", "%.17g", "%(", "a", " ", '"', "\\", "\u00e9",
+                                 "\n"]), max_size=4).map("".join)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def planted(values: np.ndarray, bad) -> np.ndarray:
+    """values with bad, if not None, as (position, value) put in place."""
+    if bad is not None:
+        values.flat[bad[0] % values.size] = bad[1]
+    return values
+
+
+def float_list(seed, size, bad=None) -> list:
+    return planted(np.random.default_rng(seed).standard_normal(size), bad).tolist()
+
+
+def candidate_table(seed, rows, m, bad=None, column=0) -> Candidates:
+    """rows of m values; bad goes into the values (column 0) or the residuals (1)."""
+    rng = np.random.default_rng(seed)
+    parts = [rng.standard_normal((rows, m)), 1e-15 * rng.random(rows)]
+    if rows:
+        parts[column] = planted(parts[column], bad)
+    return Candidates(np.arange(rows) << 1, *parts)
+
+
+def cells_a_row(m):
+    """values, mask and residual, and f_value when m is a square of n >= 2."""
+    return m + 2 + (m in (4, 9))
+
+
+def documents(bad=st.none()):
+    """Nested documents of the types a report holds; `bad` draws what is planted
+    in a float, a float list or a table: None, or (position, inf or nan)."""
+    seeds = st.integers(0, 2**32 - 1)
+    widths = st.sampled_from([4, 5, 9])
+    leaves = st.one_of(
+        FINITE, FINITE.map(np.float64), st.floats(width=32, allow_nan=False,
+                                                  allow_infinity=False).map(np.float32),
+        st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans(), st.none(), TEXT,
+        st.builds(lambda v, b: v if b is None else b[1], FINITE, bad),
+        st.builds(lambda seed, size, b: float_list(seed, size, b),
+                  seeds, st.integers(1, 12), bad),  # below KERNEL_CELLS
+        st.builds(lambda seed, extra, b: float_list(seed, KERNEL_CELLS + extra, b),
+                  seeds, st.integers(0, 3), bad),  # at and just above it
+        st.builds(candidate_table, seeds, st.integers(0, 3), widths, bad,
+                  st.integers(0, 1)),  # below KERNEL_CELLS
+        widths.flatmap(lambda m: st.builds(
+            candidate_table, seeds, st.integers(0, 2).map(
+                lambda extra: -(-KERNEL_CELLS // cells_a_row(m)) + extra),
+            st.just(m), bad, st.integers(0, 1))),  # at and above it
+    )
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(TEXT, kids, max_size=4)), max_leaves=10)
+
+
+def written(write, doc):
+    """write(doc), or the text of the ValueError it raises."""
+    try:
+        return write(doc)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@given(documents())
+def test_one_walk_gives_the_reference_writers_bytes(doc):
+    assert dumps(doc) == reference_dumps(doc)
+    assert "".join(jsonio.dump_pieces(doc)) == dumps(doc)
+
+
+def both_columns(seed, bad):
+    """A two-row table with bad as the last value of row 1, and another
+    non-finite value as the residual of row 0, which comes first in the text."""
+    table = candidate_table(seed, 2, 5)
+    values, residuals = table.values.copy(), table.autocorr_residuals.copy()
+    values[1, -1] = bad
+    residuals[0] = math.nan if math.isinf(bad) else math.inf
+    return Candidates(table.flips, values, residuals)
+
+
+@given(documents(st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(NONFINITE))),
+       st.tuples(st.integers(0, 10**6), st.sampled_from(NONFINITE)),
+       st.sampled_from(["float", "list", "long list", "values", "residuals", "both"]),
+       st.integers(0, 2**32 - 1),
+       documents(st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(NONFINITE))))
+def test_one_walk_names_the_first_nonfinite_value(before, bad, where, seed, after):
+    """A planted inf or nan, after a document that may hold some and before one
+    that may hold more, raises format_float's ValueError for the first of them
+    in document order, a table's values before its residuals and f_values."""
+    planted_value = {
+        "float": lambda: bad[1],
+        "list": lambda: float_list(seed, 7, bad),
+        "long list": lambda: float_list(seed, KERNEL_CELLS, bad),
+        "values": lambda: candidate_table(seed, 40, 9, bad, 0),
+        "residuals": lambda: candidate_table(seed, 2, 5, bad, 1),
+        "both": lambda: both_columns(seed, bad[1]),
+    }[where]()
+    doc = {"before": before, "%planted": planted_value, "after": after}
+    want = written(reference_dumps, doc)
+    assert want.startswith("ValueError: cannot serialize non-finite value ")
+    assert written(dumps, doc) == want

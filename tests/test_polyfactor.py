@@ -1,3 +1,4 @@
+import math
 import struct
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from autophase2d.polyfactor import (
     _autocorr_rows,
     _chebyshev_roots,
     _factor_arrays,
+    _unit_lowers,
     _zero_product_table,
 )
 from conftest import (
@@ -43,6 +45,7 @@ from conftest import (
     betas,
     elementary_symmetric_oracle,
     f_vieta,
+    factor_pairs,
     members,
     reconstruct_candidate,
 )
@@ -416,10 +419,10 @@ def test_flipped_masks_share_autocorrelation(golden_r):
 
 @pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
 def test_real_expansion_matches_np_poly(m, seed):
-    _, _, fu = seeded_units(m, seed)
+    _, zp, fu = seeded_units(m, seed)
     kinds = {type(u) for u in fu.units}
     assert kinds == {RealZero, ConjugatePair}
-    got = _zero_product_table(_factor_arrays(fu.units), pinned=False)  # every mask, ascending
+    got = _zero_product_table(_factor_arrays(_unit_lowers(zp)), pinned=False)  # every mask, ascending
     assert got.dtype == np.float64 and got.shape[0] == 1 << fu.unit_count
     for mask, row in enumerate(got):
         want = np.poly(np.array(betas(fu, mask)))[::-1]
@@ -427,9 +430,11 @@ def test_real_expansion_matches_np_poly(m, seed):
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def assert_factor_rows(units):
-    """_factor_arrays holds each unit's factor(False) and factor(True), bit for bit."""
-    arrays = _factor_arrays(units)
+def assert_factor_rows(zp):
+    """_factor_arrays of zp's coefficient pairs holds each unit's factor(False) and
+    factor(True), bit for bit."""
+    units = group_flip_units(zp).units
+    arrays = _factor_arrays(_unit_lowers(zp))
     assert len(arrays) == len(units)
     for unit, choices in zip(units, arrays):
         assert choices.shape == (2, 1 if isinstance(unit, RealZero) else 2)
@@ -440,13 +445,70 @@ def assert_factor_rows(units):
 
 @pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
 def test_factor_arrays_hold_each_units_factors(m, seed):
-    assert_factor_rows(seeded_units(m, seed)[2].units)
+    assert_factor_rows(seeded_units(m, seed)[1])
+
+
+def signed_zero_pairing():
+    """Units ConjugatePair(2j), RealZero(-0.5), ConjugatePair(complex(-0.0, 3.0)),
+    RealZero(4.0) and ConjugatePair(complex(1e-300, 1e150)), each pair given with
+    its conjugate. 2j has the lower coefficient -0.0, which tolist() == cannot tell
+    from 0.0."""
+    upper = [2j, complex(-0.0, 3.0), complex(1e-300, 1e150)]
+    zeros = [*upper, -0.5, 4.0, *(z.conjugate() for z in upper)]
+    return ZeroPairing(np.array(zeros, dtype=complex), np.zeros(len(zeros)), 1.0)
 
 
 def test_factor_arrays_keep_signed_zeros():
-    # ConjugatePair(2j) has the lower coefficient -0.0, which tolist() == cannot tell from 0.0
-    assert_factor_rows((ConjugatePair(2j), RealZero(-0.5), ConjugatePair(complex(-0.0, 3.0)),
-                        RealZero(4.0), ConjugatePair(complex(1e-300, 1e150))))
+    zp = signed_zero_pairing()
+    assert {type(u) for u in group_flip_units(zp).units} == {RealZero, ConjugatePair}
+    assert_factor_rows(zp)
+
+
+def integer_pairings(m, count):
+    """The pairings of the first `count` integer signals (entries in -3..3) of length
+    m, drawn from default_rng(seed), seed = 0, 1, ..., whose zeros find_zero_pairs
+    takes: draws with a zero on the unit circle are passed over."""
+    pairings = []
+    for seed in range(100):
+        x = np.random.default_rng(seed).integers(-3, 4, m).astype(float)
+        try:
+            pairings.append(find_zero_pairs(associated_polynomial(autocorr_1d(Signal1D(x)))))
+        except UnitCircleZero:
+            continue
+        if len(pairings) == count:
+            break
+    assert len(pairings) == count
+    return pairings
+
+
+def packed(pairs):
+    """The bits of every float of the coefficient pairs, in order, with their lengths."""
+    return [(len(a), len(b), struct.pack(f"{len(a) + len(b)}d", *a, *b)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["gauss", "integer"])
+def test_unit_lowers_are_the_unit_classes_factors(n, kind):
+    """_unit_lowers gives, unit by unit in group_flip_units' order, each unit's
+    factor(False) and factor(True) bit for bit."""
+    pairings = ([seeded_units(n * n, seed)[1] for seed in range(3)] if kind == "gauss"
+                else integer_pairings(n * n, 3))
+    for zp in pairings:
+        want = factor_pairs(group_flip_units(zp).units)
+        assert packed(_unit_lowers(zp)) == packed(want)
+    zp = signed_zero_pairing()
+    want = factor_pairs(group_flip_units(zp).units)
+    assert any(math.copysign(1.0, v) < 0 and v == 0 for a, _ in want for v in a)
+    assert packed(_unit_lowers(zp)) == packed(want)
+
+
+def test_unit_lowers_refuse_unpaired_zeros_as_the_units_do():
+    lone = ZeroPairing(np.array([2j, 3.0]), np.zeros(2), 1.0)
+    with pytest.raises(UnpairedComplexZero) as want:
+        group_flip_units(lone)
+    with pytest.raises(UnpairedComplexZero) as got:
+        _unit_lowers(lone)
+    assert str(got.value) == str(want.value)
 
 
 def autocorr_rows_per_lag(vals):

@@ -43,7 +43,13 @@ from autophase2d.polyfactor import (
     find_zero_pairs,
     group_flip_units,
 )
-from conftest import GOLDEN_CLASSES, GOLDEN_F, assert_same_table, elementary_symmetric_oracle
+from conftest import (
+    GOLDEN_CLASSES,
+    GOLDEN_F,
+    assert_same_table,
+    elementary_symmetric_oracle,
+    factor_pairs,
+)
 
 
 def nomatch_grid(golden_grid):
@@ -418,7 +424,7 @@ def test_doubling_table_matches_per_mask_expansion(n):
         assert core.m == 13
     elif n in ("signed-1", "signed-3"):  # units whose lower coefficients hold -0.0, unit 0's too
         signed = (polyfactor.ConjugatePair(2j), polyfactor.RealZero(-0.5), polyfactor.ConjugatePair(3j))
-        units = polyfactor._factor_arrays(signed[:int(n[-1])])
+        units = polyfactor._factor_arrays(factor_pairs(signed[:int(n[-1])]))
         assert np.signbit(units[0][0, 1])
     else:
         _, units, _ = factors_of(planted(n, 0).values.reshape(-1))
@@ -447,7 +453,8 @@ def test_python_scaling_matches_scale_rows(n):
     that _expanded scales and gates are the full table's rows, padded alike."""
     if n in ("signed-1", "signed-3"):  # rows holding -0.0; z - 2 makes half the constants negative
         signed = (polyfactor.ConjugatePair(2j), polyfactor.RealZero(-0.5), polyfactor.ConjugatePair(3j))
-        units = polyfactor._factor_arrays(signed[:int(n[-1])] + (polyfactor.RealZero(2.0),))
+        units = polyfactor._factor_arrays(factor_pairs(signed[:int(n[-1])]
+                                                       + (polyfactor.RealZero(2.0),)))
         scale, r = -2.5, None
     else:
         if n == "trimmed":  # the vanishing extreme lags are trimmed, and padded back
@@ -470,7 +477,7 @@ def test_python_scaling_matches_scale_rows(n):
     assert negative or n == 2  # planted(2, 0) has two units with positive constants
     if r is not None:  # every candidate as survivors, against the numpy route
         want = solver._full_table(r, solver._arrays(found), 1e-6)
-        got = solver._expanded(want[0].tolist(), solver._lowers(found[1]), found, r.m, 1e-6)
+        got = solver._expanded(want[0].tolist(), found, r.m, 1e-6)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got[1].shape[1] == r.m
@@ -963,7 +970,7 @@ def true_mask(X):
 def test_true_key_meets_a_split_target(n, seed):
     X = planted(n, seed)
     R = autocorr_2d(X)
-    lowers = solver._lowers(solver._units(reduce_2d_to_1d(R), SolverOptions())[1])
+    lowers = solver._units(reduce_2d_to_1d(R), SolverOptions())[1]
     key = solver._mask_key(lowers, true_mask(X), n - 1)
     gaps = np.abs(solver._edge_targets(R) - key) / solver._reach(lowers, n - 1)
     assert gaps.max(axis=1).min() <= solver.JOIN_RTOL
@@ -974,7 +981,7 @@ def test_both_members_of_every_unit_give_the_edge_zeros_power_sums(n, seed):
     """p_k(beta) + p_k(1/beta) is the sum over units of both members' p_k, the same
     for every candidate, and equals p_k of all 2n-2 edge zeros: n-1 keys say it all."""
     R = autocorr_2d(planted(n, seed))
-    lowers = solver._lowers(solver._units(reduce_2d_to_1d(R), SolverOptions())[1])
+    lowers = solver._units(reduce_2d_to_1d(R), SolverOptions())[1]
     every = (1 << len(lowers)) - 1
     rng = np.random.default_rng(seed)
     z = np.roots(R.values[-1][::-1])

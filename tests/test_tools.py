@@ -97,12 +97,16 @@ def test_regime_timing_writer_reports_identical_texts():
     done = run_tool("regime_timing.py", "--writer", "--cells", "64-128", "--rounds", "2")
     assert done.returncode == 0, done.stderr
     _, header, *rows, verdict = done.stdout.splitlines()
-    assert header.split() == ["table", "template", "faults", "kernel", "faults"]
+    assert header.split() == ["table", "template", "faults", "kernel", "faults", "format"]
     assert [row.split()[:2] for row in rows] == [["candidates", "57"], ["census", "63"],
                                                  ["candidates", "114"], ["census", "126"]]
     for row in rows:  # time and minor page faults a write, for each writer
         template, template_faults, kernel, kernel_faults = map(float, row.split()[2:6])
         assert min(template, kernel) > 0 and min(template_faults, kernel_faults) >= 0
+    # cells the kernel left to format(): mask 0, and mask 10 of the 6-row table; of
+    # each census, indices 0, 1 and 10, the largest product (1 after the scaling)
+    # and the last row's blank log gap, a 0.0 cell
+    assert [int(row.split()[6]) for row in rows] == [1, 5, 2, 5]
     assert verdict == "texts identical: True"
 
 

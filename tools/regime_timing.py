@@ -1,4 +1,4 @@
-"""Time `solve_2d` with the full candidate table against the half tables, or
+"""Time `solve_2d` with the full candidate table against the edge-row join, or
 (with --writer) the two writers of large float tables, or (with --front-end)
 the two ways of the magnitude front end, or (with --against) the solves, or
 (with --against and --cli) the CLI commands, of this tree against those of
@@ -16,11 +16,12 @@ The inputs are the n-by-n entries of perfbench's `small-n34` pool (n = 3 has
 u = 5 flip units, n = 4 has u = 9), drawn for every seed of the range, as the
 benchmark draws them. Each input is solved once in each regime per round:
 `solver.CROSSOVER_UNITS` set above every u forces the full table, and set
-to 0 forces the half tables. The two regimes alternate which goes first from
-one round to the next. The script prints, per regime, the median over rounds
-of the mean solve time, the number of rounds the full table was faster, and
-whether every report was byte-identical in the two regimes (exit status 1 if
-not).
+to 0 forces the join, since every input of the pool has full support (a
+zero endpoint would take the half tables' corner scan instead). The two
+regimes alternate which goes first from one round to the next. The script
+prints, per regime, the median over rounds of the mean solve time, the
+number of rounds the full table was faster, and whether every report was
+byte-identical in the two regimes (exit status 1 if not).
 
 With --writer, the script writes seeded tables of 64, 128, ... cells (up to
 the second number of --cells) in both ways: `jsonio.KERNEL_CELLS` set to 0
@@ -31,8 +32,9 @@ products. Each round times every table once in each way, alternating which
 goes first. Blocks of 1 MiB or more are their own mappings, as perfbench sets
 glibc's malloc. The script prints the median over rounds of each table's time
 in microseconds, the mean number of minor page faults (`ru_minflt`) a write
-takes, and whether every text was identical in the two ways (exit status 1
-if not).
+takes, the number of cells the kernel left to `format()` (the sum of what
+`jsonio._format_into` returns over a write), and whether every text was
+identical in the two ways (exit status 1 if not).
 
 With --front-end, `measurements_to_autocorr_2d` turns the squared magnitudes of
 one Gaussian n-by-n signal into its lag grid in both ways, for n = 2..9 and
@@ -103,7 +105,7 @@ from harness import run_in_process  # noqa: E402
 from run import CLI_COMMANDS, cli_argv  # noqa: E402
 from workloads import WORKLOADS, lag_grid, make_instance, write_cli_inputs  # noqa: E402
 
-REGIMES = {"full": 1 << 30, "half": 0}  # CROSSOVER_UNITS of each regime
+REGIMES = {"full": 1 << 30, "join": 0}  # CROSSOVER_UNITS of each regime
 WRITERS = {"template": 1 << 62, "kernel": 0}  # KERNEL_CELLS of each writer
 FRONT_ENDS = {"operator": 1 << 62, "product": 0}  # LAG_OPERATOR_ENTRIES of each way
 FRONT_END_SIDES = range(2, 10)  # n of --front-end, each at m = 2n-1..2n+2
@@ -158,6 +160,22 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def format_fallbacks(write) -> int:
+    """The number of cells the kernel leaves to format() in one call of `write`."""
+    kernel, counts = jsonio._format_into, []
+
+    def counted(out, x):
+        counts.append(kernel(out, x))
+        return counts[-1]
+
+    jsonio._format_into = counted
+    try:
+        write()
+    finally:
+        jsonio._format_into = kernel
+    return sum(counts)
+
+
 def writer_main(args) -> int:
     if MALLOPT is not None:
         MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
@@ -166,6 +184,8 @@ def writer_main(args) -> int:
     times = {(name, w): [] for name, _ in tables for w in WRITERS}
     faults = {(name, w): [] for name, _ in tables for w in WRITERS}
     texts = {w: [] for w in WRITERS}
+    jsonio.KERNEL_CELLS = WRITERS["kernel"]
+    left = {name: format_fallbacks(write) for name, write in tables}  # outside the timed rounds
     for rnd in range(args.rounds + 1):  # round 0 warms up and keeps the texts
         order = list(WRITERS) if rnd % 2 == 0 else list(WRITERS)[::-1]
         for name, write in tables:
@@ -183,13 +203,13 @@ def writer_main(args) -> int:
     jsonio.KERNEL_CELLS = default
 
     print(f"{len(tables)} tables, {args.rounds} rounds; us a table (median over rounds), "
-          f"minor faults a write (mean)")
-    print(f"{'table':>18} {'template':>9} {'faults':>7} {'kernel':>9} {'faults':>7}")
+          f"minor faults a write (mean), cells the kernel left to format()")
+    print(f"{'table':>18} {'template':>9} {'faults':>7} {'kernel':>9} {'faults':>7} {'format':>7}")
     for name, _ in tables:
         template, kernel = (statistics.median(times[name, w]) for w in WRITERS)
         t_faults, k_faults = (statistics.mean(faults[name, w]) for w in WRITERS)
         print(f"{name:>18} {template:9.0f} {t_faults:7.1f} {kernel:9.0f} {k_faults:7.1f}"
-              f"  ({(kernel / template - 1) * 100:+.0f}%)")
+              f" {left[name]:7d}  ({(kernel / template - 1) * 100:+.0f}%)")
     same = texts["template"] == texts["kernel"]
     print(f"texts identical: {same}")
     return 0 if same else 1
@@ -398,12 +418,12 @@ def main(argv=None) -> int:
             per_solve[regime].append(total / len(grids) / 1e3)
     solver.CROSSOVER_UNITS = default
 
-    full, half = (statistics.median(per_solve[r]) for r in REGIMES)
-    wins = sum(f < h for f, h in zip(per_solve["full"], per_solve["half"]))
-    same = reports["full"] == reports["half"]
+    full, join = (statistics.median(per_solve[r]) for r in REGIMES)
+    wins = sum(f < j for f, j in zip(per_solve["full"], per_solve["join"]))
+    same = reports["full"] == reports["join"]
     print(f"{len(grids)} inputs, n = {args.n}, {args.rounds} rounds")
     print(f"full table: {full:.0f} us a solve (median over rounds)")
-    print(f"half tables: {half:.0f} us a solve ({(full / half - 1) * 100:+.1f}% for full)")
+    print(f"join: {join:.0f} us a solve ({(full / join - 1) * 100:+.1f}% for full)")
     print(f"full table faster in {wins} of {args.rounds} rounds")
     print(f"reports identical: {same}")
     return 0 if same else 1
