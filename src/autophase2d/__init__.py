@@ -2,10 +2,10 @@
 
 The 2D problem is reduced to the 1D autocorrelation of the row-flattened
 signal, whose candidates differ by flipping polynomial zero pairs. The
-grid's corner entry, or past eight flip units its last lag row, picks out
-the few candidates worth expanding, and the grid entries that the reduction
-sums away decide among them: the true signal, up to sign and half-turn
-rotation.
+grid's corner entry, or past eight flip units at full support its last lag
+row, picks out the few candidates worth expanding, and the grid entries
+that the reduction sums away decide among them: the true signal, up to sign
+and half-turn rotation.
 """
 
 import types

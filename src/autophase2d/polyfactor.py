@@ -270,35 +270,24 @@ def _multiply_factor_rows(coeffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_arrays(lowers) -> list[np.ndarray]:
-    """Per flip unit of _unit_lowers' pairs, its factor's lower coefficients unflipped
-    (row 0) and flipped (row 1): views of one two-row array, every unit's unflipped
-    coefficients in unit order, then every unit's flipped ones."""
-    table = np.array([sum((pair[flipped] for pair in lowers), ()) for flipped in (0, 1)])
-    views, k = [], 0
-    for unflipped, _ in lowers:
-        views.append(table[:, k:k + len(unflipped)])
-        k += len(unflipped)
-    return views
-
-
-def _zero_product_table(factors, pinned: bool) -> np.ndarray:
+def _zero_product_table(lowers, pinned: bool) -> np.ndarray:
     """Ascending coefficients of prod (z - beta), in real arithmetic, of every mask
-    over the units whose _factor_arrays are `factors`, in ascending mask order
+    over the units whose _unit_lowers' pairs are `lowers`, in ascending mask order
     (bit k of a mask flips unit k).
 
-    Built by doubling: unit k's two factors are applied to the table of units
-    0..k-1, the unflipped product on top. With `pinned` the first unit stays
+    Built by doubling: unit k's pair, as a two-row array (unflipped on top), is
+    applied to the table of units 0..k-1. With `pinned` the first unit stays
     unflipped, which halves the table.
     """
-    if not factors:
+    if not lowers:
         return np.ones((1, 1))
-    first = factors[0][:1 if pinned else 2]
+    first = np.array(lowers[0][:1 if pinned else 2])
     # unit 0 applied to the empty product 1, as a doubling step computes it:
     # 0.0 + beta * 1.0, which is beta with a -0.0 turned into 0.0
     table = np.ones((first.shape[0], first.shape[1] + 1))
     np.add(first, 0.0, out=table[:, :-1])
-    for choices in factors[1:]:
+    for pair in lowers[1:]:
+        choices = np.array(pair)
         table = _multiply_factor_rows(table, choices[:, None]).reshape(
             -1, table.shape[1] + choices.shape[1])
     return table

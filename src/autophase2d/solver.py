@@ -28,7 +28,6 @@ from .polyfactor import (
     _autocorr_rows,
     _constraint_products,
     _eigvals,
-    _factor_arrays,
     _residual_rows,
     _scale_row,
     _scale_rows,
@@ -39,8 +38,10 @@ from .reduction import _constraint_entries, _reduce_entries
 
 DEFAULT_TOL_RESID = 1e-6
 DEFAULT_TOL_MATCH = 1e-6
-# Past this many flip units solve and census use the half tables; at or below
-# it one full table costs less than two half tables plus re-expansion.
+# Up to this many flip units solve and census take one full table; past it solve
+# joins on the edge row (half tables at a zero endpoint), census takes half tables.
+# tools/regime_timing.py (README, 2 cores): a solve at u = 5 took 227 us by the full
+# table and 260 by the join; at u = 9, 387 us by the join and 463 by the full table.
 CROSSOVER_UNITS = 8
 # Largest candidate count (2^(u-1)) the half-table path takes on.
 CANDIDATE_BUDGET = 1 << 27
@@ -89,16 +90,6 @@ def _units(r: Autocorr1D, opts: SolverOptions, join: bool = False):
     return core, _unit_lowers(pairing), pairing.scale
 
 
-def _arrays(found):
-    """_units' result with the flip units as their _factor_arrays."""
-    return found and (found[0], _factor_arrays(found[1]), found[2])
-
-
-def _factor(r: Autocorr1D, opts: SolverOptions):
-    """_arrays of _units(r, opts): None if r == 0."""
-    return _arrays(_units(r, opts))
-
-
 def _refuse_beyond(count: int, budget: int, what: str) -> None:
     if count > budget:
         raise SearchSpaceTooLarge(f"{count} {what} exceed the budget of {budget}")
@@ -145,21 +136,22 @@ def _gated_table(masks: np.ndarray, vals: np.ndarray, core: Autocorr1D, m: int,
     return masks, vals, residuals
 
 
-def _full_table(r: Autocorr1D, factors, tol_resid: float):
-    """(masks, signals, residuals) of every candidate, from one full table."""
-    if factors is None:
+def _full_table(r: Autocorr1D, found, tol_resid: float):
+    """(masks, signals, residuals) of every candidate, from one full table of
+    _units' `found`."""
+    if found is None:
         return np.zeros(1, np.int64), np.zeros((1, r.m)), np.zeros(1)
-    count = 1 << max(len(factors[1]) - 1, 0)
+    core, lowers, scale = found
+    count = 1 << max(len(lowers) - 1, 0)
     _refuse_beyond(count * r.m, MATERIALIZE_BUDGET, "candidate entries")
     masks = np.arange(count, dtype=np.int64) << 1
-    table = _scale_rows(_zero_product_table(factors[1], pinned=True), factors[2])
-    return _gated_table(masks, table, factors[0], r.m, tol_resid)
+    table = _scale_rows(_zero_product_table(lowers, pinned=True), scale)
+    return _gated_table(masks, table, core, r.m, tol_resid)
 
 
-def _split(factors) -> bool:
-    """Whether solve and census take the half tables; up to the crossover one
-    full table costs less."""
-    return factors is not None and len(factors[1]) > CROSSOVER_UNITS
+def _split(found) -> bool:
+    """Whether solve and census go past the full table (see CROSSOVER_UNITS)."""
+    return found is not None and len(found[1]) > CROSSOVER_UNITS
 
 
 class _Halves:
@@ -174,14 +166,14 @@ class _Halves:
     row 0's, and candidate 0, A row 0 times B row 0, must reproduce r.
     """
 
-    def __init__(self, factors):
-        _, units, self.scale = factors
-        u = len(units)
+    def __init__(self, found):
+        _, lowers, self.scale = found
+        u = len(lowers)
         self.total = 1 << (u - 1)
         _refuse_beyond(self.total, CANDIDATE_BUDGET, "candidates")
         self.a = (u - 1) // 2
-        self.A = _zero_product_table(units[:self.a + 1], pinned=True)
-        self.B = _zero_product_table(units[self.a + 1:], pinned=False)
+        self.A = _zero_product_table(lowers[:self.a + 1], pinned=True)
+        self.B = _zero_product_table(lowers[self.a + 1:], pinned=False)
 
     def masks(self, j: np.ndarray, i: np.ndarray) -> np.ndarray:
         return (j << (self.a + 1)) | (i << 1)
@@ -468,7 +460,7 @@ def enumerate_candidates(r: Autocorr1D, opts: SolverOptions | None = None) -> Ca
     """
     opts = opts or SolverOptions()
     # gated rows: int64 masks, a (k, m) float table with m >= 1, k float residuals
-    return _trusted(Candidates, *_full_table(r, _factor(r, opts), opts.tol_resid))
+    return _trusted(Candidates, *_full_table(r, _units(r, opts), opts.tol_resid))
 
 
 def filter_by_constraint(
@@ -479,10 +471,14 @@ def filter_by_constraint(
     scale_floor: float = 0.0,
 ) -> Candidates:
     """Candidates whose constraint product lies within tol_match * max(|c|,
-    scale_floor) of c (all when tol_match is infinite), in the original order."""
+    scale_floor) of c (all when tol_match is infinite), in the original order.
+    tol_match must be >= 0, and scale_floor finite and >= 0."""
     m = candidates.values.shape[1]
     if m != n * n or candidates.f_values is None:
         raise ValueError(f"candidate length {m} is not {n}x{n} with n >= 2")
+    if not (tol_match >= 0 and 0 <= scale_floor < math.inf):  # nan fails both
+        raise ValueError(f"tol_match must be >= 0 and scale_floor finite and >= 0, "
+                         f"got {tol_match!r} and {scale_floor!r}")
     keep = (np.ones(len(candidates), dtype=bool) if math.isinf(tol_match) else
             np.abs(candidates.f_values - c) <= tol_match * max(abs(c), scale_floor))
     # rows of a checked table, each a fresh copy by boolean indexing
@@ -516,31 +512,31 @@ class SolveReport:
 
 def _survivors(R: Autocorr2D, r: Autocorr1D, c: float, opts: SolverOptions):
     """Candidate count, then (masks, signals, residuals) of the candidates the grid
-    decides among: the join's hits past the crossover at full support, else those
-    whose corner product lies within the grid's bound on the corner entry,
-    GRID_RTOL * max|r| of c (see _grid_fits)."""
+    decides among: up to the crossover, the full table's rows whose corner product
+    lies within the grid's bound on the corner entry, GRID_RTOL * max|r| of c (see
+    _grid_fits); past it, the join's hits at full support, else the half-table
+    candidates whose corner product lies in that band."""
     found = _units(r, opts, join=True)
-    if _split(found) and found[0] is r:
-        return _joined(R, found, opts.tol_resid)
-    factors = _arrays(found)
     bound = GRID_RTOL * r.max_abs
-    if not _split(factors):
-        masks, vals, residuals = _full_table(r, factors, opts.tol_resid)
+    if not _split(found):
+        masks, vals, residuals = _full_table(r, found, opts.tol_resid)
         # the same float product and test as the grid's on its corner: no fit is dropped
         keep = np.abs(_constraint_products(vals) - c) <= bound
         return masks.size, (masks[keep], vals[keep], residuals[keep])
-
-    # Half-table products differ from the rows' by rounding, within 2.3e-13 * max|r|
-    # (README), far inside the band. Only the rows expanded are checked against r, as
-    # the join checks its hits, and they are expanded as the join expands them.
-    halves = _Halves(factors)
-    masks = []
-    with np.errstate(invalid="ignore"):  # the products of an inf or nan row lie in no band
-        for j0, f in halves.products(R.n):  # every chunk's hits are counted before any expansion
-            j, i = np.nonzero(np.abs(f - c) <= bound)
-            _refuse_beyond((len(masks) + i.size) * r.m, MATERIALIZE_BUDGET, "survivor entries")
-            masks += halves.masks(j + j0, i).tolist()
-    return halves.total, _expanded(masks, found, r.m, opts.tol_resid)
+    elif found[0] is r:
+        return _joined(R, found, opts.tol_resid)
+    else:
+        # Half-table products differ from the rows' by rounding, within 2.3e-13 * max|r|
+        # (README), far inside the band. Only the rows expanded are checked against r, as
+        # the join checks its hits, and they are expanded as the join expands them.
+        halves = _Halves(found)
+        masks = []
+        with np.errstate(invalid="ignore"):  # the products of an inf or nan row lie in no band
+            for j0, f in halves.products(R.n):  # all hits are counted before any expansion
+                j, i = np.nonzero(np.abs(f - c) <= bound)
+                _refuse_beyond((len(masks) + i.size) * r.m, MATERIALIZE_BUDGET, "survivor entries")
+                masks += halves.masks(j + j0, i).tolist()
+        return halves.total, _expanded(masks, found, r.m, opts.tol_resid)
 
 
 def solve_2d(R: Autocorr2D, opts: SolverOptions | None = None) -> SolveReport:
@@ -617,14 +613,14 @@ def ambiguity_census(r: Autocorr1D, n: int, opts: SolverOptions | None = None) -
     if n < 2:
         raise ValueError("constraint product needs n >= 2")
     opts = opts or SolverOptions()
-    factors = _factor(r, opts)
-    if not _split(factors):
-        _, vals, _ = _full_table(r, factors, opts.tol_resid)
+    found = _units(r, opts)
+    if not _split(found):
+        _, vals, _ = _full_table(r, found, opts.tol_resid)
         return _census_from_products(_constraint_products(vals), n)
-    halves = _Halves(factors)
-    halves._gate(factors[0], opts.tol_resid)
-    # one value per candidate, then a CSV line each: the budget of enumerate
-    _refuse_beyond(halves.total * r.m, MATERIALIZE_BUDGET, "candidate entries")
+    # one value per candidate, then a CSV line each: the budget of enumerate, before any table
+    _refuse_beyond((1 << (len(found[1]) - 1)) * r.m, MATERIALIZE_BUDGET, "candidate entries")
+    halves = _Halves(found)
+    halves._gate(found[0], opts.tol_resid)
     products = np.empty(halves.total)
     for j0, f in halves.products(n):
         products[j0 * f.shape[1]:(j0 + f.shape[0]) * f.shape[1]] = f.ravel()

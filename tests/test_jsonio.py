@@ -1,10 +1,11 @@
+import collections
 import contextlib
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from autophase2d import jsonio
@@ -575,6 +576,24 @@ def written(write, doc):
         return f"ValueError: {err}"
 
 
+class FloatList(list):
+    pass
+
+
+class Row(tuple):
+    pass
+
+
+class Text(str):
+    pass
+
+
+# subclasses of dict, list, tuple and str take the walk's isinstance branches
+@example({"subclass": collections.OrderedDict([("%b", 1.5), ("a", [2.0, None, "%"])])})
+@example({"subclass": FloatList(float_list(0, 7))})  # below KERNEL_CELLS
+@example({"subclass": FloatList(float_list(1, KERNEL_CELLS))})  # at it
+@example({"subclass": Row((1.5, "x%", 2, [0.25]))})
+@example({"subclass": Text("50% of %s")})
 @given(documents())
 def test_one_walk_gives_the_reference_writers_bytes(doc):
     assert dumps(doc) == reference_dumps(doc)

@@ -31,10 +31,10 @@ from autophase2d import (
     trivially_equivalent_1d,
 )
 from autophase2d import polyfactor
+from autophase2d.solver import _expand_masks
 from autophase2d.polyfactor import (
     _autocorr_rows,
     _chebyshev_roots,
-    _factor_arrays,
     _unit_lowers,
     _zero_product_table,
 )
@@ -422,7 +422,7 @@ def test_real_expansion_matches_np_poly(m, seed):
     _, zp, fu = seeded_units(m, seed)
     kinds = {type(u) for u in fu.units}
     assert kinds == {RealZero, ConjugatePair}
-    got = _zero_product_table(_factor_arrays(_unit_lowers(zp)), pinned=False)  # every mask, ascending
+    got = _zero_product_table(_unit_lowers(zp), pinned=False)  # every mask, ascending
     assert got.dtype == np.float64 and got.shape[0] == 1 << fu.unit_count
     for mask, row in enumerate(got):
         want = np.poly(np.array(betas(fu, mask)))[::-1]
@@ -431,16 +431,15 @@ def test_real_expansion_matches_np_poly(m, seed):
 
 
 def assert_factor_rows(zp):
-    """_factor_arrays of zp's coefficient pairs holds each unit's factor(False) and
-    factor(True), bit for bit."""
-    units = group_flip_units(zp).units
-    arrays = _factor_arrays(_unit_lowers(zp))
-    assert len(arrays) == len(units)
-    for unit, choices in zip(units, arrays):
-        assert choices.shape == (2, 1 if isinstance(unit, RealZero) else 2)
-        for flipped in (False, True):
-            want = unit.factor(flipped)
-            assert choices[int(flipped)].tobytes() == struct.pack(f"{len(want)}d", *want)
+    """_zero_product_table of zp's coefficient pairs, pinned and not, applies each
+    unit's factor(False) and factor(True): every row is, bit for bit, the row that
+    solver._expand_masks gives for its mask from the unit objects' factors."""
+    want = factor_pairs(group_flip_units(zp).units)
+    for pinned in (True, False):
+        table = _zero_product_table(_unit_lowers(zp), pinned)
+        assert table.shape == (1 << (len(want) - pinned), 1 + sum(len(a) for a, _ in want))
+        masks = (np.arange(table.shape[0]) << pinned).tolist()
+        assert table.tobytes() == np.array(_expand_masks(want, masks)).tobytes()
 
 
 @pytest.mark.parametrize("m,seed", MIXED_UNIT_CASES)
@@ -461,6 +460,8 @@ def signed_zero_pairing():
 def test_factor_arrays_keep_signed_zeros():
     zp = signed_zero_pairing()
     assert {type(u) for u in group_flip_units(zp).units} == {RealZero, ConjugatePair}
+    # the -0.0 coefficients reach the table: unit 0's lower coefficient among them
+    assert np.signbit(_unit_lowers(zp)[0][0][1])
     assert_factor_rows(zp)
 
 

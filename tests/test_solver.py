@@ -195,6 +195,19 @@ def test_filter_rejects_candidates_of_the_wrong_length(golden_r):
                    np.r_[golden.autocorr_residuals, short.autocorr_residuals])
 
 
+@pytest.mark.parametrize("tol_match, scale_floor", [
+    (math.nan, 0.0), (-1.0, 0.0), (1e-6, math.nan), (1e-6, -1.0), (1e-6, math.inf)])
+def test_filter_refuses_tolerances_that_select_silently(tol_match, scale_floor):
+    # a nan or negative tol_match gave no row, a nan or negative scale_floor was ignored
+    R = autocorr_2d(planted(3, 0))
+    candidates = enumerate_candidates(reduce_2d_to_1d(R))
+    with pytest.raises(ValueError, match="tol_match must be >= 0 and scale_floor finite"):
+        filter_by_constraint(candidates, key_constraint(R), 3, tol_match, scale_floor)
+    # an infinite tol_match keeps every row, whatever the floor
+    kept = filter_by_constraint(candidates, key_constraint(R), 3, math.inf, 1e6)
+    assert_same_table(kept, candidates)
+
+
 # --- end-to-end solve -----------------------------------------------------------
 
 
@@ -382,7 +395,7 @@ def test_probe_validates_arguments():
 
 
 def factors_of(x):
-    return solver._factor(autocorr_1d(Signal1D(np.asarray(x, dtype=float))), SolverOptions())
+    return solver._units(autocorr_1d(Signal1D(np.asarray(x, dtype=float))), SolverOptions())
 
 
 def planted(n, seed):
@@ -394,13 +407,13 @@ def integer_planted(n, seed):
 
 
 def unit_count(R):
-    return len(solver._factor(reduce_2d_to_1d(R), SolverOptions())[1])
+    return len(solver._units(reduce_2d_to_1d(R), SolverOptions())[1])
 
 
 def joins(R):
     """Whether solve_2d takes its survivors from the edge-row join: past the
     crossover, at full support."""
-    core, units, _ = solver._factor(reduce_2d_to_1d(R), SolverOptions())
+    core, units, _ = solver._units(reduce_2d_to_1d(R), SolverOptions())
     return len(units) > solver.CROSSOVER_UNITS and core.m == R.n * R.n
 
 
@@ -424,8 +437,8 @@ def test_doubling_table_matches_per_mask_expansion(n):
         assert core.m == 13
     elif n in ("signed-1", "signed-3"):  # units whose lower coefficients hold -0.0, unit 0's too
         signed = (polyfactor.ConjugatePair(2j), polyfactor.RealZero(-0.5), polyfactor.ConjugatePair(3j))
-        units = polyfactor._factor_arrays(factor_pairs(signed[:int(n[-1])]))
-        assert np.signbit(units[0][0, 1])
+        units = factor_pairs(signed[:int(n[-1])])
+        assert np.signbit(units[0][0][1])
     else:
         _, units, _ = factors_of(planted(n, 0).values.reshape(-1))
 
@@ -433,7 +446,6 @@ def test_doubling_table_matches_per_mask_expansion(n):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
     # the join and the corner scan expand their survivors on Python floats
-    lowers = [(tuple(f[0].tolist()), tuple(f[1].tolist())) for f in units]
     tables = [(True, solver._zero_product_table(units, pinned=True))]
     if len(units) <= 12:  # every mask, unit 0 flipped as well
         tables.append((False, solver._zero_product_table(units, pinned=False)))
@@ -443,7 +455,7 @@ def test_doubling_table_matches_per_mask_expansion(n):
             sample = np.random.default_rng(len(units)).integers(64, rows.size - 64, 256)
             rows = np.unique(np.concatenate([rows[:64], rows[-64:], sample]))
         masks = (rows << int(pinned)).tolist()  # a pinned table's masks leave bit 0 clear
-        assert same_bits(table[rows], np.array(solver._expand_masks(lowers, masks)))
+        assert same_bits(table[rows], np.array(solver._expand_masks(units, masks)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, "trimmed", "signed-1", "signed-3"])
@@ -453,8 +465,7 @@ def test_python_scaling_matches_scale_rows(n):
     that _expanded scales and gates are the full table's rows, padded alike."""
     if n in ("signed-1", "signed-3"):  # rows holding -0.0; z - 2 makes half the constants negative
         signed = (polyfactor.ConjugatePair(2j), polyfactor.RealZero(-0.5), polyfactor.ConjugatePair(3j))
-        units = polyfactor._factor_arrays(factor_pairs(signed[:int(n[-1])]
-                                                       + (polyfactor.RealZero(2.0),)))
+        units = factor_pairs(signed[:int(n[-1])] + (polyfactor.RealZero(2.0),))
         scale, r = -2.5, None
     else:
         if n == "trimmed":  # the vanishing extreme lags are trimmed, and padded back
@@ -465,7 +476,7 @@ def test_python_scaling_matches_scale_rows(n):
         r = autocorr_1d(Signal1D(x))
         found = solver._units(r, SolverOptions())
         assert found[0].m == (13 if n == "trimmed" else r.m)
-        units, scale = polyfactor._factor_arrays(found[1]), found[2]
+        units, scale = found[1], found[2]
     assert len(units) <= 12
     negative = 0
     for pinned in (True, False):
@@ -476,7 +487,7 @@ def test_python_scaling_matches_scale_rows(n):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert negative or n == 2  # planted(2, 0) has two units with positive constants
     if r is not None:  # every candidate as survivors, against the numpy route
-        want = solver._full_table(r, solver._arrays(found), 1e-6)
+        want = solver._full_table(r, found, 1e-6)
         got = solver._expanded(want[0].tolist(), found, r.m, 1e-6)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -785,8 +796,8 @@ def test_census_answers_the_n6_zero_endpoint():
 
 def test_half_rows_that_miss_r_fail_every_candidate():
     # each half row agrees with its row 0, but row 0 times row 0 misses r by 1e-3
-    core, units, scale = solver._factor(reduce_2d_to_1d(autocorr_2d(planted(4, 0))),
-                                        SolverOptions())
+    core, units, scale = solver._units(reduce_2d_to_1d(autocorr_2d(planted(4, 0))),
+                                       SolverOptions())
     assert len(units) > solver.CROSSOVER_UNITS
     wrong = Autocorr1D.from_nonneg(core.nonneg * (1 + 1e-3))
     with pytest.raises(ResidualExceeded) as info:
@@ -853,6 +864,19 @@ def test_n7_enumeration_is_refused_before_allocating(monkeypatch):
     assert peak < 32 * 2**20
 
 
+def test_oversized_census_is_refused_before_any_table(monkeypatch):
+    # 256 candidates of 16 entries: the refusal comes from the unit count, before
+    # the half tables are built and gated
+    R = autocorr_2d(planted(4, 0))
+    assert unit_count(R) == 9
+    monkeypatch.setattr(solver, "MATERIALIZE_BUDGET", 256 * 16 - 1)
+    monkeypatch.setattr(solver, "_zero_product_table",
+                        lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^4096 candidate entries exceed the budget of 4095$"):
+        ambiguity_census(reduce_2d_to_1d(R), 4)
+
+
 def test_loose_n7_solve_counts_every_chunk_before_expanding(monkeypatch):
     # the survivor count is refused before any hit is expanded to a row; expanding each
     # chunk's hits as they come would hold rows for every chunk before the refusal.
@@ -899,7 +923,7 @@ def test_half_table_chunks_join_seamlessly(monkeypatch):
 
 
 def test_n6_enumeration_fits_the_budget():
-    _, units, _ = solver._factor(reduce_2d_to_1d(autocorr_2d(planted(6, 0))), SolverOptions())
+    _, units, _ = solver._units(reduce_2d_to_1d(autocorr_2d(planted(6, 0))), SolverOptions())
     assert (1 << (len(units) - 1)) * 36 <= solver.MATERIALIZE_BUDGET
 
 
@@ -940,7 +964,7 @@ def test_benchmark_traced_call_chain():
     matches = ap.filter_by_constraint(cands, c, n, tol["tol_match"], tol["scale_floor"])
     text = jsonio.dumps(report.to_dict())
 
-    assert P is r and 0 <= conjugate <= fu.unit_count == len(solver._factor(r, SolverOptions())[1])
+    assert P is r and 0 <= conjugate <= fu.unit_count == len(solver._units(r, SolverOptions())[1])
     assert len(cands) == report.candidates_total == 1 << (fu.unit_count - 1)
     assert_same_table(matches, report.matches)
     assert report.unique and trivially_equivalent_2d(report.solution, X, 1e-6)
