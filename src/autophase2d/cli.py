@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -174,16 +173,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     settings = {key: pick(key, kind) for key, (kind, _) in _SETTINGS.items()}
     if settings["output"] is None:
         settings["output"] = "-"
-    tolerances = {}
-    for name, (default, _) in _TOLERANCES.items():
-        value = pick(name, float)
-        value = default if value is None else value
-        if not value > 0:  # nan fails too
-            raise ConfigError(f"{name} must be positive, got {value}")
-        if value == math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-        tolerances[name] = value
-    cfg = argparse.Namespace(command=args.command, options=SolverOptions(**tolerances), **settings)
+    tolerances = {name: value for name in _TOLERANCES if (value := pick(name, float)) is not None}
+    try:
+        options = SolverOptions(**tolerances)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    cfg = argparse.Namespace(command=args.command, options=options, **settings)
     _validate(cfg)
     return cfg
 

@@ -1,19 +1,18 @@
 """Deterministic JSON and CSV encoding plus input loaders.
 
 Floats are always written with 17 significant digits so identical runs
-produce identical bytes and values round-trip exactly. Each table of floats
-(a list of floats, a candidate table, a census) is checked for inf and nan
-once, then written from its layout: column separators, a head and a tail.
-A document is walked once into one "%" template, which takes every float
-outside a table of KERNEL_CELLS floats or more; such a table is written by a
-vectorized kernel that gives the same bytes.
+produce identical bytes and values round-trip exactly. A document is walked
+once into one "%" template. Each table of floats (a list of floats, a
+candidate table, a census) is checked for inf and nan, then written from its
+layout (column separators, a head and a tail); _table writes those held as
+arrays: below KERNEL_CELLS floats into the template, from it on by a
+vectorized kernel that gives the same bytes, one piece per chunk.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,17 +42,10 @@ def require_finite(a: np.ndarray) -> None:
         format_float(float(a[~finite][0]))
 
 
-def _require_finite_floats(values) -> None:
-    """require_finite for an iterable of Python floats, without an array."""
-    values = list(values)
-    if not all(map(math.isfinite, values)):
-        format_float(next(v for v in values if not math.isfinite(v)))
-
-
 # A cell's text fills four little-endian uint64 words, NUL wherever a
 # character is absent. Word 0 holds the sign, the prefix "0.000" and T[0:2];
 # words 1 and 2 hold T[2:18]; word 3 holds "e+XX" in its low four bytes and,
-# in its high four, what follows the cell or a mark for it (see _text). T is
+# in its high four, what follows the cell or a mark for it (see _table). T is
 # the 17 digits with the point inserted after one of them, cut after the last
 # digit kept.
 _SLOT_WORDS = 3  # the words that are the cell's alone
@@ -237,27 +229,29 @@ def _layout(seps: tuple, last: str) -> tuple[np.ndarray, tuple]:
     return _freeze(_words(ends)[:, 0]), tuple(marks.items())
 
 
-def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
-          blank: np.ndarray | None = None) -> str:
-    """head, then the text of each float of the 2-d table `cells` followed by
-    its column's separator from `seps`; the final separator is replaced by
-    `last`, and a cell that `blank` marks is written as nothing.
+def _table(cells: np.ndarray, seps: list[str], head: str, last: str,
+           fmt: list, args: list, pieces: list, blank: np.ndarray | None = None) -> None:
+    """Add head, then each float of the finite 2-d table `cells` followed by its
+    column's separator from `seps`, the final one replaced by `last`; a cell
+    that `blank` marks is written as nothing.
 
-    Below KERNEL_CELLS cells one "%" fills a template of the layout, from the
-    cells' Python floats. From KERNEL_CELLS on, each cell takes _SLOT_WORDS + 1
-    words of one buffer per chunk of at most CHUNK_PRODUCTS cells (whole rows);
-    head goes before the first. Word 3 of each cell ends with its separator or
-    its mark (see _layout); translate drops every NUL, then replace puts each
-    separator in place of its mark."""
+    Below KERNEL_CELLS cells the layout joins the template: a FLOAT slot per
+    cell, "%.0s" (which takes the value and writes nothing) for a blank one.
+    From KERNEL_CELLS on, the stretch is flushed and each chunk of at most
+    CHUNK_PRODUCTS cells (whole rows), head before the first, is one piece:
+    each cell takes _SLOT_WORDS + 1 words of its buffer, word 3 ending with the
+    separator or its mark (see _layout); translate drops every NUL, then
+    replace puts each separator in place of its mark."""
     if cells.size < KERNEL_CELLS:
-        pieces = [FLOAT + sep for sep in seps] * (cells.size // len(seps))
+        slots = [FLOAT + sep for sep in seps] * len(cells)
         for k in [] if blank is None else np.flatnonzero(blank).tolist():
-            pieces[k] = "%.0s" + seps[k % len(seps)]  # takes the cell's value, writes nothing
-        text = head + "".join(pieces)
-        return (text[:len(text) - len(seps[-1])] + last) % tuple(cells.ravel().tolist())
+            slots[k] = "%.0s" + seps[k % len(seps)]
+        fmt.append(head + "".join(slots)[:-len(seps[-1])] + last)
+        args += cells.ravel().tolist()
+        return
+    _flush(fmt, args, pieces)
     ends, marks = _layout(tuple(seps), last)
     step = max(1, CHUNK_PRODUCTS // len(seps))
-    text = ""
     for start in range(0, len(cells), step):
         chunk = cells[start:start + step]
         lead = b"" if start else head.encode()
@@ -278,26 +272,24 @@ def _text(cells: np.ndarray, seps: list[str], head: str, last: str,
         del data
         for sep, mark in marks:
             part = part.replace(mark, sep)
-        # CPython grows a str that only this name holds in place, so no chunk's
-        # text is kept apart and no join copies them all
-        text += part.decode("ascii")
-        del part
-    return text
+        pieces.append(part.decode("ascii"))
+        del part  # freed before the next chunk's buffer is made
 
 
 # --- documents ------------------------------------------------------------------
 # dump_pieces walks a document once. Its text goes to a template, `fmt`, with a
 # FLOAT slot for each float, whose value goes to `args`, and every "%" of a key
 # or string doubled; a table of KERNEL_CELLS floats or more ends the stretch,
-# which one "%" fills into `pieces`, and adds the kernel's text after it. A
+# which one "%" fills into `pieces`, and adds the kernel's chunks after it. A
 # non-finite float raises format_float's ValueError where it is added, so the
 # first in document order is named.
 
 
 def _flush(fmt: list, args: list, pieces: list) -> None:
-    pieces.append("".join(fmt) % tuple(args))
-    fmt.clear()
-    args.clear()
+    if fmt:
+        pieces.append("".join(fmt) % tuple(args))
+        fmt.clear()
+        args.clear()
 
 
 def _quoted(s: str) -> str:
@@ -306,32 +298,24 @@ def _quoted(s: str) -> str:
 
 
 def _candidates(table: Candidates, fmt: list, args: list, pieces: list) -> None:
-    """JSON array of one candidate object per row. Masks pass through floats:
-    exact below 2^53 (the solver's are below 2^28), where "%.17g" writes them
-    as %d does. A table of fewer than KERNEL_CELLS cells joins the template as
-    the Python numbers of its rows, without an array of its own; non-finite
-    values are named values first, then residuals, then f_values."""
+    """JSON array of one candidate object per row, from the stacked columns.
+    Masks pass through floats: exact below 2^53 (the solver's are below 2^28),
+    where "%.17g" writes them as %d does. Only when one check of the table
+    fails are the columns checked, naming the first non-finite value of the
+    values, then the residuals, then the f_values."""
+    if not len(table):  # an empty table is "[]"
+        fmt.append("[]")
+        return
     f = table.f_values
     tail = [table.autocorr_residuals] if f is None else [table.autocorr_residuals, f]
     end = ', "f_value": null}' if f is None else "}"
     seps = ([", "] * (table.values.shape[1] - 1) + ['], "flips": ', ', "autocorr_residual": ']
             + ([] if f is None else [', "f_value": ']) + [end + ', {"values": ['])
-    head, last = '[{"values": [', end + "]"
-    if len(table) * len(seps) >= KERNEL_CELLS and len(table):
+    cells = np.column_stack([table.values, table.flips, *tail])
+    if not np.isfinite(cells).all():
         for a in [table.values, *tail]:
             require_finite(a)
-        _flush(fmt, args, pieces)
-        pieces.append(_text(np.column_stack([table.values, table.flips, *tail]), seps, head, last))
-        return
-    rows, *columns = (a.tolist() for a in [table.values, *tail])
-    for floats in [chain.from_iterable(rows), *columns]:
-        _require_finite_floats(floats)
-    if not rows:  # an empty table is "[]"
-        fmt.append("[]")
-        return
-    text = head + "".join([FLOAT + sep for sep in seps]) * len(rows)
-    fmt.append(text[:len(text) - len(seps[-1])] + last)
-    args += [v for row, *rest in zip(rows, table.flips.tolist(), *columns) for v in (*row, *rest)]
+    _table(cells, seps, '[{"values": [', end + "]", fmt, args, pieces)
 
 
 def _array(obj, fmt: list, args: list, pieces: list) -> None:
@@ -340,10 +324,10 @@ def _array(obj, fmt: list, args: list, pieces: list) -> None:
         if len(obj) >= KERNEL_CELLS:
             a = np.array(obj)[:, None]
             require_finite(a)
-            _flush(fmt, args, pieces)
-            pieces.append(_text(a, [", "], "[", "]"))
+            _table(a, [", "], "[", "]", fmt, args, pieces)
         else:
-            _require_finite_floats(obj)
+            if not all(map(math.isfinite, obj)):
+                format_float(next(v for v in obj if not math.isfinite(v)))
             fmt.append("[" + ", ".join([FLOAT] * len(obj)) + "]")
             args += obj
         return
@@ -439,7 +423,10 @@ def census_csv(census) -> str:
     blank[:, 2] = np.isnan(g)
     g[blank[:, 2]] = 0.0
     require_finite(g)
-    return _text(cells, [",", ",", "\n"], "index,d,log_gap\n", "\n", blank)
+    fmt, args, pieces = [], [], []
+    _table(cells, [",", ",", "\n"], "index,d,log_gap\n", "\n", fmt, args, pieces, blank)
+    _flush(fmt, args, pieces)
+    return "".join(pieces)
 
 
 def _strays(value: list) -> bool:

@@ -74,6 +74,13 @@ class SolverOptions:
     tol_pair: float = DEFAULT_TOL_PAIR
     tol_resid: float = DEFAULT_TOL_RESID
 
+    def __post_init__(self):
+        for name, value in self.__dict__.items():  # in field order
+            if not value > 0:  # nan fails too
+                raise ValueError(f"{name} must be positive, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
     def to_dict(self) -> dict:
         return self.__dict__.copy()
 

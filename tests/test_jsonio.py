@@ -171,6 +171,8 @@ def test_kernel_chunks_join_seamlessly(monkeypatch):
         assert [dumps(table), dumps(wide), census_csv(census)] == texts
     # chunks of 100 floats, of 14 rows of 7 cells, of one 603-cell row, of 33 rows of 3
     assert len(calls) == 30 + 2 * 15 + 22 + 3 + 10
+    pieces = jsonio.dump_pieces(table)  # one piece per chunk, none joined to another
+    assert len(pieces) == 22 and "".join(pieces) == texts[0]
 
 
 def layout_cases():
@@ -212,15 +214,15 @@ def test_one_layout_two_fillers(monkeypatch, name):
 def test_no_layout_holds_a_mark_byte(monkeypatch):
     """The kernel marks a separator longer than four bytes by a control byte
     1, 2, ..., one per distinct separator; no layout may hold one itself.
-    With KERNEL_CELLS at 0 every table reaches _text's kernel."""
+    With KERNEL_CELLS at 0 every table reaches _table's kernel."""
     layouts = []
-    text = jsonio._text
+    table = jsonio._table
 
-    def spy(cells, seps, head, last, blank=None):
+    def spy(cells, seps, head, last, fmt, args, pieces, blank=None):
         layouts.append((seps, head, last))
-        return text(cells, seps, head, last, blank)
+        table(cells, seps, head, last, fmt, args, pieces, blank)
 
-    monkeypatch.setattr(jsonio, "_text", spy)
+    monkeypatch.setattr(jsonio, "_table", spy)
     monkeypatch.setattr(jsonio, "KERNEL_CELLS", 0)
     for obj in LAYOUT_CASES.values():
         census_csv(obj) if isinstance(obj, CensusData) else dumps(obj)

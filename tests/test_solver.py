@@ -75,6 +75,20 @@ def test_solver_options_defaults():
         (f.name, getattr(opts, f.name)) for f in dataclasses.fields(SolverOptions)]
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("name", ["tol_root", "tol_pair", "tol_resid"])
+def test_solver_options_refuse_what_the_cli_refuses(name, value):
+    # a zero or negative tol_pair disabled the unit-circle band, a nan one refused every zero
+    detail = "positive and finite" if value == math.inf else "positive"
+    with pytest.raises(ValueError, match=rf"^{name} must be {detail}, got {value}$"):
+        SolverOptions(**{name: value})
+    # the fields are checked in their order
+    with pytest.raises(ValueError, match="^tol_root "):
+        SolverOptions(tol_root=value, tol_pair=value, tol_resid=value)
+    with pytest.raises(ValueError, match="^tol_pair "):
+        SolverOptions(tol_pair=value, tol_resid=-value)
+
+
 # --- enumeration ----------------------------------------------------------------
 
 
