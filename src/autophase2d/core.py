@@ -30,13 +30,13 @@ CACHED_DFT_SIDE = 256
 # _lag_operator(m, n) while the operator holds at most this many entries,
 # ((2n-1)^2 + m^2) * m^2 (n <= 5 at m = 2n, 0.26 MB at most), and from the
 # complex product with the inverse DFT matrix past it. The cap rests on one
-# micro-timing, each call right after other work (tools/regime_timing.py
-# --front-end --rounds 300, 2 cores): the operator wins at 38 160 entries
-# (n = 6, m = 12: 43.8 against 46.6 us) and 49 010 (n = 6, m = 13: 53.3
-# against 54.4 us), and loses from 57 122 (n = 7, m = 13: 37.3 against
-# 34.2 us); the cap stays below the crossover. No perfbench workload solves
-# from magnitudes past the cap, so the product's side is not benchmarked end
-# to end; re-check the cap when one does.
+# micro-timing, each call followed by other work (tools/regime_timing.py
+# --front-end --rounds 300, 2 cores, two runs): the operator wins at every
+# size up to 49 010 entries (n = 6, m = 13: 16.6 and 18.7 against 18.6 and
+# 19.7 us), and loses from 57 122 (n = 7, m = 13) in one run and 62 132
+# (n = 6, m = 14) in the other; the cap stays below the crossover. No
+# perfbench workload solves from magnitudes past the cap, so the product's
+# side is not benchmarked end to end; re-check the cap when one does.
 LAG_OPERATOR_ENTRIES = 1 << 15
 
 

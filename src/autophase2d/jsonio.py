@@ -24,8 +24,8 @@ from .polyfactor import CHUNK_PRODUCTS, Candidates
 FLOAT = "%.17g"  # the same bytes as format(x, ".17g") for every finite float
 # Tables of at least this many floats are written by the kernel, smaller ones
 # by one "%" over a template. `tools/regime_timing.py --writer --cells N
-# --rounds 150`, N = 256..448 by 32: the kernel is the faster from 247 cells of
-# a candidate table (-5%) and from 384 of a census (-6%; +4% at 351).
+# --rounds 300`, N = 320..544 by 32: the kernel is the faster from 342 cells of
+# a candidate table (-4%; +5% at 304) and from about 414 of a census (0%; +4% at 384).
 KERNEL_CELLS = 352
 
 

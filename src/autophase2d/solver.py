@@ -40,8 +40,8 @@ DEFAULT_TOL_RESID = 1e-6
 DEFAULT_TOL_MATCH = 1e-6
 # Up to this many flip units solve and census take one full table; past it solve
 # joins on the edge row (half tables at a zero endpoint), census takes half tables.
-# tools/regime_timing.py (README, 2 cores): a solve at u = 5 took 227 us by the full
-# table and 260 by the join; at u = 9, 387 us by the join and 463 by the full table.
+# tools/regime_timing.py (README, 2 cores) measures u = 5 and 9 only, not 8: a solve from
+# magnitudes took 135 us by the full table and 149 by the join at u = 5, 223 and 192 at u = 9.
 CROSSOVER_UNITS = 8
 # Largest candidate count (2^(u-1)) the half-table path takes on.
 CANDIDATE_BUDGET = 1 << 27

@@ -88,9 +88,15 @@ def test_compare_outputs_pairs_records_by_name(monkeypatch, capsys):
 
 
 def test_regime_timing_reports_identical_solves():
-    done = run_tool("regime_timing.py", "--n", "3", "--seeds", "100", "--rounds", "2")
+    done = run_tool("regime_timing.py", "--workload", "small-n34", "--seeds", "100",
+                    "--rounds", "2")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "reports identical: True"
+    title, *units, verdict = done.stdout.splitlines()
+    assert title.startswith("8 inputs of small-n34, 2 rounds")
+    # the pool's two flip-unit counts, on either side of CROSSOVER_UNITS
+    assert [line.split(":")[0] for line in units] == ["u = 5", "u = 9"]
+    assert all(line.endswith(" of 2 rounds") for line in units)
+    assert verdict == "reports identical: True"
 
 
 def test_regime_timing_writer_reports_identical_texts():
@@ -150,8 +156,8 @@ def test_regime_timing_against_a_tree_reports_identical_solves():
 
 
 def test_regime_timing_against_a_tree_times_the_cli_commands():
-    done = run_tool("regime_timing.py", "--against", str(SRC), "--cli", "--seeds", "100",
-                    "--rounds", "2")
+    done = run_tool("regime_timing.py", "--against", str(SRC), "--workload", "cli-n4",
+                    "--seeds", "100", "--rounds", "2")
     assert done.returncode == 0, done.stderr
     title, *lines, wins, verdict = done.stdout.splitlines()
     assert title.startswith("4 inputs, 2 rounds")
@@ -171,12 +177,74 @@ def test_regime_timing_against_a_tree_times_the_cli_commands():
     assert verdict == "outputs identical: True"
 
 
-def test_regime_timing_counts_the_rounds_this_tree_was_lower(capsys, monkeypatch):
+def test_regime_timing_against_a_tree_runs_any_workload():
+    # mem-n6, the first pool beyond the two gated ones: n = 6, u = 18
+    done = run_tool("regime_timing.py", "--against", str(SRC), "--workload", "mem-n6",
+                    "--seeds", "1", "--rounds", "1")
+    assert done.returncode == 0, done.stderr
+    title, *sizes, wins, verdict = done.stdout.splitlines()
+    assert title.startswith("2 inputs, 1 rounds")
+    assert [line.split(":")[0] for line in sizes] == ["n = 6", "pool"]
+    assert wins in ["this tree lower in 0 of 1 rounds", "this tree lower in 1 of 1 rounds"]
+    assert verdict == "reports identical: True"
+
+
+def regime_timing(monkeypatch):
+    """The tool's module, loaded in this process."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on it
     spec = importlib.util.spec_from_file_location("regime_timing",
                                                   ROOT / "tools" / "regime_timing.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "MALLOPT", None)  # leave this process's allocator as it is
+    return tool
+
+
+def test_regime_timing_pairs_the_sides_by_round(monkeypatch):
+    tool = regime_timing(monkeypatch)
+    log = []
+
+    class Reference:
+        def run(self):
+            log.append("reference")
+            return 0.5
+
+    class Module:
+        CONSTANT = "default"
+
+    monkeypatch.setattr(tool, "Reference", Reference)
+
+    def call(value, item):
+        assert Module.CONSTANT == value  # the side's value is set before its call
+        log.append(("call", value, item))
+        return (value, item)
+
+    def output(value, result):
+        log.append(("output", value, result))
+        return f"{value}{result[1]}"
+
+    calls, outputs = tool.paired({"a": "A", "b": "B"}, [1, 2], call, output, 3,
+                                 (Module, "CONSTANT"))
+    assert Module.CONSTANT == "default"
+    # the warm-up round keeps every output; no timed round asks for one
+    assert outputs == {"a": ["A1", "A2"], "b": ["B1", "B2"]}
+    assert log[:8] == [entry for side in "AB" for item in (1, 2)
+                       for entry in (("call", side, item), ("output", side, (side, item)))]
+    timed = log[8:]
+    assert not any(entry[0] == "output" for entry in timed if isinstance(entry, tuple))
+    # the reference runs once right after every timed call, and only then
+    assert timed[1::2] == ["reference"] * 12
+    # each round runs every item on one side, then on the other, and the sides
+    # alternate which goes first, by round: b first in rounds 1 and 3
+    assert timed[::2] == [("call", side, item) for order in ("BA", "AB", "BA")
+                          for side in order for item in (1, 2)]
+    for side in ("a", "b"):
+        assert [len(runs) for runs in calls[side]] == [3, 3]
+        assert all(c.reference == 0.5 for runs in calls[side] for c in runs)
+
+
+def test_regime_timing_counts_the_rounds_this_tree_was_lower(capsys, monkeypatch):
+    tool = regime_timing(monkeypatch)
     trees = {"against": None, "this tree": None}
     # two inputs, two ops, three rounds: pool means 4, 4, 4 against 3, 4.5, 4 (a tie is no win)
     ratios = {"against": [{"a": [1, 1, 1], "b": [2, 2, 2]}, {"a": [3, 3, 3], "b": [2, 2, 2]}],

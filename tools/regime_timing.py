@@ -1,82 +1,80 @@
-"""Time `solve_2d` with the full candidate table against the edge-row join, or
-(with --writer) the two writers of large float tables, or (with --front-end)
-the two ways of the magnitude front end, or (with --against) the solves, or
-(with --against and --cli) the CLI commands, of this tree against those of
-another.
+"""Time two sides of autophase2d against each other in paired rounds: the full
+candidate table against the edge-row join (the default), the two writers of
+large float tables (--writer), the two ways of the magnitude front end
+(--front-end), or this tree against another (--against).
 
 Run from the root of a checkout:
 
-    python3 tools/regime_timing.py --n 4 --seeds 100-109 --rounds 200
+    python3 tools/regime_timing.py --workload small-n34 --seeds 100-109 --rounds 200
     python3 tools/regime_timing.py --writer --cells 64-8192 --rounds 200
     python3 tools/regime_timing.py --front-end --rounds 200
     python3 tools/regime_timing.py --against OLD_SRC --seeds 100-109 --rounds 200
-    python3 tools/regime_timing.py --against OLD_SRC --cli --seeds 7 --rounds 100
+    python3 tools/regime_timing.py --against OLD_SRC --workload cli-n4 --seeds 7 --rounds 100
 
-The inputs are the n-by-n entries of perfbench's `small-n34` pool (n = 3 has
-u = 5 flip units, n = 4 has u = 9), drawn for every seed of the range, as the
-benchmark draws them. Each input is solved once in each regime per round:
-`solver.CROSSOVER_UNITS` set above every u forces the full table, and set
-to 0 forces the join, since every input of the pool has full support (a
-zero endpoint would take the half tables' corner scan instead). The two
-regimes alternate which goes first from one round to the next. The script
-prints, per regime, the median over rounds of the mean solve time, the
-number of rounds the full table was faster, and whether every report was
-byte-identical in the two regimes (exit status 1 if not).
+Every mode runs `paired`: two sides, a list of items and a call. A side is
+one value of a module constant or one tree of the package. A warm-up round
+runs the call on every item on each side and keeps each side's output. Each
+of the --rounds timed rounds then runs the call on every item on one side,
+then on the other, alternating which side goes first from one round to the
+next. It times only the call, and runs `harness.Reference` right after it:
+every call follows another item's call and its reference, as in perfbench's
+loop. (A call right after the other side's call of the same item ran about 3%
+faster, so the side that went second won nearly every round.) Every mode runs
+under perfbench's malloc mmap threshold. Each call records its seconds, the
+reference's seconds and its minor page faults (`ru_minflt`). Every mode exits
+1 unless the two sides' outputs are the same.
+
+Without a mode flag, the inputs of --workload (any name in perfbench's
+`WORKLOADS`, drawn for every seed of --seeds as the benchmark draws them) are
+solved in the library from their squared magnitudes, as perfbench's library
+loop times them, whatever the workload's `cli` flag: `solver.CROSSOVER_UNITS`
+set above every u forces the full table, and set to 0 forces the join, since
+every input of the pools has full support (a zero endpoint would take the
+half tables' corner scan instead). The script prints, per flip-unit count u,
+the median over rounds of the mean solve time over that u's inputs in each
+regime and the number of rounds the full table was the faster; last whether
+every report was byte-identical in the two regimes.
 
 With --writer, the script writes seeded tables of 64, 128, ... cells (up to
 the second number of --cells) in both ways: `jsonio.KERNEL_CELLS` set to 0
-forces the vectorized kernel, and set above every size the one-"%"
-template. The tables are candidate tables of n = 4 signals (19 cells a row),
-as `enumerate` writes them, and census CSVs (3 cells a row) of sorted
-products. Each round times every table once in each way, alternating which
-goes first. Blocks of 1 MiB or more are their own mappings, as perfbench sets
-glibc's malloc. The script prints the median over rounds of each table's time
-in microseconds, the mean number of minor page faults (`ru_minflt`) a write
-takes, the number of cells the kernel left to `format()` (the sum of what
+forces the vectorized kernel, and set above every size the one-"%" template.
+The tables are candidate tables of n = 4 signals (19 cells a row), as
+`enumerate` writes them, and census CSVs (3 cells a row) of sorted products.
+The script prints the median over rounds of each table's time in
+microseconds, the mean number of minor page faults a write takes, the number
+of cells the kernel left to `format()` (the sum of what
 `jsonio._format_into` returns over a write), and whether every text was
-identical in the two ways (exit status 1 if not).
+identical in the two ways.
 
-With --front-end, `measurements_to_autocorr_2d` turns the squared magnitudes of
-one Gaussian n-by-n signal into its lag grid in both ways, for n = 2..9 and
-m = 2n-1..2n+2: `core.LAG_OPERATOR_ENTRIES` set above every size forces the
-one real product with the cached operator, and set to 0 the complex product.
-Each size runs its rounds before the next size, so that both ways keep their
-cached matrices; each round times one call in each way, alternating which
-goes first, and each call runs right after `harness.Reference`, as a solve
-runs in perfbench's loop. The script prints, per size, the operator's entries
-((2n-1)^2 + m^2) * m^2 and the median over rounds of each way's time in
-microseconds; then the largest operator at which it was the faster way and
+With --front-end, `measurements_to_autocorr_2d` turns the squared magnitudes
+of one Gaussian n-by-n signal into its lag grid in both ways, for n = 2..9
+and m = 2n-1..2n+2: `core.LAG_OPERATOR_ENTRIES` set above every size forces
+the one real product with the cached operator, and set to 0 the complex
+product. Each size runs its rounds before the next size, so that both ways
+keep their cached matrices. The script prints, per size, the operator's
+entries ((2n-1)^2 + m^2) * m^2 and the median over rounds of each way's time
+in microseconds; then the largest operator at which it was the faster way and
 the smallest at which it was not, the crossover `LAG_OPERATOR_ENTRIES` rests
 on; and last the largest difference between the two ways' lag grids,
 relative to max|R| (exit status 1 if above 1e-12).
 
 With --against, OLD_SRC is a directory holding an `autophase2d` package (the
 `src/` of another checkout). Both trees are loaded in this process, OLD_SRC's
-under the package name `autophase2d_against`, and solve every input of the
-`small-n34` pool (both sizes; --n is ignored) for every seed of the range, as
-perfbench's library loop does: from the squared magnitudes to the report, with
-`harness.Reference` run after each solve. Each round solves every input once
-in each tree, alternating which tree goes first from one round to the next.
-The script prints, per n and then over the whole pool, the mean over inputs of
-each input's median solve time over the reference time after it in both trees
-and the change for this tree; the pool line, where each input weighs the same,
-is perfbench's `instance_ref_ratio`. Then it prints the number of rounds in
-which this tree's mean over the pool of that round's ratios was the lower,
-and last whether every report was byte-identical in the two trees (exit
-status 1 if not).
-
-With --against and --cli, both trees run the `solve`, `enumerate` and
-`census` commands of the `cli-n4` pool through their `cli.main` in this
-process, as perfbench's `cli-n4` loop does: stdout and stderr captured, and
-`harness.Reference` run after each command. Each round runs every input's
-three commands once in each tree, alternating which tree goes first. The
-script prints, per command, the mean over inputs of each input's median
-command time over the reference time after it, then the instance line: per
-input the sum of its commands' medians, averaged over the pool, which is
-perfbench's `instance_ref_ratio`, and the number of rounds in which this
-tree's mean over the pool of that round's instance ratios was the lower. Last
-it prints whether every exit status, stdout and stderr was byte-identical in
-the two trees (exit status 1 if not).
+under the package name `autophase2d_against`, and run the --workload pool as
+perfbench runs it. A library workload is solved from the squared magnitudes
+to the report; the script prints, per n and then over the whole pool, the
+mean over inputs of each input's median solve time over the reference time
+after it in both trees and the change for this tree (the pool line, where each
+input weighs the same, is perfbench's `instance_ref_ratio`), then the number
+of rounds in which this tree's mean over the pool of that round's ratios was
+the lower, and last whether every report was byte-identical. A workload with
+`cli` set runs the `solve`, `enumerate` and `census` commands of every input
+through each tree's `cli.main`, stdout and stderr captured; the script prints,
+per command, the mean over inputs of each input's median command time over
+the reference time after it, then the instance line (per input the sum of its
+commands' medians, averaged over the pool: perfbench's `instance_ref_ratio`),
+the rounds this tree's instance mean was the lower, and whether every exit
+status, stdout and stderr was byte-identical.
 """
 
 from __future__ import annotations
@@ -90,6 +88,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,13 +96,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from autophase2d import Autocorr2D, Matrix2D, core, jsonio, solve_2d, solver  # noqa: E402
+from autophase2d import Matrix2D, core, jsonio, solver  # noqa: E402
 from autophase2d.polyfactor import Candidates  # noqa: E402
 import autophase2d  # noqa: E402
 from harness import M_MMAP_THRESHOLD, MALLOPT, MMAP_THRESHOLD_BYTES, Reference  # noqa: E402
 from harness import run_in_process  # noqa: E402
 from run import CLI_COMMANDS, cli_argv  # noqa: E402
-from workloads import WORKLOADS, lag_grid, make_instance, write_cli_inputs  # noqa: E402
+from workloads import WORKLOADS, make_instance, write_cli_inputs  # noqa: E402
 
 REGIMES = {"full": 1 << 30, "join": 0}  # CROSSOVER_UNITS of each regime
 WRITERS = {"template": 1 << 62, "kernel": 0}  # KERNEL_CELLS of each writer
@@ -112,30 +111,100 @@ FRONT_END_SIDES = range(2, 10)  # n of --front-end, each at m = 2n-1..2n+2
 FRONT_END_AGREE = 1e-12  # largest difference between the ways' lag grids, over max|R|
 
 
+class Call(NamedTuple):
+    seconds: float
+    reference: float  # seconds of the reference run right after the call
+    faults: int  # minor page faults of the call
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def median_us(runs: list) -> float:
+    return statistics.median(c.seconds for c in runs) * 1e6
+
+
+def paired(sides: dict, items: list, call, output, rounds: int, constant=None):
+    """Runs `call(side value, item)` on every item on each side, a side at a time,
+    in each round.
+
+    With `constant` = (module, attribute), each side's value is set there
+    before its calls, and the attribute's own value is put back at the end.
+    Round 0 warms up and keeps `output(side value, result)` of every call;
+    rounds 1.. alternate which side goes first, and time only the call, each
+    followed by the reference. Returns the `Call`s of the timed rounds, by
+    side and item, and the warm-up's outputs, by side.
+    """
+    if MALLOPT is not None:
+        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    module, attribute = constant or (None, None)
+    default = getattr(module, attribute) if constant else None
+    ref = Reference()
+    calls = {side: [[] for _ in items] for side in sides}
+    outputs = {side: [] for side in sides}
+    try:
+        for rnd in range(rounds + 1):
+            order = list(sides) if rnd % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                value = sides[side]
+                if constant:
+                    setattr(module, attribute, value)
+                for k, item in enumerate(items):
+                    if rnd == 0:
+                        outputs[side].append(output(value, call(value, item)))
+                        continue
+                    f0 = minor_faults()
+                    t0 = time.perf_counter()
+                    result = call(value, item)
+                    seconds = time.perf_counter() - t0
+                    faults = minor_faults() - f0
+                    del result  # freed before the reference, as perfbench drops a report
+                    calls[side][k].append(Call(seconds, ref.run(), faults))
+    finally:
+        if constant:
+            setattr(module, attribute, default)
+    return calls, outputs
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
 
 
-def draw_inputs(n: int, seeds: range) -> list:
-    workload = WORKLOADS["small-n34"]
-    picks = [i for i, (side, _) in enumerate(workload.pool) if side == n]
-    if not picks:
-        raise SystemExit(f"small-n34 holds no n = {n} input")
-    grids = []
-    for seed in seeds:
-        for i in picks:
-            X = make_instance(workload, seed, i).X
-            grids.append(Autocorr2D(n, lag_grid(X)))
-    return grids
+def draw_pool(workload, seeds: range) -> list:
+    return [make_instance(workload, seed, i) for seed in seeds for i in range(len(workload.pool))]
 
 
-def solve_in(regime: str, R: Autocorr2D) -> tuple[int, str]:
-    solver.CROSSOVER_UNITS = REGIMES[regime]
-    t0 = time.perf_counter_ns()
-    report = solve_2d(R)
-    elapsed = time.perf_counter_ns() - t0
-    return elapsed, jsonio.dumps(report.to_dict())
+def solve(package, inst):
+    """The report of one input, from its squared magnitudes, as perfbench times it."""
+    return package.solve_2d(package.measurements_to_autocorr_2d(
+        package.MagnitudeGrid(2 * inst.n, inst.n, inst.Y)))
+
+
+def report_text(package, report) -> str:
+    return importlib.import_module(f"{package.__name__}.jsonio").dumps(report.to_dict())
+
+
+def regime_main(args) -> int:
+    pool = draw_pool(WORKLOADS[args.workload], args.seeds)
+    calls, reports = paired(REGIMES, pool, lambda _, inst: solve(autophase2d, inst),
+                            lambda _, report: report_text(autophase2d, report), args.rounds,
+                            (solver, "CROSSOVER_UNITS"))
+    print(f"{len(pool)} inputs of {args.workload}, {args.rounds} rounds; us a solve "
+          f"(median over rounds of the mean over inputs)")
+    for u in sorted({inst.u for inst in pool}):
+        picks = [k for k, inst in enumerate(pool) if inst.u == u]
+        full, join = ([statistics.fmean(calls[regime][k][rnd].seconds for k in picks) * 1e6
+                       for rnd in range(args.rounds)] for regime in REGIMES)
+        wins = sum(f < j for f, j in zip(full, join))
+        full, join = statistics.median(full), statistics.median(join)
+        print(f"u = {u}: full table {full:.0f}, join {join:.0f} "
+              f"({(full / join - 1) * 100:+.1f}% for full), "
+              f"full table faster in {wins} of {args.rounds} rounds")
+    same = reports["full"] == reports["join"]
+    print(f"reports identical: {same}")
+    return 0 if same else 1
 
 
 def draw_tables(cells: int, seed: int) -> list:
@@ -156,10 +225,6 @@ def cell_sizes(text: str) -> list[int]:
     return sizes
 
 
-def minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
 def format_fallbacks(write) -> int:
     """The number of cells the kernel leaves to format() in one call of `write`."""
     kernel, counts = jsonio._format_into, []
@@ -177,37 +242,20 @@ def format_fallbacks(write) -> int:
 
 
 def writer_main(args) -> int:
-    if MALLOPT is not None:
-        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     tables = [t for k, cells in enumerate(args.cells) for t in draw_tables(cells, k)]
     default = jsonio.KERNEL_CELLS
-    times = {(name, w): [] for name, _ in tables for w in WRITERS}
-    faults = {(name, w): [] for name, _ in tables for w in WRITERS}
-    texts = {w: [] for w in WRITERS}
     jsonio.KERNEL_CELLS = WRITERS["kernel"]
     left = {name: format_fallbacks(write) for name, write in tables}  # outside the timed rounds
-    for rnd in range(args.rounds + 1):  # round 0 warms up and keeps the texts
-        order = list(WRITERS) if rnd % 2 == 0 else list(WRITERS)[::-1]
-        for name, write in tables:
-            for w in order:
-                jsonio.KERNEL_CELLS = WRITERS[w]
-                f0 = minor_faults()
-                t0 = time.perf_counter_ns()
-                text = write()
-                elapsed = time.perf_counter_ns() - t0
-                if rnd == 0:
-                    texts[w].append(text)
-                else:
-                    times[name, w].append(elapsed / 1e3)
-                    faults[name, w].append(minor_faults() - f0)
     jsonio.KERNEL_CELLS = default
+    calls, texts = paired(WRITERS, tables, lambda _, table: table[1](), lambda _, text: text,
+                          args.rounds, (jsonio, "KERNEL_CELLS"))
 
     print(f"{len(tables)} tables, {args.rounds} rounds; us a table (median over rounds), "
           f"minor faults a write (mean), cells the kernel left to format()")
     print(f"{'table':>18} {'template':>9} {'faults':>7} {'kernel':>9} {'faults':>7} {'format':>7}")
-    for name, _ in tables:
-        template, kernel = (statistics.median(times[name, w]) for w in WRITERS)
-        t_faults, k_faults = (statistics.mean(faults[name, w]) for w in WRITERS)
+    for k, (name, _) in enumerate(tables):
+        template, kernel = (median_us(calls[w][k]) for w in WRITERS)
+        t_faults, k_faults = (statistics.fmean(c.faults for c in calls[w][k]) for w in WRITERS)
         print(f"{name:>18} {template:9.0f} {t_faults:7.1f} {kernel:9.0f} {k_faults:7.1f}"
               f" {left[name]:7d}  ({(kernel / template - 1) * 100:+.0f}%)")
     same = texts["template"] == texts["kernel"]
@@ -216,35 +264,20 @@ def writer_main(args) -> int:
 
 
 def front_end_main(args) -> int:
-    if MALLOPT is not None:
-        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    ref = Reference()
-    default = core.LAG_OPERATOR_ENTRIES
     rows, worst = [], 0.0
     for n in FRONT_END_SIDES:
         X = Matrix2D(n, np.random.default_rng(n).standard_normal((n, n)))
         for m in range(2 * n - 1, 2 * n + 3):
-            Y = core.fourier_magnitude_2d(X, m)
-            times = {way: [] for way in FRONT_ENDS}
-            grids = {}
-            for rnd in range(args.rounds + 1):  # round 0 warms the caches and keeps the grids
-                for way in (list(FRONT_ENDS) if rnd % 2 == 0 else list(FRONT_ENDS)[::-1]):
-                    core.LAG_OPERATOR_ENTRIES = FRONT_ENDS[way]
-                    ref.run()
-                    t0 = time.perf_counter_ns()
-                    R = core.measurements_to_autocorr_2d(Y)
-                    elapsed = time.perf_counter_ns() - t0
-                    if rnd == 0:
-                        grids[way] = R.values
-                    else:
-                        times[way].append(elapsed / 1e3)
-            core.LAG_OPERATOR_ENTRIES = default
-            a, b = grids.values()
+            calls, grids = paired(FRONT_ENDS, [core.fourier_magnitude_2d(X, m)],
+                                  lambda _, Y: core.measurements_to_autocorr_2d(Y),
+                                  lambda _, R: R.values, args.rounds,
+                                  (core, "LAG_OPERATOR_ENTRIES"))
+            a, b = (grids[way][0] for way in FRONT_ENDS)
             worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
             rows.append((((2 * n - 1) ** 2 + m * m) * m * m, n, m,
-                         *(statistics.median(times[way]) for way in FRONT_ENDS)))
+                         *(median_us(calls[way][0]) for way in FRONT_ENDS)))
 
-    print(f"{len(rows)} sizes, {args.rounds} rounds; us a call right after the reference "
+    print(f"{len(rows)} sizes, {args.rounds} rounds; us a call, each followed by the reference "
           f"(median over rounds)")
     print(f"{'n':>3} {'m':>3} {'entries':>8} {'operator':>9} {'product':>9}")
     for entries, n, m, op, prod in rows:
@@ -256,7 +289,7 @@ def front_end_main(args) -> int:
                           ("smallest operator not faster", losses[:1])):
         for entries, n, m, op, prod in picked:
             print(f"{label}: {entries} entries (n = {n}, m = {m}: {op:.1f} against {prod:.1f} us)")
-    print(f"cap: LAG_OPERATOR_ENTRIES = {default}")
+    print(f"cap: LAG_OPERATOR_ENTRIES = {core.LAG_OPERATOR_ENTRIES}")
     print(f"largest difference over max|R|: {worst:.1e}")
     return 0 if worst <= FRONT_END_AGREE else 1
 
@@ -270,44 +303,6 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
-
-
-def solve_timed(package, inst, ref: Reference) -> tuple[float, str]:
-    """(solve time over the reference time after it, report text) of one input."""
-    t0 = time.perf_counter()
-    report = package.solve_2d(package.measurements_to_autocorr_2d(
-        package.MagnitudeGrid(2 * inst.n, inst.n, inst.Y)))
-    ratio = (time.perf_counter() - t0) / ref.run()
-    return ratio, importlib.import_module(f"{package.__name__}.jsonio").dumps(report.to_dict())
-
-
-def command_timed(cli_main, argv: list, ref: Reference) -> tuple[float, tuple]:
-    """(command time over the reference time after it, (exit status, stdout, stderr))."""
-    t0 = time.perf_counter()
-    done = run_in_process(cli_main, argv)
-    ratio = (time.perf_counter() - t0) / ref.run()
-    return ratio, (done.returncode, done.stdout, done.stderr)
-
-
-def interleaved(trees: dict, pool: list, ops: dict, rounds: int) -> tuple[dict, dict]:
-    """Each round runs every op of every input once in each tree, alternating which
-    tree goes first; an op is (tree, input, reference) -> (ratio, output). Returns
-    the ratios of rounds 1.., by tree, input and op, and the outputs of round 0,
-    by tree, which warms up."""
-    ref = Reference()
-    ratios = {tree: [{op: [] for op in ops} for _ in pool] for tree in trees}
-    outputs = {tree: [] for tree in trees}
-    for rnd in range(rounds + 1):
-        order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
-        for k, inst in enumerate(pool):
-            for tree in order:
-                for op, run in ops.items():
-                    ratio, output = run(tree, inst, ref)
-                    if rnd == 0:
-                        outputs[tree].append(output)
-                    else:
-                        ratios[tree][k][op].append(ratio)
-    return ratios, outputs
 
 
 def print_ratios(trees: dict, ratios: dict, lines: list) -> None:
@@ -330,20 +325,19 @@ def print_rounds_lower(trees: dict, ratios: dict, inputs, ops, rounds: int) -> N
 
 
 def against_main(args) -> int:
-    if MALLOPT is not None:
-        MALLOPT(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     trees = {"against": load_tree(args.against.resolve(), "autophase2d_against"),
              "this tree": autophase2d}
-    workload = WORKLOADS["cli-n4" if args.cli else "small-n34"]
-    pool = [make_instance(workload, seed, i)
-            for seed in args.seeds for i in range(len(workload.pool))]
-    if args.cli:
+    workload = WORKLOADS[args.workload]
+    pool = draw_pool(workload, args.seeds)
+    if workload.cli:
         return cli_against(args, trees, pool)
-    ops = {"solve": lambda tree, inst, ref: solve_timed(trees[tree], inst, ref)}
-    ratios, reports = interleaved(trees, pool, ops, args.rounds)
+    calls, reports = paired(trees, pool, solve, report_text, args.rounds)
+    ratios = {tree: [{"solve": [c.seconds / c.reference for c in runs]} for runs in calls[tree]]
+              for tree in trees}
     print(f"{len(pool)} inputs, {args.rounds} rounds; solve time over the reference after it, "
           f"mean over inputs of the median over rounds")
     sizes = sorted({inst.n for inst in pool})
+    ops = ["solve"]
     print_ratios(trees, ratios, [
         *((f"n = {n}", [k for k, inst in enumerate(pool) if inst.n == n], ops) for n in sizes),
         ("pool", range(len(pool)), ops)])
@@ -356,12 +350,18 @@ def against_main(args) -> int:
 def cli_against(args, trees: dict, pool: list) -> int:
     mains = {tree: importlib.import_module(f"{package.__name__}.cli").main
              for tree, package in trees.items()}
-    ops = {cmd: (lambda tree, inst, ref, cmd=cmd:
-                 command_timed(mains[tree], cli_argv(inst, cmd), ref)) for cmd in CLI_COMMANDS}
+    commands = [(inst, cmd) for inst in pool for cmd in CLI_COMMANDS]
     with tempfile.TemporaryDirectory() as work:
         for inst in pool:
             write_cli_inputs(inst, Path(work))
-        ratios, outputs = interleaved(trees, pool, ops, args.rounds)
+        calls, outputs = paired(mains, commands,
+                                lambda main, command: run_in_process(main, cli_argv(*command)),
+                                lambda _, done: (done.returncode, done.stdout, done.stderr),
+                                args.rounds)
+    width = len(CLI_COMMANDS)
+    ratios = {tree: [{cmd: [c.seconds / c.reference for c in calls[tree][k * width + j]]
+                      for j, cmd in enumerate(CLI_COMMANDS)} for k in range(len(pool))]
+              for tree in trees}
     print(f"{len(pool)} inputs, {args.rounds} rounds; command time over the reference after it, "
           f"mean over inputs of the median over rounds")
     inputs = range(len(pool))
@@ -375,10 +375,12 @@ def cli_against(args, trees: dict, pool: list) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, default=4, help="side of the inputs (3 or 4)")
+    ap.add_argument("--workload", choices=WORKLOADS, default="small-n34",
+                    help="perfbench workload whose pool the regimes or --against run "
+                         "(default small-n34)")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("100-109"),
                     help="benchmark seeds, FIRST-LAST (default 100-109)")
-    ap.add_argument("--rounds", type=int, default=200, help="interleaved rounds")
+    ap.add_argument("--rounds", type=int, default=200, help="timed rounds")
     ap.add_argument("--writer", action="store_true",
                     help="time the two writers of float tables instead of the solve regimes")
     ap.add_argument("--front-end", action="store_true",
@@ -386,47 +388,15 @@ def main(argv=None) -> int:
     ap.add_argument("--cells", type=cell_sizes, default=cell_sizes("64-8192"),
                     help="table sizes for --writer, FIRST-LAST, doubling (default 64-8192)")
     ap.add_argument("--against", type=Path, metavar="OLD_SRC",
-                    help="time this tree's small-n34 solves against those of OLD_SRC")
-    ap.add_argument("--cli", action="store_true",
-                    help="with --against, time the cli-n4 commands instead of the solves")
+                    help="time this tree's runs of the workload against those of OLD_SRC")
     args = ap.parse_args(argv)
-    if args.cli and not args.against:
-        ap.error("--cli needs --against")
     if args.writer:
         return writer_main(args)
     if args.front_end:
         return front_end_main(args)
     if args.against:
         return against_main(args)
-
-    grids = draw_inputs(args.n, args.seeds)
-    default = solver.CROSSOVER_UNITS
-    for regime in REGIMES:  # warm every cache once
-        for R in grids:
-            solve_in(regime, R)
-    per_solve = {regime: [] for regime in REGIMES}
-    reports = {regime: [] for regime in REGIMES}
-    for rnd in range(args.rounds):
-        order = list(REGIMES) if rnd % 2 == 0 else list(REGIMES)[::-1]
-        for regime in order:
-            total = 0
-            for R in grids:
-                elapsed, text = solve_in(regime, R)
-                total += elapsed
-                if rnd == 0:
-                    reports[regime].append(text)
-            per_solve[regime].append(total / len(grids) / 1e3)
-    solver.CROSSOVER_UNITS = default
-
-    full, join = (statistics.median(per_solve[r]) for r in REGIMES)
-    wins = sum(f < j for f, j in zip(per_solve["full"], per_solve["join"]))
-    same = reports["full"] == reports["join"]
-    print(f"{len(grids)} inputs, n = {args.n}, {args.rounds} rounds")
-    print(f"full table: {full:.0f} us a solve (median over rounds)")
-    print(f"join: {join:.0f} us a solve ({(full / join - 1) * 100:+.1f}% for full)")
-    print(f"full table faster in {wins} of {args.rounds} rounds")
-    print(f"reports identical: {same}")
-    return 0 if same else 1
+    return regime_main(args)
 
 
 if __name__ == "__main__":
